@@ -16,11 +16,9 @@ from .pretzel import (
 )
 from .alexander import (
     SkeinTrace,
-    UnsupportedLinkError,
     alexander_skein,
     alexander_with_trace,
     claim_formula,
-    supports,
     torus_link_alexander,
 )
 from .oracle import WirtingerPresentation, alexander_fox, build_diagram

@@ -6,39 +6,41 @@ exactly; results are therefore "Delta up to units", with unit choices kept
 coherent inside a single computation so that resolving-tree recombination
 is an exact identity.  Normalization is left to the caller.
 
-One twist region at a time is resolved down to parameter 0 or +-1.  How a
-region resolves depends on the flow of its two strands, which is computed
-once from the root diagram and never changes under crossing changes or
-oriented smoothings:
+The recursion runs on oriented pretzel links.  A state is the necklace of
+the root's regions that remain, each with its current parameter and the
+strand flows it had in the root knot: crossing changes and oriented
+smoothings never change them.  One twist region at a time is resolved
+down to parameter 0 or +-1, according to its flows:
 
 * parallel strands: smoothing removes one crossing, so the region obeys
   the torus-link recursion and splits into two sub-links with torus-link
   polynomial multipliers;
-* antiparallel strands: smoothing replaces the region by a horizontal bar,
-  fusing the remaining regions into a single (2, m)-torus chain, so each
-  crossing change peels off one copy of the chain polynomial.
+* antiparallel strands: smoothing caps the region off at top and bottom,
+  which leaves the pretzel link P(rest) on the other regions, so each
+  crossing change peels off one copy of P(rest).
 
-Terminal links (all parameters in {-1, 0, 1}, or containing a 0 region)
-are evaluated by closed torus-link / connected-sum forms.
+Terminal links are evaluated in closed form: a 0 region cuts the necklace
+into a connected sum of (2, a)-torus factors, a necklace of +-1 regions is
+a (2, m)-torus link, and a two-region link P(a, b) is the (2, a + b)-torus
+link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .laurent import SKEIN_FACTOR, LaurentPoly
-from .pretzel import PretzelLink, RegionFlags, is_knot, orientation_flags
-
-
-class UnsupportedLinkError(ValueError):
-    """A leaf or region configuration outside the engine's rewrite table."""
+from .pretzel import PretzelLink, RegionFlags, orientation_flags
 
 
 # ----------------------------------------------------------------------
 # torus link polynomials
 
-@lru_cache(maxsize=None)
+# Process-wide cache: _TORUS[l] is the (2, l) value for l >= 0, filled
+# bottom-up so that large l needs no deep recursion.
+_TORUS: list[LaurentPoly] = [LaurentPoly.zero(), LaurentPoly.one()]
+
+
 def _torus(l: int) -> LaurentPoly:
     """Conway-consistent Delta of the (2, l)-torus link, any integer l.
 
@@ -46,13 +48,12 @@ def _torus(l: int) -> LaurentPoly:
     w = t^(-1/2) - t^(1/2); negative indices extend the same recursion
     (the mirror image), giving Delta_{-l} = (-1)^(l+1) Delta_l.
     """
-    if l == 0:
-        return LaurentPoly.zero()
-    if l == 1:
-        return LaurentPoly.one()
-    if l > 1:
-        return _torus(l - 2) + SKEIN_FACTOR * _torus(l - 1)
-    return _torus(l + 2) - SKEIN_FACTOR * _torus(l + 1)
+    if l < 0:
+        value = _torus(-l)
+        return value if l % 2 != 0 else -value
+    while len(_TORUS) <= l:
+        _TORUS.append(_TORUS[-2] + SKEIN_FACTOR * _TORUS[-1])
+    return _TORUS[l]
 
 
 def torus_link_alexander(l: int) -> LaurentPoly:
@@ -80,16 +81,23 @@ class SkeinTrace:
     """Resolving tree audit record.
 
     ``value`` is the exact recursion result; ``final`` maps each terminal
-    leaf link to its accumulated multiplier and ``leaf_values`` to its
+    leaf to its accumulated multiplier and ``leaf_values`` to its
     closed-form polynomial, so that
-    sum(final[L] * leaf_values[L]) == value exactly.
+    sum(final[L] * leaf_values[L]) == value exactly.  A leaf is keyed by
+    its link and the root indices of its regions: the regions keep their
+    root orientations, so equal parameters alone need not mean equal
+    oriented links.
     """
 
     root: PretzelLink
     value: LaurentPoly = field(default_factory=LaurentPoly.zero)
     steps: list[SkeinStep] = field(default_factory=list)
-    final: dict[PretzelLink, LaurentPoly] = field(default_factory=dict)
-    leaf_values: dict[PretzelLink, LaurentPoly] = field(default_factory=dict)
+    final: dict[tuple[PretzelLink, tuple[int, ...]], LaurentPoly] = field(
+        default_factory=dict
+    )
+    leaf_values: dict[tuple[PretzelLink, tuple[int, ...]], LaurentPoly] = field(
+        default_factory=dict
+    )
 
     def recombined(self) -> LaurentPoly:
         total = LaurentPoly.zero()
@@ -126,31 +134,6 @@ def _twist_value(m: int, parallel: bool, *, horizontal: bool = False) -> Laurent
     return -half if horizontal else half
 
 
-def _chain_value(params, flags, skip: int) -> LaurentPoly:
-    """Conway value of the link obtained by fusing all regions but ``skip``
-    into one (2, m) twist chain, m the remaining twist total.  The chain's
-    two strands thread the remaining regions vertically, so the region
-    flags there decide parallel versus antiparallel."""
-    rest = [j for j in range(len(params)) if j != skip]
-    if not rest:
-        return LaurentPoly.one()  # smoothing a lone region leaves an unknot
-    if len(rest) > 3:
-        # with four or more remaining regions the smoothed link is no
-        # longer a (2, m) twist chain, so this rewrite would be unsound
-        raise UnsupportedLinkError(
-            "antiparallel smoothing with more than three remaining regions"
-        )
-    m = sum(params[j] for j in rest)
-    if m % 2 != 0:
-        return _torus(abs(m))
-    if m == 0:
-        return LaurentPoly.zero()
-    kinds = {flags[j].parallel for j in rest}
-    if len(kinds) != 1:
-        raise UnsupportedLinkError("mixed strand flows in fused twist chain")
-    return _twist_value(m, kinds.pop())
-
-
 def _factor_value(a: int, flag: RegionFlags) -> LaurentPoly:
     """Conway value of one closed (2, a) twist connected-sum factor."""
     return _twist_value(a, flag.parallel)
@@ -175,16 +158,15 @@ def _leaf_value(params, flags) -> LaurentPoly | None:
     if all(abs(a) == 1 for a in params):
         # a necklace of single crossings is a closed (2, m) braid whose two
         # strands run horizontally, so parallelism is read across the
-        # left-hand ports, not down each region
-        m = sum(params)
-        if m % 2 != 0:
-            return _torus(abs(m))
-        if m == 0:
-            return LaurentPoly.zero()
-        kinds = {flags[j].tl == flags[j].bl for j in range(len(params))}
-        if len(kinds) != 1:
-            raise UnsupportedLinkError("mixed strand flows in +-1 necklace")
-        return _twist_value(m, kinds.pop(), horizontal=True)
+        # left-hand ports, not down each region.  Each strand keeps its
+        # horizontal direction all round the necklace, so one region tells.
+        return _twist_value(
+            sum(params), flags[0].tl == flags[0].bl, horizontal=True
+        )
+    if len(params) == 2:
+        # P(a, b) is the (2, a + b)-torus link; in a two-region necklace
+        # both regions carry the same strand flow
+        return _twist_value(params[0] + params[1], flags[0].parallel)
     return None
 
 
@@ -200,130 +182,105 @@ def _pick_region(params) -> int:
     raise AssertionError("no resolvable region in a non-leaf link")
 
 
-def _branches(params, flags, i) -> tuple[tuple[LaurentPoly, tuple | None], ...]:
-    """The (multiplier, replacement-params-or-chain) pairs for resolving
-    region i.  A None replacement denotes the fused torus-chain leaf."""
+def _branches(params, regions, flags, i):
+    """The (multiplier, sub-state) pairs for resolving region i of the
+    state (params, regions, flags)."""
     a = params[i]
-    sub = list(params)
+    head, tail = params[:i], params[i + 1:]
     if flags[i].parallel:
         # parallel strands drawn as positive twists carry negative crossings
         # (and vice versa), fixing which twist recursion applies
-        z, o = list(sub), list(sub)
+        zero = (head + (0,) + tail, regions, flags)
         if a > 0:
-            z[i], o[i] = 0, 1
             return (
-                (_tbar(a - 1), tuple(z)),
-                (_tbar(a), tuple(o)),
+                (_tbar(a - 1), zero),
+                (_tbar(a), (head + (1,) + tail, regions, flags)),
             )
         b = -a
-        z[i], o[i] = 0, -1
         return (
-            (_torus(b - 1), tuple(z)),
-            (_torus(b), tuple(o)),
+            (_torus(b - 1), zero),
+            (_torus(b), (head + (-1,) + tail, regions, flags)),
         )
     # antiparallel: crossing changes walk a to 0 (even) or sign(a) (odd),
-    # each step splitting off one copy of the fused chain
+    # and each change's smoothing leaves P(rest) on the other regions
     r = 0 if a % 2 == 0 else (1 if a > 0 else -1)
     k = (abs(a) - abs(r)) // 2
     sgn = 1 if a > 0 else -1
-    z = list(sub)
-    z[i] = r
-    chain_mult = (sgn * k) * SKEIN_FACTOR
-    return ((LaurentPoly.one(), tuple(z)), (chain_mult, None))
-
-
-def _chain_leaf_link(params, skip: int) -> PretzelLink:
-    rest = [params[j] for j in range(len(params)) if j != skip]
-    return PretzelLink((sum(rest),)) if rest else PretzelLink((0,))
+    rest = (
+        head + tail,
+        regions[:i] + regions[i + 1:],
+        flags[:i] + flags[i + 1:],
+    )
+    return (
+        (LaurentPoly.one(), (head + (r,) + tail, regions, flags)),
+        ((sgn * k) * SKEIN_FACTOR, rest),
+    )
 
 
 def alexander_skein(
     link: PretzelLink, *, memoize: bool = True
 ) -> LaurentPoly:
-    """Delta of a supported pretzel knot, up to units (Conway-consistent
-    representative; apply LaurentPoly.normalize for the paper's form)."""
-    value, _ = _run(link, memoize=memoize, trace=None)
-    return value
+    """Delta of a pretzel knot, up to units (Conway-consistent
+    representative; apply LaurentPoly.normalize for the paper's form).
+    Raises PretzelError when the link has more than one component."""
+    return _run(link, memoize=memoize, trace=None)
 
 
 def alexander_with_trace(
     link: PretzelLink, *, memoize: bool = True
 ) -> tuple[LaurentPoly, SkeinTrace]:
     trace = SkeinTrace(root=link)
-    value, leafmap = _run(link, memoize=memoize, trace=trace)
-    trace.value = value
-    trace.final = leafmap
-    return value, trace
+    trace.value = _run(link, memoize=memoize, trace=trace)
+    return trace.value, trace
 
 
 def _run(link, *, memoize, trace):
-    if not is_knot(link):
-        raise UnsupportedLinkError(f"{link} is not a knot")
-    flags = orientation_flags(link)
+    root_flags = orientation_flags(link)
     memo: dict | None = {} if memoize else None
-    leafmaps: dict | None = None
-    expanded: set | None = None
-    if trace is not None:
-        leafmaps = {}
-        expanded = set()
+    # per state: the leaves it expands to, with accumulated multipliers
+    leafmaps: dict = {}
 
-    def rec(params) -> tuple[LaurentPoly, dict]:
-        if memo is not None and params in memo:
-            return memo[params]
-        leaf = _leaf_value(params, flags)
-        if leaf is not None:
-            result = (leaf, {PretzelLink(params): LaurentPoly.one()})
+    def rec(params, regions, flags) -> LaurentPoly:
+        key = (params, regions)
+        if memo is not None and key in memo:
+            return memo[key]
+        value = _leaf_value(params, flags)
+        if value is not None:
             if trace is not None:
-                trace.leaf_values[PretzelLink(params)] = leaf
+                leaf = (PretzelLink(params), regions)
+                trace.leaf_values[leaf] = value
+                leafmaps[key] = {leaf: LaurentPoly.one()}
         else:
             i = _pick_region(params)
-            total = LaurentPoly.zero()
-            combined: dict[PretzelLink, LaurentPoly] = {}
-            step_branches = []
-            for mult, sub in _branches(params, flags, i):
-                if sub is None:
-                    chain = _chain_leaf_link(params, i)
-                    chain_val = _chain_value(params, flags, i)
-                    total = total + mult * chain_val
-                    step_branches.append((mult, chain))
-                    if trace is not None:
-                        combined[chain] = combined.get(
-                            chain, LaurentPoly.zero()
-                        ) + mult
-                        trace.leaf_values[chain] = chain_val
-                else:
-                    sub_val, sub_leaves = rec(sub)
-                    total = total + mult * sub_val
-                    step_branches.append((mult, PretzelLink(sub)))
-                    if trace is not None:
-                        for lf, m in sub_leaves.items():
-                            combined[lf] = combined.get(
-                                lf, LaurentPoly.zero()
-                            ) + mult * m
-            if trace is not None and params not in expanded:
-                expanded.add(params)
-                trace.steps.append(
-                    SkeinStep(PretzelLink(params), i, tuple(step_branches))
-                )
-            result = (total, combined)
+            branches = _branches(params, regions, flags, i)
+            value = LaurentPoly.zero()
+            for mult, sub in branches:
+                value = value + mult * rec(*sub)
+            if trace is not None:
+                if key not in leafmaps:
+                    trace.steps.append(
+                        SkeinStep(
+                            PretzelLink(params),
+                            i,
+                            tuple((m, PretzelLink(sub[0])) for m, sub in branches),
+                        )
+                    )
+                combined: dict = {}
+                for mult, (sub, sub_regions, _) in branches:
+                    for leaf, m in leafmaps[(sub, sub_regions)].items():
+                        combined[leaf] = combined.get(
+                            leaf, LaurentPoly.zero()
+                        ) + mult * m
+                leafmaps[key] = combined
         if memo is not None:
-            memo[params] = result
-        return result
+            memo[key] = value
+        return value
 
-    value, leafmap = rec(link.params)
+    root = (link.params, tuple(range(link.n_regions)))
+    value = rec(*root, root_flags)
     if trace is not None:
-        leafmap = {k: v for k, v in leafmap.items() if not v.is_zero}
-    return value, leafmap
-
-
-def supports(link: PretzelLink) -> bool:
-    """True when the engine can resolve this link without leaving its
-    rewrite table."""
-    try:
-        alexander_skein(link)
-        return True
-    except UnsupportedLinkError:
-        return False
+        trace.final = {k: v for k, v in leafmaps[root].items() if not v.is_zero}
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -361,12 +318,10 @@ def claim_formula(tag) -> LaurentPoly:
 
 
 __all__ = [
-    "UnsupportedLinkError",
     "SkeinStep",
     "SkeinTrace",
     "torus_link_alexander",
     "alexander_skein",
     "alexander_with_trace",
     "claim_formula",
-    "supports",
 ]

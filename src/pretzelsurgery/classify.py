@@ -7,9 +7,10 @@ decisive one, and emits an auditable report:
    (2, p)-torus two-bridge knots and the (-2,3,3)/(-2,3,5) pretzels
    (which are the (3,4)- and (3,5)-torus knots); torus knot surgeries
    are classified by Moser, so these leave the pipeline immediately;
-2. lamination gate: outside three explicit pretzel families, every
-   Montesinos knot carries a persistent essential lamination (Delman),
-   ruling out cyclic and finite surgeries;
+2. lamination gate: outside three explicit pretzel families and their
+   mirror images (which have the negated slopes), every Montesinos knot
+   carries a persistent essential lamination (Delman), ruling out cyclic
+   and finite surgeries;
 3. seminorm gate: Culler-Shalen seminorm bounds (Mattman) kill the
    (-2l, p, q) family for l > 1 and reduce (-2, 3, q) to a static slope
    table at q = 7, 9;
@@ -26,9 +27,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .alexander import alexander_skein
-from .laurent import LaurentPoly
 from .obstruction import gabai_not_fibered, monic_check
-from .oracle import alexander_fox
 from .pretzel import (
     FamilyKind,
     FamilyTag,
@@ -275,7 +274,8 @@ def delman_gate(link: PretzelLink) -> tuple[StageResult, FamilyTag | None]:
 
 def mattman_gate(tag: FamilyTag) -> StageResult:
     """Static seminorm results: (-2l,p,q) with l > 1 has no cyclic or
-    finite surgery; among (-2,3,q) only q = 7, 9 do, with known slopes."""
+    finite surgery; among (-2,3,q) only q = 7, 9 do, with known slopes.
+    The mirror image of a knot has the negated slopes."""
     if tag.kind is FamilyKind.MINUS_2L:
         return StageResult(
             stage="mattman",
@@ -284,6 +284,8 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
             evidence={"family": str(tag), "reason": "(-2l,p,q) with l > 1"},
         )
     if tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3:
+        sign = -1 if tag.mirror else 1
+        knot = f"({-2 * sign},{3 * sign},{tag.q * sign})"
         entry = MATTMAN_TABLE.get(tag.q)
         if entry is not None:
             cyclic, finite = entry
@@ -292,9 +294,9 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
                 verdict="slopes",
                 citation=CITE_MATTMAN,
                 evidence={
-                    "knot": f"(-2,3,{tag.q})",
-                    "cyclic_slopes": list(cyclic),
-                    "finite_slopes": list(finite),
+                    "knot": knot,
+                    "cyclic_slopes": [sign * r for r in cyclic],
+                    "finite_slopes": [sign * r for r in finite],
                 },
             )
         return StageResult(
@@ -302,7 +304,7 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
             verdict="excluded",
             citation=CITE_MATTMAN,
             evidence={
-                "knot": f"(-2,3,{tag.q})",
+                "knot": knot,
                 "reason": "only q = 7, 9 admit cyclic or finite surgeries",
             },
         )
@@ -336,7 +338,7 @@ def alexander_gate(tag: FamilyTag) -> StageResult:
     (with non-monic corroboration) for (-1,-1,2m,p,q)."""
     if tag.kind is FamilyKind.MINUS1_MINUS1_2M:
         cert = gabai_not_fibered(tag.index, tag.p, tag.q)
-        monic = monic_check(alexander_fox(family_link(tag)))
+        monic = monic_check(alexander_skein(family_link(tag)))
         if monic:
             raise ClassifyError(
                 f"{family_link(tag)}: expected non-monic Alexander polynomial"

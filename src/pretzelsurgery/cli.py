@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from math import gcd
 
-from .alexander import UnsupportedLinkError, alexander_skein, alexander_with_trace
+from .alexander import alexander_skein, alexander_with_trace
 from .classify import (
     FINITE_SLOPES,
     NO_CYCLIC_OR_FINITE,
@@ -49,6 +47,7 @@ from .pretzel import (
     PretzelLink,
     PretzelError,
     family_membership,
+    is_knot,
     parse_pretzel,
 )
 
@@ -75,15 +74,6 @@ def _poly_payload(delta: LaurentPoly, *, normalize: bool) -> dict:
     }
 
 
-def _compute_alexander(link: PretzelLink) -> tuple[LaurentPoly, str]:
-    """Skein engine with Fox-calculus fallback for configurations outside
-    the skein rewrite table."""
-    try:
-        return alexander_skein(link), "skein"
-    except UnsupportedLinkError:
-        return alexander_fox(link), "fox"
-
-
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True))
@@ -99,12 +89,10 @@ def _cmd_alexander(args) -> int:
     link = parse_pretzel(args.params)
     if args.trace:
         value, trace = alexander_with_trace(link)
-        engine = "skein"
     else:
-        value, engine = _compute_alexander(link)
-        trace = None
+        value, trace = alexander_skein(link), None
     shown = value.normalize() if args.normalize else value
-    doc = {"input": str(link), "engine": engine, **_poly_payload(value, normalize=args.normalize)}
+    doc = {"input": str(link), "engine": "skein", **_poly_payload(value, normalize=args.normalize)}
     lines = [f"{link}: {render(shown)}"]
     if trace is not None:
         doc["steps"] = [
@@ -125,15 +113,7 @@ def _cmd_alexander(args) -> int:
 def _cmd_oracle_compare(args) -> int:
     link = parse_pretzel(args.params)
     fox = alexander_fox(link)
-    try:
-        skein = alexander_skein(link)
-    except UnsupportedLinkError:
-        _emit(
-            {"input": str(link), "comparable": False, "fox": render(fox.normalize())},
-            args.json,
-            [f"{link}: outside the skein engine's rewrite table"],
-        )
-        return 1
+    skein = alexander_skein(link)
     match = skein.equal_up_to_units(fox)
     doc = {
         "input": str(link),
@@ -148,7 +128,7 @@ def _cmd_oracle_compare(args) -> int:
 
 def _cmd_obstruct(args) -> int:
     link = parse_pretzel(args.params)
-    delta, engine = _compute_alexander(link)
+    delta = alexander_skein(link)
     decomp = None
     try:
         decomp = os_form_check(delta)
@@ -156,7 +136,7 @@ def _cmd_obstruct(args) -> int:
         pass
     doc = {
         "input": str(link),
-        "engine": engine,
+        "engine": "skein",
         "polynomial": render(delta.normalize()),
         "pm1_coefficients": pm1_coefficients(delta),
         "monic": monic_check(delta),
@@ -206,15 +186,6 @@ def _cmd_classify(args) -> int:
 
 # ----------------------------------------------------------------------
 # grid suites
-
-def _run_cells(cells, fn, threads: int):
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads == 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
 
 def _odd_pairs(pmin: int, pmax: int, qmax: int):
     for p in range(pmin, pmax + 1, 2):
@@ -272,27 +243,17 @@ def _suite_claim5(args):
 
 def _suite_oracle(args):
     bound = max(2, args.qmax)
-    cells = []
-    for n in range(1, args.nmax + 1):
-        for params in product(range(-bound, bound + 1), repeat=n):
-            link = PretzelLink(params)
-            try:
-                from .pretzel import is_knot
-                if not is_knot(link):
-                    continue
-            except PretzelError:
-                continue
-            cells.append(params)
+    cells = [
+        params
+        for n in range(1, args.nmax + 1)
+        for params in product(range(-bound, bound + 1), repeat=n)
+        if is_knot(PretzelLink(params))
+    ]
 
     def check(params):
         link = PretzelLink(params)
-        base = {"suite": "oracle", "params": list(params)}
-        try:
-            skein = alexander_skein(link)
-        except UnsupportedLinkError:
-            return {**base, "comparable": False, "ok": True}
-        ok = skein.equal_up_to_units(alexander_fox(link))
-        return {**base, "comparable": True, "ok": ok}
+        ok = alexander_skein(link).equal_up_to_units(alexander_fox(link))
+        return {"suite": "oracle", "params": list(params), "comparable": True, "ok": ok}
 
     return cells, check
 
@@ -359,7 +320,7 @@ _SUITES = {
 
 def _run_suite(args, suite_name: str) -> int:
     cells, check = _SUITES[suite_name](args)
-    results = _run_cells(cells, check, args.threads)
+    results = [check(c) for c in cells]
     results.sort(key=lambda r: json.dumps(r, sort_keys=True))
     failures = 0
     for r in results:
@@ -420,16 +381,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--suite", required=True, choices=sorted(_SUITES))
     p.add_argument("--nmax", type=int, default=5,
                    help="largest n (claim3/claim4) or region count (oracle)")
-    p.add_argument("--mmax", type=int, default=5)
     p.add_argument("--pmax", type=int, default=11)
     p.add_argument("--qmax", type=int, default=None,
                    help="defaults to pmax (claims), 5 (oracle), 25 (classify-sweep)")
-    p.add_argument("--threads", type=int, default=1, help="0 = auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify_claims)
 
     p = sub.add_parser("verify-claim2", help="rank-formula implication grid")
-    p.add_argument("--threads", type=int, default=1, help="0 = auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify_claim2)
 

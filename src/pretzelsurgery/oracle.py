@@ -202,60 +202,6 @@ def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
     return rows
 
 
-def divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division a / b; raises if the division is not exact."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero()
-    amin, bmin = a.mindeg, b.mindeg
-    da = [a.s_coefficient(e) for e in range(amin, a.maxdeg + 1)]
-    db = [b.s_coefficient(e) for e in range(bmin, b.maxdeg + 1)]
-    qlen = len(da) - len(db) + 1
-    if qlen <= 0:
-        raise OracleError("non-exact polynomial division")
-    quot = [0] * qlen
-    rem = list(da)
-    for k in range(qlen - 1, -1, -1):
-        head = rem[k + len(db) - 1]
-        qc, r = divmod(head, db[-1])
-        if r != 0:
-            raise OracleError("non-exact polynomial division")
-        quot[k] = qc
-        if qc:
-            for j, bc in enumerate(db):
-                rem[k + j] -= qc * bc
-    if any(rem):
-        raise OracleError("non-exact polynomial division")
-    return LaurentPoly({amin - bmin + k: v for k, v in enumerate(quot) if v})
-
-
-def bareiss_determinant(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free determinant of a square LaurentPoly matrix (up to sign
-    bookkeeping, which is tracked exactly)."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    if n == 0:
-        return LaurentPoly.one()
-    sign = 1
-    prev = LaurentPoly.one()
-    for k in range(n - 1):
-        pivots = [r for r in range(k, n) if not m[r][k].is_zero]
-        if not pivots:
-            return LaurentPoly.zero()
-        r = min(pivots, key=lambda r: len(m[r][k].support))
-        if r != k:
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = divexact(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = LaurentPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
-
-
 def _kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) -> LaurentPoly:
     """Determinant of a matrix of polynomials in t (nonnegative powers only),
     computed exactly by packing coefficients into big integers: evaluate at

@@ -8,7 +8,7 @@ crossings; an odd a_i swaps its two strands, an even a_i preserves them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -151,28 +151,26 @@ class RegionFlags:
 
 
 def orientation_flags(link: PretzelLink) -> tuple[RegionFlags, ...]:
-    """Trace each component once and record per-port flow directions.
+    """Trace the knot once and record per-port flow directions.
 
-    Component orientations are chosen by trace order; for a knot the result
-    is canonical up to reversing every flag at once.
+    The orientation is chosen by trace order, so the result is canonical up
+    to reversing every flag at once.  The same trace checks that the link
+    is a knot and raises PretzelError otherwise.
     """
-    n = link.n_regions
-    inward: dict[tuple[int, int], bool] = {}
-    for cycle in _trace_cycles(link):
-        # cycle alternates entry-port, exit-port, entry-port, ...
-        for idx, pos in enumerate(cycle):
-            inward[pos] = idx % 2 == 0
-    flags = []
-    for i in range(n):
-        flags.append(
-            RegionFlags(
-                tl=inward[(i, TL)],
-                tr=inward[(i, TR)],
-                bl=inward[(i, BL)],
-                br=inward[(i, BR)],
-            )
+    cycles = _trace_cycles(link)
+    if len(cycles) != 1:
+        raise PretzelError(f"{link} is not a knot")
+    # the cycle alternates entry-port, exit-port, entry-port, ...
+    inward = {pos: idx % 2 == 0 for idx, pos in enumerate(cycles[0])}
+    return tuple(
+        RegionFlags(
+            tl=inward[(i, TL)],
+            tr=inward[(i, TR)],
+            bl=inward[(i, BL)],
+            br=inward[(i, BR)],
         )
-    return tuple(flags)
+        for i in range(link.n_regions)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -190,13 +188,15 @@ class FamilyTag:
     """Membership in one of the candidate pretzel families.
 
     ``index`` holds l for MINUS_2L (l > 1), the nonzero n for MINUS1_2N, or
-    m for MINUS1_MINUS1_2M (m > 1); it is None for OTHER.
+    m for MINUS1_MINUS1_2M (m > 1); it is None for OTHER.  ``mirror``
+    marks the mirror image of the family member: every parameter negated.
     """
 
     kind: FamilyKind
     index: int | None = None
     p: int | None = None
     q: int | None = None
+    mirror: bool = False
 
     def __str__(self) -> str:
         if self.kind is FamilyKind.OTHER:
@@ -206,7 +206,8 @@ class FamilyTag:
             FamilyKind.MINUS1_2N: "n",
             FamilyKind.MINUS1_MINUS1_2M: "m",
         }[self.kind]
-        return f"{self.kind.value}({letter}={self.index},p={self.p},q={self.q})"
+        text = f"{self.kind.value}({letter}={self.index},p={self.p},q={self.q})"
+        return f"MIRROR({text})" if self.mirror else text
 
 
 def _odd_pq(values) -> tuple[int, int] | None:
@@ -224,12 +225,21 @@ def family_membership(link: PretzelLink) -> FamilyTag:
     tangles changes none of the invariants this artifact consumes.  The
     stated equivalences P(-2,p,q) = P(-1,2,p,q) and P(-1,-1,2,p,q) =
     P(-1,-2,p,q) are folded in, so l and m are always > 1 in the returned
-    tags.
+    tags.  A knot whose mirror image (all parameters negated) is a member
+    gets the member's tag with ``mirror`` set; no knot is both.
     """
     if not is_knot(link):
         raise PretzelError(f"{link} is not a knot")
-    params = sorted(link.params)
+    tag = _family_tag(sorted(link.params))
+    if tag.kind is FamilyKind.OTHER:
+        mirror = _family_tag(sorted(-a for a in link.params))
+        if mirror.kind is not FamilyKind.OTHER:
+            return replace(mirror, mirror=True)
+    return tag
 
+
+def _family_tag(params: list[int]) -> FamilyTag:
+    """Family of a sorted parameter list, mirror images not included."""
     if len(params) == 3:
         evens = [a for a in params if a % 2 == 0]
         odds = [a for a in params if a % 2 == 1]
@@ -278,12 +288,14 @@ def family_membership(link: PretzelLink) -> FamilyTag:
 def family_link(tag: FamilyTag) -> PretzelLink:
     """The standard parameter list for a family tag."""
     if tag.kind is FamilyKind.MINUS_2L:
-        return PretzelLink((-2 * tag.index, tag.p, tag.q))
-    if tag.kind is FamilyKind.MINUS1_2N:
-        return PretzelLink((-1, 2 * tag.index, tag.p, tag.q))
-    if tag.kind is FamilyKind.MINUS1_MINUS1_2M:
-        return PretzelLink((-1, -1, 2 * tag.index, tag.p, tag.q))
-    raise PretzelError("OTHER has no canonical parameter list")
+        params = (-2 * tag.index, tag.p, tag.q)
+    elif tag.kind is FamilyKind.MINUS1_2N:
+        params = (-1, 2 * tag.index, tag.p, tag.q)
+    elif tag.kind is FamilyKind.MINUS1_MINUS1_2M:
+        params = (-1, -1, 2 * tag.index, tag.p, tag.q)
+    else:
+        raise PretzelError("OTHER has no canonical parameter list")
+    return PretzelLink(tuple(-a for a in params) if tag.mirror else params)
 
 
 # ----------------------------------------------------------------------
@@ -329,40 +341,3 @@ def parse_montesinos(text: str) -> MontesinosDescription:
         except (ValueError, ZeroDivisionError) as exc:
             raise PretzelError(f"bad tangle fraction: {tok!r}") from exc
     return MontesinosDescription(tangles)
-
-
-def montesinos_component_count(desc: MontesinosDescription) -> int:
-    """Component count of a Montesinos diagram via tangle parity classes.
-
-    A tangle beta/alpha pairs its ports like a 0-tangle (alpha even), a
-    single crossing (alpha, beta both odd), or an infinity tangle (beta
-    even), which is all the strand tracing needs.
-    """
-    n = len(desc.tangles)
-    pair_maps = []
-    for t in desc.tangles:
-        beta, alpha = t.numerator, t.denominator
-        if alpha % 2 == 0:
-            pair_maps.append(_EVEN_PAIR)
-        elif beta % 2 == 1:
-            pair_maps.append(_ODD_PAIR)
-        else:
-            pair_maps.append({TL: TR, TR: TL, BL: BR, BR: BL})
-    seen: set[tuple[int, int]] = set()
-    count = 0
-    for start_region in range(n):
-        for start_port in (TL, TR, BL, BR):
-            start = (start_region, start_port)
-            if start in seen:
-                continue
-            count += 1
-            pos = start
-            while True:
-                seen.add(pos)
-                region, port = pos
-                out = (region, pair_maps[region][port])
-                seen.add(out)
-                pos = _arc_partner(n, *out)
-                if pos == start:
-                    break
-    return count

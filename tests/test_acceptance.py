@@ -11,10 +11,7 @@ from math import gcd
 
 import pytest
 
-from pretzelsurgery.alexander import (
-    UnsupportedLinkError,
-    alexander_skein,
-)
+from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.classify import (
     CYCLIC_SLOPES,
     FINITE_SLOPES,
@@ -114,10 +111,7 @@ def test_criterion_4_oracle_equivalence(capfd):
                 link = PretzelLink(params)
                 if not is_knot(link):
                     continue
-                try:
-                    skein = alexander_skein(link)
-                except UnsupportedLinkError:
-                    continue
+                skein = alexander_skein(link)
                 fox = alexander_fox(link)
                 assert skein.equal_up_to_units(fox), f"{link}"
                 checked += 1
@@ -191,10 +185,7 @@ def test_criterion_8_polynomial_properties(capfd):
                 link = PretzelLink(params)
                 if not is_knot(link):
                     continue
-                try:
-                    delta = alexander_skein(link)
-                except UnsupportedLinkError:
-                    continue
+                delta = alexander_skein(link)
                 assert delta.equal_up_to_units(delta.conj()), link
                 assert abs(delta.eval_at_one()) == 1, link
                 assert delta == alexander_skein(link, memoize=False), link

@@ -2,15 +2,15 @@ from itertools import product
 
 import pytest
 
+from pretzelsurgery import alexander
 from pretzelsurgery.alexander import (
-    UnsupportedLinkError,
     alexander_skein,
     alexander_with_trace,
     claim_formula,
-    supports,
     torus_link_alexander,
 )
 from pretzelsurgery.laurent import SKEIN_FACTOR, LaurentPoly, parse
+from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink, family_membership, is_knot
 
 from reference_conway import conway_pretzel
@@ -19,6 +19,22 @@ from reference_conway import conway_pretzel
 def knots(n_regions: int, bound: int):
     for params in product(range(-bound, bound + 1), repeat=n_regions):
         link = PretzelLink(params)
+        if is_knot(link):
+            yield link
+
+
+def small_knots(n_regions: int, max_crossings: int):
+    """Knots with n_regions regions and at most max_crossings crossings."""
+    def params(n, budget):
+        if n == 0:
+            yield ()
+            return
+        for a in range(-budget, budget + 1):
+            for tail in params(n - 1, budget - abs(a)):
+                yield (a,) + tail
+
+    for p in params(n_regions, max_crossings):
+        link = PretzelLink(p)
         if is_knot(link):
             yield link
 
@@ -45,6 +61,18 @@ class TestTorusValues:
         with pytest.raises(ValueError):
             torus_link_alexander(0)
 
+    def test_large_q_from_cold_cache(self):
+        # the torus cache fills bottom-up, so a cold start at large q must
+        # not recurse once per index
+        saved = list(alexander._TORUS)
+        del alexander._TORUS[2:]
+        try:
+            delta = alexander_skein(PretzelLink((-2, 3, 1201)))
+        finally:
+            alexander._TORUS[:] = saved
+        assert abs(delta.eval_at_one()) == 1
+        assert delta.equal_up_to_units(delta.conj())
+
 
 class TestKnownKnots:
     @pytest.mark.parametrize(
@@ -62,7 +90,7 @@ class TestKnownKnots:
         assert delta.normalize() == parse(expected)
 
     def test_rejects_links(self):
-        with pytest.raises(UnsupportedLinkError):
+        with pytest.raises(ValueError):
             alexander_skein(PretzelLink((2, 2)))
 
 
@@ -78,6 +106,27 @@ class TestAgainstReferenceConway:
                 assert alexander_skein(link) == conway_pretzel(link.params), link
                 checked += 1
         assert checked > 100
+
+    def test_exact_agreement_four_and_five_regions(self):
+        # every four- and five-region knot with at most 7 crossings: these
+        # resolve through two-component sub-links P(rest)
+        checked = 0
+        for n in (4, 5):
+            for link in small_knots(n, 7):
+                assert alexander_skein(link) == conway_pretzel(link.params), link
+                checked += 1
+        assert checked > 1000
+
+
+class TestAgainstFox:
+    def test_five_region_box(self):
+        checked = 0
+        for link in knots(5, 3):
+            assert alexander_skein(link).equal_up_to_units(
+                alexander_fox(link)
+            ), link
+            checked += 1
+        assert checked == 4864
 
 
 class TestTrace:
@@ -116,19 +165,19 @@ class TestClosedForms:
 
 class TestSupports:
     def test_supported_examples(self):
-        assert supports(PretzelLink((-2, 3, 7)))
-        assert supports(PretzelLink((-1, -2, 3, 3)))
+        for params in ((-2, 3, 7), (-1, -2, 3, 3)):
+            link = PretzelLink(params)
+            assert alexander_skein(link).equal_up_to_units(alexander_fox(link))
 
-    def test_wide_antiparallel_unsupported(self):
-        # five regions with an antiparallel even region: outside the
-        # validated rewrite table
-        assert not supports(PretzelLink((-1, -1, 4, 3, 3)))
+    def test_wide_antiparallel_matches_fox(self):
+        # five regions with an antiparallel even region: smoothing it leaves
+        # the two-component link P(-1,-1,3,3)
+        link = PretzelLink((-1, -1, 4, 3, 3))
+        assert alexander_skein(link).equal_up_to_units(alexander_fox(link))
 
     def test_determinant_identity(self):
         # |Delta(-1)| equals |sum_i prod_{j != i} a_j| for pretzel knots
         for link in knots(3, 4):
-            if not supports(link):
-                continue
             params = link.params
             det = 0
             for i in range(len(params)):

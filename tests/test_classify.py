@@ -129,6 +129,32 @@ class TestPipeline:
             else:
                 assert final.verdicts == [NO_CYCLIC_OR_FINITE], q
 
+    def test_mirror_sweep(self):
+        # mirroring negates every parameter and every surgery slope
+        for q in range(3, 26, 2):
+            final = classify(PretzelLink((2, -3, -q))).final
+            if q in (3, 5):
+                assert final.verdicts == [NON_HYPERBOLIC_SEE_MOSER], q
+            elif q == 7:
+                assert final.verdicts == [CYCLIC_SLOPES, FINITE_SLOPES]
+                assert final.cyclic_slopes == [-18, -19]
+                assert final.finite_slopes == [-17]
+            elif q == 9:
+                assert final.verdicts == [FINITE_SLOPES]
+                assert final.finite_slopes == [-22, -23]
+            else:
+                assert final.verdicts == [NO_CYCLIC_OR_FINITE], q
+
+    def test_mirror_torus_knots(self):
+        for params, reason in (
+            ((2, -3, -3), "(3,4)-torus knot"),
+            ((2, -3, -5), "(3,5)-torus knot"),
+            ((1, -2, -3, -3), "(3,4)-torus knot"),
+        ):
+            res = hyperbolicity_status(PretzelLink(params))
+            assert res.status is Hyperbolicity.NON_HYPERBOLIC, params
+            assert res.reason == reason
+
     def test_slope_lists_nonempty_when_claimed(self):
         for q in range(3, 26, 2):
             final = classify(PretzelLink((-2, 3, q))).final

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from pretzelsurgery.cli import run
+from pretzelsurgery.laurent import parse
+from pretzelsurgery.oracle import alexander_fox
+from pretzelsurgery.pretzel import PretzelLink
 
 
 def run_cli(capsys, *argv):
@@ -29,10 +32,26 @@ class TestAlexander:
         assert code == 0
         assert "@ region" in out
 
-    def test_fox_fallback(self, capsys):
-        code, out, _ = run_cli(capsys, "alexander", "-1,-1,4,3,3", "--json")
+    def test_five_region_skein(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "alexander", "-1,-1,4,3,3", "--normalize", "--json"
+        )
         assert code == 0
-        assert json.loads(out)["engine"] == "fox"
+        doc = json.loads(out)
+        assert doc["engine"] == "skein"
+        fox = alexander_fox(PretzelLink((-1, -1, 4, 3, 3)))
+        assert parse(doc["polynomial"]).equal_up_to_units(fox)
+
+    def test_trace_names_smoothed_link(self, capsys):
+        # smoothing the antiparallel 4 region leaves P(-1,-1,3,3)
+        code, out, _ = run_cli(capsys, "alexander", "-1,-1,4,3,3", "--trace")
+        assert code == 0
+        assert "P(-1,-1,3,3)" in out
+
+    def test_link_exit_1(self, capsys):
+        code, _, err = run_cli(capsys, "alexander", "2,2")
+        assert code == 1
+        assert "not a knot" in err
 
     def test_bad_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "alexander", "3,x")
@@ -46,9 +65,11 @@ class TestOracleCompare:
         assert code == 0
         assert json.loads(out)["match"] is True
 
-    def test_unsupported(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle-compare", "-1,-1,4,3,3")
-        assert code == 1
+    def test_five_region_match(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle-compare", "-1,-1,4,3,3", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["comparable"] is True and doc["match"] is True
 
 
 class TestObstruct:
@@ -105,7 +126,7 @@ class TestGrids:
     def test_oracle_suite_threads(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-claims", "--suite", "oracle",
-            "--nmax", "2", "--qmax", "3", "--threads", "0", "--json",
+            "--nmax", "2", "--qmax", "3", "--json",
         )
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["ok"] is True

@@ -82,6 +82,10 @@ class TestOrientationFlags:
             assert flags[i].tr != flags[j].tl
             assert flags[i].br != flags[j].bl
 
+    def test_rejects_links(self):
+        with pytest.raises(PretzelError):
+            orientation_flags(PretzelLink((2, 2)))
+
     def test_clasp_region_antiparallel(self):
         # in the (-2,p,q) family the even region is the antiparallel clasp
         flags = orientation_flags(PretzelLink((-2, 3, 7)))
@@ -127,6 +131,17 @@ class TestFamilyMembership:
         for params in ((-4, 5, 7), (-1, 6, 3, 5), (-1, -1, 4, 3, 3)):
             tag = family_membership(PretzelLink(params))
             assert family_membership(family_link(tag)) == tag
+
+    def test_mirror_membership(self):
+        for params in ((-4, 5, 7), (-2, 3, 7), (-1, 6, 3, 5), (-1, -1, 4, 3, 3)):
+            tag = family_membership(PretzelLink(params))
+            mirror = family_membership(PretzelLink(tuple(-a for a in params)))
+            assert not tag.mirror and mirror.mirror
+            assert (mirror.kind, mirror.index, mirror.p, mirror.q) == (
+                tag.kind, tag.index, tag.p, tag.q
+            )
+            assert family_membership(family_link(mirror)) == mirror
+            assert str(mirror) == f"MIRROR({tag})"
 
 
 class TestMontesinos:
