@@ -1,13 +1,12 @@
 """Exact Alexander polynomials of pretzel knots and the classification of
 cyclic/finite Dehn surgeries on Montesinos knots."""
 
-from .laurent import LaurentPoly, SKEIN_FACTOR, f_poly, parse, render
+from .laurent import LaurentPoly, SKEIN_FACTOR, parse, render
 from .pretzel import (
     FamilyKind,
     FamilyTag,
     MontesinosDescription,
     PretzelLink,
-    canonicalize,
     component_count,
     family_membership,
     is_knot,

@@ -1,4 +1,12 @@
-"""Cyclic/finite surgery classification pipeline for pretzel knots.
+"""Cyclic/finite surgery classification pipeline for Montesinos knots.
+
+Every input takes one path.  A Montesinos description whose tangles are
+all +-1 mod their denominators is converted to a pretzel (each tangle
+becomes one region plus unit regions), so only descriptions with a
+genuinely rational tangle stay Montesinos.  A pretzel's strands are traced
+once, for the family tag of ``family_membership``, which reads the knot's
+normal form (essential regions and the sum of its integer tangles) and is
+shared by the hyperbolicity stage and every gate.
 
 The pipeline runs four stages in order, short-circuiting at the first
 decisive one, and emits an auditable report:
@@ -7,10 +15,13 @@ decisive one, and emits an auditable report:
    (2, p)-torus two-bridge knots and the (-2,3,3)/(-2,3,5) pretzels
    (which are the (3,4)- and (3,5)-torus knots); torus knot surgeries
    are classified by Moser, so these leave the pipeline immediately;
+   their tangles are all +-1 mod alpha, so a knot with a genuinely
+   rational tangle and three or more proper tangles is hyperbolic;
 2. lamination gate: outside three explicit pretzel families and their
    mirror images (which have the negated slopes), every Montesinos knot
    carries a persistent essential lamination (Delman), ruling out cyclic
-   and finite surgeries;
+   and finite surgeries; a knot with a genuinely rational tangle is in no
+   family;
 3. seminorm gate: Culler-Shalen seminorm bounds (Mattman) kill the
    (-2l, p, q) family for l > 1 and reduce (-2, 3, q) to a static slope
    table at q = 7, 9;
@@ -32,10 +43,10 @@ from .pretzel import (
     FamilyKind,
     FamilyTag,
     MontesinosDescription,
+    PretzelError,
     PretzelLink,
     family_link,
     family_membership,
-    is_knot,
     parse_montesinos,
     parse_pretzel,
 )
@@ -85,7 +96,6 @@ MATTMAN_TABLE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 class Hyperbolicity(Enum):
     HYPERBOLIC = "hyperbolic"
     NON_HYPERBOLIC = "non-hyperbolic"
-    NOT_DETERMINED = "not-determined"
 
 
 @dataclass(frozen=True)
@@ -166,9 +176,15 @@ def _two_bridge_status(fraction: Fraction) -> HyperbolicityResult:
     return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
 
 
-def _pretzel_hyperbolicity(link: PretzelLink) -> HyperbolicityResult:
-    if not is_knot(link):
-        raise ClassifyError(f"{link} is not a knot")
+def _family_of_knot(link: PretzelLink) -> FamilyTag:
+    """The family tag, from the strand trace that also rejects links."""
+    try:
+        return family_membership(link)
+    except PretzelError as exc:
+        raise ClassifyError(str(exc)) from None
+
+
+def _pretzel_hyperbolicity(link: PretzelLink, tag: FamilyTag) -> HyperbolicityResult:
     params = link.params
     if len(params) == 1:
         a = abs(params[0])
@@ -202,7 +218,6 @@ def _pretzel_hyperbolicity(link: PretzelLink) -> HyperbolicityResult:
     if len(essential) <= 2:
         # (+-1)-regions are integer tangles, so the closure is two-bridge
         return _two_bridge_status(sum(Fraction(1, a) for a in params))
-    tag = family_membership(link)
     if tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3:
         if tag.q == 3:
             return HyperbolicityResult(
@@ -215,57 +230,62 @@ def _pretzel_hyperbolicity(link: PretzelLink) -> HyperbolicityResult:
     return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
 
 
+def _montesinos_is_knot(desc: MontesinosDescription) -> bool:
+    """Determinant-parity knot test: the double branched cover order
+    D = |sum_i beta_i prod_{j != i} alpha_j| is odd exactly for knots."""
+    tangles = desc.tangles
+    total = 0
+    for i, t in enumerate(tangles):
+        prod = 1
+        for j, u in enumerate(tangles):
+            if j != i:
+                prod *= u.denominator
+        total += t.numerator * prod
+    return total % 2 != 0
+
+
+def _rational_hyperbolicity(desc: MontesinosDescription) -> HyperbolicityResult:
+    """Hyperbolicity when some tangle is genuinely rational (not +-1 mod
+    its denominator).  Such a knot is never one of the (-2,3,3)/(-2,3,5)
+    pretzels or their mirrors, whose tangles are all +-1 mod alpha, so with
+    three or more proper tangles it is hyperbolic.  Rejects links."""
+    if not _montesinos_is_knot(desc):
+        raise ClassifyError(f"{desc} is not a knot")
+    proper = [t for t in desc.tangles if t.denominator > 1]
+    if len(proper) <= 2:
+        return _two_bridge_status(sum(desc.tangles, Fraction(0)))
+    return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
+
+
 def hyperbolicity_status(
     input: PretzelLink | MontesinosDescription,
 ) -> HyperbolicityResult:
-    """Tri-state hyperbolicity decision for a pretzel or Montesinos knot.
+    """Hyperbolicity decision for a pretzel or Montesinos knot.
 
     Montesinos knots admit a complete list of non-hyperbolic cases: the
     (2,p)-torus two-bridge knots and the (-2,3,3)/(-2,3,5) pretzels.
     Two-bridge non-torus knots are hyperbolic (Menasco).  Rejects
     multi-component input.
     """
-    if isinstance(input, PretzelLink):
-        return _pretzel_hyperbolicity(input)
-    pretzel = input.as_pretzel()
-    if pretzel is not None:
-        return _pretzel_hyperbolicity(pretzel)
-    integer_part = sum(t for t in input.tangles if t.denominator == 1)
-    proper = [t for t in input.tangles if t.denominator > 1]
-    if len(proper) <= 2:
-        total = integer_part + sum(proper, Fraction(0))
-        return _two_bridge_status(total)
-    # a length >= 3 Montesinos knot with genuinely rational tangles cannot
-    # literally match the pretzel-form exceptional list; whether a hidden
-    # normalization does is not decided here
-    return HyperbolicityResult(Hyperbolicity.NOT_DETERMINED, None)
+    if isinstance(input, MontesinosDescription):
+        pretzel = input.as_pretzel()
+        if pretzel is None:
+            return _rational_hyperbolicity(input)
+        input = pretzel
+    return _pretzel_hyperbolicity(input, _family_of_knot(input))
 
 
 # ----------------------------------------------------------------------
 # stage 2: lamination gate
 
-def delman_gate(link: PretzelLink) -> tuple[StageResult, FamilyTag | None]:
+def delman_gate(tag: FamilyTag) -> StageResult:
     """Family membership filter: outside the three candidate families a
     persistent essential lamination excludes cyclic and finite surgeries."""
-    tag = family_membership(link)
-    if tag.kind is FamilyKind.OTHER:
-        return (
-            StageResult(
-                stage="delman",
-                verdict="excluded",
-                citation=CITE_DELMAN,
-                evidence={"family": "OTHER"},
-            ),
-            None,
-        )
-    return (
-        StageResult(
-            stage="delman",
-            verdict="pass",
-            citation=CITE_DELMAN,
-            evidence={"family": str(tag)},
-        ),
-        tag,
+    return StageResult(
+        stage="delman",
+        verdict="excluded" if tag.kind is FamilyKind.OTHER else "pass",
+        citation=CITE_DELMAN,
+        evidence={"family": str(tag)},
     )
 
 
@@ -391,6 +411,10 @@ def _parse_input(
 
 
 def _final_from_stage(stage: StageResult) -> FinalVerdict:
+    if stage.verdict == "non-hyperbolic":
+        return FinalVerdict([NON_HYPERBOLIC_SEE_MOSER])
+    if stage.verdict == "out-of-scope":
+        return FinalVerdict([OUT_OF_SCOPE])
     if stage.verdict == "slopes":
         cyclic = list(stage.evidence.get("cyclic_slopes", []))
         finite = list(stage.evidence.get("finite_slopes", []))
@@ -403,141 +427,71 @@ def _final_from_stage(stage: StageResult) -> FinalVerdict:
     return FinalVerdict([NO_CYCLIC_OR_FINITE])
 
 
-def _montesinos_rational_report(
-    desc: MontesinosDescription, hyp: HyperbolicityResult
-) -> tuple[list[StageResult], FinalVerdict]:
-    """Family logic for genuinely rational (non-pretzel) tangle lists."""
-    proper = [t for t in desc.tangles if t.denominator > 1]
-    if len(proper) <= 2:
-        # a hyperbolic two-bridge non-torus knot carries Delman's laminations
-        stage = StageResult(
-            stage="delman",
-            verdict="excluded",
-            citation=CITE_DELMAN,
-            evidence={"family": "OTHER", "form": "two-bridge"},
-        )
-        return [stage], FinalVerdict([NO_CYCLIC_OR_FINITE])
-    if all(t.numerator % t.denominator in (1, t.denominator - 1) for t in proper):
-        # each tangle is +-1/alpha up to integer twists: possibly equivalent
-        # to a candidate pretzel family, and no normalizer is implemented
-        stage = StageResult(
-            stage="delman",
-            verdict="out-of-scope",
-            citation=CITE_DELMAN,
-            evidence={
-                "reason": "tangles reduce to +-1/alpha mod 1; pretzel "
-                "normalization not implemented"
-            },
-        )
-        return [stage], FinalVerdict([OUT_OF_SCOPE])
-    stage = StageResult(
+def _hyperbolicity_stage(hyp: HyperbolicityResult, two_bridge: bool) -> StageResult:
+    evidence = {"status": hyp.status.value}
+    if hyp.reason:
+        evidence["reason"] = hyp.reason
+    if hyp.status is Hyperbolicity.HYPERBOLIC:
+        verdict = "pass"
+        citation = CITE_MENASCO if two_bridge else CITE_REMARK
+    elif "composite" in hyp.reason:
+        verdict, citation = "out-of-scope", CITE_REMARK
+    else:
+        verdict, citation = "non-hyperbolic", f"{CITE_REMARK}; {CITE_MOSER}"
+    return StageResult("hyperbolicity", verdict, citation, evidence)
+
+
+def _rational_delman_stage(two_bridge: bool) -> StageResult:
+    """Delman gate for a knot with a genuinely rational tangle: no candidate
+    family member has one, and a hyperbolic two-bridge knot carries
+    Delman's laminations too."""
+    return StageResult(
         stage="delman",
         verdict="excluded",
         citation=CITE_DELMAN,
-        evidence={"family": "OTHER", "form": "rational tangles"},
+        evidence={
+            "family": "OTHER",
+            "form": "two-bridge" if two_bridge else "rational tangles",
+        },
     )
-    return [stage], FinalVerdict([NO_CYCLIC_OR_FINITE])
-
-
-def _montesinos_is_knot(desc: MontesinosDescription) -> bool:
-    """Determinant-parity knot test: the double branched cover order
-    D = |sum_i beta_i prod_{j != i} alpha_j| is odd exactly for knots."""
-    tangles = desc.tangles
-    total = 0
-    for i, t in enumerate(tangles):
-        prod = 1
-        for j, u in enumerate(tangles):
-            if j != i:
-                prod *= u.denominator
-        total += t.numerator * prod
-    return total % 2 != 0
 
 
 def classify(
     input: str | PretzelLink | MontesinosDescription,
 ) -> ClassificationReport:
-    """Full cyclic/finite surgery classification with an auditable report."""
+    """Full cyclic/finite surgery classification with an auditable report.
+
+    A Montesinos input whose tangles are all +-1 mod their denominators is
+    converted to its pretzel form and classified, and reported, as that
+    pretzel; the strands of a pretzel are traced once, for the family tag
+    that the hyperbolicity stage and every gate share.
+    """
     obj = _parse_input(input)
     if isinstance(obj, MontesinosDescription):
-        pretzel = obj.as_pretzel()
-        if pretzel is not None:
-            obj = pretzel
+        obj = obj.as_pretzel() or obj
 
-    stages: list[StageResult] = []
     if isinstance(obj, PretzelLink):
-        input_kind, input_text = "pretzel", str(obj)
-        hyp = _pretzel_hyperbolicity(obj)
+        input_kind = "pretzel"
+        tag = _family_of_knot(obj)
+        hyp = _pretzel_hyperbolicity(obj, tag)
+        two_bridge = sum(1 for a in obj.params if abs(a) >= 2) <= 2
     else:
-        input_kind, input_text = "montesinos", str(obj)
-        if not _montesinos_is_knot(obj):
-            raise ClassifyError(f"{obj} is not a knot")
-        hyp = hyperbolicity_status(obj)
+        input_kind = "montesinos"
+        hyp = _rational_hyperbolicity(obj)
+        two_bridge = sum(1 for t in obj.tangles if t.denominator > 1) <= 2
 
-    hyp_evidence = {"status": hyp.status.value}
-    if hyp.reason:
-        hyp_evidence["reason"] = hyp.reason
-    if hyp.status is Hyperbolicity.NON_HYPERBOLIC:
-        composite = "composite" in (hyp.reason or "")
-        stages.append(
-            StageResult(
-                stage="hyperbolicity",
-                verdict="out-of-scope" if composite else "non-hyperbolic",
-                citation=CITE_REMARK if not composite else CITE_REMARK,
-                evidence=hyp_evidence,
-            )
-        )
-        final = FinalVerdict([OUT_OF_SCOPE if composite else NON_HYPERBOLIC_SEE_MOSER])
-        if not composite:
-            stages[-1].citation = f"{CITE_REMARK}; {CITE_MOSER}"
-        return ClassificationReport(
-            SCHEMA_VERSION, input_text, input_kind,
-            hyp.status.value, hyp.reason, stages, final,
-        )
-    two_bridge = (
-        isinstance(obj, PretzelLink)
-        and sum(1 for a in obj.params if abs(a) >= 2) <= 2
-    ) or (
-        isinstance(obj, MontesinosDescription)
-        and sum(1 for t in obj.tangles if t.denominator > 1) <= 2
-    )
-    stages.append(
-        StageResult(
-            stage="hyperbolicity",
-            verdict="pass",
-            citation=CITE_MENASCO if two_bridge else CITE_REMARK,
-            evidence=hyp_evidence,
-        )
-    )
-
-    if isinstance(obj, MontesinosDescription):
-        more, final = _montesinos_rational_report(obj, hyp)
-        stages.extend(more)
-        return ClassificationReport(
-            SCHEMA_VERSION, input_text, input_kind,
-            hyp.status.value, hyp.reason, stages, final,
-        )
-
-    stage, tag = delman_gate(obj)
-    stages.append(stage)
-    if tag is None:
-        return ClassificationReport(
-            SCHEMA_VERSION, input_text, input_kind,
-            hyp.status.value, hyp.reason, stages, _final_from_stage(stage),
-        )
-
-    stage = mattman_gate(tag)
-    stages.append(stage)
-    if stage.verdict != "pass":
-        return ClassificationReport(
-            SCHEMA_VERSION, input_text, input_kind,
-            hyp.status.value, hyp.reason, stages, _final_from_stage(stage),
-        )
-
-    stage = alexander_gate(tag)
-    stages.append(stage)
+    stages = [_hyperbolicity_stage(hyp, two_bridge)]
+    if hyp.status is Hyperbolicity.HYPERBOLIC:
+        if input_kind == "montesinos":
+            stages.append(_rational_delman_stage(two_bridge))
+        else:
+            for gate in (delman_gate, mattman_gate, alexander_gate):
+                stages.append(gate(tag))
+                if stages[-1].verdict != "pass":
+                    break
     return ClassificationReport(
-        SCHEMA_VERSION, input_text, input_kind,
-        hyp.status.value, hyp.reason, stages, _final_from_stage(stage),
+        SCHEMA_VERSION, str(obj), input_kind,
+        hyp.status.value, hyp.reason, stages, _final_from_stage(stages[-1]),
     )
 
 

@@ -28,7 +28,6 @@ from .classify import (
     FINITE_SLOPES,
     NO_CYCLIC_OR_FINITE,
     NON_HYPERBOLIC_SEE_MOSER,
-    ClassifyError,
     classify,
 )
 from .laurent import LaurentPoly, render
@@ -41,11 +40,10 @@ from .obstruction import (
     os_form_check,
     pm1_coefficients,
 )
-from .oracle import OracleError, alexander_fox
+from .oracle import alexander_fox
 from .pretzel import (
     FamilyKind,
     PretzelLink,
-    PretzelError,
     family_membership,
     is_knot,
     parse_pretzel,
@@ -129,11 +127,7 @@ def _cmd_oracle_compare(args) -> int:
 def _cmd_obstruct(args) -> int:
     link = parse_pretzel(args.params)
     delta = alexander_skein(link)
-    decomp = None
-    try:
-        decomp = os_form_check(delta)
-    except Exception:
-        pass
+    decomp = os_form_check(delta)
     doc = {
         "input": str(link),
         "engine": "skein",
@@ -409,7 +403,7 @@ def run(argv=None) -> int:
             args.qmax = args.pmax
     try:
         return args.fn(args)
-    except (PretzelError, OracleError, ClassifyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

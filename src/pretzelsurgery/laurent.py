@@ -171,18 +171,6 @@ class LaurentPoly:
     # ------------------------------------------------------------------
     # spec operations
 
-    def substitute_neg_t(self) -> "LaurentPoly":
-        """Return p(-t).  The coefficient of t**k picks up a factor (-1)**k.
-
-        Only defined for polynomials with integer t-exponents: at a
-        half-integer power the substitution would be ambiguous.
-        """
-        if not self.has_integer_exponents():
-            raise LaurentError(
-                "substitute_neg_t undefined for half-integer exponents"
-            )
-        return LaurentPoly({e: v * (-1) ** (e // 2) for e, v in self._c.items()})
-
     def normalize(self) -> "LaurentPoly":
         """Unit-normalize: multiply by +-s**k so mindeg = 0 and the constant
         coefficient is positive.  Rejects the zero polynomial.
@@ -207,13 +195,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({render(self)!r})"
-
-
-def f_poly(l: int) -> LaurentPoly:
-    """The geometric sum 1 + t + ... + t**l."""
-    if l < 0:
-        raise LaurentError("f_poly needs l >= 0")
-    return LaurentPoly({2 * i: 1 for i in range(l + 1)})
 
 
 #: The skein multiplier t**(-1/2) - t**(1/2).

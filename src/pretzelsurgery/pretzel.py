@@ -116,20 +116,6 @@ def is_knot(link: PretzelLink) -> bool:
     return component_count(link) == 1
 
 
-def canonicalize(link: PretzelLink) -> PretzelLink:
-    """Lexicographically least cyclic rotation of params or reversed params.
-
-    A cache key only: never asserted to be a complete isotopy invariant.
-    """
-    p = link.params
-    n = len(p)
-    candidates = []
-    for seq in (p, p[::-1]):
-        for r in range(n):
-            candidates.append(seq[r:] + seq[:r])
-    return PretzelLink(min(candidates))
-
-
 # ----------------------------------------------------------------------
 # orientation flags.  For a traced link, each port is either an entry (flow
 # into the region) or an exit.  A region is "parallel" when both of its
@@ -220,68 +206,56 @@ def _odd_pq(values) -> tuple[int, int] | None:
 def family_membership(link: PretzelLink) -> FamilyTag:
     """Classify a pretzel knot into the candidate surgery families.
 
-    Parameter lists are treated as unordered: the families are closed under
-    the rotations/reversals of the pretzel presentation, and reordering the
-    tangles changes none of the invariants this artifact consumes.  The
-    stated equivalences P(-2,p,q) = P(-1,2,p,q) and P(-1,-1,2,p,q) =
-    P(-1,-2,p,q) are folded in, so l and m are always > 1 in the returned
-    tags.  A knot whose mirror image (all parameters negated) is a member
-    gets the member's tag with ``mirror`` set; no knot is both.
+    The lookup runs on a normal form that depends only on the knot's
+    tangles mod 1 and the sum e of their integer parts (Boileau-Zieschang):
+    a +-1 region is the integer tangle +-1 and only adds to e, and a -2
+    region is the region 2 with e - 1, since -1/2 = 1/2 - 1.  What remains
+    is the multiset of essential regions, so parameter order and the
+    placement of unit regions never matter.  A member has the regions
+    (2k, p, q) with odd 3 <= p <= q and
+
+    * e = 0 and 2k <= -4: MINUS_2L with l = -k;
+    * e = -1: MINUS1_2N with n = k (so P(-2,p,q) = P(-1,2,p,q) has n = 1);
+    * e = -2 and 2k = 2: MINUS1_2N with n = -1, as P(-1,-1,2,p,q) =
+      P(-1,-2,p,q);
+    * e = -2 and 2k >= 4: MINUS1_MINUS1_2M with m = k.
+
+    A knot whose mirror image (all parameters negated) is a member gets the
+    member's tag with ``mirror`` set; no knot is both.
     """
     if not is_knot(link):
         raise PretzelError(f"{link} is not a knot")
-    tag = _family_tag(sorted(link.params))
+    tag = _family_tag(link.params)
     if tag.kind is FamilyKind.OTHER:
-        mirror = _family_tag(sorted(-a for a in link.params))
+        mirror = _family_tag([-a for a in link.params])
         if mirror.kind is not FamilyKind.OTHER:
             return replace(mirror, mirror=True)
     return tag
 
 
-def _family_tag(params: list[int]) -> FamilyTag:
-    """Family of a sorted parameter list, mirror images not included."""
-    if len(params) == 3:
-        evens = [a for a in params if a % 2 == 0]
-        odds = [a for a in params if a % 2 == 1]
-        pq = _odd_pq(odds)
-        if len(evens) == 1 and evens[0] < 0 and pq is not None:
-            l = -evens[0] // 2
-            if -evens[0] % 2 == 0 and l >= 1:
-                p, q = pq
-                if l == 1:
-                    return FamilyTag(FamilyKind.MINUS1_2N, 1, p, q)
-                return FamilyTag(FamilyKind.MINUS_2L, l, p, q)
-
-    if len(params) == 4 and params.count(-1) >= 1:
-        rest = list(params)
-        rest.remove(-1)
-        evens = [a for a in rest if a % 2 == 0 and a != 0]
-        # exactly one nonzero even plus two odd p,q >= 3
-        if len(evens) == 1:
-            others = list(rest)
-            others.remove(evens[0])
-            pq = _odd_pq(others)
-            if pq is not None:
-                n = evens[0] // 2
-                p, q = pq
-                return FamilyTag(FamilyKind.MINUS1_2N, n, p, q)
-
-    if len(params) == 5 and params.count(-1) >= 2:
-        rest = list(params)
-        rest.remove(-1)
-        rest.remove(-1)
-        evens = [a for a in rest if a % 2 == 0 and a > 0]
-        if len(evens) == 1:
-            others = list(rest)
-            others.remove(evens[0])
-            pq = _odd_pq(others)
-            if pq is not None:
-                m = evens[0] // 2
-                p, q = pq
-                if m == 1:
-                    return FamilyTag(FamilyKind.MINUS1_2N, -1, p, q)
-                return FamilyTag(FamilyKind.MINUS1_MINUS1_2M, m, p, q)
-
+def _family_tag(params) -> FamilyTag:
+    """Family of one parameter list, mirror images not included."""
+    e = sum(a for a in params if abs(a) == 1)
+    regions = []
+    for a in params:
+        if a == -2:
+            regions.append(2)
+            e -= 1
+        elif abs(a) != 1:
+            regions.append(a)
+    evens = [a for a in regions if a % 2 == 0]
+    pq = _odd_pq(a for a in regions if a % 2 == 1)
+    if len(evens) != 1 or evens[0] == 0 or pq is None:
+        return FamilyTag(FamilyKind.OTHER)
+    k = evens[0] // 2
+    if e == 0 and k <= -2:
+        return FamilyTag(FamilyKind.MINUS_2L, -k, *pq)
+    if e == -1:
+        return FamilyTag(FamilyKind.MINUS1_2N, k, *pq)
+    if e == -2 and k == 1:
+        return FamilyTag(FamilyKind.MINUS1_2N, -1, *pq)
+    if e == -2 and k >= 2:
+        return FamilyTag(FamilyKind.MINUS1_MINUS1_2M, k, *pq)
     return FamilyTag(FamilyKind.OTHER)
 
 
@@ -317,13 +291,24 @@ class MontesinosDescription:
         return ";".join(f"{t.numerator}/{t.denominator}" for t in self.tangles)
 
     def as_pretzel(self) -> PretzelLink | None:
-        """The pretzel form when every tangle is literally 1/a, else None."""
+        """The pretzel form when every tangle is +-1 mod its denominator.
+
+        A tangle b/a with b = k*a + s and s = +-1 is the region s*a plus |k|
+        unit regions of the sign of k, which flypes move freely.  Of the
+        splits, the one with the least |k| is taken, so a tangle that is
+        literally +-1/a stays the single region +-a, and the integer tangle
+        0 becomes the cancelling pair (1, -1).  None when some tangle is
+        genuinely rational.
+        """
         params = []
         for t in self.tangles:
-            if t.numerator in (1, -1) and t.denominator >= 1:
-                params.append(t.numerator * t.denominator)
-            else:
+            a, b = t.denominator, t.numerator
+            splits = [((b - s) // a, s) for s in (1, -1) if (b - s) % a == 0]
+            if not splits:
                 return None
+            k, s = min(splits, key=lambda split: abs(split[0]))
+            params.append(s * a)
+            params.extend([1 if k > 0 else -1] * abs(k))
         return PretzelLink(params)
 
 

@@ -16,7 +16,6 @@ from pretzelsurgery.classify import (
     mattman_gate,
 )
 from pretzelsurgery.pretzel import (
-    FamilyKind,
     PretzelLink,
     family_membership,
     parse_montesinos,
@@ -56,19 +55,24 @@ class TestHyperbolicity:
     def test_multi_component_rejected(self):
         with pytest.raises(ClassifyError):
             hyperbolicity_status(PretzelLink((2, 2)))
+        # determinant 2*2*2 + 1*5*2 + 1*5*2 = 28 is even: a link
+        with pytest.raises(ClassifyError):
+            hyperbolicity_status(parse_montesinos("2/5;1/2;1/2"))
 
 
 class TestGates:
     def test_delman_other_excluded(self):
-        stage, tag = delman_gate(PretzelLink((3, 5, 7)))
-        assert stage.verdict == "excluded" and tag is None
+        stage = delman_gate(family_membership(PretzelLink((3, 5, 7))))
+        assert stage.verdict == "excluded"
+        assert stage.evidence == {"family": "OTHER"}
 
     def test_delman_pass(self):
-        stage, tag = delman_gate(PretzelLink((-4, 5, 7)))
+        stage = delman_gate(family_membership(PretzelLink((-4, 5, 7))))
         assert stage.verdict == "pass"
-        assert tag.kind is FamilyKind.MINUS_2L
-        stage, tag = delman_gate(PretzelLink((-1, -1, 4, 3, 3)))
-        assert tag.kind is FamilyKind.MINUS1_MINUS1_2M
+        assert stage.evidence == {"family": "MINUS_2L(l=2,p=5,q=7)"}
+        stage = delman_gate(family_membership(PretzelLink((-1, -1, 4, 3, 3))))
+        assert stage.verdict == "pass"
+        assert stage.evidence == {"family": "MINUS1_MINUS1_2M(m=2,p=3,q=3)"}
 
     def test_mattman_l_greater_one(self):
         stage = mattman_gate(family_membership(PretzelLink((-6, 5, 7))))
@@ -198,9 +202,31 @@ class TestPipeline:
         assert report.final.verdicts == [NO_CYCLIC_OR_FINITE]
         assert report.stages[-1].stage == "delman"
 
+    def test_montesinos_rational_hyperbolic(self):
+        report = classify("2/5;1/3;1/2")
+        assert report.hyperbolic == "hyperbolic"
+        assert report.stages[0].evidence == {"status": "hyperbolic"}
+
     def test_montesinos_pretzel_like_out_of_scope(self):
+        # 2/3 = 1 - 1/3, so the input is P(-3,1,3,-2) = P(-3,3,2): no family
         report = classify("2/3;1/3;-1/2")
-        assert report.final.verdicts == [OUT_OF_SCOPE]
+        assert report.input_kind == "pretzel"
+        assert report.input_text == "P(-3,1,3,-2)"
+        assert report.final.verdicts == [NO_CYCLIC_OR_FINITE]
+        assert report.stages[-1].evidence == {"family": "OTHER"}
+
+    @pytest.mark.parametrize("text", ["-2,3,7,1,-1", "2,3,7,1,-1,-1", "1/2;4/3;-13/7"])
+    def test_unit_regions_cancel(self, text):
+        # +1 and -1 integer tangles cancel: each input is P(-2,3,7)
+        final = classify(text).final
+        assert final.verdicts == [CYCLIC_SLOPES, FINITE_SLOPES]
+        assert final.cyclic_slopes == [18, 19]
+        assert final.finite_slopes == [17]
+
+    def test_unit_regions_torus_knot(self):
+        report = classify("-2,3,3,1,-1")
+        assert report.final.verdicts == [NON_HYPERBOLIC_SEE_MOSER]
+        assert report.hyperbolic_reason == "(3,4)-torus knot"
 
     def test_composite_out_of_scope(self):
         report = classify("3,0,5")

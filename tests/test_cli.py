@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from pretzelsurgery import cli
 from pretzelsurgery.cli import run
 from pretzelsurgery.laurent import parse
+from pretzelsurgery.obstruction import ObstructionError
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink
 
@@ -85,6 +87,17 @@ class TestObstruct:
         doc = json.loads(out)
         assert doc["monic"] is False
         assert doc["fiberedness"]["verdict"] == "not-fibered"
+
+    def test_fault_exits_1(self, capsys, monkeypatch):
+        # a fault in the form check is an error, never "form: absent"
+        def fault(delta):
+            raise ObstructionError("injected fault")
+
+        monkeypatch.setattr(cli, "os_form_check", fault)
+        code, out, err = run_cli(capsys, "obstruct", "-2,3,7")
+        assert code == 1
+        assert out == ""
+        assert "error: injected fault" in err
 
 
 class TestClassify:

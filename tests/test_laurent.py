@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from pretzelsurgery.laurent import LaurentPoly, SKEIN_FACTOR, f_poly, parse, render
+from pretzelsurgery.laurent import LaurentPoly, SKEIN_FACTOR, parse, render
 
 
 coeffs = st.dictionaries(
@@ -95,14 +95,6 @@ class TestDomainValues:
     def test_skein_factor(self):
         # w = t^(-1/2) - t^(1/2)
         assert SKEIN_FACTOR == LaurentPoly({-1: 1, 1: -1})
-
-    def test_f_poly_small(self):
-        assert f_poly(0) == LaurentPoly.one()
-        assert f_poly(2) == parse("1 + t + t^2")
-        for l in range(8):
-            assert f_poly(l).eval_at_one() == l + 1
-        with pytest.raises(ValueError):
-            f_poly(-1)
 
     def test_integer_exponent_check(self):
         assert parse("1 - t").has_integer_exponents()

@@ -1,11 +1,15 @@
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
 import pytest
 
+from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.pretzel import (
     FamilyKind,
     MontesinosDescription,
     PretzelLink,
     PretzelError,
-    canonicalize,
     component_count,
     family_link,
     family_membership,
@@ -54,17 +58,6 @@ class TestComponents:
         assert is_knot(PretzelLink((-2, 5, 9)))
         # three odd regions close into a knot as well
         assert is_knot(PretzelLink((3, 3, 5)))
-
-
-class TestCanonicalize:
-    def test_rotation_and_reversal_invariance(self):
-        base = canonicalize(PretzelLink((-2, 3, 7)))
-        for params in ((3, 7, -2), (7, -2, 3), (7, 3, -2), (-2, 7, 3)):
-            assert canonicalize(PretzelLink(params)) == base
-
-    def test_idempotent(self):
-        link = PretzelLink((5, -2, 3))
-        assert canonicalize(canonicalize(link)) == canonicalize(link)
 
 
 class TestOrientationFlags:
@@ -143,6 +136,26 @@ class TestFamilyMembership:
             assert family_membership(family_link(mirror)) == mirror
             assert str(mirror) == f"MIRROR({tag})"
 
+    def test_normal_form_box(self):
+        # every pretzel knot with 1-4 regions in -7..7 or 5 regions in -5..5:
+        # a cancelling (1, -1) pair never changes the tag, and a member's
+        # standard parameter list has the input's skein polynomial
+        knots = members = 0
+        for n, bound in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 5)):
+            for params in product(range(-bound, bound + 1), repeat=n):
+                try:
+                    tag = family_membership(PretzelLink(params))
+                except PretzelError:
+                    continue  # a link
+                knots += 1
+                assert family_membership(PretzelLink(params + (1, -1))) == tag, params
+                if tag.kind is FamilyKind.OTHER:
+                    continue
+                members += 1
+                delta = alexander_skein(PretzelLink(params))
+                assert delta.equal_up_to_units(alexander_skein(family_link(tag))), params
+        assert (knots, members) == (56488, 2898)
+
 
 class TestMontesinos:
     def test_parse(self):
@@ -155,6 +168,42 @@ class TestMontesinos:
 
     def test_as_pretzel_rational_fails(self):
         assert parse_montesinos("2/5;1/3;1/3").as_pretzel() is None
+
+    def test_as_pretzel_pm1_mod_alpha(self):
+        # 4/3 = 1 + 1/3, -13/7 = -2 + 1/7, 3/2 = 1 + 1/2, 0 = 1 - 1
+        cases = {
+            "1/2;4/3;-13/7": (2, 3, 1, 7, -1, -1),
+            "2/3;1/3;-1/2": (-3, 1, 3, -2),
+            "3/2;-5/2;1/3": (2, 1, -2, -1, -1, 3),
+            "1/3;0;2": (3, 1, -1, 1, 1),
+        }
+        for text, params in cases.items():
+            assert parse_montesinos(text).as_pretzel() == PretzelLink(params), text
+
+    def test_as_pretzel_determinant(self):
+        # three-tangle Montesinos knots: |Delta(-1)| of the converted
+        # pretzel equals the determinant |sum_i b_i prod_{j != i} a_j|
+        tangles = [
+            Fraction(b, a)
+            for a in (2, 3, 4, 5, 7)
+            for b in range(-5, 6)
+            if b and gcd(a, b) == 1
+        ]
+        checked = 0
+        for triple in product(tangles, repeat=3):
+            (b1, a1), (b2, a2), (b3, a3) = (
+                (t.numerator, t.denominator) for t in triple
+            )
+            det = abs(b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2)
+            if det % 2 == 0:
+                continue
+            link = MontesinosDescription(triple).as_pretzel()
+            if link is None:
+                continue
+            delta = alexander_skein(link).normalize()
+            assert abs(delta.eval_at_minus_one()) == det, triple
+            checked += 1
+        assert checked == 8432
 
     def test_parse_rejects(self):
         with pytest.raises(PretzelError):
