@@ -10,6 +10,10 @@ Subcommands:
                        claim2 | classify-sweep)
 * ``verify-claim2``  - the rank-formula implication grid
 
+The grids, their default bounds and their checks are defined in
+:mod:`pretzelsurgery.grids`; ``--nmax``/``--pmax``/``--qmax`` override the
+bounds a suite reads.
+
 Exit codes: 0 success, 1 usage/input error, 2 verification failure.
 All output is deterministic; grid output is JSON-lines sorted by
 parameters.
@@ -20,34 +24,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product
-from math import gcd
+from inspect import signature
 
 from .alexander import alexander_skein, alexander_with_trace
-from .classify import (
-    FINITE_SLOPES,
-    NO_CYCLIC_OR_FINITE,
-    NON_HYPERBOLIC_SEE_MOSER,
-    classify,
-)
+from .classify import classify
+from .grids import SUITES
 from .laurent import LaurentPoly, render
 from .obstruction import (
-    HFRankParams,
-    SurgerySlope,
-    claim2_implication,
     gabai_not_fibered,
     monic_check,
     os_form_check,
     pm1_coefficients,
 )
 from .oracle import alexander_fox
-from .pretzel import (
-    FamilyKind,
-    PretzelLink,
-    family_membership,
-    is_knot,
-    parse_pretzel,
-)
+from .pretzel import FamilyKind, family_membership, parse_pretzel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,140 +171,15 @@ def _cmd_classify(args) -> int:
 # ----------------------------------------------------------------------
 # grid suites
 
-def _odd_pairs(pmin: int, pmax: int, qmax: int):
-    for p in range(pmin, pmax + 1, 2):
-        for q in range(p, qmax + 1, 2):
-            yield p, q
-
-
-def _suite_claim3(args):
-    cells = [
-        (n, p, q)
-        for n in range(1, args.nmax + 1)
-        for p, q in _odd_pairs(3, args.pmax, args.qmax)
-    ]
-
-    def check(cell):
-        n, p, q = cell
-        link = PretzelLink((-1, -2 * n, p, q))
-        c = alexander_skein(link).normalize().coefficient(1)
-        expected = -4 if n == 1 else -3
-        return {"suite": "claim3", "n": n, "p": p, "q": q,
-                "coefficient": c, "expected": expected, "ok": c == expected}
-
-    return cells, check
-
-
-def _suite_claim4(args):
-    cells = [
-        (n, p, q)
-        for n in range(2, args.nmax + 1)
-        for p, q in _odd_pairs(3, args.pmax, args.qmax)
-    ]
-
-    def check(cell):
-        n, p, q = cell
-        link = PretzelLink((-1, 2 * n, p, q))
-        c = alexander_skein(link).normalize().coefficient(3)
-        return {"suite": "claim4", "n": n, "p": p, "q": q,
-                "coefficient": c, "expected": 2, "ok": c == 2}
-
-    return cells, check
-
-
-def _suite_claim5(args):
-    cells = [(p, q) for p, q in _odd_pairs(5, args.pmax, args.qmax)]
-
-    def check(cell):
-        p, q = cell
-        link = PretzelLink((-2, p, q))
-        c = alexander_skein(link).normalize().coefficient(4)
-        return {"suite": "claim5", "p": p, "q": q,
-                "coefficient": c, "expected": -2, "ok": c == -2}
-
-    return cells, check
-
-
-def _suite_oracle(args):
-    bound = max(2, args.qmax)
-    cells = [
-        params
-        for n in range(1, args.nmax + 1)
-        for params in product(range(-bound, bound + 1), repeat=n)
-        if is_knot(PretzelLink(params))
-    ]
-
-    def check(params):
-        link = PretzelLink(params)
-        ok = alexander_skein(link).equal_up_to_units(alexander_fox(link))
-        return {"suite": "oracle", "params": list(params), "comparable": True, "ok": ok}
-
-    return cells, check
-
-
-def _claim2_cells():
-    cells = []
-    for nu in range(-3, 6):
-        for beta in range(2, 6):
-            for alpha in range(-30, 31):
-                if gcd(alpha, beta) != 1:
-                    continue
-                for y in range(-10, 1):
-                    x = max(0, (2 * nu - 1) * beta - abs(alpha))
-                    if 2 * x + beta * y == 0:
-                        cells.append((nu, alpha, beta, y))
-    return cells
-
-
-def _check_claim2(cell):
-    nu, alpha, beta, y = cell
-    res = claim2_implication(HFRankParams(nu=nu, Y=y, slope=SurgerySlope(alpha, beta)))
-    ok = res.a_holds and res.b_holds
-    return {"suite": "claim2", "nu": nu, "alpha": alpha, "beta": beta, "Y": y,
-            "x_beta": res.x_beta, "x_one": res.x_one,
-            "a_holds": res.a_holds, "b_holds": res.b_holds, "ok": ok}
-
-
-def _suite_claim2(args):
-    return _claim2_cells(), _check_claim2
-
-
-def _suite_classify_sweep(args):
-    cells = [q for q in range(3, args.qmax + 1, 2)]
-
-    def check(q):
-        report = classify(PretzelLink((-2, 3, q)))
-        verdicts = report.final.verdicts
-        if q in (3, 5):
-            ok = verdicts == [NON_HYPERBOLIC_SEE_MOSER]
-        elif q == 7:
-            ok = (report.final.cyclic_slopes == [18, 19]
-                  and report.final.finite_slopes == [17])
-        elif q == 9:
-            ok = (verdicts == [FINITE_SLOPES]
-                  and report.final.finite_slopes == [22, 23])
-        else:
-            ok = verdicts == [NO_CYCLIC_OR_FINITE]
-        return {"suite": "classify-sweep", "q": q, "verdicts": verdicts,
-                "cyclic": report.final.cyclic_slopes,
-                "finite": report.final.finite_slopes, "ok": ok}
-
-    return cells, check
-
-
-_SUITES = {
-    "claim3": _suite_claim3,
-    "claim4": _suite_claim4,
-    "claim5": _suite_claim5,
-    "oracle": _suite_oracle,
-    "claim2": _suite_claim2,
-    "classify-sweep": _suite_classify_sweep,
-}
-
-
 def _run_suite(args, suite_name: str) -> int:
-    cells, check = _SUITES[suite_name](args)
-    results = [check(c) for c in cells]
+    make_grid = SUITES[suite_name]
+    # a suite reads the bounds it names; the other bound flags are ignored
+    bounds = {
+        name: getattr(args, name)
+        for name in signature(make_grid).parameters
+        if getattr(args, name, None) is not None
+    }
+    results = make_grid(**bounds).records()
     results.sort(key=lambda r: json.dumps(r, sort_keys=True))
     failures = 0
     for r in results:
@@ -372,11 +237,11 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("verify-claims", help="run a verification grid")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p.add_argument("--nmax", type=int, default=5,
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--nmax", type=int,
                    help="largest n (claim3/claim4) or region count (oracle)")
-    p.add_argument("--pmax", type=int, default=11)
-    p.add_argument("--qmax", type=int, default=None,
+    p.add_argument("--pmax", type=int)
+    p.add_argument("--qmax", type=int,
                    help="defaults to pmax (claims), 5 (oracle), 25 (classify-sweep)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify_claims)
@@ -394,13 +259,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    if getattr(args, "qmax", None) is None and hasattr(args, "qmax"):
-        if args.suite == "oracle":
-            args.qmax = 5
-        elif args.suite == "classify-sweep":
-            args.qmax = 25
-        else:
-            args.qmax = args.pmax
     try:
         return args.fn(args)
     except ValueError as exc:

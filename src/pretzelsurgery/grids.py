@@ -1,0 +1,191 @@
+"""The verification grids, each defined once.
+
+A grid is a list of cells and a check that turns one cell into a JSON
+record whose ``ok`` field says whether the paper's claim holds there.  The
+``verify-claims`` and ``verify-claim2`` subcommands run these grids at the
+default bounds below (or at the bounds given on the command line), and the
+acceptance gate runs the same grids at its own bounds.
+
+The expected values are the paper's constants, written here and not read
+from the pipeline, so that the grids stay a check on it.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from math import gcd
+from typing import Any, Callable, Iterator, NamedTuple
+
+from .alexander import alexander_skein
+from .classify import (
+    CYCLIC_SLOPES,
+    FINITE_SLOPES,
+    NO_CYCLIC_OR_FINITE,
+    NON_HYPERBOLIC_SEE_MOSER,
+    classify,
+)
+from .obstruction import HFRankParams, SurgerySlope, claim2_implication
+from .oracle import alexander_fox
+from .pretzel import PretzelLink, is_knot
+
+
+class Grid(NamedTuple):
+    """A suite's cells and the check that turns one cell into its record."""
+
+    cells: list
+    check: Callable[[Any], dict]
+
+    def records(self) -> list[dict]:
+        """One checked record per cell, in cell order."""
+        return [self.check(cell) for cell in self.cells]
+
+
+def pq_pairs(pmin: int, pmax: int, qmax: int) -> Iterator[tuple[int, int]]:
+    """Odd pairs p <= q with pmin <= p <= pmax and q <= qmax."""
+    for p in range(pmin, pmax + 1, 2):
+        for q in range(p, qmax + 1, 2):
+            yield p, q
+
+
+def knot_box(nmax: int, bound: int) -> Iterator[PretzelLink]:
+    """Every pretzel knot with 1..nmax regions and parameters in -bound..bound."""
+    for n in range(1, nmax + 1):
+        for params in product(range(-bound, bound + 1), repeat=n):
+            link = PretzelLink(params)
+            if is_knot(link):
+                yield link
+
+
+# the classification of P(-2,3,q): q -> (verdicts, cyclic slopes, finite
+# slopes); P(-2,3,3) and P(-2,3,5) are torus knots, and every other odd
+# q has no cyclic or finite surgery
+_MINUS2_3_Q = {
+    3: ([NON_HYPERBOLIC_SEE_MOSER], [], []),
+    5: ([NON_HYPERBOLIC_SEE_MOSER], [], []),
+    7: ([CYCLIC_SLOPES, FINITE_SLOPES], [18, 19], [17]),
+    9: ([FINITE_SLOPES], [], [22, 23]),
+}
+
+
+def minus2_3_q(q: int) -> tuple[list[str], list[int], list[int]]:
+    """The expected (verdicts, cyclic slopes, finite slopes) of P(-2,3,q)."""
+    return _MINUS2_3_Q.get(q, ([NO_CYCLIC_OR_FINITE], [], []))
+
+
+def _coefficient(params: tuple[int, ...], exponent: int) -> int:
+    return alexander_skein(PretzelLink(params)).normalize().coefficient(exponent)
+
+
+def _check_claim3(cell) -> dict:
+    n, p, q = cell
+    c = _coefficient((-1, -2 * n, p, q), 1)
+    expected = -4 if n == 1 else -3
+    return {"suite": "claim3", "n": n, "p": p, "q": q,
+            "coefficient": c, "expected": expected, "ok": c == expected}
+
+
+def claim3(nmax: int = 5, pmax: int = 11, qmax: int | None = None) -> Grid:
+    """[t^1] of P(-1,-2n,p,q) is -4 for n = 1 and -3 for 2 <= n <= nmax;
+    qmax defaults to pmax."""
+    qmax = pmax if qmax is None else qmax
+    cells = [(n, p, q) for n in range(1, nmax + 1) for p, q in pq_pairs(3, pmax, qmax)]
+    return Grid(cells, _check_claim3)
+
+
+def _check_claim4(cell) -> dict:
+    n, p, q = cell
+    c = _coefficient((-1, 2 * n, p, q), 3)
+    return {"suite": "claim4", "n": n, "p": p, "q": q,
+            "coefficient": c, "expected": 2, "ok": c == 2}
+
+
+def claim4(nmax: int = 5, pmax: int = 11, qmax: int | None = None) -> Grid:
+    """[t^3] of P(-1,2n,p,q) is 2 for 2 <= n <= nmax; qmax defaults to pmax."""
+    qmax = pmax if qmax is None else qmax
+    cells = [(n, p, q) for n in range(2, nmax + 1) for p, q in pq_pairs(3, pmax, qmax)]
+    return Grid(cells, _check_claim4)
+
+
+def _check_claim5(cell) -> dict:
+    p, q = cell
+    c = _coefficient((-2, p, q), 4)
+    return {"suite": "claim5", "p": p, "q": q,
+            "coefficient": c, "expected": -2, "ok": c == -2}
+
+
+def claim5(pmax: int = 11, qmax: int | None = None) -> Grid:
+    """[t^4] of P(-2,p,q) is -2 for odd 5 <= p <= q; qmax defaults to pmax."""
+    qmax = pmax if qmax is None else qmax
+    return Grid(list(pq_pairs(5, pmax, qmax)), _check_claim5)
+
+
+def _check_oracle(link: PretzelLink) -> dict:
+    ok = alexander_skein(link).equal_up_to_units(alexander_fox(link))
+    return {"suite": "oracle", "params": list(link.params), "comparable": True, "ok": ok}
+
+
+def oracle(nmax: int = 5, qmax: int = 5) -> Grid:
+    """Skein equals Fox up to units on knot_box(nmax, max(2, qmax))."""
+    return Grid(list(knot_box(nmax, max(2, qmax))), _check_oracle)
+
+
+def _check_claim2(params: HFRankParams) -> dict:
+    res = claim2_implication(params)
+    return {"suite": "claim2", "nu": params.nu, "alpha": params.slope.alpha,
+            "beta": params.slope.beta, "Y": params.Y,
+            "x_beta": res.x_beta, "x_one": res.x_one,
+            "a_holds": res.a_holds, "b_holds": res.b_holds,
+            "ok": res.a_holds and res.b_holds}
+
+
+def claim2() -> Grid:
+    """The rank-formula step at every nu in -3..5, slope alpha/beta with
+    beta in 2..5 and alpha in -30..30, and Y in -10..0 where its hypothesis
+    (the alpha/beta surgery is an L-space) holds."""
+    cells = []
+    ranges = (range(-3, 6), range(2, 6), range(-30, 31), range(-10, 1))
+    for nu, beta, alpha, y in product(*ranges):
+        if gcd(alpha, beta) != 1:
+            continue
+        params = HFRankParams(nu=nu, Y=y, slope=SurgerySlope(alpha, beta))
+        if claim2_implication(params).hypothesis:
+            cells.append(params)
+    return Grid(cells, _check_claim2)
+
+
+def _check_classify_sweep(q: int) -> dict:
+    final = classify(PretzelLink((-2, 3, q))).final
+    got = (final.verdicts, final.cyclic_slopes, final.finite_slopes)
+    return {"suite": "classify-sweep", "q": q, "verdicts": final.verdicts,
+            "cyclic": final.cyclic_slopes, "finite": final.finite_slopes,
+            "ok": got == minus2_3_q(q)}
+
+
+def classify_sweep(qmax: int = 25) -> Grid:
+    """classify(P(-2,3,q)) against minus2_3_q for odd 3 <= q <= qmax."""
+    return Grid(list(range(3, qmax + 1, 2)), _check_classify_sweep)
+
+
+SUITES: dict[str, Callable[..., Grid]] = {
+    "claim3": claim3,
+    "claim4": claim4,
+    "claim5": claim5,
+    "oracle": oracle,
+    "claim2": claim2,
+    "classify-sweep": classify_sweep,
+}
+
+
+__all__ = [
+    "Grid",
+    "SUITES",
+    "claim2",
+    "claim3",
+    "claim4",
+    "claim5",
+    "classify_sweep",
+    "knot_box",
+    "minus2_3_q",
+    "oracle",
+    "pq_pairs",
+]

@@ -271,22 +271,16 @@ def _kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) -
     return LaurentPoly(coeffs)
 
 
-def alexander_fox(link: PretzelLink, *, drop_column: int | None = None) -> LaurentPoly:
+def alexander_fox(link: PretzelLink) -> LaurentPoly:
     """Normalized Alexander polynomial from the Wirtinger presentation.
 
-    Any single column of the Alexander matrix may be dropped; the minor is
-    independent of the choice up to units.
+    The minor drops the last row and the last column of the Alexander
+    matrix; any single column would give the same minor up to units.
     """
     pres = build_diagram(link)
     c = pres.generator_count
-    if drop_column is None:
-        drop_column = c - 1
-    if not 0 <= drop_column < c:
-        raise OracleError("column index out of range")
     rows = alexander_matrix(pres)
-    minor = [
-        [row[j] for j in range(c) if j != drop_column] for row in rows[: c - 1]
-    ]
+    minor = [row[: c - 1] for row in rows[: c - 1]]
     det = _kronecker_determinant(minor, degree_bound=c)
     if det.is_zero:
         raise OracleError(f"vanishing Alexander minor for {link}: diagram bug")

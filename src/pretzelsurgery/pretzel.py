@@ -298,8 +298,12 @@ class MontesinosDescription:
         splits, the one with the least |k| is taken, so a tangle that is
         literally +-1/a stays the single region +-a, and the integer tangle
         0 becomes the cancelling pair (1, -1).  None when some tangle is
-        genuinely rational.
+        genuinely rational, and for a single tangle: M(b/a) is the
+        two-bridge knot b(b, a) (1/3 is the unknot), while a one-region
+        pretzel closes with side arcs (P(3) is the trefoil).
         """
+        if len(self.tangles) == 1:
+            return None
         params = []
         for t in self.tangles:
             a, b = t.denominator, t.numerator

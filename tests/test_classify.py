@@ -15,6 +15,7 @@ from pretzelsurgery.classify import (
     hyperbolicity_status,
     mattman_gate,
 )
+from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.pretzel import (
     PretzelLink,
     family_membership,
@@ -119,35 +120,18 @@ class TestGates:
 class TestPipeline:
     def test_theorem_sweep(self):
         for q in range(3, 26, 2):
-            report = classify(PretzelLink((-2, 3, q)))
-            final = report.final
-            if q in (3, 5):
-                assert final.verdicts == [NON_HYPERBOLIC_SEE_MOSER], q
-            elif q == 7:
-                assert final.verdicts == [CYCLIC_SLOPES, FINITE_SLOPES]
-                assert final.cyclic_slopes == [18, 19]
-                assert final.finite_slopes == [17]
-            elif q == 9:
-                assert final.verdicts == [FINITE_SLOPES]
-                assert final.finite_slopes == [22, 23]
-            else:
-                assert final.verdicts == [NO_CYCLIC_OR_FINITE], q
+            final = classify(PretzelLink((-2, 3, q))).final
+            got = (final.verdicts, final.cyclic_slopes, final.finite_slopes)
+            assert got == minus2_3_q(q), q
 
     def test_mirror_sweep(self):
         # mirroring negates every parameter and every surgery slope
         for q in range(3, 26, 2):
             final = classify(PretzelLink((2, -3, -q))).final
-            if q in (3, 5):
-                assert final.verdicts == [NON_HYPERBOLIC_SEE_MOSER], q
-            elif q == 7:
-                assert final.verdicts == [CYCLIC_SLOPES, FINITE_SLOPES]
-                assert final.cyclic_slopes == [-18, -19]
-                assert final.finite_slopes == [-17]
-            elif q == 9:
-                assert final.verdicts == [FINITE_SLOPES]
-                assert final.finite_slopes == [-22, -23]
-            else:
-                assert final.verdicts == [NO_CYCLIC_OR_FINITE], q
+            verdicts, cyclic, finite = minus2_3_q(q)
+            assert final.verdicts == verdicts, q
+            assert final.cyclic_slopes == [-s for s in cyclic], q
+            assert final.finite_slopes == [-s for s in finite], q
 
     def test_mirror_torus_knots(self):
         for params, reason in (
@@ -227,6 +211,18 @@ class TestPipeline:
         report = classify("-2,3,3,1,-1")
         assert report.final.verdicts == [NON_HYPERBOLIC_SEE_MOSER]
         assert report.hyperbolic_reason == "(3,4)-torus knot"
+
+    def test_one_tangle_montesinos(self):
+        # M(b/a) is the two-bridge knot b(b, a), so 1/3 is the unknot; the
+        # one-region pretzel P(3), closed with side arcs, is the trefoil
+        for text, reason in (
+            ("1/3", "trivial knot"),
+            ("0;1/3", "trivial knot"),
+            ("3/7", "(2,3)-torus knot"),
+        ):
+            assert classify(text).hyperbolic_reason == reason, text
+        with pytest.raises(ClassifyError, match="not a knot"):
+            classify("4/3")
 
     def test_composite_out_of_scope(self):
         report = classify("3,0,5")

@@ -136,7 +136,7 @@ class TestGrids:
         code, _, _ = run_cli(capsys, "verify-claims", "--suite", "classify-sweep")
         assert code == 0
 
-    def test_oracle_suite_threads(self, capsys):
+    def test_oracle_suite(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-claims", "--suite", "oracle",
             "--nmax", "2", "--qmax", "3", "--json",
@@ -148,6 +148,23 @@ class TestGrids:
         code, out, _ = run_cli(capsys, "verify-claim2")
         assert code == 0
         assert "0 failures" in out
+
+    @pytest.mark.parametrize(
+        "argv,cells",
+        [
+            (("verify-claims", "--suite", "claim3"), 75),
+            (("verify-claims", "--suite", "claim4"), 60),
+            (("verify-claims", "--suite", "claim5"), 10),
+            (("verify-claims", "--suite", "claim2"), 958),
+            (("verify-claim2",), 958),
+            (("verify-claims", "--suite", "classify-sweep"), 12),
+        ],
+    )
+    def test_default_cell_counts(self, capsys, argv, cells):
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        summary = json.loads(out.strip().splitlines()[-1])
+        assert code == 0
+        assert summary["cells"] == cells and summary["ok"] is True
 
 
 class TestUsage:
