@@ -1,33 +1,44 @@
-"""Alexander polynomials of pretzel knots by twist-region skein resolution.
+"""Alexander polynomials of pretzel knots by a region-by-region skein state sum.
 
 The engine works with the Conway-consistent representatives that satisfy
 the skein relation Delta(L+) - Delta(L-) = (t^(-1/2) - t^(1/2)) Delta(L0)
 exactly; results are therefore "Delta up to units", with unit choices kept
-coherent inside a single computation so that resolving-tree recombination
-is an exact identity.  Normalization is left to the caller.
+coherent inside a single computation so that the state sum is an exact
+identity.  Normalization is left to the caller.
 
-The recursion runs on oriented pretzel links.  A state is the necklace of
-the root's regions that remain, each with its current parameter and the
-strand flows it had in the root knot: crossing changes and oriented
-smoothings never change them.  One twist region at a time is resolved
-down to parameter 0 or +-1, according to its flows:
+The sum runs over oriented pretzel links: every sub-link keeps, on each of
+its regions, the strand flows that region had in the root knot, since
+crossing changes and oriented smoothings never change them.  Each region
+is resolved once, in ascending |a| order, into a few (multiplier, outcome)
+branches chosen by its flows:
 
-* parallel strands: smoothing removes one crossing, so the region obeys
-  the torus-link recursion and splits into two sub-links with torus-link
-  polynomial multipliers;
-* antiparallel strands: smoothing caps the region off at top and bottom,
-  which leaves the pretzel link P(rest) on the other regions, so each
-  crossing change peels off one copy of P(rest).
+* parallel strands: the torus-link recursion leaves the region at 0 or
+  +-1, with torus-link polynomial multipliers;
+* antiparallel strands: crossing changes walk the region to 0 or +-1, and
+  the smoothing of each change caps the region off at top and bottom,
+  which removes it from the necklace;
+* a region with |a| <= 1 is kept as it is.
 
-Terminal links are evaluated in closed form: a 0 region cuts the necklace
-into a connected sum of (2, a)-torus factors, a necklace of +-1 regions is
-a (2, m)-torus link, and a two-region link P(a, b) is the (2, a + b)-torus
-link.
+One branch per region is an expansion, and three kinds of leaf close the
+expansions in closed form:
+
+* a 0 region cuts the necklace into a connected sum of (2, a)-torus
+  factors, one per region still unresolved; all such expansions share one
+  accumulator, multiplied by the factor of each region resolved after it
+  (a second 0 is the factor 0: a split link);
+* a removal that leaves two regions gives P(a, b), the (2, a + b)-torus
+  link, so no expansion shrinks to a single region;
+* an expansion that keeps every region at +-1 is a necklace of single
+  crossings, the (2, m)-torus link with m the sum of the regions.
+
+Until then an expansion is known by the sum of its kept +-1 regions, their
+number (counted up to 3) and the flows of the first; expansions that agree
+on these are added, so the work is polynomial in the number of regions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .laurent import SKEIN_FACTOR, LaurentPoly
 from .pretzel import PretzelLink, RegionFlags, orientation_flags
@@ -64,50 +75,34 @@ def torus_link_alexander(l: int) -> LaurentPoly:
 
 
 # ----------------------------------------------------------------------
-# resolving trace
+# the per-region program
 
 @dataclass(frozen=True)
 class SkeinStep:
-    """One resolution: link_before splits at region_index into branches,
-    each a (multiplier, sub-link) pair."""
+    """The resolution of one region: each branch is a (multiplier, outcome)
+    pair, the outcome being the region's new parameter (0 or +-1), or None
+    when the branch removes the region."""
 
-    link_before: PretzelLink
     region_index: int
-    branches: tuple[tuple[LaurentPoly, PretzelLink], ...]
+    param: int
+    branches: tuple[tuple[LaurentPoly, int | None], ...]
 
 
 @dataclass
 class SkeinTrace:
-    """Resolving tree audit record.
-
-    ``value`` is the exact recursion result; ``final`` maps each terminal
-    leaf to its accumulated multiplier and ``leaf_values`` to its
-    closed-form polynomial, so that
-    sum(final[L] * leaf_values[L]) == value exactly.  A leaf is keyed by
-    its link and the root indices of its regions: the regions keep their
-    root orientations, so equal parameters alone need not mean equal
-    oriented links.
-    """
+    """The program of one computation: a step for each region with
+    |a| >= 2, in the order the state sum resolves them.  Links with at most
+    two regions are closed forms and have no steps."""
 
     root: PretzelLink
-    value: LaurentPoly = field(default_factory=LaurentPoly.zero)
-    steps: list[SkeinStep] = field(default_factory=list)
-    final: dict[tuple[PretzelLink, tuple[int, ...]], LaurentPoly] = field(
-        default_factory=dict
-    )
-    leaf_values: dict[tuple[PretzelLink, tuple[int, ...]], LaurentPoly] = field(
-        default_factory=dict
-    )
-
-    def recombined(self) -> LaurentPoly:
-        total = LaurentPoly.zero()
-        for leaf, mult in self.final.items():
-            total = total + mult * self.leaf_values[leaf]
-        return total
+    steps: list[SkeinStep]
 
 
 # ----------------------------------------------------------------------
 # the engine
+
+_ONE = LaurentPoly.one()
+
 
 def _tbar(l: int) -> LaurentPoly:
     """The (2, l)-torus value with parallel strands and reversed crossing
@@ -139,148 +134,107 @@ def _factor_value(a: int, flag: RegionFlags) -> LaurentPoly:
     return _twist_value(a, flag.parallel)
 
 
-def _leaf_value(params, flags) -> LaurentPoly | None:
-    """Closed form for terminal links, or None when a region still needs
-    resolving."""
-    if len(params) == 1:
-        # side-arc closure of a lone region: the (2, a)-torus link
-        return _factor_value(params[0], flags[0])
-    zeros = [i for i, a in enumerate(params) if a == 0]
-    if len(zeros) >= 2:
-        return LaurentPoly.zero()  # split link
-    if len(zeros) == 1:
-        # a 0 region cuts the necklace: connected sum of (2, a_j) factors
-        value = LaurentPoly.one()
-        for j, a in enumerate(params):
-            if j != zeros[0]:
-                value = value * _factor_value(a, flags[j])
-        return value
-    if all(abs(a) == 1 for a in params):
-        # a necklace of single crossings is a closed (2, m) braid whose two
-        # strands run horizontally, so parallelism is read across the
-        # left-hand ports, not down each region.  Each strand keeps its
-        # horizontal direction all round the necklace, so one region tells.
-        return _twist_value(
-            sum(params), flags[0].tl == flags[0].bl, horizontal=True
-        )
-    if len(params) == 2:
-        # P(a, b) is the (2, a + b)-torus link; in a two-region necklace
-        # both regions carry the same strand flow
-        return _twist_value(params[0] + params[1], flags[0].parallel)
-    return None
+def _leaf_value(total: int, units: bool, flag: RegionFlags) -> LaurentPoly:
+    """Conway value of a necklace that closes into one (2, total) twist:
+    a necklace of +-1 regions (units), or one or two regions.
+
+    A necklace of single crossings is a closed (2, m) braid whose two
+    strands run horizontally, so parallelism is read across the left-hand
+    ports, not down each region.  Each strand keeps its horizontal
+    direction all round the necklace, so any region tells.  A lone region
+    closes with side arcs, and in a two-region necklace P(a, b) both
+    regions carry the same strand flow.
+    """
+    if units:
+        return _twist_value(total, flag.tl == flag.bl, horizontal=True)
+    return _twist_value(total, flag.parallel)
 
 
-def _pick_region(params) -> int:
-    """Region to resolve next: leftmost even with |a| >= 2, else leftmost
-    with |a| >= 2 (mirrors the resolution order of the closed forms)."""
-    for i, a in enumerate(params):
-        if a % 2 == 0 and abs(a) >= 2:
-            return i
-    for i, a in enumerate(params):
-        if abs(a) >= 2:
-            return i
-    raise AssertionError("no resolvable region in a non-leaf link")
-
-
-def _branches(params, regions, flags, i):
-    """The (multiplier, sub-state) pairs for resolving region i of the
-    state (params, regions, flags)."""
-    a = params[i]
-    head, tail = params[:i], params[i + 1:]
-    if flags[i].parallel:
+def _choices(a: int, flag: RegionFlags) -> tuple[tuple[LaurentPoly, int | None], ...]:
+    """The (multiplier, outcome) branches that resolve a region a with the
+    strand flows ``flag``."""
+    if abs(a) <= 1:
+        return ((_ONE, a),)
+    if flag.parallel:
         # parallel strands drawn as positive twists carry negative crossings
         # (and vice versa), fixing which twist recursion applies
-        zero = (head + (0,) + tail, regions, flags)
         if a > 0:
-            return (
-                (_tbar(a - 1), zero),
-                (_tbar(a), (head + (1,) + tail, regions, flags)),
-            )
-        b = -a
-        return (
-            (_torus(b - 1), zero),
-            (_torus(b), (head + (-1,) + tail, regions, flags)),
-        )
+            return ((_tbar(a - 1), 0), (_tbar(a), 1))
+        return ((_torus(-a - 1), 0), (_torus(-a), -1))
     # antiparallel: crossing changes walk a to 0 (even) or sign(a) (odd),
-    # and each change's smoothing leaves P(rest) on the other regions
+    # and each change's smoothing caps the region off, leaving P(rest)
     r = 0 if a % 2 == 0 else (1 if a > 0 else -1)
-    k = (abs(a) - abs(r)) // 2
-    sgn = 1 if a > 0 else -1
-    rest = (
-        head + tail,
-        regions[:i] + regions[i + 1:],
-        flags[:i] + flags[i + 1:],
-    )
-    return (
-        (LaurentPoly.one(), (head + (r,) + tail, regions, flags)),
-        ((sgn * k) * SKEIN_FACTOR, rest),
-    )
+    return ((_ONE, r), (((a - r) // 2) * SKEIN_FACTOR, None))
 
 
-def alexander_skein(
-    link: PretzelLink, *, memoize: bool = True
-) -> LaurentPoly:
+def _resolution_order(params) -> list[int]:
+    """Ascending |a|, ties by index: the accumulated weights meet the
+    largest torus values last."""
+    return sorted(range(len(params)), key=lambda i: (abs(params[i]), i))
+
+
+def _state_sum(params, flags, order: list[int]) -> LaurentPoly:
+    """Sum over one branch per region, resolving the regions in ``order``
+    (see the module docstring)."""
+    # (sum of the kept +-1 regions, min(kept, 3), flags of the first kept
+    # region) -> the weight of the expansions without a 0 region
+    states: dict = {(0, 0, None): _ONE}
+    cut = LaurentPoly.zero()  # expansions with one 0 region, in Horner form
+    closed = LaurentPoly.zero()  # expansions closed as P(a, b)
+    for t, i in enumerate(order):
+        if cut:
+            cut = cut * _factor_value(params[i], flags[i])
+        if not states:
+            continue
+        rest = order[t + 1:]
+        merged: dict = {}
+        for mult, outcome in _choices(params[i], flags[i]):
+            for (total, kept, first), weight in states.items():
+                w = weight if mult is _ONE else (mult if weight is _ONE else mult * weight)
+                if outcome == 0:
+                    cut = cut + w
+                    continue
+                if outcome is None:
+                    if kept + len(rest) == 2:
+                        pair = [params[j] for j in rest]
+                        closed = closed + w * _leaf_value(
+                            total + sum(pair),
+                            all(abs(a) == 1 for a in pair),
+                            first or flags[rest[0]],
+                        )
+                        continue
+                    key = (total, kept, first)
+                else:
+                    key = (total + outcome, min(kept + 1, 3), first or flags[i])
+                merged[key] = merged[key] + w if key in merged else w
+        states = merged
+    for (total, _, first), weight in states.items():
+        closed = closed + weight * _leaf_value(total, True, first)
+    return cut + closed
+
+
+def alexander_skein(link: PretzelLink) -> LaurentPoly:
     """Delta of a pretzel knot, up to units (Conway-consistent
     representative; apply LaurentPoly.normalize for the paper's form).
     Raises PretzelError when the link has more than one component."""
-    return _run(link, memoize=memoize, trace=None)
+    flags = orientation_flags(link)
+    params = link.params
+    if len(params) <= 2:
+        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), flags[0])
+    return _state_sum(params, flags, _resolution_order(params))
 
 
-def alexander_with_trace(
-    link: PretzelLink, *, memoize: bool = True
-) -> tuple[LaurentPoly, SkeinTrace]:
-    trace = SkeinTrace(root=link)
-    trace.value = _run(link, memoize=memoize, trace=trace)
-    return trace.value, trace
-
-
-def _run(link, *, memoize, trace):
-    root_flags = orientation_flags(link)
-    memo: dict | None = {} if memoize else None
-    # per state: the leaves it expands to, with accumulated multipliers
-    leafmaps: dict = {}
-
-    def rec(params, regions, flags) -> LaurentPoly:
-        key = (params, regions)
-        if memo is not None and key in memo:
-            return memo[key]
-        value = _leaf_value(params, flags)
-        if value is not None:
-            if trace is not None:
-                leaf = (PretzelLink(params), regions)
-                trace.leaf_values[leaf] = value
-                leafmaps[key] = {leaf: LaurentPoly.one()}
-        else:
-            i = _pick_region(params)
-            branches = _branches(params, regions, flags, i)
-            value = LaurentPoly.zero()
-            for mult, sub in branches:
-                value = value + mult * rec(*sub)
-            if trace is not None:
-                if key not in leafmaps:
-                    trace.steps.append(
-                        SkeinStep(
-                            PretzelLink(params),
-                            i,
-                            tuple((m, PretzelLink(sub[0])) for m, sub in branches),
-                        )
-                    )
-                combined: dict = {}
-                for mult, (sub, sub_regions, _) in branches:
-                    for leaf, m in leafmaps[(sub, sub_regions)].items():
-                        combined[leaf] = combined.get(
-                            leaf, LaurentPoly.zero()
-                        ) + mult * m
-                leafmaps[key] = combined
-        if memo is not None:
-            memo[key] = value
-        return value
-
-    root = (link.params, tuple(range(link.n_regions)))
-    value = rec(*root, root_flags)
-    if trace is not None:
-        trace.final = {k: v for k, v in leafmaps[root].items() if not v.is_zero}
-    return value
+def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, SkeinTrace]:
+    value = alexander_skein(link)
+    params = link.params
+    flags = orientation_flags(link)
+    order = _resolution_order(params) if len(params) > 2 else []
+    steps = [
+        SkeinStep(i, params[i], _choices(params[i], flags[i]))
+        for i in order
+        if abs(params[i]) >= 2
+    ]
+    return value, SkeinTrace(link, steps)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +243,7 @@ def _run(link, *, memoize, trace):
 def claim_formula(tag) -> LaurentPoly:
     """Direct evaluation of the closed-form Delta for the (-1, 2n, p, q)
     family (all three sign cases of n), as an internal consistency oracle
-    for the recursive engine.  Result is up to units.
+    for the skein engine.  Result is up to units.
     """
     from .pretzel import FamilyKind, FamilyTag  # local import avoids cycle
 

@@ -43,9 +43,10 @@ from .pretzel import FamilyKind, family_membership, parse_pretzel
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let parameter lists such as "-2,3,7" parse as positionals
+        # let parameter lists such as "-2,3,7" and tangle lists such as
+        # "-1/2;1/3;1/5" parse as positionals
         import re
-        self._negative_number_matcher = re.compile(r"^-\d[\d,.-]*$")
+        self._negative_number_matcher = re.compile(r"^-\d[\d,./;-]*$")
 
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -73,6 +74,11 @@ def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
 # ----------------------------------------------------------------------
 # single-knot subcommands
 
+def _outcome(outcome: int | None) -> str:
+    """A branch's outcome as the trace prints it."""
+    return "removed" if outcome is None else str(outcome)
+
+
 def _cmd_alexander(args) -> int:
     link = parse_pretzel(args.params)
     if args.trace:
@@ -85,15 +91,15 @@ def _cmd_alexander(args) -> int:
     if trace is not None:
         doc["steps"] = [
             {
-                "link": str(s.link_before),
                 "region": s.region_index,
-                "branches": [[render(m), str(sub)] for m, sub in s.branches],
+                "param": s.param,
+                "branches": [[render(m), _outcome(o)] for m, o in s.branches],
             }
             for s in trace.steps
         ]
         for s in trace.steps:
-            parts = " ; ".join(f"[{render(m)}] * {sub}" for m, sub in s.branches)
-            lines.append(f"  {s.link_before} @ region {s.region_index} -> {parts}")
+            parts = " ; ".join(f"[{render(m)}] * {_outcome(o)}" for m, o in s.branches)
+            lines.append(f"  {link} @ region {s.region_index} ({s.param}) -> {parts}")
     _emit(doc, args.json, lines)
     return 0
 
@@ -215,7 +221,7 @@ def _build_parser() -> _Parser:
     p.add_argument("params", help="comma-separated twist parameters, e.g. -2,3,7")
     p.add_argument("--normalize", action="store_true",
                    help="lowest degree 0, positive constant term")
-    p.add_argument("--trace", action="store_true", help="show the resolving tree")
+    p.add_argument("--trace", action="store_true", help="show the per-region skein program")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_alexander)
 

@@ -71,11 +71,12 @@ def symmetrize(delta: LaurentPoly) -> LaurentPoly:
 def os_form_polynomial(decomp: OSFormDecomposition) -> LaurentPoly:
     """The symmetric Laurent polynomial encoded by a decomposition."""
     k = decomp.k
-    value = LaurentPoly.from_int((-1) ** k)
+    coeffs = {0: (-1) ** k}  # s-exponents: t^n is s^(2n)
     for j, n in enumerate(decomp.exponents, start=1):
         sign = (-1) ** (k - j)
-        value = value + LaurentPoly.t_term(sign, n) + LaurentPoly.t_term(sign, -n)
-    return value
+        for e in (2 * n, -2 * n):
+            coeffs[e] = coeffs.get(e, 0) + sign
+    return LaurentPoly(coeffs)
 
 
 def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:

@@ -1,3 +1,8 @@
+import itertools
+import math
+import random
+import time
+
 import pytest
 
 from pretzelsurgery import alexander
@@ -29,6 +34,14 @@ def small_knots(n_regions: int, max_crossings: int):
         link = PretzelLink(p)
         if is_knot(link):
             yield link
+
+
+def determinant(params) -> int:
+    """|Delta(-1)| of a pretzel knot is |sum_i prod_{j != i} a_j|."""
+    return sum(
+        math.prod(a for j, a in enumerate(params) if j != i)
+        for i in range(len(params))
+    )
 
 
 class TestTorusValues:
@@ -110,36 +123,84 @@ class TestAgainstReferenceConway:
         assert checked > 1000
 
 
-class TestAgainstFox:
-    def test_five_region_box(self):
-        checked = 0
-        for link in knot_box(5, 3):
-            if len(link.params) != 5:
-                continue
+def fox_box(n_regions: int, bound: int) -> int:
+    """Assert skein = Fox on every n-region knot in -bound..bound; the
+    number of knots checked."""
+    checked = 0
+    for params in itertools.product(range(-bound, bound + 1), repeat=n_regions):
+        link = PretzelLink(params)
+        if is_knot(link):
             assert alexander_skein(link).equal_up_to_units(
                 alexander_fox(link)
             ), link
             checked += 1
-        assert checked == 4864
+    return checked
+
+
+class TestAgainstFox:
+    def test_five_region_box(self):
+        assert fox_box(5, 3) == 4864
+
+    @pytest.mark.parametrize("n_regions,count", [(6, 576), (7, 1472)])
+    def test_six_and_seven_region_box(self, n_regions, count):
+        assert fox_box(n_regions, 2) == count
+
+
+class TestManyRegions:
+    def test_random_invariants(self):
+        # knots with 6 to 31 regions, far beyond any Fox box: the
+        # determinant, Delta(1) and the symmetry pin the value
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 300:
+            params = tuple(
+                rng.randint(-9, 9) for _ in range(rng.randint(6, 31))
+            )
+            link = PretzelLink(params)
+            if not is_knot(link):
+                continue
+            delta = alexander_skein(link)
+            assert abs(delta.eval_at_minus_one()) == abs(determinant(params)), link
+            assert abs(delta.eval_at_one()) == 1, link
+            assert delta.equal_up_to_units(delta.conj()), link
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "params",
+        [(3,) * 21, (3,) * 25, (2,) + (3,) * 24],
+        ids=["3^21", "3^25", "2,3^24"],
+    )
+    def test_budget(self, params):
+        # one pass over the regions: no cost doubling per added region
+        link = PretzelLink(params)
+        start = time.perf_counter()
+        delta = alexander_skein(link)
+        assert time.perf_counter() - start < 1.0
+        assert abs(delta.eval_at_minus_one()) == abs(determinant(params))
+        assert abs(delta.eval_at_one()) == 1
 
 
 class TestTrace:
-    def test_recombination_identity(self):
-        for params in ((-2, 3, 7), (-1, -2, 3, 3), (-1, 6, 3, 5), (5,)):
-            value, trace = alexander_with_trace(PretzelLink(params))
-            assert trace.recombined() == value
-            assert trace.value == value
+    def test_branch_outcomes(self):
+        # each branch keeps the region at 0 or +-1, or removes it
+        for params in ((-2, 3, 7), (-1, -2, 3, 3), (-1, 6, 3, 5), (-1, -1, 4, 3, 3)):
+            _, trace = alexander_with_trace(PretzelLink(params))
+            for step in trace.steps:
+                assert step.param == params[step.region_index]
+                for mult, outcome in step.branches:
+                    assert not mult.is_zero
+                    assert outcome in (0, 1, -1, None)
 
     def test_trace_steps_cover_root(self):
-        _, trace = alexander_with_trace(PretzelLink((-2, 3, 7)))
-        assert trace.steps[0].link_before == trace.root
-
-    def test_memoization_transparency(self):
-        for params in ((-2, 3, 7), (-1, 6, 3, 5), (-1, -2, 5, 7)):
-            link = PretzelLink(params)
-            assert alexander_skein(link, memoize=True) == alexander_skein(
-                link, memoize=False
-            )
+        # one step for each region with |a| >= 2, and no region twice
+        for params in ((-2, 3, 7), (-1, -2, 3, 3), (1, -1, 2, 5, -3), (3,) * 9):
+            value, trace = alexander_with_trace(PretzelLink(params))
+            assert value == alexander_skein(PretzelLink(params))
+            assert trace.root == PretzelLink(params)
+            indices = [step.region_index for step in trace.steps]
+            assert sorted(indices) == [
+                i for i, a in enumerate(params) if abs(a) >= 2
+            ]
 
 
 class TestClosedForms:
@@ -170,17 +231,8 @@ class TestSupports:
         assert alexander_skein(link).equal_up_to_units(alexander_fox(link))
 
     def test_determinant_identity(self):
-        # |Delta(-1)| equals |sum_i prod_{j != i} a_j| for pretzel knots
         for link in knot_box(3, 4):
-            params = link.params
-            if len(params) < 2:
+            if len(link.params) < 2:
                 continue
-            det = 0
-            for i in range(len(params)):
-                prod = 1
-                for j, a in enumerate(params):
-                    if j != i:
-                        prod *= a
-                det += prod
             value = alexander_skein(link).normalize()
-            assert abs(value.eval_at_minus_one()) == abs(det), link
+            assert abs(value.eval_at_minus_one()) == abs(determinant(link.params)), link

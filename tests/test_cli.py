@@ -45,10 +45,11 @@ class TestAlexander:
         assert parse(doc["polynomial"]).equal_up_to_units(fox)
 
     def test_trace_names_smoothed_link(self, capsys):
-        # smoothing the antiparallel 4 region leaves P(-1,-1,3,3)
+        # smoothing the antiparallel 4 region removes it, leaving P(-1,-1,3,3)
         code, out, _ = run_cli(capsys, "alexander", "-1,-1,4,3,3", "--trace")
         assert code == 0
-        assert "P(-1,-1,3,3)" in out
+        (line,) = [l for l in out.splitlines() if "@ region 2 (4)" in l]
+        assert line.endswith("* removed")
 
     def test_link_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "alexander", "2,2")
@@ -112,6 +113,15 @@ class TestClassify:
         for inp in ("-2,3,5", "3,5,7", "2/3;1/3;-1/2"):
             code, _, _ = run_cli(capsys, "classify", inp)
             assert code == 0, inp
+
+    def test_negative_tangle_list(self, capsys):
+        # a leading "-" must not make argparse read the tangles as an option
+        code, out, _ = run_cli(capsys, "classify", "-1/2;1/3;1/5", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        _, expected, _ = run_cli(capsys, "classify", "-2,3,5", "--json")
+        assert doc == json.loads(expected)
+        assert doc["final"]["verdicts"] == ["NON_HYPERBOLIC_SEE_MOSER"]
 
 
 class TestGrids:

@@ -1,3 +1,4 @@
+import time
 from math import gcd
 
 import pytest
@@ -55,6 +56,16 @@ class TestOSForm:
     )
     def test_round_trip(self, exponents):
         decomp = OSFormDecomposition(len(exponents), tuple(sorted(exponents)))
+        assert os_form_check(os_form_polynomial(decomp)) == decomp
+
+    def test_round_trip_large_q(self):
+        # a thousand-term form is built in one pass, not by repeated addition
+        delta = alexander_skein(PretzelLink((-2, 3, 2001)))
+        start = time.perf_counter()
+        decomp = os_form_check(delta)
+        assert time.perf_counter() - start < 0.5
+        assert decomp is not None and decomp.k == 1001
+        assert os_form_polynomial(decomp) == symmetrize(delta)
         assert os_form_check(os_form_polynomial(decomp)) == decomp
 
     def test_form_implies_pm1(self):
