@@ -38,7 +38,9 @@ on these are added, so the work is polynomial in the number of regions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import cycle
 
 from .laurent import SKEIN_FACTOR, LaurentPoly
 from .pretzel import PretzelLink, RegionFlags, orientation_flags
@@ -47,24 +49,21 @@ from .pretzel import PretzelLink, RegionFlags, orientation_flags
 # ----------------------------------------------------------------------
 # torus link polynomials
 
-# Process-wide cache: _TORUS[l] is the (2, l) value for l >= 0, filled
-# bottom-up so that large l needs no deep recursion.
-_TORUS: list[LaurentPoly] = [LaurentPoly.zero(), LaurentPoly.one()]
-
-
+@functools.cache
 def _torus(l: int) -> LaurentPoly:
     """Conway-consistent Delta of the (2, l)-torus link, any integer l.
 
-    Delta_0 = 0, Delta_1 = 1, Delta_{l+1} = Delta_{l-1} + w Delta_l with
-    w = t^(-1/2) - t^(1/2); negative indices extend the same recursion
-    (the mirror image), giving Delta_{-l} = (-1)^(l+1) Delta_l.
+    Delta_0 = 0, Delta_1 = 1 and Delta_{l+1} = Delta_{l-1} + w Delta_l with
+    w = s^-1 - s (s^2 = t).  The recursion's characteristic roots are s^-1
+    and -s, so Delta_l = sum_{j<l} (-1)^j s^(2j-l+1): alternating unit
+    coefficients on every other s-exponent from 1-l to l-1, built in O(l).
+    Negative indices extend the same recursion (the mirror image), giving
+    Delta_{-l} = (-1)^(l+1) Delta_l.  The cache keeps only the values asked
+    for: a pretzel knot needs a few per region.
     """
-    if l < 0:
-        value = _torus(-l)
-        return value if l % 2 != 0 else -value
-    while len(_TORUS) <= l:
-        _TORUS.append(_TORUS[-2] + SKEIN_FACTOR * _TORUS[-1])
-    return _TORUS[l]
+    m = abs(l)
+    sign = -1 if l < 0 and m % 2 == 0 else 1
+    return LaurentPoly(dict(zip(range(1 - m, m, 2), cycle((sign, -sign)))))
 
 
 def torus_link_alexander(l: int) -> LaurentPoly:
@@ -104,34 +103,20 @@ class SkeinTrace:
 _ONE = LaurentPoly.one()
 
 
-def _tbar(l: int) -> LaurentPoly:
-    """The (2, l)-torus value with parallel strands and reversed crossing
-    orientation signs: _torus(l) with w replaced by -w."""
-    value = _torus(l)
-    return value if l % 2 != 0 else -value
-
-
 def _twist_value(m: int, parallel: bool, *, horizontal: bool = False) -> LaurentPoly:
     """Exact Conway value of the closed (2, m) twist with the two strands
     running parallel or antiparallel.
 
     A quarter turn of the picture exchanges the roles of the two smoothing
-    conventions, so twists read along a horizontal braid axis take the
-    opposite sign convention from vertical twist regions.
+    conventions, so twists read along a horizontal braid axis take w -> -w
+    against vertical twist regions.  A parallel twist is a torus value, and
+    Delta_m(-s) = (-1)^(m+1) Delta_m = Delta_{-m} puts the vertical one at
+    -m; an odd twist is a knot, and Delta_{-m} = Delta_m whatever the
+    strands do.  An even antiparallel twist is (m/2) w.
     """
-    if m % 2 != 0:
-        return _torus(abs(m))
-    if m == 0:
-        return LaurentPoly.zero()
-    if parallel:
-        return _torus(m) if horizontal else _tbar(m)
-    half = (m // 2) * SKEIN_FACTOR
-    return -half if horizontal else half
-
-
-def _factor_value(a: int, flag: RegionFlags) -> LaurentPoly:
-    """Conway value of one closed (2, a) twist connected-sum factor."""
-    return _twist_value(a, flag.parallel)
+    if parallel or m % 2 != 0:
+        return _torus(m if horizontal else -m)
+    return (m // 2) * (-SKEIN_FACTOR if horizontal else SKEIN_FACTOR)
 
 
 def _leaf_value(total: int, units: bool, flag: RegionFlags) -> LaurentPoly:
@@ -155,15 +140,14 @@ def _choices(a: int, flag: RegionFlags) -> tuple[tuple[LaurentPoly, int | None],
     strand flows ``flag``."""
     if abs(a) <= 1:
         return ((_ONE, a),)
+    sign = 1 if a > 0 else -1
     if flag.parallel:
         # parallel strands drawn as positive twists carry negative crossings
-        # (and vice versa), fixing which twist recursion applies
-        if a > 0:
-            return ((_tbar(a - 1), 0), (_tbar(a), 1))
-        return ((_torus(-a - 1), 0), (_torus(-a), -1))
+        # (and vice versa): the recursion runs on the mirror index -a
+        return ((_torus(sign - a), 0), (_torus(-a), sign))
     # antiparallel: crossing changes walk a to 0 (even) or sign(a) (odd),
     # and each change's smoothing caps the region off, leaving P(rest)
-    r = 0 if a % 2 == 0 else (1 if a > 0 else -1)
+    r = 0 if a % 2 == 0 else sign
     return ((_ONE, r), (((a - r) // 2) * SKEIN_FACTOR, None))
 
 
@@ -183,7 +167,7 @@ def _state_sum(params, flags, order: list[int]) -> LaurentPoly:
     closed = LaurentPoly.zero()  # expansions closed as P(a, b)
     for t, i in enumerate(order):
         if cut:
-            cut = cut * _factor_value(params[i], flags[i])
+            cut = cut * _twist_value(params[i], flags[i].parallel)
         if not states:
             continue
         rest = order[t + 1:]

@@ -117,8 +117,6 @@ def _walk(link: PretzelLink):
 
 def build_diagram(link: PretzelLink) -> WirtingerPresentation:
     """Wirtinger presentation of the standard pretzel diagram of a knot."""
-    if link.crossing_count < 1:
-        raise OracleError("diagram needs at least one crossing")
     if not is_knot(link):
         raise OracleError(f"{link} is not a knot")
     passages, region_crossings = _walk(link)

@@ -46,14 +46,17 @@ def determinant(params) -> int:
 
 class TestTorusValues:
     def test_recursion(self):
+        # the recursion Delta_{l+1} = Delta_{l-1} + w Delta_l from Delta_0 = 0
+        # and Delta_1 = 1 is the arbiter of the closed form; negative indices
+        # follow the sign rule Delta_{-l} = (-1)^(l+1) Delta_l
         w = SKEIN_FACTOR
-        for l in range(1, 12):
-            assert (
-                torus_link_alexander(l + 1)
-                == torus_link_alexander(l - 1) + w * torus_link_alexander(l)
-                if l >= 2
-                else True
-            )
+        prev, cur = LaurentPoly.zero(), LaurentPoly.one()
+        assert alexander._torus(0) == prev
+        for l in range(1, 2001):
+            assert torus_link_alexander(l) == cur, l
+            if l <= 50:
+                assert alexander._torus(-l) == (cur if l % 2 else -cur), l
+            prev, cur = cur, prev + w * cur
 
     def test_known_polynomials(self):
         assert torus_link_alexander(1) == LaurentPoly.one()
@@ -65,18 +68,6 @@ class TestTorusValues:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             torus_link_alexander(0)
-
-    def test_large_q_from_cold_cache(self):
-        # the torus cache fills bottom-up, so a cold start at large q must
-        # not recurse once per index
-        saved = list(alexander._TORUS)
-        del alexander._TORUS[2:]
-        try:
-            delta = alexander_skein(PretzelLink((-2, 3, 1201)))
-        finally:
-            alexander._TORUS[:] = saved
-        assert abs(delta.eval_at_one()) == 1
-        assert delta.equal_up_to_units(delta.conj())
 
 
 class TestKnownKnots:
@@ -178,6 +169,22 @@ class TestManyRegions:
         assert time.perf_counter() - start < 1.0
         assert abs(delta.eval_at_minus_one()) == abs(determinant(params))
         assert abs(delta.eval_at_one()) == 1
+
+
+class TestLargeQ:
+    @pytest.mark.parametrize("q", [2001, 5001, 10001])
+    def test_minus2_3_q(self, q):
+        # P(-2,3,q) far beyond the arbiter boxes: symmetry, Delta(1) = +-1,
+        # t-degree q + 3 and the closed form, all inside a time budget
+        start = time.perf_counter()
+        link = PretzelLink((-2, 3, q))
+        delta = alexander_skein(link)
+        assert delta.equal_up_to_units(delta.conj())
+        assert abs(delta.eval_at_one()) == 1
+        normal = delta.normalize()
+        assert normal.mindeg == 0 and normal.maxdeg == 2 * (q + 3)
+        assert delta.equal_up_to_units(claim_formula(family_membership(link)))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestTrace:

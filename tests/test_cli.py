@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +13,27 @@ from pretzelsurgery.laurent import parse
 from pretzelsurgery.obstruction import ObstructionError
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# `alexander -2,3,10001` in a fresh process, which prints its own peak RSS
+# in MB.  It reads VmHWM where there is /proc: Linux keeps ru_maxrss across
+# exec, so there ru_maxrss would be at least the spawning process's size.
+COLD_START = r"""
+import contextlib, io, re, resource, sys
+from pretzelsurgery import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["alexander", "-2,3,10001", "--normalize"])
+try:
+    with open("/proc/self/status") as status:
+        kb = int(re.search(r"VmHWM:\s*(\d+)", status.read()).group(1))
+except OSError:
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kb //= 1024 if sys.platform == "darwin" else 1
+print(kb / 1024)
+sys.exit(code)
+"""
 
 
 def run_cli(capsys, *argv):
@@ -51,10 +77,31 @@ class TestAlexander:
         (line,) = [l for l in out.splitlines() if "@ region 2 (4)" in l]
         assert line.endswith("* removed")
 
-    def test_link_exit_1(self, capsys):
-        code, _, err = run_cli(capsys, "alexander", "2,2")
+    @pytest.mark.parametrize("params", ["2,2", "0"])
+    @pytest.mark.parametrize(
+        "command", ["alexander", "obstruct", "classify", "oracle-compare"]
+    )
+    def test_link_exit_1(self, capsys, command, params):
+        # every zero-crossing pretzel is a link, so P(0) gets the same
+        # message as P(2,2) from every single-knot subcommand
+        code, _, err = run_cli(capsys, command, params)
         assert code == 1
         assert "not a knot" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_fresh_process_large_q(self):
+        # no process-wide table of torus values: a cold start at q = 10^4
+        # stays fast and small
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 100  # MB
+        assert elapsed < 5.0
 
     def test_bad_params_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "alexander", "3,x")
