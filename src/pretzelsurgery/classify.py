@@ -33,7 +33,7 @@ decisive one, and emits an auditable report:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
@@ -134,7 +134,32 @@ class ClassificationReport:
     final: FinalVerdict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as plain JSON types, sharing no mutable value with it."""
+        return {
+            "schema_version": self.schema_version,
+            "input_text": self.input_text,
+            "input_kind": self.input_kind,
+            "hyperbolic": self.hyperbolic,
+            "hyperbolic_reason": self.hyperbolic_reason,
+            "stages": [
+                {
+                    "stage": s.stage,
+                    "verdict": s.verdict,
+                    "citation": s.citation,
+                    # evidence values are scalars or flat lists
+                    "evidence": {
+                        k: list(v) if isinstance(v, list) else v
+                        for k, v in s.evidence.items()
+                    },
+                }
+                for s in self.stages
+            ],
+            "final": {
+                "verdicts": list(self.final.verdicts),
+                "cyclic_slopes": list(self.final.cyclic_slopes),
+                "finite_slopes": list(self.final.finite_slopes),
+            },
+        }
 
     def to_json(self, *, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

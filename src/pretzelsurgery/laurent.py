@@ -5,12 +5,35 @@ like t**(1/2) and the skein factor t**(-1/2) - t**(1/2) are first-class
 values.  Exponents are stored in s-units: the s-exponent 2k represents
 t**k, an odd s-exponent an honest half-integer power of t.  Coefficients
 are arbitrary-precision Python ints.
+
+Products use Kronecker substitution.  Each operand is evaluated at
+s = 2**(8*nbytes), which turns it into one integer whose nbytes-wide
+two's-complement slots hold its coefficients, and the two integers are
+multiplied once; the slots of the result are the product's coefficients.
+The slot width comes from the bound min(#terms) * max|a| * max|b| on every
+product coefficient, so no slot overflows.  Widths of 1, 2, 4 and 8 bytes
+are packed and read back through ``array`` and ``memoryview`` at C speed;
+wider coefficients are read one slot at a time with ``int.from_bytes``,
+so results stay exact at any size.  ``kronecker_pack`` and
+``kronecker_unpack`` are the one implementation of this encoding, shared
+with the determinant of the Fox-calculus oracle.  A product whose shorter
+operand has at most ``_SCHOOLBOOK_MAX`` terms, or whose operands are so
+sparse that the slots would outnumber the term products, runs the plain
+dictionary double loop instead.
+
+Every result of the arithmetic is built by ``_trusted``, which wraps a
+dict already known to hold int keys and no zero values without checking
+it again; ``LaurentPoly(mapping)`` is the public constructor and keeps its
+checks.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, Mapping
+import sys
+from array import array
+from operator import itemgetter
+from typing import Iterator, Mapping, Sequence
 
 
 class LaurentError(ValueError):
@@ -112,51 +135,65 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+        # a constant equals its int (see __eq__), so it hashes like it
+        c = self._c
+        if c.keys() <= {0}:
+            return hash(c.get(0, 0))
+        return hash(frozenset(c.items()))
 
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
+        if not isinstance(other, LaurentPoly):
+            if not isinstance(other, int):
+                return NotImplemented
+            other = _trusted({0: int(other)} if other else {})
+        a, b = self._c, other._c
+        if len(a) < len(b):
+            a, b = b, a
+        c = a.copy()
+        for e, v in b.items():
+            v += c.get(e, 0)
+            if v:
+                c[e] = v
+            else:
+                del c[e]
+        return _trusted(c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return _trusted({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
+        if not isinstance(other, (LaurentPoly, int)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({e: other * v for e, v in self._c.items()})
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c)
+        if isinstance(other, LaurentPoly):
+            return _trusted(_product(self._c, other._c))
+        if not isinstance(other, int):
+            return NotImplemented
+        if not other:
+            return _trusted({})
+        return _trusted({e: other * v for e, v in self._c.items()})
 
     __rmul__ = __mul__
 
     def shifted(self, s_exp: int) -> "LaurentPoly":
         """Multiply by s**s_exp."""
-        return LaurentPoly({e + s_exp: v for e, v in self._c.items()})
+        return _trusted({e + s_exp: v for e, v in self._c.items()})
 
     def conj(self) -> "LaurentPoly":
         """Substitute s -> s**-1 (i.e. t -> t**-1)."""
-        return LaurentPoly({-e: v for e, v in self._c.items()})
+        return _trusted({-e: v for e, v in self._c.items()})
 
     def eval_at_one(self) -> int:
         """Value at s = 1 (t = 1)."""
@@ -179,7 +216,7 @@ class LaurentPoly:
             raise LaurentError("cannot normalize the zero polynomial")
         m = self.mindeg
         sign = 1 if self._c[m] > 0 else -1
-        return LaurentPoly({e - m: sign * v for e, v in self._c.items()})
+        return _trusted({e - m: sign * v for e, v in self._c.items()})
 
     def equal_up_to_units(self, other: "LaurentPoly") -> bool:
         """True iff self = +-s**k * other for some integer k."""
@@ -195,6 +232,105 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({render(self)!r})"
+
+
+_new = object.__new__
+_set_coeffs = LaurentPoly._c.__set__
+
+
+def _trusted(c: dict[int, int]) -> LaurentPoly:
+    """Wrap ``c`` as a LaurentPoly without copying or checking it: every key
+    must be an int and no value may be zero."""
+    p = _new(LaurentPoly)
+    _set_coeffs(p, c)
+    return p
+
+
+# ----------------------------------------------------------------------
+# Kronecker substitution
+
+#: Products whose shorter operand has at most this many terms run the
+#: dictionary double loop; past it one big-integer product is faster.
+_SCHOOLBOOK_MAX = 4
+
+_BYTE_ORDER = "little"
+# slot width in bytes -> signed array typecode; native little-endian only,
+# so a big-endian host reads every slot through int.from_bytes
+_FORMATS = (
+    {array(f).itemsize: f for f in "bhiq"} if sys.byteorder == _BYTE_ORDER else {}
+)
+
+
+def slot_bytes(bits: int) -> int:
+    """The narrowest slot width of at least ``bits`` bits: 1, 2, 4 or 8
+    bytes, which pack at C speed, else the fewest whole bytes."""
+    for nbytes in (1, 2, 4, 8):
+        if bits <= 8 * nbytes:
+            return nbytes
+    return (bits + 7) // 8
+
+
+def _sign_bits(nbytes: int, count: int) -> int:
+    """The top bit of each of ``count`` slots of ``nbytes`` bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, _BYTE_ORDER)
+
+
+def kronecker_pack(coeffs: Mapping[int, int], lo: int, count: int, nbytes: int) -> int:
+    """sum(v * 2**(8*nbytes*(e - lo))) over ``coeffs``: the coefficient map
+    times s**-lo evaluated at s = 2**(8*nbytes), in ``count`` slots.  Every
+    exponent must lie in [lo, lo + count) and every value fit a signed slot
+    of ``nbytes`` bytes."""
+    fmt = _FORMATS.get(nbytes)
+    slots = array(fmt, bytes(nbytes * count)) if fmt else [0] * count
+    for e, v in coeffs.items():
+        slots[e - lo] = v
+    if fmt:
+        raw = slots.tobytes()
+    else:
+        raw = b"".join([v.to_bytes(nbytes, _BYTE_ORDER, signed=True) for v in slots])
+    u = int.from_bytes(raw, _BYTE_ORDER)
+    # u read each negative slot v as v + 2**(8*nbytes); take those back
+    return u - ((u & _sign_bits(nbytes, count)) << 1)
+
+
+def kronecker_unpack(x: int, nbytes: int, count: int) -> Sequence[int]:
+    """The ``count`` signed slots of ``x`` (inverse of ``kronecker_pack``).
+
+    Raises OverflowError when ``x`` is not a sum of ``count`` signed slots.
+    """
+    bias = _sign_bits(nbytes, count)
+    # adding the bias lifts every slot into [0, 2**(8*nbytes)) with no
+    # carries; the xor then puts each slot back in two's complement
+    raw = ((x + bias) ^ bias).to_bytes(nbytes * count, _BYTE_ORDER)
+    fmt = _FORMATS.get(nbytes)
+    if fmt:
+        return memoryview(raw).cast(fmt)
+    return [
+        int.from_bytes(raw[i:i + nbytes], _BYTE_ORDER, signed=True)
+        for i in range(0, len(raw), nbytes)
+    ]
+
+
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Coefficients of the product of the coefficient maps ``a`` and ``b``."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) > _SCHOOLBOOK_MAX:
+        lo_a, lo_b = min(a), min(b)
+        span_a, span_b = max(a) - lo_a + 1, max(b) - lo_b + 1
+        if span_a + span_b <= len(a) * len(b):  # else too sparse to pack
+            bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
+            nbytes = slot_bytes(bound.bit_length() + 1)  # + 1 for the sign
+            x = kronecker_pack(a, lo_a, span_a, nbytes) * kronecker_pack(b, lo_b, span_b, nbytes)
+            lo, count = lo_a + lo_b, span_a + span_b - 1
+            slots = kronecker_unpack(x, nbytes, count)
+            return dict(filter(itemgetter(1), zip(range(lo, lo + count), slots)))
+    c: dict[int, int] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            c[e] = c.get(e, 0) + v1 * v2
+    return {e: v for e, v in c.items() if v}
 
 
 #: The skein multiplier t**(-1/2) - t**(1/2).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, kronecker_pack, kronecker_unpack, slot_bytes
 from .pretzel import PretzelLink, is_knot
 
 
@@ -202,31 +202,37 @@ def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
 
 def _kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) -> LaurentPoly:
     """Determinant of a matrix of polynomials in t (nonnegative powers only),
-    computed exactly by packing coefficients into big integers: evaluate at
-    t = 2**bits, take an integer fraction-free determinant, and read the
-    coefficients back as balanced base-2**bits digits.  Sound as long as every
-    determinant coefficient is below 2**(bits-1) in absolute value; the digit
-    width is chosen from the l1-norm bound prod(rows' coefficient sums)."""
+    computed exactly by Kronecker substitution: evaluate every entry at
+    t = 2**(8*nbytes) with ``kronecker_pack``, take an integer fraction-free
+    determinant, and read the coefficients back with ``kronecker_unpack``.
+    Sound as long as every determinant coefficient is below 2**(8*nbytes-1)
+    in absolute value; the digit width is the l1-norm bound prod(rows'
+    coefficient sums) in bits, rounded up to whole bytes by ``slot_bytes``."""
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
+    # entries as {t-exponent: coefficient}, and the digit width in bits
+    t_rows = []
     bits = 4
     for row in matrix:
-        row_l1 = sum(
-            sum(abs(c) for _, c in entry.items()) for entry in row
-        )
+        t_row = []
+        row_l1 = 0
+        for entry in row:
+            coeffs = {}
+            for s_exp, coeff in entry.items():
+                if s_exp % 2 or s_exp < 0:
+                    raise OracleError("matrix entry is not a polynomial in t")
+                coeffs[s_exp // 2] = coeff
+                row_l1 += abs(coeff)
+            t_row.append(coeffs)
+        t_rows.append(t_row)
         bits += max(row_l1, 2).bit_length()
-    base = 1 << bits
-
-    def pack(p: LaurentPoly) -> int:
-        total = 0
-        for s_exp, coeff in p.items():
-            if s_exp % 2 or s_exp < 0:
-                raise OracleError("matrix entry is not a polynomial in t")
-            total += coeff << (bits * (s_exp // 2))
-        return total
-
-    m = [[pack(entry) for entry in row] for row in matrix]
+    nbytes = slot_bytes(bits)
+    # most entries are zero, and a zero entry packs to 0
+    m = [
+        [kronecker_pack(c, 0, max(c) + 1, nbytes) if c else 0 for c in t_row]
+        for t_row in t_rows
+    ]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -252,21 +258,11 @@ def _kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) -
                     row_i[j] = (pivot * row_i[j]) // prev
         prev = pivot
     value = sign * m[n - 1][n - 1]
-
-    coeffs = {}
-    half = base >> 1
-    t_exp = 0
-    while value:
-        digit = value % base
-        if digit >= half:
-            digit -= base
-        value = (value - digit) >> bits
-        if digit:
-            coeffs[2 * t_exp] = digit
-        t_exp += 1
-        if t_exp > degree_bound:
-            raise OracleError("determinant decoding overflow: digit bound violated")
-    return LaurentPoly(coeffs)
+    try:
+        digits = kronecker_unpack(value, nbytes, degree_bound + 1)
+    except OverflowError:
+        raise OracleError("determinant decoding overflow: digit bound violated") from None
+    return LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(digits) if d})
 
 
 def alexander_fox(link: PretzelLink) -> LaurentPoly:

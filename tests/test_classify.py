@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pretzelsurgery.classify import (
@@ -176,6 +178,21 @@ class TestPipeline:
         for text in ("-2,3,7", "-1,-1,4,3,3", "3", "2/5;1/3;1/2"):
             report = classify(text)
             assert ClassificationReport.from_json(report.to_json()) == report
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-2,3,7", "-2,3,11", "-4,3,5", "-1,4,3,5", "-1,-1,4,3,3", "3,5,7", "3", "2/5;1/3;1/2"],
+    )
+    def test_to_dict_is_asdict(self, text):
+        report = classify(text)
+        data = report.to_dict()
+        assert data == dataclasses.asdict(report)
+        for stage in data["stages"]:
+            for value in stage["evidence"].values():
+                if isinstance(value, list):
+                    value.append(None)
+        data["final"]["verdicts"].append(None)
+        assert report.to_dict() == dataclasses.asdict(report)
 
     def test_montesinos_literal_pretzel(self):
         report = classify("1/3;1/3;-1/2")
