@@ -15,8 +15,8 @@ product coefficient, so no slot overflows.  Widths of 1, 2, 4 and 8 bytes
 are packed and read back through ``array`` and ``memoryview`` at C speed;
 wider coefficients are read one slot at a time with ``int.from_bytes``,
 so results stay exact at any size.  ``kronecker_pack`` and
-``kronecker_unpack`` are the one implementation of this encoding, shared
-with the determinant of the Fox-calculus oracle.  A product whose shorter
+``kronecker_unpack`` implement this encoding; the Fox-calculus oracle
+decodes its determinant with ``kronecker_unpack``.  A product whose shorter
 operand has at most ``_SCHOOLBOOK_MAX`` terms, or whose operands are so
 sparse that the slots would outnumber the term products, runs the plain
 dictionary double loop instead.

@@ -2,16 +2,25 @@
 
 Builds the Wirtinger presentation of the standard pretzel diagram (same
 template as the strand tracer), abelianizes every meridian to t, and takes
-a maximal minor of the Alexander matrix by fraction-free elimination.
-Nothing here shares a convention with the skein engine beyond the diagram
-template itself, which is the point: it is the independent check.
+the minor of the Alexander matrix that drops the last relation and arc.
+Its rows are sparse {arc: value} maps of integers packed at
+t = X = 2**(8*nbytes), built straight from the relations.  Every Wirtinger
+row holds an entry +-1 (the outgoing under-arc at a positive crossing, the
+incoming one at a negative crossing), and a Schur complement on a unit
+pivot changes the determinant only by a sign, so a work queue eliminates
+unit pivots while any are left.  Fraction-free (Bareiss) elimination takes
+the few rows that remain, and one ``kronecker_unpack`` reads the
+coefficients back.  Nothing here shares a convention with the skein engine
+beyond the diagram template itself, which is the point: it is the
+independent check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, kronecker_pack, kronecker_unpack, slot_bytes
+from .laurent import LaurentPoly, kronecker_unpack, slot_bytes
 from .pretzel import PretzelLink, is_knot
 
 
@@ -22,6 +31,9 @@ class OracleError(ValueError):
 # crossing corners
 _TL, _TR, _BL, _BR = 0, 1, 2, 3
 _DIAG_EXIT = {_TL: _BR, _TR: _BL, _BL: _TR, _BR: _TL}
+_VERTICAL = {_TL: _BL, _BL: _TL, _TR: _BR, _BR: _TR}
+# the direction of travel through a crossing entered at each corner
+_DIRECTION = {_TL: (1, -1), _TR: (-1, -1), _BL: (1, 1), _BR: (-1, 1)}
 
 
 @dataclass(frozen=True)
@@ -40,47 +52,31 @@ class WirtingerPresentation:
     relations: tuple[CrossingRelation, ...]
 
 
-def _region_ports(link: PretzelLink):
-    """Map (region, corner) -> (crossing id, corner) for nonzero regions,
-    together with each region's crossing id list."""
-    region_crossings = []
-    cid = 0
-    for a in link.params:
-        ids = list(range(cid, cid + abs(a)))
-        region_crossings.append(ids)
-        cid += abs(a)
-    return region_crossings
-
-
 def _walk(link: PretzelLink):
-    """Traverse the knot, returning the passage list [(crossing, corner in)]."""
+    """Traverse the knot, returning the passage list [(crossing, corner in)]
+    and each region's range of crossing ids."""
     n = link.n_regions
     params = link.params
-    region_crossings = _region_ports(link)
+    region_crossings = []
+    region_of = []  # the region of each crossing id
+    for i, a in enumerate(params):
+        region_crossings.append(range(len(region_of), len(region_of) + abs(a)))
+        region_of.extend([i] * abs(a))
 
     def arc_partner(cid: int, corner: int):
-        # locate the region and position of this crossing end
-        for i, ids in enumerate(region_crossings):
-            if cid in ids:
-                region, pos = i, ids.index(cid)
-                break
+        region = region_of[cid]
         ids = region_crossings[region]
-        if corner == _BL and pos + 1 < len(ids):
-            return ids[pos + 1], _TL
-        if corner == _BR and pos + 1 < len(ids):
-            return ids[pos + 1], _TR
-        if corner == _TL and pos > 0:
-            return ids[pos - 1], _BL
-        if corner == _TR and pos > 0:
-            return ids[pos - 1], _BR
+        if corner in (_BL, _BR) and cid + 1 < ids.stop:
+            return cid + 1, _VERTICAL[corner]
+        if corner in (_TL, _TR) and cid > ids.start:
+            return cid - 1, _VERTICAL[corner]
         # region boundary: follow closure arcs, passing through zero regions
-        port = corner  # region-level port has the same corner role
-        i = region
+        i, port = region, corner  # region-level port has the same corner role
         while True:
             # arc edge
             if n == 1:
                 # side-arc closure: the lone region is a (2, a)-torus link
-                port = {_TL: _BL, _BL: _TL, _TR: _BR, _BR: _TR}[port]
+                port = _VERTICAL[port]
                 i = 0
             elif port == _TR:
                 i, port = (i + 1) % n, _TL
@@ -91,25 +87,17 @@ def _walk(link: PretzelLink):
             else:
                 i, port = (i - 1) % n, _BR
             if params[i] != 0:
-                ids2 = region_crossings[i]
-                if port == _TL:
-                    return ids2[0], _TL
-                if port == _TR:
-                    return ids2[0], _TR
-                if port == _BL:
-                    return ids2[-1], _BL
-                return ids2[-1], _BR
+                ids = region_crossings[i]
+                return (ids[0] if port in (_TL, _TR) else ids[-1]), port
             # zero region: vertical pass-through
-            port = {_TL: _BL, _BL: _TL, _TR: _BR, _BR: _TR}[port]
+            port = _VERTICAL[port]
 
     c = link.crossing_count
     passages = []
     state = (0, _TL)
     for _ in range(2 * c):
         passages.append(state)
-        cid, corner = state
-        exit_corner = _DIAG_EXIT[corner]
-        state = arc_partner(cid, exit_corner)
+        state = arc_partner(state[0], _DIAG_EXIT[state[1]])
     if state != (0, _TL):
         raise OracleError(f"{link}: strand walk did not close up (not a knot?)")
     return passages, region_crossings
@@ -119,150 +107,143 @@ def build_diagram(link: PretzelLink) -> WirtingerPresentation:
     """Wirtinger presentation of the standard pretzel diagram of a knot."""
     if not is_knot(link):
         raise OracleError(f"{link} is not a knot")
-    passages, region_crossings = _walk(link)
+    passages, _ = _walk(link)
     c = link.crossing_count
-
-    region_of = {}
-    for i, ids in enumerate(region_crossings):
-        for cid in ids:
-            region_of[cid] = i
-
-    def diag(corner: int) -> str:
-        return "TLBR" if corner in (_TL, _BR) else "TRBL"
-
-    def is_over(cid: int, corner: int) -> bool:
-        over_diag = "TLBR" if link.params[region_of[cid]] > 0 else "TRBL"
-        return diag(corner) == over_diag
+    # the over-strand runs TL-BR at the crossings of a positive region
+    positive = [a > 0 for a in link.params for _ in range(abs(a))]
 
     # arc labels: increment after each under-passage; label c wraps to 0
-    labels = []
-    current = 0
+    over_arc = [0] * c
+    under_in = [0] * c
+    vec_over = [(0, 0)] * c
+    vec_under = [(0, 0)] * c
+    label = 0
     for cid, corner in passages:
-        labels.append(current)
-        if not is_over(cid, corner):
-            current += 1
-    if current != c:
-        raise OracleError("under-passage count does not match crossing count")
-    labels = [lab % c for lab in labels]
-
-    def direction(corner: int, at_corner_diag: str, going_down: bool):
-        if at_corner_diag == "TLBR":
-            return (1, -1) if going_down else (-1, 1)
-        return (-1, -1) if going_down else (1, 1)
-
-    over_arc: dict[int, int] = {}
-    under_in: dict[int, int] = {}
-    under_out: dict[int, int] = {}
-    vec_over: dict[int, tuple[int, int]] = {}
-    vec_under: dict[int, tuple[int, int]] = {}
-    for k, (cid, corner) in enumerate(passages):
-        going_down = corner in (_TL, _TR)
-        v = direction(corner, diag(corner), going_down)
-        if is_over(cid, corner):
-            over_arc[cid] = labels[k]
-            vec_over[cid] = v
+        if (corner == _TL or corner == _BR) == positive[cid]:
+            over_arc[cid] = label % c
+            vec_over[cid] = _DIRECTION[corner]
         else:
-            under_in[cid] = labels[k]
-            under_out[cid] = (labels[k] + 1) % c
-            vec_under[cid] = v
+            under_in[cid] = label
+            vec_under[cid] = _DIRECTION[corner]
+            label += 1
+    if label != c:
+        raise OracleError("under-passage count does not match crossing count")
 
     relations = []
     for cid in range(c):
-        o, u = vec_over[cid], vec_under[cid]
-        sign = 1 if o[0] * u[1] - o[1] * u[0] > 0 else -1
+        (ox, oy), (ux, uy) = vec_over[cid], vec_under[cid]
+        sign = 1 if ox * uy - oy * ux > 0 else -1
         relations.append(
-            CrossingRelation(over_arc[cid], under_in[cid], under_out[cid], sign)
+            CrossingRelation(over_arc[cid], under_in[cid], (under_in[cid] + 1) % c, sign)
         )
     return WirtingerPresentation(c, tuple(relations))
 
 
 # ----------------------------------------------------------------------
-# Alexander matrix and fraction-free determinant
+# Alexander minor by unit-pivot elimination on packed integers
 
-_T = LaurentPoly.t_term(1, 1)
-_ONE = LaurentPoly.one()
+def _minor_rows(pres: WirtingerPresentation) -> tuple[list[dict[int, int]], int]:
+    """The rows of the minor that drops the last relation and the last arc,
+    as {arc: Fox derivative packed at t = X = 2**(8*nbytes)}, and nbytes.
 
-
-def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
-    """Abelianized Fox-derivative matrix, one row per relation."""
-    c = pres.generator_count
-    rows = []
-    for rel in pres.relations:
-        row = [LaurentPoly.zero()] * c
-        if rel.sign > 0:
-            contrib = ((rel.over, _ONE - _T), (rel.under_in, _T), (rel.under_out, -_ONE))
-        else:
-            contrib = ((rel.over, _T - _ONE), (rel.under_in, _ONE), (rel.under_out, -_T))
-        # the same arc may play several roles at one crossing, so accumulate
-        for arc, val in contrib:
-            row[arc] = row[arc] + val
-        rows.append(row)
-    return rows
-
-
-def _kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) -> LaurentPoly:
-    """Determinant of a matrix of polynomials in t (nonnegative powers only),
-    computed exactly by Kronecker substitution: evaluate every entry at
-    t = 2**(8*nbytes) with ``kronecker_pack``, take an integer fraction-free
-    determinant, and read the coefficients back with ``kronecker_unpack``.
-    Sound as long as every determinant coefficient is below 2**(8*nbytes-1)
-    in absolute value; the digit width is the l1-norm bound prod(rows'
-    coefficient sums) in bits, rounded up to whole bytes by ``slot_bytes``."""
-    n = len(matrix)
-    if n == 0:
-        return LaurentPoly.one()
-    # entries as {t-exponent: coefficient}, and the digit width in bits
-    t_rows = []
+    The derivatives by (over, under_in, under_out) are 1 - t, t, -1 at a
+    positive crossing and t - 1, 1, -t at a negative one, and an arc in
+    several roles sums them.  The digit width in bits is 4 plus the bit
+    lengths of the rows' l1 norms (at least 2 each).
+    """
+    last = pres.generator_count - 1
+    relations = pres.relations[:last]
     bits = 4
-    for row in matrix:
-        t_row = []
-        row_l1 = 0
-        for entry in row:
-            coeffs = {}
-            for s_exp, coeff in entry.items():
-                if s_exp % 2 or s_exp < 0:
-                    raise OracleError("matrix entry is not a polynomial in t")
-                coeffs[s_exp // 2] = coeff
-                row_l1 += abs(coeff)
-            t_row.append(coeffs)
-        t_rows.append(t_row)
-        bits += max(row_l1, 2).bit_length()
+    for rel in relations:
+        o, i, u = rel.over, rel.under_in, rel.under_out
+        # 2 for the over-arc's 1 - t and 1 for each under-arc, except that
+        # an over-arc that is also an under-arc sums to a monomial
+        l1 = (o != last) * (1 if o in (i, u) else 2) + (i not in (o, last)) + (u not in (o, last))
+        bits += max(l1, 2).bit_length()
     nbytes = slot_bytes(bits)
-    # most entries are zero, and a zero entry packs to 0
-    m = [
-        [kronecker_pack(c, 0, max(c) + 1, nbytes) if c else 0 for c in t_row]
-        for t_row in t_rows
-    ]
-    sign = 1
+    x = 1 << (8 * nbytes)
+    entries = {1: (1 - x, x, -1), -1: (x - 1, 1, -x)}
+    rows = []
+    for rel in relations:
+        row: dict[int, int] = {}
+        for arc, v in zip((rel.over, rel.under_in, rel.under_out), entries[rel.sign]):
+            if arc != last:
+                row[arc] = row.get(arc, 0) + v
+        rows.append(row)
+    return rows, nbytes
+
+
+def _unit_pivot_core(rows: list[dict[int, int]]) -> list[list[int]]:
+    """Take Schur complements on entries +-1 while any are left, and return
+    the dense core that remains; its determinant is +- that of the square
+    matrix ``rows`` (sparse, over the columns 0..len(rows)-1).
+
+    Every entry stays a minor of the input, bounded by the slot width, so
+    a packed entry is +-1 exactly when its polynomial is.  Rows are taken
+    from a work queue: every row at first, and a row again whenever an
+    update writes +-1 into it.  ``holders`` may keep rows that no longer
+    hold the arc; those are skipped.  ``rows`` is consumed.
+    """
+    holders: list[set[int]] = [set() for _ in rows]
+    for r, row in enumerate(rows):
+        for arc in row:
+            holders[arc].add(r)
+    eliminated = set()
+    queue = deque(range(len(rows)))
+    while queue:
+        r = queue.popleft()
+        row = rows[r]
+        if row is None:
+            continue
+        for col, p in row.items():
+            if p == 1 or p == -1:
+                break
+        else:
+            continue
+        del row[col]
+        rows[r] = None
+        eliminated.add(col)
+        for i in holders[col]:
+            other = rows[i]
+            if other is None or col not in other:
+                continue
+            f = other.pop(col) * p  # other -= (other[col] / p) * row, 1/p == p
+            for arc, v in row.items():
+                w = other.get(arc, 0) - f * v
+                if w:
+                    other[arc] = w
+                    holders[arc].add(i)
+                    if w == 1 or w == -1:
+                        queue.append(i)
+                else:
+                    del other[arc]
+    cols = [arc for arc in range(len(rows)) if arc not in eliminated]
+    return [[row.get(arc, 0) for arc in cols] for row in rows if row is not None]
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant, up to sign, of a square integer matrix by fraction-free
+    elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
     prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k]:
                     m[k], m[r] = m[r], m[k]
-                    sign = -sign
                     break
             else:
-                return LaurentPoly.zero()
+                return 0
         pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            if mik:
-                row_i, row_k = m[i], m[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-                row_i[k] = 0
-            else:
-                row_i = m[i]
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j]) // prev
+        row_k = m[k]
+        for row_i in m[k + 1:]:
+            mik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
         prev = pivot
-    value = sign * m[n - 1][n - 1]
-    try:
-        digits = kronecker_unpack(value, nbytes, degree_bound + 1)
-    except OverflowError:
-        raise OracleError("determinant decoding overflow: digit bound violated") from None
-    return LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(digits) if d})
+    return m[n - 1][n - 1]
 
 
 def alexander_fox(link: PretzelLink) -> LaurentPoly:
@@ -272,10 +253,13 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
     matrix; any single column would give the same minor up to units.
     """
     pres = build_diagram(link)
-    c = pres.generator_count
-    rows = alexander_matrix(pres)
-    minor = [row[: c - 1] for row in rows[: c - 1]]
-    det = _kronecker_determinant(minor, degree_bound=c)
+    rows, nbytes = _minor_rows(pres)
+    value = _bareiss(_unit_pivot_core(rows))
+    try:
+        digits = kronecker_unpack(value, nbytes, pres.generator_count + 1)
+    except OverflowError:
+        raise OracleError("determinant decoding overflow: digit bound violated") from None
+    det = LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(digits) if d})
     if det.is_zero:
         raise OracleError(f"vanishing Alexander minor for {link}: diagram bug")
     return det.normalize()

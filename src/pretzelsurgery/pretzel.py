@@ -275,6 +275,10 @@ def family_link(tag: FamilyTag) -> PretzelLink:
 # ----------------------------------------------------------------------
 # Montesinos descriptions
 
+# the most unit regions ``as_pretzel`` writes out for one tangle; the
+# classify pipeline stays within about 21 MB and 0.1 s up to here
+_MAX_UNIT_REGIONS = 10_000
+
 @dataclass(frozen=True)
 class MontesinosDescription:
     """An ordered list of reduced rational tangles beta_i/alpha_i."""
@@ -300,7 +304,8 @@ class MontesinosDescription:
         0 becomes the cancelling pair (1, -1).  None when some tangle is
         genuinely rational, and for a single tangle: M(b/a) is the
         two-bridge knot b(b, a) (1/3 is the unknot), while a one-region
-        pretzel closes with side arcs (P(3) is the trefoil).
+        pretzel closes with side arcs (P(3) is the trefoil).  Raises
+        PretzelError when some |k| exceeds ``_MAX_UNIT_REGIONS``.
         """
         if len(self.tangles) == 1:
             return None
@@ -311,6 +316,10 @@ class MontesinosDescription:
             if not splits:
                 return None
             k, s = min(splits, key=lambda split: abs(split[0]))
+            if abs(k) > _MAX_UNIT_REGIONS:
+                raise PretzelError(
+                    f"tangle {t} needs {abs(k)} unit twist regions; at most {_MAX_UNIT_REGIONS} are supported"
+                )
             params.append(s * a)
             params.extend([1 if k > 0 else -1] * abs(k))
         return PretzelLink(params)

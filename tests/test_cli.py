@@ -170,6 +170,25 @@ class TestClassify:
         assert doc == json.loads(expected)
         assert doc["final"]["verdicts"] == ["NON_HYPERBOLIC_SEE_MOSER"]
 
+    @pytest.mark.parametrize(
+        "tangles",
+        [
+            "99999999999999999999/3;1/3;1/5",  # once an OverflowError traceback
+            "30004/3;1/3;1/5",  # 30004/3 = 1/3 + 10001 unit regions, one too many
+        ],
+    )
+    def test_too_many_unit_regions_exit_1(self, capsys, tangles):
+        code, out, err = run_cli(capsys, "classify", tangles)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "unit twist regions" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unit_regions_at_the_bound(self, capsys):
+        # 30001/3 = 1/3 + 10000 unit regions, exactly the bound
+        code, _, _ = run_cli(capsys, "classify", "30001/3;1/3;1/5")
+        assert code == 0
+
 
 class TestGrids:
     def test_claim5_suite(self, capsys):
@@ -222,6 +241,17 @@ class TestGrids:
         summary = json.loads(out.strip().splitlines()[-1])
         assert code == 0
         assert summary["cells"] == cells and summary["ok"] is True
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pretzelsurgery", "oracle-compare", "-2,3,7"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "match" in proc.stdout
 
 
 class TestUsage:

@@ -1,9 +1,13 @@
+import time
+
 import pytest
 
+from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import parse
 from pretzelsurgery.oracle import OracleError, alexander_fox, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
+from reference_fox import alexander_fox_dense
 
 
 class TestWirtinger:
@@ -62,3 +66,38 @@ class TestInvariants:
                 continue
             det = params[0] + params[1]
             assert abs(alexander_fox(link).eval_at_minus_one()) == abs(det), link
+
+
+class TestAgainstDenseReference:
+    """The unit-pivot elimination against the dense c x c matrix and its
+    fraction-free determinant (tests/reference_fox.py), bit for bit."""
+
+    def test_small_box(self):
+        checked = 0
+        for link in knot_box(4, 4):
+            assert alexander_fox(link) == alexander_fox_dense(link), link
+            checked += 1
+        assert checked == 1628
+
+    @pytest.mark.parametrize("q", range(3, 42, 2))
+    def test_minus2_3_q(self, q):
+        link = PretzelLink((-2, 3, q))
+        assert alexander_fox(link) == alexander_fox_dense(link)
+
+    @pytest.mark.parametrize("params", [(11, 11, 11), (5,) * 7])
+    def test_coefficients_wider_than_one_and_two_bytes(self, params):
+        # largest |coefficient| of the normalized value: 181 and 32845
+        link = PretzelLink(params)
+        delta = alexander_fox(link)
+        assert delta == alexander_fox_dense(link)
+        assert delta.equal_up_to_units(alexander_skein(link))
+
+
+class TestLargeQ:
+    def test_minus2_3_201_within_budget(self):
+        link = PretzelLink((-2, 3, 201))
+        start = time.perf_counter()
+        delta = alexander_fox(link)
+        elapsed = time.perf_counter() - start
+        assert delta.equal_up_to_units(alexander_skein(link))
+        assert elapsed < 1.0, f"{elapsed:.2f}s"
