@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from itertools import cycle
 
 from .laurent import SKEIN_FACTOR, LaurentPoly
-from .pretzel import PretzelLink, RegionFlags, orientation_flags
+from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, RegionFlags, orientation_flags
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +200,12 @@ def _state_sum(params, flags, order: list[int]) -> LaurentPoly:
 def alexander_skein(link: PretzelLink) -> LaurentPoly:
     """Delta of a pretzel knot, up to units (Conway-consistent
     representative; apply LaurentPoly.normalize for the paper's form).
-    Raises PretzelError when the link has more than one component."""
-    flags = orientation_flags(link)
+    Raises PretzelError when the link has more than one component or a
+    region of more than ``_MAX_TWIST`` crossings."""
     params = link.params
+    if max(map(abs, params)) > _MAX_TWIST:
+        raise PretzelError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
+    flags = orientation_flags(link)
     if len(params) <= 2:
         return _leaf_value(sum(params), all(abs(a) == 1 for a in params), flags[0])
     return _state_sum(params, flags, _resolution_order(params))

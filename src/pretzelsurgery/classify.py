@@ -3,10 +3,11 @@
 Every input takes one path.  A Montesinos description whose tangles are
 all +-1 mod their denominators is converted to a pretzel (each tangle
 becomes one region plus unit regions), so only descriptions with a
-genuinely rational tangle stay Montesinos.  A pretzel's strands are traced
-once, for the family tag of ``family_membership``, which reads the knot's
-normal form (essential regions and the sum of its integer tangles) and is
-shared by the hyperbolicity stage and every gate.
+genuinely rational tangle stay Montesinos.  Each input is read once as
+tangles beta/alpha, which the hyperbolicity stage and every gate share:
+the parity of D = sum_i beta_i prod_{j != i} alpha_j is the knot test, and
+a pretzel's family tag reads its normal form (essential regions and the
+sum of its integer tangles) with no strand trace.
 
 The pipeline runs four stages in order, short-circuiting at the first
 decisive one, and emits an auditable report:
@@ -14,8 +15,10 @@ decisive one, and emits an auditable report:
 1. hyperbolicity: the non-hyperbolic Montesinos knots are exactly the
    (2, p)-torus two-bridge knots and the (-2,3,3)/(-2,3,5) pretzels
    (which are the (3,4)- and (3,5)-torus knots); torus knot surgeries
-   are classified by Moser, so these leave the pipeline immediately;
-   their tangles are all +-1 mod alpha, so a knot with a genuinely
+   are classified by Moser, so these leave the pipeline immediately.
+   With at most two proper tangles (alpha >= 2) the knot is the two-bridge
+   knot b(p, q) with p = D, a torus knot iff q = +-1 mod p; the
+   exceptions' tangles are all +-1 mod alpha, so a knot with a genuinely
    rational tangle and three or more proper tangles is hyperbolic;
 2. lamination gate: outside three explicit pretzel families and their
    mirror images (which have the negated slopes), every Montesinos knot
@@ -35,7 +38,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 from .alexander import alexander_skein
 from .obstruction import gabai_not_fibered, monic_check
@@ -43,10 +45,9 @@ from .pretzel import (
     FamilyKind,
     FamilyTag,
     MontesinosDescription,
-    PretzelError,
     PretzelLink,
     family_link,
-    family_membership,
+    knot_family,
     parse_montesinos,
     parse_pretzel,
 )
@@ -186,100 +187,91 @@ class ClassificationReport:
 # ----------------------------------------------------------------------
 # stage 1: hyperbolicity
 
-def _two_bridge_status(fraction: Fraction) -> HyperbolicityResult:
-    """Status of the two-bridge knot b(p, q) with p/q the tangle-sum value."""
-    p = abs(fraction.numerator)
-    if p <= 1:
-        return HyperbolicityResult(Hyperbolicity.NON_HYPERBOLIC, "trivial knot")
-    if p % 2 == 0:
-        raise ClassifyError("two-bridge closure has two components")
-    q = abs(fraction.denominator) % p
-    if q in (1 % p, (-1) % p):
-        return HyperbolicityResult(
-            Hyperbolicity.NON_HYPERBOLIC, f"(2,{p})-torus knot"
-        )
-    return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
+# the (-2,3,3)/(-2,3,5) pretzels and their mirror images are torus knots
+_TORUS_TAGS = {
+    FamilyTag(FamilyKind.MINUS1_2N, 1, 3, q, mirror): reason
+    for q, reason in ((3, "(3,4)-torus knot"), (5, "(3,5)-torus knot"))
+    for mirror in (False, True)
+}
 
 
-def _family_of_knot(link: PretzelLink) -> FamilyTag:
-    """The family tag, from the strand trace that also rejects links."""
-    try:
-        return family_membership(link)
-    except PretzelError as exc:
-        raise ClassifyError(str(exc)) from None
+@dataclass(frozen=True)
+class _Reading:
+    """A knot read once as its tangles (beta, alpha)."""
+
+    knot: PretzelLink | MontesinosDescription
+    tangles: tuple[tuple[int, int], ...]
+    determinant: int  # sum_i beta_i prod_{j != i} alpha_j
+    tag: FamilyTag | None  # None for a genuinely rational tangle
+
+    @property
+    def two_bridge(self) -> bool:
+        return sum(1 for _, alpha in self.tangles if alpha >= 2) <= 2
 
 
-def _pretzel_hyperbolicity(link: PretzelLink, tag: FamilyTag) -> HyperbolicityResult:
-    params = link.params
-    if len(params) == 1:
-        a = abs(params[0])
-        if a <= 1:
-            return HyperbolicityResult(Hyperbolicity.NON_HYPERBOLIC, "trivial knot")
-        return HyperbolicityResult(
-            Hyperbolicity.NON_HYPERBOLIC, f"(2,{a})-torus knot"
-        )
-    if any(a == 0 for a in params):
+def _read(obj: PretzelLink | MontesinosDescription) -> _Reading:
+    """Read a parsed input, in its pretzel form when it has one, as tangles:
+    a region a is 1/a (a zero region 1/0), and the lone region of P(a),
+    which closes with side arcs, is the integer tangle a/1.  The one knot
+    test: D, the numerator of the unreduced tangle sum, is +-det, which is
+    odd exactly for knots.  Raises ClassifyError for a link."""
+    if isinstance(obj, MontesinosDescription):
+        obj = obj.as_pretzel() or obj
+    if isinstance(obj, MontesinosDescription):
+        tangles = tuple((t.numerator, t.denominator) for t in obj.tangles)
+    elif obj.n_regions == 1:
+        tangles = ((obj.params[0], 1),)
+    else:
+        tangles = tuple((-1 if a < 0 else 1, abs(a)) for a in obj.params)
+    num, den = 0, 1
+    for beta, alpha in tangles:
+        num, den = num * alpha + beta * den, den * alpha
+    if num % 2 == 0:
+        raise ClassifyError(f"{obj} is not a knot")
+    tag = knot_family(obj) if isinstance(obj, PretzelLink) else None
+    return _Reading(obj, tangles, num, tag)
+
+
+def _two_bridge_knot(reading: _Reading) -> str | None:
+    """The reason a closure of at most two proper tangles plus integer
+    tangles is not hyperbolic, or None when it is hyperbolic (Menasco).
+
+    The integer tangles fold into the first proper tangle, and a missing
+    tangle is 0/1.  The closure of b1/a1 + b2/a2 is the two-bridge knot
+    b(p, q) with p = b1 a2 + a1 b2 = D and q = b1' a2 + a1' b2, where
+    b1 a1' - b1' a1 = 1.  It is trivial iff |p| = 1 and the (2, |p|)-torus
+    knot iff q = +-1 mod p.
+    """
+    tangles = reading.tangles
+    (b1, a1), (b2, a2) = ([t for t in tangles if t[1] >= 2] + [(0, 1), (0, 1)])[:2]
+    b1 += a1 * sum(beta for beta, alpha in tangles if alpha == 1)
+    a1_dual = pow(b1, -1, a1)
+    p, q = abs(reading.determinant), (b1 * a1_dual - 1) // a1 * a2 + a1_dual * b2
+    if p == 1:
+        return "trivial knot"
+    return f"(2,{p})-torus knot" if q % p in (1, p - 1) else None
+
+
+def _hyperbolicity(reading: _Reading) -> HyperbolicityResult:
+    """The non-hyperbolic Montesinos knots are the (2, p)-torus two-bridge
+    knots and the (-2,3,3)/(-2,3,5) pretzels up to mirror image, whose
+    tangles are all +-1 mod alpha; a pretzel with a zero region is a
+    connected sum."""
+    factors = [alpha for _, alpha in reading.tangles if alpha >= 2]
+    if any(alpha == 0 for _, alpha in reading.tangles):
         # a zero region cuts the necklace into a connected sum of
         # (2, a_j)-torus factors
-        factors = [a for a in params if abs(a) >= 2]
-        if not factors:
-            return HyperbolicityResult(Hyperbolicity.NON_HYPERBOLIC, "trivial knot")
-        if len(factors) == 1:
-            return HyperbolicityResult(
-                Hyperbolicity.NON_HYPERBOLIC, f"(2,{abs(factors[0])})-torus knot"
-            )
-        return HyperbolicityResult(
-            Hyperbolicity.NON_HYPERBOLIC, "composite knot (connected sum)"
-        )
-    essential = [a for a in params if abs(a) >= 2]
-    if not essential:
-        # an all-(+-1) necklace is a closed two-string braid
-        m = abs(sum(params))
-        if m <= 1:
-            return HyperbolicityResult(Hyperbolicity.NON_HYPERBOLIC, "trivial knot")
-        return HyperbolicityResult(
-            Hyperbolicity.NON_HYPERBOLIC, f"(2,{m})-torus knot"
-        )
-    if len(essential) <= 2:
-        # (+-1)-regions are integer tangles, so the closure is two-bridge
-        return _two_bridge_status(sum(Fraction(1, a) for a in params))
-    if tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3:
-        if tag.q == 3:
-            return HyperbolicityResult(
-                Hyperbolicity.NON_HYPERBOLIC, "(3,4)-torus knot"
-            )
-        if tag.q == 5:
-            return HyperbolicityResult(
-                Hyperbolicity.NON_HYPERBOLIC, "(3,5)-torus knot"
-            )
-    return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
-
-
-def _montesinos_is_knot(desc: MontesinosDescription) -> bool:
-    """Determinant-parity knot test: the double branched cover order
-    D = |sum_i beta_i prod_{j != i} alpha_j| is odd exactly for knots."""
-    tangles = desc.tangles
-    total = 0
-    for i, t in enumerate(tangles):
-        prod = 1
-        for j, u in enumerate(tangles):
-            if j != i:
-                prod *= u.denominator
-        total += t.numerator * prod
-    return total % 2 != 0
-
-
-def _rational_hyperbolicity(desc: MontesinosDescription) -> HyperbolicityResult:
-    """Hyperbolicity when some tangle is genuinely rational (not +-1 mod
-    its denominator).  Such a knot is never one of the (-2,3,3)/(-2,3,5)
-    pretzels or their mirrors, whose tangles are all +-1 mod alpha, so with
-    three or more proper tangles it is hyperbolic.  Rejects links."""
-    if not _montesinos_is_knot(desc):
-        raise ClassifyError(f"{desc} is not a knot")
-    proper = [t for t in desc.tangles if t.denominator > 1]
-    if len(proper) <= 2:
-        return _two_bridge_status(sum(desc.tangles, Fraction(0)))
-    return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
+        if len(factors) >= 2:
+            reason = "composite knot (connected sum)"
+        else:
+            reason = f"(2,{factors[0]})-torus knot" if factors else "trivial knot"
+    elif reading.two_bridge:
+        reason = _two_bridge_knot(reading)
+    else:
+        reason = _TORUS_TAGS.get(reading.tag)
+    if reason is None:
+        return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
+    return HyperbolicityResult(Hyperbolicity.NON_HYPERBOLIC, reason)
 
 
 def hyperbolicity_status(
@@ -292,12 +284,7 @@ def hyperbolicity_status(
     Two-bridge non-torus knots are hyperbolic (Menasco).  Rejects
     multi-component input.
     """
-    if isinstance(input, MontesinosDescription):
-        pretzel = input.as_pretzel()
-        if pretzel is None:
-            return _rational_hyperbolicity(input)
-        input = pretzel
-    return _pretzel_hyperbolicity(input, _family_of_knot(input))
+    return _hyperbolicity(_read(input))
 
 
 # ----------------------------------------------------------------------
@@ -488,34 +475,23 @@ def classify(
 
     A Montesinos input whose tangles are all +-1 mod their denominators is
     converted to its pretzel form and classified, and reported, as that
-    pretzel; the strands of a pretzel are traced once, for the family tag
-    that the hyperbolicity stage and every gate share.
+    pretzel; the hyperbolicity stage and every gate share one reading of
+    the input as tangles.
     """
-    obj = _parse_input(input)
-    if isinstance(obj, MontesinosDescription):
-        obj = obj.as_pretzel() or obj
-
-    if isinstance(obj, PretzelLink):
-        input_kind = "pretzel"
-        tag = _family_of_knot(obj)
-        hyp = _pretzel_hyperbolicity(obj, tag)
-        two_bridge = sum(1 for a in obj.params if abs(a) >= 2) <= 2
-    else:
-        input_kind = "montesinos"
-        hyp = _rational_hyperbolicity(obj)
-        two_bridge = sum(1 for t in obj.tangles if t.denominator > 1) <= 2
-
-    stages = [_hyperbolicity_stage(hyp, two_bridge)]
+    reading = _read(_parse_input(input))
+    hyp = _hyperbolicity(reading)
+    stages = [_hyperbolicity_stage(hyp, reading.two_bridge)]
     if hyp.status is Hyperbolicity.HYPERBOLIC:
-        if input_kind == "montesinos":
-            stages.append(_rational_delman_stage(two_bridge))
+        if reading.tag is None:
+            stages.append(_rational_delman_stage(reading.two_bridge))
         else:
             for gate in (delman_gate, mattman_gate, alexander_gate):
-                stages.append(gate(tag))
+                stages.append(gate(reading.tag))
                 if stages[-1].verdict != "pass":
                     break
     return ClassificationReport(
-        SCHEMA_VERSION, str(obj), input_kind,
+        SCHEMA_VERSION, str(reading.knot),
+        "montesinos" if reading.tag is None else "pretzel",
         hyp.status.value, hyp.reason, stages, _final_from_stage(stages[-1]),
     )
 

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, kronecker_unpack, slot_bytes
-from .pretzel import PretzelLink, is_knot
+from .pretzel import _MAX_TWIST, PretzelLink, is_knot
 
 
 class OracleError(ValueError):
@@ -104,7 +104,10 @@ def _walk(link: PretzelLink):
 
 
 def build_diagram(link: PretzelLink) -> WirtingerPresentation:
-    """Wirtinger presentation of the standard pretzel diagram of a knot."""
+    """Wirtinger presentation of the standard pretzel diagram of a knot
+    with no region of more than ``_MAX_TWIST`` crossings."""
+    if max(map(abs, link.params)) > _MAX_TWIST:
+        raise OracleError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
     if not is_knot(link):
         raise OracleError(f"{link} is not a knot")
     passages, _ = _walk(link)

@@ -1,4 +1,7 @@
 import dataclasses
+import time
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -17,10 +20,13 @@ from pretzelsurgery.classify import (
     hyperbolicity_status,
     mattman_gate,
 )
+from pretzelsurgery.alexander import alexander_skein, torus_link_alexander
 from pretzelsurgery.grids import minus2_3_q
+from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.pretzel import (
     PretzelLink,
     family_membership,
+    is_knot,
     parse_montesinos,
 )
 
@@ -46,13 +52,20 @@ class TestHyperbolicity:
         assert res.status is Hyperbolicity.HYPERBOLIC
 
     def test_two_bridge_torus_detection(self):
-        # 3/7 + 1/2 = 13/14 and 14 = 13 + 1: the (2,13)-torus knot
+        # 3/7;1/2 is b(13, 9), drawn with 2 + 3 + 2 = 7 crossings, so it
+        # cannot be the (2,13)-torus knot; 1/3;1/4 is b(7, 1)
         res = hyperbolicity_status(parse_montesinos("3/7;1/2"))
+        assert res.status is Hyperbolicity.HYPERBOLIC
+        res = hyperbolicity_status(parse_montesinos("1/3;1/4"))
         assert res.status is Hyperbolicity.NON_HYPERBOLIC
-        assert res.reason == "(2,13)-torus knot"
+        assert res.reason == "(2,7)-torus knot"
 
     def test_two_bridge_non_torus_hyperbolic(self):
+        # two twist regions side by side are one: P(3,4) is T(2,7)
         res = hyperbolicity_status(PretzelLink((3, 4)))
+        assert res.status is Hyperbolicity.NON_HYPERBOLIC
+        assert res.reason == "(2,7)-torus knot"
+        res = hyperbolicity_status(PretzelLink((3, -3, 1)))
         assert res.status is Hyperbolicity.HYPERBOLIC
 
     def test_multi_component_rejected(self):
@@ -61,6 +74,71 @@ class TestHyperbolicity:
         # determinant 2*2*2 + 1*5*2 + 1*5*2 = 28 is even: a link
         with pytest.raises(ClassifyError):
             hyperbolicity_status(parse_montesinos("2/5;1/2;1/2"))
+
+
+def _cf_crossings(beta: int, alpha: int) -> int:
+    """Crossings of the standard diagram of the rational tangle beta/alpha:
+    the sum of the continued-fraction terms of |beta|/alpha."""
+    beta, total = abs(beta), 0
+    while alpha:
+        total += beta // alpha
+        beta, alpha = alpha, beta % alpha
+    return total
+
+
+class TestTwoBridgeArbiters:
+    def test_pretzel_box_against_alexander(self):
+        # every two-bridge pretzel knot (no zero region, at most two regions
+        # with |a| >= 2) with 1-3 regions in -9..9, 4 in -7..7 and 5 in
+        # -5..5: a two-bridge knot with Delta = 1 is trivial, one with the
+        # Delta of T(2, det) is that torus knot, and any other is hyperbolic
+        start = time.perf_counter()
+        knots = 0
+        for n, bound in ((1, 9), (2, 9), (3, 9), (4, 7), (5, 5)):
+            for params in product(range(-bound, bound + 1), repeat=n):
+                if 0 in params or sum(abs(a) >= 2 for a in params) > 2:
+                    continue
+                link = PretzelLink(params)
+                if not is_knot(link):
+                    continue
+                knots += 1
+                delta = alexander_skein(link).normalize()
+                det = abs(delta.eval_at_minus_one())
+                if delta == LaurentPoly.one():
+                    reason = "trivial knot"
+                elif delta.equal_up_to_units(torus_link_alexander(det)):
+                    reason = f"(2,{det})-torus knot"
+                else:
+                    reason = None
+                res = hyperbolicity_status(link)
+                assert res.reason == reason, params
+                assert (res.status is Hyperbolicity.HYPERBOLIC) == (reason is None), params
+        assert knots == 7954
+        assert time.perf_counter() - start < 10
+
+    def test_rational_torus_reports_need_crossings(self):
+        # T(2,p) has crossing number p, so a rational Montesinos knot reported
+        # as T(2,p) needs a diagram of at least p crossings: 1-2 tangles, and
+        # 3 tangles with an integer tangle in -2..2 between two proper ones
+        fractions = [f"{b}/{a}" for a in (1, 2, 3, 4, 5, 7) for b in range(-9, 10) if gcd(a, b) == 1]
+        proper = [t for t in fractions if not t.endswith("/1")]
+        texts = [*fractions, *map(";".join, product(fractions, repeat=2))]
+        texts += [f"{x};{k}/1;{y}" for x, y in product(proper, repeat=2) for k in range(-2, 3)]
+        torus = 0
+        for text in texts:
+            desc = parse_montesinos(text)
+            if desc.as_pretzel() is not None:
+                continue
+            try:
+                reason = hyperbolicity_status(desc).reason
+            except ClassifyError:
+                continue  # a link
+            if reason and reason.startswith("(2,"):
+                torus += 1
+                p = int(reason[3:reason.index(")")])
+                crossings = sum(_cf_crossings(t.numerator, t.denominator) for t in desc.tangles)
+                assert p <= crossings, text
+        assert torus > 0
 
 
 class TestGates:

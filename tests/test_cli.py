@@ -263,3 +263,75 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "alexander", "-2,3,7", "--bogus")[0] == 1
+
+
+# Runs the argv lists read from stdin through cli.run in one process under a
+# 2 GB address-space limit, so that an unbounded allocation fails there as a
+# MemoryError, and prints [argv, exit code, stdout, stderr] for each; an
+# exception out of cli.run reports the code None and its traceback.
+FUZZ_CHILD = r"""
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from pretzelsurgery import cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    except BaseException:
+        code, err = None, io.StringIO(traceback.format_exc())
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+HUGE = "99999999999999999999"
+FUZZ_INPUTS = (
+    # malformed
+    "x", "3,x", "1,,2", "P(3", "2.5", "1e3", "--", ",", ";", "1//2", "1/2/3",
+    "1/x;1/3", "1/0;1/3", "1/3;;1/2", "-2,3,7)",
+    # empty, zero and link-valued
+    "", " ", "0", "0,0", "0,0,0", "0/1", "0;0", "2", "2,2", "4/3", "1/2;1/2",
+    "2/5;1/2;1/2",
+    # 20-digit parameters, numerators and denominators
+    f"2,3,{HUGE}", f"-1,4,3,{HUGE}", f"-2,3,{HUGE}", HUGE, f"-{HUGE},3,5",
+    f"-1,-1,{HUGE[:-1]}8,3,5", f"{HUGE}/7;1/3;1/5", f"{HUGE[:-1]}5/7;1/3;1/5",
+    f"1/{HUGE}", f"1/{HUGE};1/3;1/5",
+    # knots
+    "-2,3,7", "3", "-1,-1,4,3,3", "1/3;1/4", "-1/2;1/3;1/5",
+)
+FUZZ_FORMS = (
+    ("alexander", "{}"),
+    ("alexander", "{}", "--normalize", "--trace", "--json"),
+    ("oracle-compare", "{}"),  # every input is small or over the twist bound
+    ("obstruct", "{}", "--json"),
+    ("classify", "{}"),
+    ("classify", "{}", "--json"),
+    ("verify-claims", "--suite", "{}"),
+    ("verify-claim2", "{}"),
+)
+
+
+class TestFuzz:
+    def test_every_subcommand_fails_cleanly(self):
+        argvs = [[arg.format(text) for arg in form] for form in FUZZ_FORMS for text in FUZZ_INPUTS]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", FUZZ_CHILD], input=json.dumps(argvs),
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes = {}
+        for argv, code, out, err in json.loads(proc.stdout):
+            assert code in (0, 1, 2), (argv, err)
+            assert "Traceback" not in out + err, argv
+            # an argparse usage block (a "usage:" line and its indented
+            # continuations) and at most one error line
+            lines = [l for l in err.splitlines() if not l.startswith(("usage:", " "))]
+            assert len(lines) <= (code != 0), (argv, err)
+            assert all("error:" in l for l in lines), (argv, err)
+            codes[tuple(argv)] = code
+        # Mattman's gate decides P(-2,3,q) without Delta, at any size
+        assert codes[("classify", f"-2,3,{HUGE}")] == 0
+        assert codes[("classify", f"-1,4,3,{HUGE}")] == 1
+        assert codes[("classify", f"{HUGE[:-1]}5/7;1/3;1/5")] == 0
