@@ -7,7 +7,6 @@ from .pretzel import (
     FamilyTag,
     MontesinosDescription,
     PretzelLink,
-    component_count,
     family_membership,
     is_knot,
     parse_montesinos,

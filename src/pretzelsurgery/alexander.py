@@ -8,7 +8,8 @@ identity.  Normalization is left to the caller.
 
 The sum runs over oriented pretzel links: every sub-link keeps, on each of
 its regions, the strand flows that region had in the root knot, since
-crossing changes and oriented smoothings never change them.  Each region
+crossing changes and oriented smoothings never change them, and
+``pretzel.parallel_regions`` reads them from the parities.  Each region
 is resolved once, in ascending |a| order, into a few (multiplier, outcome)
 branches chosen by its flows:
 
@@ -31,9 +32,11 @@ expansions in closed form:
 * an expansion that keeps every region at +-1 is a necklace of single
   crossings, the (2, m)-torus link with m the sum of the regions.
 
-Until then an expansion is known by the sum of its kept +-1 regions, their
-number (counted up to 3) and the flows of the first; expansions that agree
-on these are added, so the work is polynomial in the number of regions.
+Every kept +-1 region (odd, or a parallel even one) and every P(a, b) leaf
+is parallel iff the knot has an even region, so until then an expansion is
+known by the sum of its kept +-1 regions and their number (counted up to
+3); expansions that agree on these are added, so the work is polynomial in
+the number of regions.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 from itertools import cycle
 
 from .laurent import SKEIN_FACTOR, LaurentPoly
-from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, RegionFlags, orientation_flags
+from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 
 
 # ----------------------------------------------------------------------
@@ -119,29 +122,28 @@ def _twist_value(m: int, parallel: bool, *, horizontal: bool = False) -> Laurent
     return (m // 2) * (-SKEIN_FACTOR if horizontal else SKEIN_FACTOR)
 
 
-def _leaf_value(total: int, units: bool, flag: RegionFlags) -> LaurentPoly:
+def _leaf_value(total: int, units: bool, has_even: bool) -> LaurentPoly:
     """Conway value of a necklace that closes into one (2, total) twist:
-    a necklace of +-1 regions (units), or one or two regions.
+    a necklace of +-1 regions (units), or one or two regions, in a knot
+    with an even region or not (see the module docstring).
 
-    A necklace of single crossings is a closed (2, m) braid whose two
-    strands run horizontally, so parallelism is read across the left-hand
-    ports, not down each region.  Each strand keeps its horizontal
-    direction all round the necklace, so any region tells.  A lone region
-    closes with side arcs, and in a two-region necklace P(a, b) both
-    regions carry the same strand flow.
+    A necklace of single crossings is a closed (2, m) braid whose strands
+    run horizontally; each crossing joins TL to BR, so they run parallel
+    iff they run antiparallel down the regions.  With one or two regions
+    the total is odd, and an odd twist's value does not depend on flows.
     """
     if units:
-        return _twist_value(total, flag.tl == flag.bl, horizontal=True)
-    return _twist_value(total, flag.parallel)
+        return _twist_value(total, not has_even, horizontal=True)
+    return _twist_value(total, has_even)
 
 
-def _choices(a: int, flag: RegionFlags) -> tuple[tuple[LaurentPoly, int | None], ...]:
-    """The (multiplier, outcome) branches that resolve a region a with the
-    strand flows ``flag``."""
+def _choices(a: int, parallel: bool) -> tuple[tuple[LaurentPoly, int | None], ...]:
+    """The (multiplier, outcome) branches that resolve a region a whose
+    strands run parallel or antiparallel."""
     if abs(a) <= 1:
         return ((_ONE, a),)
     sign = 1 if a > 0 else -1
-    if flag.parallel:
+    if parallel:
         # parallel strands drawn as positive twists carry negative crossings
         # (and vice versa): the recursion runs on the mirror index -a
         return ((_torus(sign - a), 0), (_torus(-a), sign))
@@ -157,23 +159,23 @@ def _resolution_order(params) -> list[int]:
     return sorted(range(len(params)), key=lambda i: (abs(params[i]), i))
 
 
-def _state_sum(params, flags, order: list[int]) -> LaurentPoly:
+def _state_sum(params, parallel, has_even: bool, order: list[int]) -> LaurentPoly:
     """Sum over one branch per region, resolving the regions in ``order``
     (see the module docstring)."""
-    # (sum of the kept +-1 regions, min(kept, 3), flags of the first kept
-    # region) -> the weight of the expansions without a 0 region
-    states: dict = {(0, 0, None): _ONE}
+    # (sum of the kept +-1 regions, min(kept, 3)) -> the weight of the
+    # expansions without a 0 region
+    states: dict = {(0, 0): _ONE}
     cut = LaurentPoly.zero()  # expansions with one 0 region, in Horner form
     closed = LaurentPoly.zero()  # expansions closed as P(a, b)
     for t, i in enumerate(order):
         if cut:
-            cut = cut * _twist_value(params[i], flags[i].parallel)
+            cut = cut * _twist_value(params[i], parallel[i])
         if not states:
             continue
         rest = order[t + 1:]
         merged: dict = {}
-        for mult, outcome in _choices(params[i], flags[i]):
-            for (total, kept, first), weight in states.items():
+        for mult, outcome in _choices(params[i], parallel[i]):
+            for (total, kept), weight in states.items():
                 w = weight if mult is _ONE else (mult if weight is _ONE else mult * weight)
                 if outcome == 0:
                     cut = cut + w
@@ -182,18 +184,16 @@ def _state_sum(params, flags, order: list[int]) -> LaurentPoly:
                     if kept + len(rest) == 2:
                         pair = [params[j] for j in rest]
                         closed = closed + w * _leaf_value(
-                            total + sum(pair),
-                            all(abs(a) == 1 for a in pair),
-                            first or flags[rest[0]],
+                            total + sum(pair), all(abs(a) == 1 for a in pair), has_even
                         )
                         continue
-                    key = (total, kept, first)
+                    key = (total, kept)
                 else:
-                    key = (total + outcome, min(kept + 1, 3), first or flags[i])
+                    key = (total + outcome, min(kept + 1, 3))
                 merged[key] = merged[key] + w if key in merged else w
         states = merged
-    for (total, _, first), weight in states.items():
-        closed = closed + weight * _leaf_value(total, True, first)
+    for (total, _), weight in states.items():
+        closed = closed + weight * _leaf_value(total, True, has_even)
     return cut + closed
 
 
@@ -205,19 +205,20 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     params = link.params
     if max(map(abs, params)) > _MAX_TWIST:
         raise PretzelError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
-    flags = orientation_flags(link)
+    parallel = parallel_regions(link)
+    has_even = any(a % 2 == 0 for a in params)
     if len(params) <= 2:
-        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), flags[0])
-    return _state_sum(params, flags, _resolution_order(params))
+        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
+    return _state_sum(params, parallel, has_even, _resolution_order(params))
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, SkeinTrace]:
     value = alexander_skein(link)
     params = link.params
-    flags = orientation_flags(link)
+    parallel = parallel_regions(link)
     order = _resolution_order(params) if len(params) > 2 else []
     steps = [
-        SkeinStep(i, params[i], _choices(params[i], flags[i]))
+        SkeinStep(i, params[i], _choices(params[i], parallel[i]))
         for i in order
         if abs(params[i]) >= 2
     ]

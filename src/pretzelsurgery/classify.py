@@ -47,7 +47,7 @@ from .pretzel import (
     MontesinosDescription,
     PretzelLink,
     family_link,
-    knot_family,
+    family_membership,
     parse_montesinos,
     parse_pretzel,
 )
@@ -228,7 +228,7 @@ def _read(obj: PretzelLink | MontesinosDescription) -> _Reading:
         num, den = num * alpha + beta * den, den * alpha
     if num % 2 == 0:
         raise ClassifyError(f"{obj} is not a knot")
-    tag = knot_family(obj) if isinstance(obj, PretzelLink) else None
+    tag = family_membership(obj) if isinstance(obj, PretzelLink) else None
     return _Reading(obj, tangles, num, tag)
 
 

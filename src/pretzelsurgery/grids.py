@@ -8,6 +8,9 @@ acceptance gate runs the same grids at its own bounds.
 
 The expected values are the paper's constants, written here and not read
 from the pipeline, so that the grids stay a check on it.
+
+A grid whose bounds would enumerate more than ``MAX_CELLS`` cells, counted
+from the bounds before any cell is built, raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ from .oracle import alexander_fox
 from .pretzel import PretzelLink, is_knot
 
 
+# the most cells a grid enumerates; the default and acceptance grids stay
+# below 60,000 (the oracle box counts every tuple, knot or not)
+MAX_CELLS = 1_000_000
+
+
+def _capped(cells: int) -> None:
+    if cells > MAX_CELLS:
+        raise ValueError(f"grid bounds give more than {MAX_CELLS} cells")
+
+
 class Grid(NamedTuple):
     """A suite's cells and the check that turns one cell into its record."""
 
@@ -45,6 +58,27 @@ def pq_pairs(pmin: int, pmax: int, qmax: int) -> Iterator[tuple[int, int]]:
     for p in range(pmin, pmax + 1, 2):
         for q in range(p, qmax + 1, 2):
             yield p, q
+
+
+def _pq_count(pmin: int, pmax: int, qmax: int) -> int:
+    """How many pairs pq_pairs(pmin, pmax, qmax) yields, for odd pmin: the
+    j-th p = pmin + 2j has m - j values of q."""
+    top = min(pmax, qmax)
+    if top < pmin:
+        return 0
+    k, m = (top - pmin) // 2 + 1, (qmax - pmin) // 2 + 1
+    return k * m - k * (k - 1) // 2
+
+
+def _box_count(nmax: int, bound: int) -> int:
+    """How many tuples knot_box(nmax, bound) enumerates, or any number
+    above MAX_CELLS once the count passes it."""
+    total = 0
+    for n in range(1, nmax + 1):
+        total += (2 * bound + 1) ** n
+        if total > MAX_CELLS:
+            break
+    return total
 
 
 def knot_box(nmax: int, bound: int) -> Iterator[PretzelLink]:
@@ -88,6 +122,7 @@ def claim3(nmax: int = 5, pmax: int = 11, qmax: int | None = None) -> Grid:
     """[t^1] of P(-1,-2n,p,q) is -4 for n = 1 and -3 for 2 <= n <= nmax;
     qmax defaults to pmax."""
     qmax = pmax if qmax is None else qmax
+    _capped(max(nmax, 0) * _pq_count(3, pmax, qmax))
     cells = [(n, p, q) for n in range(1, nmax + 1) for p, q in pq_pairs(3, pmax, qmax)]
     return Grid(cells, _check_claim3)
 
@@ -102,6 +137,7 @@ def _check_claim4(cell) -> dict:
 def claim4(nmax: int = 5, pmax: int = 11, qmax: int | None = None) -> Grid:
     """[t^3] of P(-1,2n,p,q) is 2 for 2 <= n <= nmax; qmax defaults to pmax."""
     qmax = pmax if qmax is None else qmax
+    _capped(max(nmax - 1, 0) * _pq_count(3, pmax, qmax))
     cells = [(n, p, q) for n in range(2, nmax + 1) for p, q in pq_pairs(3, pmax, qmax)]
     return Grid(cells, _check_claim4)
 
@@ -116,6 +152,7 @@ def _check_claim5(cell) -> dict:
 def claim5(pmax: int = 11, qmax: int | None = None) -> Grid:
     """[t^4] of P(-2,p,q) is -2 for odd 5 <= p <= q; qmax defaults to pmax."""
     qmax = pmax if qmax is None else qmax
+    _capped(_pq_count(5, pmax, qmax))
     return Grid(list(pq_pairs(5, pmax, qmax)), _check_claim5)
 
 
@@ -126,6 +163,7 @@ def _check_oracle(link: PretzelLink) -> dict:
 
 def oracle(nmax: int = 5, qmax: int = 5) -> Grid:
     """Skein equals Fox up to units on knot_box(nmax, max(2, qmax))."""
+    _capped(_box_count(nmax, max(2, qmax)))
     return Grid(list(knot_box(nmax, max(2, qmax))), _check_oracle)
 
 
@@ -163,6 +201,7 @@ def _check_classify_sweep(q: int) -> dict:
 
 def classify_sweep(qmax: int = 25) -> Grid:
     """classify(P(-2,3,q)) against minus2_3_q for odd 3 <= q <= qmax."""
+    _capped(max((qmax - 1) // 2, 0))
     return Grid(list(range(3, qmax + 1, 2)), _check_classify_sweep)
 
 
@@ -178,6 +217,7 @@ SUITES: dict[str, Callable[..., Grid]] = {
 
 __all__ = [
     "Grid",
+    "MAX_CELLS",
     "SUITES",
     "claim2",
     "claim3",

@@ -1,18 +1,18 @@
 """Ground-truth Alexander polynomials via Fox calculus.
 
-Builds the Wirtinger presentation of the standard pretzel diagram (same
-template as the strand tracer), abelianizes every meridian to t, and takes
-the minor of the Alexander matrix that drops the last relation and arc.
-Its rows are sparse {arc: value} maps of integers packed at
-t = X = 2**(8*nbytes), built straight from the relations.  Every Wirtinger
-row holds an entry +-1 (the outgoing under-arc at a positive crossing, the
-incoming one at a negative crossing), and a Schur complement on a unit
-pivot changes the determinant only by a sign, so a work queue eliminates
-unit pivots while any are left.  Fraction-free (Bareiss) elimination takes
-the few rows that remain, and one ``kronecker_unpack`` reads the
-coefficients back.  Nothing here shares a convention with the skein engine
-beyond the diagram template itself, which is the point: it is the
-independent check.
+Builds the Wirtinger presentation of the standard pretzel diagram,
+abelianizes every meridian to t, and takes the minor of the Alexander
+matrix that drops the last relation and arc.  Its rows are sparse
+{arc: value} maps of integers packed at t = X = 2**(8*nbytes), built
+straight from the relations.  Every Wirtinger row holds an entry +-1 (the
+outgoing under-arc at a positive crossing, the incoming one at a negative
+crossing), and a Schur complement on a unit pivot changes the determinant
+only by a sign, so a work queue eliminates unit pivots while any are
+left.  Fraction-free (Bareiss) elimination takes the few rows that
+remain, and one ``kronecker_unpack`` reads the coefficients back.
+Nothing here shares a convention with the skein engine beyond the
+diagram template itself, not even the knot test (the strand walk rejects
+a link on its own), which is the point: it is the independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, kronecker_unpack, slot_bytes
-from .pretzel import _MAX_TWIST, PretzelLink, is_knot
+from .pretzel import _MAX_TWIST, PretzelLink
 
 
 class OracleError(ValueError):
@@ -53,10 +53,14 @@ class WirtingerPresentation:
 
 
 def _walk(link: PretzelLink):
-    """Traverse the knot, returning the passage list [(crossing, corner in)]
-    and each region's range of crossing ids."""
+    """Traverse the knot from the top-left corner of crossing 0, returning
+    the passage list [(crossing, corner in)] and each region's range of
+    crossing ids.  Raises OracleError for a link: no crossing, a return to
+    the start before 2c passages, or a closure arc missed (two adjacent
+    zero regions bound a circle with no crossing)."""
     n = link.n_regions
     params = link.params
+    arcs = 0  # closure arcs walked
     region_crossings = []
     region_of = []  # the region of each crossing id
     for i, a in enumerate(params):
@@ -64,6 +68,7 @@ def _walk(link: PretzelLink):
         region_of.extend([i] * abs(a))
 
     def arc_partner(cid: int, corner: int):
+        nonlocal arcs
         region = region_of[cid]
         ids = region_crossings[region]
         if corner in (_BL, _BR) and cid + 1 < ids.stop:
@@ -74,6 +79,7 @@ def _walk(link: PretzelLink):
         i, port = region, corner  # region-level port has the same corner role
         while True:
             # arc edge
+            arcs += 1
             if n == 1:
                 # side-arc closure: the lone region is a (2, a)-torus link
                 port = _VERTICAL[port]
@@ -93,13 +99,21 @@ def _walk(link: PretzelLink):
             port = _VERTICAL[port]
 
     c = link.crossing_count
+    if c == 0:
+        raise OracleError(f"{link} is not a knot: the diagram has no crossings")
     passages = []
-    state = (0, _TL)
+    start = state = (0, _TL)
     for _ in range(2 * c):
         passages.append(state)
         state = arc_partner(state[0], _DIAG_EXIT[state[1]])
-    if state != (0, _TL):
-        raise OracleError(f"{link}: strand walk did not close up (not a knot?)")
+        if state == start:
+            break
+    if len(passages) < 2 * c:
+        raise OracleError(f"{link} is not a knot: the strand walk closes after {len(passages)} of {2 * c} passages")
+    if state != start:
+        raise OracleError(f"{link}: strand walk did not close up after {2 * c} passages")
+    if arcs < (2 if n == 1 else 2 * n):
+        raise OracleError(f"{link} is not a knot: the strand walk misses a circle with no crossing")
     return passages, region_crossings
 
 
@@ -108,8 +122,6 @@ def build_diagram(link: PretzelLink) -> WirtingerPresentation:
     with no region of more than ``_MAX_TWIST`` crossings."""
     if max(map(abs, link.params)) > _MAX_TWIST:
         raise OracleError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
-    if not is_knot(link):
-        raise OracleError(f"{link} is not a knot")
     passages, _ = _walk(link)
     c = link.crossing_count
     # the over-strand runs TL-BR at the crossings of a positive region

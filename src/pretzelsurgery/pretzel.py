@@ -1,9 +1,11 @@
 """Pretzel links P(a_1, ..., a_n) and Montesinos tangle descriptions.
 
-The diagram convention is fixed once and shared with the Wirtinger oracle:
-vertical twist regions stand side by side, region i joined to region i+1
-(cyclically) by parallel arcs at top and bottom.  Region i carries |a_i|
-crossings; an odd a_i swaps its two strands, an even a_i preserves them.
+The diagram: vertical twist regions stand side by side, region i joined to
+region i+1 (cyclically) by parallel arcs at top and bottom.  Region i
+carries |a_i| crossings; an odd a_i swaps its two strands, an even a_i
+preserves them.  Nothing traces the strands: whether the link is a knot,
+and which regions carry parallel strands, follow from the parities of the
+parameters alone (``is_knot``, ``parallel_regions``).
 """
 
 from __future__ import annotations
@@ -54,109 +56,55 @@ def parse_pretzel(text: str) -> PretzelLink:
 
 
 # ----------------------------------------------------------------------
-# strand tracing.  Each region has four ports: TL, TR, BL, BR.  Ports are
-# encoded (region, port).  Internal strands pair TL-BL / TR-BR for even
-# regions and TL-BR / TR-BL for odd ones; closure arcs pair TR_i with
-# TL_{i+1} and BR_i with BL_{i+1} cyclically.
-
-TL, TR, BL, BR = 0, 1, 2, 3
-
-_EVEN_PAIR = {TL: BL, BL: TL, TR: BR, BR: TR}
-_ODD_PAIR = {TL: BR, BR: TL, TR: BL, BL: TR}
-
-
-def _internal_partner(a: int, port: int) -> int:
-    return _EVEN_PAIR[port] if a % 2 == 0 else _ODD_PAIR[port]
-
-
-def _arc_partner(n: int, region: int, port: int) -> tuple[int, int]:
-    if n == 1:
-        # a lone region closes with side arcs, giving the (2, a)-torus link
-        return (0, {TL: BL, BL: TL, TR: BR, BR: TR}[port])
-    if port == TR:
-        return ((region + 1) % n, TL)
-    if port == TL:
-        return ((region - 1) % n, TR)
-    if port == BR:
-        return ((region + 1) % n, BL)
-    return ((region - 1) % n, BR)
-
-
-def _trace_cycles(link: PretzelLink) -> list[list[tuple[int, int]]]:
-    n = link.n_regions
-    seen: set[tuple[int, int]] = set()
-    cycles = []
-    for start_region in range(n):
-        for start_port in (TL, TR, BL, BR):
-            start = (start_region, start_port)
-            if start in seen:
-                continue
-            cycle = []
-            pos = start
-            while True:
-                cycle.append(pos)
-                seen.add(pos)
-                region, port = pos
-                out = (region, _internal_partner(link.params[region], port))
-                cycle.append(out)
-                seen.add(out)
-                pos = _arc_partner(n, *out)
-                if pos == start:
-                    break
-            cycles.append(cycle)
-    return cycles
-
-
-def component_count(link: PretzelLink) -> int:
-    """Number of link components, by tracing strand permutations."""
-    return len(_trace_cycles(link))
-
+# knot test and strand flows, from the parities of the regions
 
 def is_knot(link: PretzelLink) -> bool:
-    return component_count(link) == 1
+    """Whether the link has one component: the parity of its determinant.
 
-
-# ----------------------------------------------------------------------
-# orientation flags.  For a traced link, each port is either an entry (flow
-# into the region) or an exit.  A region is "parallel" when both of its
-# strands run the same vertical direction, which is exactly when its two
-# top ports have the same flow.
-
-@dataclass(frozen=True)
-class RegionFlags:
-    """Per-region port flow: True = flow enters the region at that port."""
-
-    tl: bool
-    tr: bool
-    bl: bool
-    br: bool
-
-    @property
-    def parallel(self) -> bool:
-        return self.tl == self.tr
-
-
-def orientation_flags(link: PretzelLink) -> tuple[RegionFlags, ...]:
-    """Trace the knot once and record per-port flow directions.
-
-    The orientation is chosen by trace order, so the result is canonical up
-    to reversing every flag at once.  The same trace checks that the link
-    is a knot and raises PretzelError otherwise.
+    P(a) is the (2, a)-torus link, a knot iff a is odd.  With n >= 2
+    regions, D = sum_i prod_{j != i} a_j is +-det, which is odd exactly
+    for knots (Lickorish, ch. 6): odd iff exactly one region is even (zero
+    counts as even), or none is and n is odd.
     """
-    cycles = _trace_cycles(link)
-    if len(cycles) != 1:
+    params = link.params
+    evens = sum(1 for a in params if a % 2 == 0)
+    if len(params) == 1:
+        return evens == 0
+    return evens == 1 or (evens == 0 and len(params) % 2 == 1)
+
+
+def parallel_regions(link: PretzelLink) -> tuple[bool, ...]:
+    """For each region of a pretzel knot, whether its two strands run the
+    same vertical direction; raises PretzelError for a link.
+
+    With an even region, every odd region is parallel and the even one is
+    parallel iff n is even; with none, every region is antiparallel.  Let
+    x_i, y_i be the flows into region i at its top-left and top-right
+    ports, so region i is parallel iff x_i = y_i.  An odd region joins TL
+    to BR and TR to BL, an even one TL to BL and TR to BR, and a strand
+    leaves a region against its entry flow.
+
+    * A top arc reverses the port flow: y_i = not x_{i+1}; so does a
+      bottom arc.
+    * Parallelism carries through consecutive odd regions: following
+      region i's strands through the bottom arc gives y_{i+1} = not x_i.
+    * An odd region that follows an even region is parallel: there
+      y_{i+1} = not y_i = x_{i+1}.
+    * Region i is parallel iff x_i != x_{i+1}, so the top chain closes
+      only if the number of parallel regions is even.
+
+    Hence with one even region the n - 1 odd regions are parallel and the
+    even one is parallel iff n is even; with none (n odd) all n regions
+    agree, and only antiparallel closes.  A lone odd region closes with
+    side arcs TL-BL and TR-BR, which give y = x: it is parallel.
+    """
+    if not is_knot(link):
         raise PretzelError(f"{link} is not a knot")
-    # the cycle alternates entry-port, exit-port, entry-port, ...
-    inward = {pos: idx % 2 == 0 for idx, pos in enumerate(cycles[0])}
-    return tuple(
-        RegionFlags(
-            tl=inward[(i, TL)],
-            tr=inward[(i, TR)],
-            bl=inward[(i, BL)],
-            br=inward[(i, BR)],
-        )
-        for i in range(link.n_regions)
-    )
+    params = link.params
+    if len(params) == 1:
+        return (True,)
+    has_even = any(a % 2 == 0 for a in params)
+    return tuple(has_even and (a % 2 == 1 or len(params) % 2 == 0) for a in params)
 
 
 # ----------------------------------------------------------------------
@@ -204,16 +152,9 @@ def _odd_pq(values) -> tuple[int, int] | None:
 
 
 def family_membership(link: PretzelLink) -> FamilyTag:
-    """``knot_family`` after a strand trace that rejects links."""
-    if not is_knot(link):
-        raise PretzelError(f"{link} is not a knot")
-    return knot_family(link)
+    """Classify a pretzel knot into the candidate surgery families; raises
+    PretzelError for a link.
 
-
-def knot_family(link: PretzelLink) -> FamilyTag:
-    """Classify a pretzel knot into the candidate surgery families.
-
-    The caller knows ``link`` to be a knot; nothing here traces strands.
     The lookup runs on a normal form that depends only on the knot's
     tangles mod 1 and the sum e of their integer parts (Boileau-Zieschang):
     a +-1 region is the integer tangle +-1 and only adds to e, and a -2
@@ -231,6 +172,8 @@ def knot_family(link: PretzelLink) -> FamilyTag:
     A knot whose mirror image (all parameters negated) is a member gets the
     member's tag with ``mirror`` set; no knot is both.
     """
+    if not is_knot(link):
+        raise PretzelError(f"{link} is not a knot")
     tag = _family_tag(link.params)
     if tag.kind is FamilyKind.OTHER:
         mirror = _family_tag([-a for a in link.params])

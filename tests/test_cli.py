@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pretzelsurgery import cli
+from pretzelsurgery import cli, grids
 from pretzelsurgery.cli import run
 from pretzelsurgery.laurent import parse
 from pretzelsurgery.obstruction import ObstructionError
@@ -220,6 +220,29 @@ class TestGrids:
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["ok"] is True
 
+    @pytest.mark.parametrize(
+        "suite,flag",
+        [("claim3", "--pmax"), ("claim4", "--nmax"), ("claim5", "--qmax"),
+         ("oracle", "--qmax"), ("classify-sweep", "--qmax")],
+    )
+    def test_oversized_grid_rejected(self, capsys, suite, flag):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify-claims", "--suite", suite, flag, HUGE)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_cell_counts_match_enumeration(self):
+        for pmin in (3, 5):
+            for pmax in range(-1, 16):
+                for qmax in range(-1, 16):
+                    cells = len(list(grids.pq_pairs(pmin, pmax, qmax)))
+                    assert grids._pq_count(pmin, pmax, qmax) == cells
+        for nmax in range(0, 4):
+            for bound in range(2, 5):
+                assert grids._box_count(nmax, bound) == sum((2 * bound + 1) ** n for n in range(1, nmax + 1))
+        assert grids._box_count(10**20, 2) > grids.MAX_CELLS
+
     def test_claim2_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify-claim2")
         assert code == 0
@@ -308,6 +331,8 @@ FUZZ_FORMS = (
     ("classify", "{}"),
     ("classify", "{}", "--json"),
     ("verify-claims", "--suite", "{}"),
+    ("verify-claims", "--suite", "claim5", "--pmax", "{}"),
+    ("verify-claims", "--suite", "oracle", "--nmax", "{}"),
     ("verify-claim2", "{}"),
 )
 

@@ -20,6 +20,13 @@ class TestWirtinger:
         with pytest.raises(OracleError):
             build_diagram(PretzelLink((2, 2)))
 
+    @pytest.mark.parametrize("params", [(0,), (0, 0), (0, 0, 0), (-5, 0, 0), (3, 0, 0, 3)])
+    def test_rejects_crossingless_components(self, params):
+        # no crossing at all, or two adjacent zero regions that bound a
+        # circle the crossing-to-crossing walk never meets
+        with pytest.raises(OracleError, match="not a knot"):
+            build_diagram(PretzelLink(params))
+
     def test_crossing_signs_match_writhe_parity(self):
         # every crossing in a single region carries the same sign
         for params in ((3,), (-3,), (5,)):
