@@ -37,6 +37,21 @@ is parallel iff the knot has an even region, so until then an expansion is
 known by the sum of its kept +-1 regions and their number (counted up to
 3); expansions that agree on these are added, so the work is polynomial in
 the number of regions.
+
+Torus values of three or more terms are carried as numerators:
+Delta_l = N_l / (1 + t) with the two-term N_l = s^(1-l) - (-1)^l s^(1+l).
+A parallel region with |a| >= 3 takes numerators for both of its branch
+multipliers and for its twist value in the cut, so after k such regions
+every state and the cut lie over (1 + t)^k.  A torus-valued leaf with
+|total| >= 3 takes its numerator too, one power above its expansion.  The
+leaves are summed per power, each sum is brought to the top power, and the
+total is divided once (``laurent.divide_by_one_plus_t``).  The state sum
+thus multiplies and adds polynomials whose size does not grow with the
+twists; the only work linear in the largest twist is the division and the
+unpacking of its quotient.  Antiparallel regions, regions with |a| <= 2 and
+smaller leaves keep their values Delta, so a knot with none of these
+numerators divides by nothing.  The program of ``alexander_with_trace``
+lists the values Delta, never the numerators.
 """
 
 from __future__ import annotations
@@ -45,14 +60,13 @@ import functools
 from dataclasses import dataclass
 from itertools import cycle
 
-from .laurent import SKEIN_FACTOR, LaurentPoly
+from .laurent import SKEIN_FACTOR, LaurentPoly, divide_by_one_plus_t
 from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 
 
 # ----------------------------------------------------------------------
 # torus link polynomials
 
-@functools.cache
 def _torus(l: int) -> LaurentPoly:
     """Conway-consistent Delta of the (2, l)-torus link, any integer l.
 
@@ -61,12 +75,28 @@ def _torus(l: int) -> LaurentPoly:
     and -s, so Delta_l = sum_{j<l} (-1)^j s^(2j-l+1): alternating unit
     coefficients on every other s-exponent from 1-l to l-1, built in O(l).
     Negative indices extend the same recursion (the mirror image), giving
-    Delta_{-l} = (-1)^(l+1) Delta_l.  The cache keeps only the values asked
-    for: a pretzel knot needs a few per region.
+    Delta_{-l} = (-1)^(l+1) Delta_l.  Only the values of at most two terms
+    are kept, so no process-wide table grows with l.
     """
+    value = _SMALL_TORUS.get(l)
+    if value is not None:
+        return value
     m = abs(l)
     sign = -1 if l < 0 and m % 2 == 0 else 1
     return LaurentPoly(dict(zip(range(1 - m, m, 2), cycle((sign, -sign)))))
+
+
+# the values of at most two terms, built once by _torus itself
+_SMALL_TORUS: dict[int, LaurentPoly] = {}
+_SMALL_TORUS.update((l, _torus(l)) for l in range(-2, 3))
+
+
+@functools.lru_cache(maxsize=256)
+def _numerator(l: int) -> LaurentPoly:
+    """N_l = (1 + t) Delta_l = s^(1-l) - (-1)^l s^(1+l), two terms for any
+    l != 0: the sum for Delta_l above is geometric with ratio -s^2 = -t.
+    A bounded cache keeps the recent ones."""
+    return LaurentPoly({1 - l: 1, 1 + l: -1 if l % 2 == 0 else 1})
 
 
 def torus_link_alexander(l: int) -> LaurentPoly:
@@ -104,11 +134,17 @@ class SkeinTrace:
 # the engine
 
 _ONE = LaurentPoly.one()
+_ZERO = LaurentPoly.zero()
+_ONE_PLUS_T = LaurentPoly({0: 1, 2: 1})
 
 
-def _twist_value(m: int, parallel: bool, *, horizontal: bool = False) -> LaurentPoly:
+def _twist_value(
+    m: int, parallel: bool, *, horizontal: bool = False, lift: bool = False
+) -> tuple[LaurentPoly, int]:
     """Exact Conway value of the closed (2, m) twist with the two strands
-    running parallel or antiparallel.
+    running parallel or antiparallel, over its power of 1 + t: with
+    ``lift``, a torus value of three or more terms comes as its numerator
+    over (1 + t)^1, else every value comes over (1 + t)^0.
 
     A quarter turn of the picture exchanges the roles of the two smoothing
     conventions, so twists read along a horizontal braid axis take w -> -w
@@ -118,14 +154,18 @@ def _twist_value(m: int, parallel: bool, *, horizontal: bool = False) -> Laurent
     strands do.  An even antiparallel twist is (m/2) w.
     """
     if parallel or m % 2 != 0:
-        return _torus(m if horizontal else -m)
-    return (m // 2) * (-SKEIN_FACTOR if horizontal else SKEIN_FACTOR)
+        l = m if horizontal else -m
+        if lift and abs(l) >= 3:
+            return _numerator(l), 1
+        return _torus(l), 0
+    return (m // 2) * (-SKEIN_FACTOR if horizontal else SKEIN_FACTOR), 0
 
 
-def _leaf_value(total: int, units: bool, has_even: bool) -> LaurentPoly:
+def _leaf_value(total: int, units: bool, has_even: bool, *, lift: bool = False) -> tuple[LaurentPoly, int]:
     """Conway value of a necklace that closes into one (2, total) twist:
     a necklace of +-1 regions (units), or one or two regions, in a knot
-    with an even region or not (see the module docstring).
+    with an even region or not (see the module docstring); over its power
+    of 1 + t as in ``_twist_value``.
 
     A necklace of single crossings is a closed (2, m) braid whose strands
     run horizontally; each crossing joins TL to BR, so they run parallel
@@ -133,20 +173,22 @@ def _leaf_value(total: int, units: bool, has_even: bool) -> LaurentPoly:
     the total is odd, and an odd twist's value does not depend on flows.
     """
     if units:
-        return _twist_value(total, not has_even, horizontal=True)
-    return _twist_value(total, has_even)
+        return _twist_value(total, not has_even, horizontal=True, lift=lift)
+    return _twist_value(total, has_even, lift=lift)
 
 
-def _choices(a: int, parallel: bool) -> tuple[tuple[LaurentPoly, int | None], ...]:
+def _choices(a: int, parallel: bool, lift: bool = False) -> tuple[tuple[LaurentPoly, int | None], ...]:
     """The (multiplier, outcome) branches that resolve a region a whose
-    strands run parallel or antiparallel."""
+    strands run parallel or antiparallel; with ``lift`` (a parallel region,
+    |a| >= 3) both multipliers are numerators, over (1 + t)^1."""
     if abs(a) <= 1:
         return ((_ONE, a),)
     sign = 1 if a > 0 else -1
     if parallel:
         # parallel strands drawn as positive twists carry negative crossings
         # (and vice versa): the recursion runs on the mirror index -a
-        return ((_torus(sign - a), 0), (_torus(-a), sign))
+        value = _numerator if lift else _torus
+        return ((value(sign - a), 0), (value(-a), sign))
     # antiparallel: crossing changes walk a to 0 (even) or sign(a) (odd),
     # and each change's smoothing caps the region off, leaving P(rest)
     r = 0 if a % 2 == 0 else sign
@@ -159,22 +201,43 @@ def _resolution_order(params) -> list[int]:
     return sorted(range(len(params)), key=lambda i: (abs(params[i]), i))
 
 
+def _collect(over: dict[int, LaurentPoly], power: int, value: LaurentPoly) -> None:
+    """Add ``value`` to the sum over (1 + t)^power."""
+    over[power] = over[power] + value if power in over else value
+
+
+def _divide_out(over: dict[int, LaurentPoly]) -> LaurentPoly:
+    """The sum of over[k] / (1 + t)^k: every term is brought to the top
+    power, in Horner form, and the sum divided once."""
+    top = max(over, default=0)
+    total = over[0] if 0 in over else _ZERO
+    for k in range(1, top + 1):
+        total = total * _ONE_PLUS_T
+        if k in over:
+            total = total + over[k]
+    return divide_by_one_plus_t(total, top)
+
+
 def _state_sum(params, parallel, has_even: bool, order: list[int]) -> LaurentPoly:
     """Sum over one branch per region, resolving the regions in ``order``
     (see the module docstring)."""
     # (sum of the kept +-1 regions, min(kept, 3)) -> the weight of the
     # expansions without a 0 region
     states: dict = {(0, 0): _ONE}
-    cut = LaurentPoly.zero()  # expansions with one 0 region, in Horner form
-    closed = LaurentPoly.zero()  # expansions closed as P(a, b)
+    cut = _ZERO  # expansions with one 0 region, in Horner form
+    power = 0  # of 1 + t under every state and the cut
+    over: dict[int, LaurentPoly] = {}  # power -> the leaves over (1 + t)^power
     for t, i in enumerate(order):
+        a, par = params[i], parallel[i]
+        lift = par and abs(a) >= 3
+        power += lift
         if cut:
-            cut = cut * _twist_value(params[i], parallel[i])
+            cut = cut * _twist_value(a, par, lift=lift)[0]
         if not states:
             continue
         rest = order[t + 1:]
         merged: dict = {}
-        for mult, outcome in _choices(params[i], parallel[i]):
+        for mult, outcome in _choices(a, par, lift):
             for (total, kept), weight in states.items():
                 w = weight if mult is _ONE else (mult if weight is _ONE else mult * weight)
                 if outcome == 0:
@@ -183,9 +246,10 @@ def _state_sum(params, parallel, has_even: bool, order: list[int]) -> LaurentPol
                 if outcome is None:
                     if kept + len(rest) == 2:
                         pair = [params[j] for j in rest]
-                        closed = closed + w * _leaf_value(
-                            total + sum(pair), all(abs(a) == 1 for a in pair), has_even
+                        value, up = _leaf_value(
+                            total + sum(pair), all(abs(b) == 1 for b in pair), has_even, lift=True
                         )
+                        _collect(over, power + up, w * value)
                         continue
                     key = (total, kept)
                 else:
@@ -193,8 +257,11 @@ def _state_sum(params, parallel, has_even: bool, order: list[int]) -> LaurentPol
                 merged[key] = merged[key] + w if key in merged else w
         states = merged
     for (total, _), weight in states.items():
-        closed = closed + weight * _leaf_value(total, True, has_even)
-    return cut + closed
+        value, up = _leaf_value(total, True, has_even, lift=True)
+        _collect(over, power + up, weight * value)
+    if cut:
+        _collect(over, power, cut)
+    return _divide_out(over)
 
 
 def alexander_skein(link: PretzelLink) -> LaurentPoly:
@@ -208,7 +275,7 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     parallel = parallel_regions(link)
     has_even = any(a % 2 == 0 for a in params)
     if len(params) <= 2:
-        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
+        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)[0]
     return _state_sum(params, parallel, has_even, _resolution_order(params))
 
 

@@ -21,6 +21,16 @@ operand has at most ``_SCHOOLBOOK_MAX`` terms, or whose operands are so
 sparse that the slots would outnumber the term products, runs the plain
 dictionary double loop instead.
 
+``divide_by_one_plus_t`` divides exactly by (1 + t)**k in the same
+encoding: the dividend is packed once, divided by (1 + X**2)**k as one
+big integer (by (1 + X)**k at X = t when every exponent has one parity),
+and the quotient unpacked.  Its slots hold |p|_1 * C(J + k - 1, k - 1)
+* (2**k + 1), where J is the quotient's t-span: the first two factors bound
+every quotient coefficient, since C(J + k - 1, k - 1) is the largest
+coefficient size of (1 + t)**-k up to t**J, and the last makes an indivisible
+dividend leave a nonzero remainder, which raises ``LaurentError``.  The
+proof is in its docstring.
+
 Every result of the arithmetic is built by ``_trusted``, which wraps a
 dict already known to hold int keys and no zero values without checking
 it again; ``LaurentPoly(mapping)`` is the public constructor and keeps its
@@ -32,6 +42,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from math import comb
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
@@ -331,6 +342,59 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             e = e1 + e2
             c[e] = c.get(e, 0) + v1 * v2
     return {e: v for e, v in c.items() if v}
+
+
+def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
+    """The exact quotient p / (1 + t)**k, for k >= 0.
+
+    Raises LaurentError when (1 + t)**k does not divide p.
+
+    The division is one big-integer division.  p is packed at
+    s = X = 2**(8*nbytes) and divided by (1 + X**2)**k; when every exponent
+    of p has the parity of its lowest one, p is packed in steps of two
+    exponents (at t = X) and divided by (1 + X)**k, which halves the
+    integers.  The quotient's slots are its coefficients.
+
+    The slot width.  Let J be the quotient's t-span (its s-span halved,
+    rounded down) and B = |p|_1 * C(J + k - 1, k - 1), where |p|_1 is the
+    sum of the absolute coefficients.  Slots hold every |v| up to
+    B * (2**k + 1).  Write (1 + t)**-k = sum_j c_j t**j with
+    |c_j| = C(j + k - 1, k - 1), which grows with j.  Match p from its
+    lowest slot up: the series quotient Q has the coefficient
+    q_e = sum_j p_(e-2j) c_j at each s-exponent e, where p_(e-2j) vanishes
+    below p's lowest exponent, and only j <= J reach the quotient's slots.
+    So |q_e| <= |p|_1 * C(J + k - 1, k - 1) = B.
+
+    * If (1 + t)**k divides p, Q is the quotient, and every slot of
+      p(X) / (1 + X**2)**k holds a value of size at most B, below X / 2.
+      So the slots read back the quotient exactly.
+    * If not, R = p - Q (1 + t)**k is a nonzero polynomial on the 2k slots
+      above Q's (k slots in steps of two), with coefficients of size at
+      most |p|_1 + 2**k B <= B * (2**k + 1) < X / 2.  p(X) is
+      Q(X) (1 + X**2)**k plus a power of X times R', the integer that R
+      packs to from its own lowest slot.  R' is nonzero and smaller in
+      size than X**(2k) < (1 + X**2)**k (X**k < (1 + X)**k in steps of
+      two), and X is prime to the divisor, so the integer division leaves
+      a nonzero remainder, which raises.
+    """
+    c = p._c
+    if not k or not c:
+        return p
+    lo, hi = min(c), max(c)
+    step = 2 if all((e - lo) % 2 == 0 for e in c) else 1
+    degree = 2 * k // step  # of the divisor, in slots
+    count = (hi - lo) // step + 1 - degree  # the quotient's slots
+    if count <= 0:
+        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
+    span = (count - 1) * step // 2
+    bound = sum(map(abs, c.values())) * comb(span + k - 1, k - 1) * (2**k + 1)
+    nbytes = slot_bytes(bound.bit_length() + 1)  # + 1 for the sign
+    x = kronecker_pack({(e - lo) // step: v for e, v in c.items()}, 0, count + degree, nbytes)
+    quotient, remainder = divmod(x, (1 + (1 << (8 * nbytes * (2 // step)))) ** k)
+    if remainder:
+        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
+    slots = kronecker_unpack(quotient, nbytes, count)
+    return _trusted(dict(filter(itemgetter(1), zip(range(lo, lo + step * count, step), slots))))
 
 
 #: The skein multiplier t**(-1/2) - t**(1/2).

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -68,6 +70,20 @@ class TestTorusValues:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             torus_link_alexander(0)
+
+    def test_large_values_not_kept(self):
+        # no process-wide table grows with l: 50 values of about 20,000
+        # terms each leave nothing behind
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for l in range(20001, 20101, 2):
+                assert torus_link_alexander(l).s_coefficient(l - 1) == 1
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - start < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestKnownKnots:
@@ -227,7 +243,17 @@ class TestClosedForms:
 
 class TestSupports:
     def test_supported_examples(self):
-        for params in ((-2, 3, 7), (-1, -2, 3, 3)):
+        # the last four resolve 24, 24, 12 and 10 parallel regions as
+        # numerators over 1 + t; all but (-4,7^9) divide with slots wider
+        # than 64 bits
+        for params in (
+            (-2, 3, 7),
+            (-1, -2, 3, 3),
+            (2,) + (3,) * 24,
+            (-2,) + (3,) * 20 + (5,) * 4,
+            (-2,) + (5,) * 12,
+            (-4,) + (7,) * 9,
+        ):
             link = PretzelLink(params)
             assert alexander_skein(link).equal_up_to_units(alexander_fox(link))
 

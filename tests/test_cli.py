@@ -24,7 +24,7 @@ COLD_START = r"""
 import contextlib, io, re, resource, sys
 from pretzelsurgery import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(["alexander", "-2,3,10001", "--normalize"])
+    code = cli.run(["alexander", sys.argv[1], "--normalize"])
 try:
     with open("/proc/self/status") as status:
         kb = int(re.search(r"VmHWM:\s*(\d+)", status.read()).group(1))
@@ -89,13 +89,14 @@ class TestAlexander:
         assert "not a knot" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_fresh_process_large_q(self):
-        # no process-wide table of torus values: a cold start at q = 10^4
-        # stays fast and small
+    @pytest.mark.parametrize("params", ["-2,3,10001", "-1,-4,5,99999"])
+    def test_fresh_process_large_q(self, params):
+        # no process-wide table of torus values: a cold start at q = 10^4,
+        # and at the twist bound, stays fast and small
         env = dict(os.environ, PYTHONPATH=str(SRC))
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-c", COLD_START],
+            [sys.executable, "-c", COLD_START, params],
             env=env, capture_output=True, text=True, timeout=60,
         )
         elapsed = time.perf_counter() - start

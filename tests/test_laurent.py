@@ -6,8 +6,10 @@ from hypothesis import assume, given, strategies as st
 
 from pretzelsurgery.laurent import (
     _SCHOOLBOOK_MAX,
+    LaurentError,
     LaurentPoly,
     SKEIN_FACTOR,
+    divide_by_one_plus_t,
     kronecker_pack,
     kronecker_unpack,
     parse,
@@ -204,6 +206,71 @@ class TestPackedProduct:
         for x in (2**16, -(2**16)):
             with pytest.raises(OverflowError):
                 kronecker_unpack(x, 1, 2)
+
+
+def _times_one_plus_t(q, k):
+    """q * (1 + t)**k by the dictionary double loop, one factor at a time."""
+    for _ in range(k):
+        q = schoolbook(q, LaurentPoly({0: 1, 2: 1}))
+    return q
+
+
+def _seeded_quotients():
+    rng = random.Random(13)
+    # quotients whose coefficients straddle each slot width, then go past
+    # 64 bits; s-exponents of one parity (packed at t) or of both
+    for bits in (3, 6, 7, 8, 14, 15, 16, 30, 31, 32, 33, 62, 63, 64, 65, 100, 200):
+        for k in range(1, 27):
+            q = _random_poly(rng, rng.randint(1, 12), rng.randint(-40, 20), 40, 2**bits)
+            yield q, k
+            yield -q.shifted(1), k
+            if bits <= 16:
+                yield LaurentPoly({2 * e: v for e, v in q.items()}), k
+
+
+def _wide_quotients():
+    """Quotients far larger than their numerators: ((1 + t**m) / (1 + t))**k
+    for odd m has numerator (1 + t**m)**k, of 1-norm 2**k, and a middle
+    coefficient near m**(k-1) / (k-1)!, which only the binomial factor of
+    the slot bound covers."""
+    for m, k in ((1001, 2), (301, 3), (41, 6), (9, 26)):
+        q = LaurentPoly.one()
+        for _ in range(k):
+            q = schoolbook(q, LaurentPoly({2 * i: (-1) ** i for i in range(m)}))
+        yield q, k
+        yield -q.shifted(-7), k
+
+
+class TestExactDivision:
+    @pytest.mark.parametrize(
+        "cases", [_seeded_quotients, _wide_quotients], ids=lambda f: f.__name__
+    )
+    def test_quotient_of_product(self, cases):
+        for q, k in cases():
+            r = divide_by_one_plus_t(_times_one_plus_t(q, k), k)
+            assert r == q, (q, k)
+            assert all(v for _, v in r.items())
+
+    def test_indivisible_raises(self):
+        rng = random.Random(14)
+        for k in range(1, 27):
+            q = _random_poly(rng, rng.randint(1, 12), rng.randint(-40, 20), 40, 2 ** rng.randint(1, 100))
+            n = _times_one_plus_t(q, k)
+            for e in (n.mindeg, n.maxdeg, n.mindeg + 1, n.maxdeg - 3):
+                with pytest.raises(LaurentError):
+                    divide_by_one_plus_t(n + LaurentPoly.s_term(1, e), k)
+            # one factor short
+            with pytest.raises(LaurentError):
+                divide_by_one_plus_t(_times_one_plus_t(q, k - 1), k)
+        for n in (LaurentPoly.one(), parse("1 + 2t + t^2"), parse("1 - t")):
+            with pytest.raises(LaurentError):
+                divide_by_one_plus_t(n, 3)
+
+    def test_zero_and_no_factor(self):
+        for k in (0, 1, 5):
+            assert divide_by_one_plus_t(LaurentPoly.zero(), k).is_zero
+        p = LaurentPoly({-3: 2, 0: -1, 7: 4})
+        assert divide_by_one_plus_t(p, 0) == p
 
 
 class TestProtocol:
