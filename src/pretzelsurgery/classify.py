@@ -1,13 +1,11 @@
 """Cyclic/finite surgery classification pipeline for Montesinos knots.
 
-Every input takes one path.  A Montesinos description whose tangles are
-all +-1 mod their denominators is converted to a pretzel (each tangle
-becomes one region plus unit regions), so only descriptions with a
-genuinely rational tangle stay Montesinos.  Each input is read once as
-tangles beta/alpha, which the hyperbolicity stage and every gate share:
-the parity of D = sum_i beta_i prod_{j != i} alpha_j is the knot test, and
-a pretzel's family tag reads its normal form (essential regions and the
-sum of its integer tangles) with no strand trace.
+Every input takes one path: a pretzel or a Montesinos description is read
+once as its tangles beta/alpha (``pretzel.tangles``), which the
+hyperbolicity stage and every gate share.  The parity of
+D = sum_i beta_i prod_{j != i} alpha_j is the knot test, and the family
+tag reads the essential regions and the sum e of the integer parts, so a
+tangle's integer part costs the same at any size.
 
 The pipeline runs four stages in order, short-circuiting at the first
 decisive one, and emits an auditable report:
@@ -48,8 +46,10 @@ from .pretzel import (
     PretzelLink,
     family_link,
     family_membership,
+    is_knot,
     parse_montesinos,
     parse_pretzel,
+    tangles,
 )
 
 
@@ -201,7 +201,6 @@ class _Reading:
 
     knot: PretzelLink | MontesinosDescription
     tangles: tuple[tuple[int, int], ...]
-    determinant: int  # sum_i beta_i prod_{j != i} alpha_j
     tag: FamilyTag | None  # None for a genuinely rational tangle
 
     @property
@@ -209,27 +208,11 @@ class _Reading:
         return sum(1 for _, alpha in self.tangles if alpha >= 2) <= 2
 
 
-def _read(obj: PretzelLink | MontesinosDescription) -> _Reading:
-    """Read a parsed input, in its pretzel form when it has one, as tangles:
-    a region a is 1/a (a zero region 1/0), and the lone region of P(a),
-    which closes with side arcs, is the integer tangle a/1.  The one knot
-    test: D, the numerator of the unreduced tangle sum, is +-det, which is
-    odd exactly for knots.  Raises ClassifyError for a link."""
-    if isinstance(obj, MontesinosDescription):
-        obj = obj.as_pretzel() or obj
-    if isinstance(obj, MontesinosDescription):
-        tangles = tuple((t.numerator, t.denominator) for t in obj.tangles)
-    elif obj.n_regions == 1:
-        tangles = ((obj.params[0], 1),)
-    else:
-        tangles = tuple((-1 if a < 0 else 1, abs(a)) for a in obj.params)
-    num, den = 0, 1
-    for beta, alpha in tangles:
-        num, den = num * alpha + beta * den, den * alpha
-    if num % 2 == 0:
-        raise ClassifyError(f"{obj} is not a knot")
-    tag = family_membership(obj) if isinstance(obj, PretzelLink) else None
-    return _Reading(obj, tangles, num, tag)
+def _read(knot: PretzelLink | MontesinosDescription) -> _Reading:
+    """Read a parsed input once as its tangles; ClassifyError for a link."""
+    if not is_knot(knot):
+        raise ClassifyError(f"{knot} is not a knot")
+    return _Reading(knot, tangles(knot), family_membership(knot))
 
 
 def _two_bridge_knot(reading: _Reading) -> str | None:
@@ -242,11 +225,11 @@ def _two_bridge_knot(reading: _Reading) -> str | None:
     b1 a1' - b1' a1 = 1.  It is trivial iff |p| = 1 and the (2, |p|)-torus
     knot iff q = +-1 mod p.
     """
-    tangles = reading.tangles
-    (b1, a1), (b2, a2) = ([t for t in tangles if t[1] >= 2] + [(0, 1), (0, 1)])[:2]
-    b1 += a1 * sum(beta for beta, alpha in tangles if alpha == 1)
+    pairs = reading.tangles
+    (b1, a1), (b2, a2) = ([t for t in pairs if t[1] >= 2] + [(0, 1), (0, 1)])[:2]
+    b1 += a1 * sum(beta for beta, alpha in pairs if alpha == 1)
     a1_dual = pow(b1, -1, a1)
-    p, q = abs(reading.determinant), (b1 * a1_dual - 1) // a1 * a2 + a1_dual * b2
+    p, q = abs(b1 * a2 + a1 * b2), (b1 * a1_dual - 1) // a1 * a2 + a1_dual * b2
     if p == 1:
         return "trivial knot"
     return f"(2,{p})-torus knot" if q % p in (1, p - 1) else None
@@ -473,10 +456,9 @@ def classify(
 ) -> ClassificationReport:
     """Full cyclic/finite surgery classification with an auditable report.
 
-    A Montesinos input whose tangles are all +-1 mod their denominators is
-    converted to its pretzel form and classified, and reported, as that
-    pretzel; the hyperbolicity stage and every gate share one reading of
-    the input as tangles.
+    The hyperbolicity stage and every gate share one reading of the input
+    as tangles.  ``input_text`` echoes the parsed input; ``input_kind`` is
+    "pretzel" for every input with a family tag.
     """
     reading = _read(_parse_input(input))
     hyp = _hyperbolicity(reading)

@@ -37,7 +37,7 @@ from .obstruction import (
     pm1_coefficients,
 )
 from .oracle import alexander_fox
-from .pretzel import FamilyKind, family_membership, parse_pretzel
+from .pretzel import FamilyKind, PretzelError, PretzelLink, family_membership, parse_pretzel
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,8 +79,15 @@ def _outcome(outcome: int | None) -> str:
     return "removed" if outcome is None else str(outcome)
 
 
+def _pretzel_arg(args) -> PretzelLink:
+    if "/" in args.params or ";" in args.params:  # only classify reads tangle lists
+        raise PretzelError(f"{args.command} takes pretzel parameters such as -2,3,7; "
+                           f"classify takes tangle lists such as {args.params!r}")
+    return parse_pretzel(args.params)
+
+
 def _cmd_alexander(args) -> int:
-    link = parse_pretzel(args.params)
+    link = _pretzel_arg(args)
     if args.trace:
         value, trace = alexander_with_trace(link)
     else:
@@ -105,7 +112,7 @@ def _cmd_alexander(args) -> int:
 
 
 def _cmd_oracle_compare(args) -> int:
-    link = parse_pretzel(args.params)
+    link = _pretzel_arg(args)
     fox = alexander_fox(link)
     skein = alexander_skein(link)
     match = skein.equal_up_to_units(fox)
@@ -121,7 +128,7 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    link = parse_pretzel(args.params)
+    link = _pretzel_arg(args)
     delta = alexander_skein(link)
     decomp = os_form_check(delta)
     doc = {

@@ -1,11 +1,11 @@
 """Pretzel links P(a_1, ..., a_n) and Montesinos tangle descriptions.
 
-The diagram: vertical twist regions stand side by side, region i joined to
-region i+1 (cyclically) by parallel arcs at top and bottom.  Region i
-carries |a_i| crossings; an odd a_i swaps its two strands, an even a_i
-preserves them.  Nothing traces the strands: whether the link is a knot,
-and which regions carry parallel strands, follow from the parities of the
-parameters alone (``is_knot``, ``parallel_regions``).
+The pretzel diagram: vertical twist regions stand side by side, region i
+joined to region i+1 (cyclically) by parallel arcs at top and bottom.
+Region i carries |a_i| crossings; an odd a_i swaps its two strands, an even
+a_i preserves them.  Both kinds of input are read as tangles beta/alpha
+(``tangles``), and nothing traces the strands: the knot test, the parallel
+regions and the family tag read parities and a normal form of the tangles.
 """
 
 from __future__ import annotations
@@ -56,21 +56,33 @@ def parse_pretzel(text: str) -> PretzelLink:
 
 
 # ----------------------------------------------------------------------
-# knot test and strand flows, from the parities of the regions
+# tangles, the knot test and strand flows
 
-def is_knot(link: PretzelLink) -> bool:
-    """Whether the link has one component: the parity of its determinant.
+def tangles(knot: PretzelLink | MontesinosDescription) -> tuple[tuple[int, int], ...]:
+    """The knot as its tangles (beta, alpha).  A pretzel region a is 1/a (a
+    zero region 1/0), and the lone region of P(a), which closes with side
+    arcs, is the integer tangle a/1."""
+    if isinstance(knot, MontesinosDescription):
+        return tuple((t.numerator, t.denominator) for t in knot.tangles)
+    if knot.n_regions == 1:
+        return ((knot.params[0], 1),)
+    return tuple([(-1, -a) if a < 0 else (1, a) for a in knot.params])
 
-    P(a) is the (2, a)-torus link, a knot iff a is odd.  With n >= 2
-    regions, D = sum_i prod_{j != i} a_j is +-det, which is odd exactly
-    for knots (Lickorish, ch. 6): odd iff exactly one region is even (zero
-    counts as even), or none is and n is odd.
-    """
-    params = link.params
-    evens = sum(1 for a in params if a % 2 == 0)
-    if len(params) == 1:
-        return evens == 0
-    return evens == 1 or (evens == 0 and len(params) % 2 == 1)
+
+def determinant(pairs) -> int:
+    """D = sum_i beta_i prod_{j != i} alpha_j for tangles (beta_i, alpha_i):
+    the numerator of their unreduced sum, which is +-det of the closure."""
+    num, den = 0, 1
+    for beta, alpha in pairs:
+        num, den = num * alpha + beta * den, den * alpha
+    return num
+
+
+def is_knot(knot: PretzelLink | MontesinosDescription) -> bool:
+    """Whether the closure has one component: D is odd exactly for knots
+    (Lickorish, ch. 6).  So P(a) is a knot iff a is odd, and P(a_1..a_n),
+    n >= 2, iff one a_i is even (zero is even), or none is and n is odd."""
+    return determinant(tangles(knot)) % 2 == 1
 
 
 def parallel_regions(link: PretzelLink) -> tuple[bool, ...]:
@@ -151,17 +163,18 @@ def _odd_pq(values) -> tuple[int, int] | None:
     return None
 
 
-def family_membership(link: PretzelLink) -> FamilyTag:
-    """Classify a pretzel knot into the candidate surgery families; raises
-    PretzelError for a link.
+def family_membership(knot: PretzelLink | MontesinosDescription) -> FamilyTag | None:
+    """Classify a knot into the candidate surgery families: None when some
+    tangle is not +-1 mod its denominator, or for a one-tangle description
+    (a two-bridge knot); raises PretzelError for a link.
 
     The lookup runs on a normal form that depends only on the knot's
-    tangles mod 1 and the sum e of their integer parts (Boileau-Zieschang):
-    a +-1 region is the integer tangle +-1 and only adds to e, and a -2
-    region is the region 2 with e - 1, since -1/2 = 1/2 - 1.  What remains
-    is the multiset of essential regions, so parameter order and the
-    placement of unit regions never matter.  A member has the regions
-    (2k, p, q) with odd 3 <= p <= q and
+    tangles mod 1 and the sum e of their integer parts (Boileau-Zieschang).
+    A proper tangle beta/alpha = k + s/alpha, with s = +-1 and s = +1 at
+    alpha = 2, is the region s*alpha and adds k to e; an integer tangle,
+    such as a +-1 region, adds to e.  What remains is the multiset of
+    essential regions, so order and integer tangles never matter.  A member
+    has the regions (2k, p, q) with odd 3 <= p <= q and
 
     * e = 0 and 2k <= -4: MINUS_2L with l = -k;
     * e = -1: MINUS1_2N with n = k (so P(-2,p,q) = P(-1,2,p,q) has n = 1);
@@ -169,29 +182,36 @@ def family_membership(link: PretzelLink) -> FamilyTag:
       P(-1,-2,p,q);
     * e = -2 and 2k >= 4: MINUS1_MINUS1_2M with m = k.
 
-    A knot whose mirror image (all parameters negated) is a member gets the
+    A knot whose mirror image (every tangle negated) is a member gets the
     member's tag with ``mirror`` set; no knot is both.
     """
-    if not is_knot(link):
-        raise PretzelError(f"{link} is not a knot")
-    tag = _family_tag(link.params)
-    if tag.kind is FamilyKind.OTHER:
-        mirror = _family_tag([-a for a in link.params])
+    if not is_knot(knot):
+        raise PretzelError(f"{knot} is not a knot")
+    if isinstance(knot, MontesinosDescription) and len(knot.tangles) == 1:
+        return None
+    pairs = tangles(knot)
+    tag = _family_tag(pairs)
+    if tag is not None and tag.kind is FamilyKind.OTHER:
+        mirror = _family_tag([(-beta, alpha) for beta, alpha in pairs])
         if mirror.kind is not FamilyKind.OTHER:
             return replace(mirror, mirror=True)
     return tag
 
 
-def _family_tag(params) -> FamilyTag:
-    """Family of one parameter list, mirror images not included."""
-    e = sum(a for a in params if abs(a) == 1)
-    regions = []
-    for a in params:
-        if a == -2:
-            regions.append(2)
-            e -= 1
-        elif abs(a) != 1:
-            regions.append(a)
+def _family_tag(pairs) -> FamilyTag | None:
+    """Family of one tangle list, mirror images not included."""
+    e, regions = 0, []
+    for beta, alpha in pairs:
+        # the zero region 1/0 reads as the region 0, which no family has
+        k, r = divmod(beta, alpha) if alpha else (0, 1)
+        if alpha == 1:
+            e += beta
+        elif r in (1, alpha - 1):
+            # beta/alpha is k + 1/alpha, or (k + 1) - 1/alpha
+            regions.append(alpha if r == 1 else -alpha)
+            e += k if r == 1 else k + 1
+        else:
+            return None
     evens = [a for a in regions if a % 2 == 0]
     pq = _odd_pq(a for a in regions if a % 2 == 1)
     if len(evens) != 1 or evens[0] == 0 or pq is None:
@@ -224,9 +244,6 @@ def family_link(tag: FamilyTag) -> PretzelLink:
 # ----------------------------------------------------------------------
 # Montesinos descriptions
 
-# the most unit regions ``as_pretzel`` writes out for one tangle; the
-# classify pipeline stays within about 21 MB and 0.1 s up to here
-_MAX_UNIT_REGIONS = 10_000
 # the largest |a| the skein engine and the Wirtinger diagram take: both
 # build a value of size |a|.  With Python 3.11, classifying P(-1,4,3,99999)
 # takes about 0.3 s and a peak RSS of 71 MB, and P(-1,4,3,1000001) 3 s and 500 MB
@@ -246,36 +263,6 @@ class MontesinosDescription:
 
     def __str__(self) -> str:
         return ";".join(f"{t.numerator}/{t.denominator}" for t in self.tangles)
-
-    def as_pretzel(self) -> PretzelLink | None:
-        """The pretzel form when every tangle is +-1 mod its denominator.
-
-        A tangle b/a with b = k*a + s and s = +-1 is the region s*a plus |k|
-        unit regions of the sign of k, which flypes move freely.  Of the
-        splits, the one with the least |k| is taken, so a tangle that is
-        literally +-1/a stays the single region +-a, and the integer tangle
-        0 becomes the cancelling pair (1, -1).  None when some tangle is
-        genuinely rational, and for a single tangle: M(b/a) is the
-        two-bridge knot b(b, a) (1/3 is the unknot), while a one-region
-        pretzel closes with side arcs (P(3) is the trefoil).  Raises
-        PretzelError when some |k| exceeds ``_MAX_UNIT_REGIONS``.
-        """
-        if len(self.tangles) == 1:
-            return None
-        params = []
-        for t in self.tangles:
-            a, b = t.denominator, t.numerator
-            splits = [((b - s) // a, s) for s in (1, -1) if (b - s) % a == 0]
-            if not splits:
-                return None
-            k, s = min(splits, key=lambda split: abs(split[0]))
-            if abs(k) > _MAX_UNIT_REGIONS:
-                raise PretzelError(
-                    f"tangle {t} needs {abs(k)} unit twist regions; at most {_MAX_UNIT_REGIONS} are supported"
-                )
-            params.append(s * a)
-            params.extend([1 if k > 0 else -1] * abs(k))
-        return PretzelLink(params)
 
 
 def parse_montesinos(text: str) -> MontesinosDescription:

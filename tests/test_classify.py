@@ -24,11 +24,13 @@ from pretzelsurgery.alexander import alexander_skein, torus_link_alexander
 from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.pretzel import (
+    PretzelError,
     PretzelLink,
     family_membership,
     is_knot,
     parse_montesinos,
 )
+from reference_pretzel import box_knots
 
 
 class TestHyperbolicity:
@@ -127,12 +129,12 @@ class TestTwoBridgeArbiters:
         torus = 0
         for text in texts:
             desc = parse_montesinos(text)
-            if desc.as_pretzel() is not None:
-                continue
             try:
-                reason = hyperbolicity_status(desc).reason
-            except ClassifyError:
+                if family_membership(desc) is not None:
+                    continue
+            except PretzelError:
                 continue  # a link
+            reason = hyperbolicity_status(desc).reason
             if reason and reason.startswith("(2,"):
                 torus += 1
                 p = int(reason[3:reason.index(")")])
@@ -290,9 +292,22 @@ class TestPipeline:
         # 2/3 = 1 - 1/3, so the input is P(-3,1,3,-2) = P(-3,3,2): no family
         report = classify("2/3;1/3;-1/2")
         assert report.input_kind == "pretzel"
-        assert report.input_text == "P(-3,1,3,-2)"
+        assert report.input_text == "2/3;1/3;-1/2"
         assert report.final.verdicts == [NO_CYCLIC_OR_FINITE]
         assert report.stages[-1].evidence == {"family": "OTHER"}
+
+    def test_reports_match_reference_pretzel(self):
+        # every three-tangle knot of the reference box whose tangles are all
+        # +-1 mod alpha reports what the pretzel it draws reports, except
+        # that input_text echoes the tangle list
+        checked = 0
+        for text, link in box_knots():
+            report, expected = classify(text).to_dict(), classify(link).to_dict()
+            assert report.pop("input_text") == text
+            expected.pop("input_text")
+            assert report == expected, text
+            checked += 1
+        assert checked == 8432
 
     @pytest.mark.parametrize("text", ["-2,3,7,1,-1", "2,3,7,1,-1,-1", "1/2;4/3;-13/7"])
     def test_unit_regions_cancel(self, text):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from pretzelsurgery.pretzel import PretzelLink
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+HUGE = "99999999999999999999"
 
 # `alexander -2,3,10001` in a fresh process, which prints its own peak RSS
 # in MB.  It reads VmHWM where there is /proc: Linux keeps ru_maxrss across
@@ -109,6 +111,15 @@ class TestAlexander:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["alexander", "obstruct", "oracle-compare"])
+    def test_tangle_list_refused(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "3/7;1/2")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {command} takes pretzel parameters such as -2,3,7; "
+            "classify takes tangle lists such as '3/7;1/2'\n"
+        )
+
 
 class TestOracleCompare:
     def test_match(self, capsys):
@@ -168,27 +179,35 @@ class TestClassify:
         assert code == 0
         doc = json.loads(out)
         _, expected, _ = run_cli(capsys, "classify", "-2,3,5", "--json")
-        assert doc == json.loads(expected)
+        expected = json.loads(expected)
+        assert doc.pop("input_text") == "-1/2;1/3;1/5"
+        expected.pop("input_text")
+        assert doc == expected
         assert doc["final"]["verdicts"] == ["NON_HYPERBOLIC_SEE_MOSER"]
 
     @pytest.mark.parametrize(
         "tangles",
         [
-            "99999999999999999999/3;1/3;1/5",  # once an OverflowError traceback
-            "30004/3;1/3;1/5",  # 30004/3 = 1/3 + 10001 unit regions, one too many
+            f"{HUGE}/3;1/3;1/5",  # the integer tangle 33333333333333333333
+            "30007/3;1/3;1/5",  # 30007/3 = 10002 + 1/3
+            f"{HUGE}/7;1/3;1/5",  # HUGE = 1 mod 7
         ],
     )
-    def test_too_many_unit_regions_exit_1(self, capsys, tangles):
-        code, out, err = run_cli(capsys, "classify", tangles)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "unit twist regions" in err
-        assert len(err.strip().splitlines()) == 1
-
-    def test_unit_regions_at_the_bound(self, capsys):
-        # 30001/3 = 1/3 + 10000 unit regions, exactly the bound
-        code, _, _ = run_cli(capsys, "classify", "30001/3;1/3;1/5")
-        assert code == 0
+    def test_huge_tangles_answer(self, capsys, tangles):
+        # the integer part of a tangle only adds to e, so its size costs
+        # neither time nor memory
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "classify", tangles)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0].endswith(": NO_CYCLIC_OR_FINITE")
+        assert elapsed < 1.0
+        assert peak < 1 << 20
 
 
 class TestGrids:
@@ -309,7 +328,6 @@ for argv in json.load(sys.stdin):
 json.dump(results, sys.stdout)
 """
 
-HUGE = "99999999999999999999"
 FUZZ_INPUTS = (
     # malformed
     "x", "3,x", "1,,2", "P(3", "2.5", "1e3", "--", ",", ";", "1//2", "1/2/3",
@@ -320,6 +338,7 @@ FUZZ_INPUTS = (
     # 20-digit parameters, numerators and denominators
     f"2,3,{HUGE}", f"-1,4,3,{HUGE}", f"-2,3,{HUGE}", HUGE, f"-{HUGE},3,5",
     f"-1,-1,{HUGE[:-1]}8,3,5", f"{HUGE}/7;1/3;1/5", f"{HUGE[:-1]}5/7;1/3;1/5",
+    f"{HUGE}/3;1/3;1/5", "30004/3;1/3;1/5", "30007/3;1/3;1/5",
     f"1/{HUGE}", f"1/{HUGE};1/3;1/5",
     # knots
     "-2,3,7", "3", "-1,-1,4,3,3", "1/3;1/4", "-1/2;1/3;1/5",
@@ -360,4 +379,8 @@ class TestFuzz:
         # Mattman's gate decides P(-2,3,q) without Delta, at any size
         assert codes[("classify", f"-2,3,{HUGE}")] == 0
         assert codes[("classify", f"-1,4,3,{HUGE}")] == 1
-        assert codes[("classify", f"{HUGE[:-1]}5/7;1/3;1/5")] == 0
+        # a tangle's integer part only adds to e, at any size
+        for tangles in (f"{HUGE[:-1]}5/7;1/3;1/5", f"{HUGE}/7;1/3;1/5", f"{HUGE}/3;1/3;1/5", "30007/3;1/3;1/5"):
+            assert codes[("classify", tangles)] == 0, tangles
+        # 30004/3 + 1/3 + 1/5 = 150028/15 has an even determinant: a link
+        assert codes[("classify", "30004/3;1/3;1/5")] == 1

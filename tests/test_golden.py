@@ -22,7 +22,7 @@ INPUTS = (
     "-4,5,7", "-1,4,3,5", "-1,-2,3,5", "-1,-1,4,3,3", "3,5,7",
     # torus knots, the unknot and a connected sum
     "3", "-5", "1,-2", "1,1,1", "-2,3,3,1,-1", "3,0,5",
-    # Montesinos input: +-1 mod alpha (read as pretzels) and rational
+    # Montesinos input: +-1 mod alpha (with a family tag) and rational
     "1/3;1/3;-1/2", "1/2;4/3;-13/7", "-1/2;1/3;1/5", "2/3;1/3;-1/2",
     "2/5;1/3;1/2", "2/5;1/3;2/7",
     # one-tangle input

@@ -1,7 +1,5 @@
 import functools
-from fractions import Fraction
 from itertools import product
-from math import gcd
 
 import pytest
 
@@ -9,16 +7,18 @@ from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.oracle import _DIRECTION, OracleError, _walk
 from pretzelsurgery.pretzel import (
     FamilyKind,
-    MontesinosDescription,
     PretzelLink,
     PretzelError,
+    determinant,
     family_link,
     family_membership,
     is_knot,
     parallel_regions,
     parse_montesinos,
     parse_pretzel,
+    tangles,
 )
+from reference_pretzel import as_pretzel, box_knots
 
 
 class TestParsing:
@@ -213,12 +213,24 @@ class TestMontesinos:
         desc = parse_montesinos("1/3;1/3;-1/2")
         assert len(desc.tangles) == 3
 
+    def test_tangles(self):
+        assert tangles(PretzelLink((3,))) == ((3, 1),)
+        assert tangles(PretzelLink((-2, 0, 3))) == ((-1, 2), (1, 0), (1, 3))
+        assert tangles(parse_montesinos("-1/2;4;6/4")) == ((-1, 2), (4, 1), (3, 2))
+
+    # the reference pretzel of a description, and the description's family
+    # tag against that pretzel's
     def test_as_pretzel_literal(self):
         desc = parse_montesinos("1/3;1/3;-1/2")
-        assert desc.as_pretzel() == PretzelLink((3, 3, -2))
+        assert as_pretzel(desc) == PretzelLink((3, 3, -2))
+        assert family_membership(desc) == family_membership(PretzelLink((3, 3, -2)))
 
     def test_as_pretzel_rational_fails(self):
-        assert parse_montesinos("2/5;1/3;1/3").as_pretzel() is None
+        assert as_pretzel(parse_montesinos("2/5;1/3;1/3")) is None
+        assert family_membership(parse_montesinos("2/5;1/3;1/2")) is None
+        # one tangle: M(1/7) is two-bridge (the unknot), while P(7) is T(2,7)
+        assert as_pretzel(parse_montesinos("1/7")) is None
+        assert family_membership(parse_montesinos("1/7")) is None
 
     def test_as_pretzel_pm1_mod_alpha(self):
         # 4/3 = 1 + 1/3, -13/7 = -2 + 1/7, 3/2 = 1 + 1/2, 0 = 1 - 1
@@ -229,30 +241,27 @@ class TestMontesinos:
             "1/3;0;2": (3, 1, -1, 1, 1),
         }
         for text, params in cases.items():
-            assert parse_montesinos(text).as_pretzel() == PretzelLink(params), text
+            desc, link = parse_montesinos(text), PretzelLink(params)
+            assert as_pretzel(desc) == link, text
+            assert is_knot(desc) == is_knot(link), text
+            if is_knot(link):
+                assert family_membership(desc) == family_membership(link), text
+        assert family_membership(parse_montesinos("1/2;4/3;-13/7")) == family_membership(
+            PretzelLink((-2, 3, 7))
+        )
 
     def test_as_pretzel_determinant(self):
-        # three-tangle Montesinos knots: |Delta(-1)| of the converted
-        # pretzel equals the determinant |sum_i b_i prod_{j != i} a_j|
-        tangles = [
-            Fraction(b, a)
-            for a in (2, 3, 4, 5, 7)
-            for b in range(-5, 6)
-            if b and gcd(a, b) == 1
-        ]
+        # three-tangle Montesinos knots: |Delta(-1)| of the reference
+        # pretzel equals |D| read from the tangles, and the knot test and
+        # the family tag of the description are those of the pretzel
         checked = 0
-        for triple in product(tangles, repeat=3):
-            (b1, a1), (b2, a2), (b3, a3) = (
-                (t.numerator, t.denominator) for t in triple
-            )
-            det = abs(b1 * a2 * a3 + b2 * a1 * a3 + b3 * a1 * a2)
-            if det % 2 == 0:
-                continue
-            link = MontesinosDescription(triple).as_pretzel()
-            if link is None:
-                continue
+        for text, link in box_knots():
+            desc = parse_montesinos(text)
+            det = determinant(tangles(desc))
             delta = alexander_skein(link).normalize()
-            assert abs(delta.eval_at_minus_one()) == det, triple
+            assert abs(delta.eval_at_minus_one()) == abs(det), text
+            assert is_knot(desc)
+            assert family_membership(desc) == family_membership(link), text
             checked += 1
         assert checked == 8432
 
