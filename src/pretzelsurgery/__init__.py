@@ -19,7 +19,7 @@ from .alexander import (
     claim_formula,
     torus_link_alexander,
 )
-from .oracle import WirtingerPresentation, alexander_fox, build_diagram
+from .oracle import alexander_fox, build_diagram
 
 from .obstruction import (
     CheckResult,

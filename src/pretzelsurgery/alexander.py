@@ -138,27 +138,23 @@ _ZERO = LaurentPoly.zero()
 _ONE_PLUS_T = LaurentPoly({0: 1, 2: 1})
 
 
-def _twist_value(
-    m: int, parallel: bool, *, horizontal: bool = False, lift: bool = False
-) -> tuple[LaurentPoly, int]:
-    """Exact Conway value of the closed (2, m) twist with the two strands
-    running parallel or antiparallel, over its power of 1 + t: with
-    ``lift``, a torus value of three or more terms comes as its numerator
-    over (1 + t)^1, else every value comes over (1 + t)^0.
+def _twist_value(m: int, parallel: bool, *, lift: bool = False) -> tuple[LaurentPoly, int]:
+    """Exact Conway value of the closed vertical (2, m) twist with the two
+    strands running parallel or antiparallel, over its power of 1 + t:
+    with ``lift``, a torus value of three or more terms comes as its
+    numerator over (1 + t)^1, else every value comes over (1 + t)^0.
 
-    A quarter turn of the picture exchanges the roles of the two smoothing
-    conventions, so twists read along a horizontal braid axis take w -> -w
-    against vertical twist regions.  A parallel twist is a torus value, and
-    Delta_m(-s) = (-1)^(m+1) Delta_m = Delta_{-m} puts the vertical one at
-    -m; an odd twist is a knot, and Delta_{-m} = Delta_m whatever the
-    strands do.  An even antiparallel twist is (m/2) w.
+    A parallel twist is a torus value, and Delta_m(-s) = (-1)^(m+1) Delta_m
+    = Delta_{-m} puts the vertical one at -m; an odd twist is a knot, and
+    Delta_{-m} = Delta_m whatever the strands do.  An even antiparallel
+    twist is (m/2) w.  A quarter turn exchanges the two smoothings, so a
+    horizontal twist m is the vertical twist -m.
     """
     if parallel or m % 2 != 0:
-        l = m if horizontal else -m
-        if lift and abs(l) >= 3:
-            return _numerator(l), 1
-        return _torus(l), 0
-    return (m // 2) * (-SKEIN_FACTOR if horizontal else SKEIN_FACTOR), 0
+        if lift and abs(m) >= 3:
+            return _numerator(-m), 1
+        return _torus(-m), 0
+    return (m // 2) * SKEIN_FACTOR, 0
 
 
 def _leaf_value(total: int, units: bool, has_even: bool, *, lift: bool = False) -> tuple[LaurentPoly, int]:
@@ -173,7 +169,7 @@ def _leaf_value(total: int, units: bool, has_even: bool, *, lift: bool = False) 
     the total is odd, and an odd twist's value does not depend on flows.
     """
     if units:
-        return _twist_value(total, not has_even, horizontal=True, lift=lift)
+        return _twist_value(-total, not has_even, lift=lift)
     return _twist_value(total, has_even, lift=lift)
 
 

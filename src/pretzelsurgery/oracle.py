@@ -1,16 +1,17 @@
 """Ground-truth Alexander polynomials via Fox calculus.
 
-Builds the Wirtinger presentation of the standard pretzel diagram,
-abelianizes every meridian to t, and takes the minor of the Alexander
-matrix that drops the last relation and arc.  Its rows are sparse
-{arc: value} maps of integers packed at t = X = 2**(8*nbytes), built
-straight from the relations.  Every Wirtinger row holds an entry +-1 (the
-outgoing under-arc at a positive crossing, the incoming one at a negative
-crossing), and a Schur complement on a unit pivot changes the determinant
-only by a sign, so a work queue eliminates unit pivots while any are
-left.  Fraction-free (Bareiss) elimination takes the few rows that
-remain, and one ``kronecker_unpack`` reads the coefficients back.
-Nothing here shares a convention with the skein engine beyond the
+One pass over the strand walk of the standard pretzel diagram gives the
+Wirtinger presentation: a tuple (over, under_in, under_out, sign) of arc
+labels per crossing, signed x(over) * y(under) by the directions of travel.
+Every meridian is abelianized to t, and the minor of the Alexander matrix
+that drops the last relation and arc has sparse {arc: value} rows of
+integers packed at t = X = 2**(8*nbytes).  Every Wirtinger row holds an
+entry +-1 (the outgoing under-arc at a positive crossing, the incoming one
+at a negative crossing), and a Schur complement on a unit pivot changes
+the determinant only by a sign, so a work queue eliminates unit pivots
+while any are left.  Fraction-free (Bareiss) elimination takes the few
+rows that remain, and one ``kronecker_unpack`` reads the coefficients
+back.  Nothing here shares a convention with the skein engine beyond the
 diagram template itself, not even the knot test (the strand walk rejects
 a link on its own), which is the point: it is the independent check.
 """
@@ -18,7 +19,6 @@ a link on its own), which is the point: it is the independent check.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .laurent import LaurentPoly, kronecker_unpack, slot_bytes
 from .pretzel import _MAX_TWIST, PretzelLink
@@ -36,30 +36,15 @@ _VERTICAL = {_TL: _BL, _BL: _TL, _TR: _BR, _BR: _TR}
 _DIRECTION = {_TL: (1, -1), _TR: (-1, -1), _BL: (1, 1), _BR: (-1, 1)}
 
 
-@dataclass(frozen=True)
-class CrossingRelation:
-    """One Wirtinger relation: arcs are numbered 0..c-1."""
-
-    over: int
-    under_in: int
-    under_out: int
-    sign: int
-
-
-@dataclass(frozen=True)
-class WirtingerPresentation:
-    generator_count: int
-    relations: tuple[CrossingRelation, ...]
-
-
 def _walk(link: PretzelLink):
     """Traverse the knot from the top-left corner of crossing 0, returning
     the passage list [(crossing, corner in)] and each region's range of
     crossing ids.  Raises OracleError for a link: no crossing, a return to
     the start before 2c passages, or a closure arc missed (two adjacent
-    zero regions bound a circle with no crossing)."""
-    n = link.n_regions
-    params = link.params
+    zero regions bound a circle with no crossing).  P(a) is walked as
+    P(a, 0), whose zero region's vertical strands are the side arcs."""
+    params = link.params if link.n_regions > 1 else link.params + (0,)
+    n = len(params)
     arcs = 0  # closure arcs walked
     region_crossings = []
     region_of = []  # the region of each crossing id
@@ -80,11 +65,7 @@ def _walk(link: PretzelLink):
         while True:
             # arc edge
             arcs += 1
-            if n == 1:
-                # side-arc closure: the lone region is a (2, a)-torus link
-                port = _VERTICAL[port]
-                i = 0
-            elif port == _TR:
+            if port == _TR:
                 i, port = (i + 1) % n, _TL
             elif port == _BR:
                 i, port = (i + 1) % n, _BL
@@ -112,14 +93,14 @@ def _walk(link: PretzelLink):
         raise OracleError(f"{link} is not a knot: the strand walk closes after {len(passages)} of {2 * c} passages")
     if state != start:
         raise OracleError(f"{link}: strand walk did not close up after {2 * c} passages")
-    if arcs < (2 if n == 1 else 2 * n):
+    if arcs < 2 * n:
         raise OracleError(f"{link} is not a knot: the strand walk misses a circle with no crossing")
     return passages, region_crossings
 
 
-def build_diagram(link: PretzelLink) -> WirtingerPresentation:
-    """Wirtinger presentation of the standard pretzel diagram of a knot
-    with no region of more than ``_MAX_TWIST`` crossings."""
+def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
+    """Wirtinger relations (over, under_in, under_out, sign) over the arcs
+    0..c-1 of a knot with no region of more than ``_MAX_TWIST`` crossings."""
     if max(map(abs, link.params)) > _MAX_TWIST:
         raise OracleError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
     passages, _ = _walk(link)
@@ -127,37 +108,33 @@ def build_diagram(link: PretzelLink) -> WirtingerPresentation:
     # the over-strand runs TL-BR at the crossings of a positive region
     positive = [a > 0 for a in link.params for _ in range(abs(a))]
 
-    # arc labels: increment after each under-passage; label c wraps to 0
-    over_arc = [0] * c
+    # arc labels: increment after each under-passage; label c wraps to 0.
+    # The sign is that of ox*uy - oy*ux for the over and under directions.
+    # In a positive region the over-strand runs TL-BR (oy = -ox) and the
+    # under-strand TR-BL (ux = uy); in a negative one the diagonals swap
+    # (oy = ox, ux = -uy).  Either way the product is 2*ox*uy.
+    over = [0] * c
     under_in = [0] * c
-    vec_over = [(0, 0)] * c
-    vec_under = [(0, 0)] * c
+    sign = [1] * c
     label = 0
     for cid, corner in passages:
+        x, y = _DIRECTION[corner]
         if (corner == _TL or corner == _BR) == positive[cid]:
-            over_arc[cid] = label % c
-            vec_over[cid] = _DIRECTION[corner]
+            over[cid] = label % c
+            sign[cid] *= x
         else:
             under_in[cid] = label
-            vec_under[cid] = _DIRECTION[corner]
+            sign[cid] *= y
             label += 1
     if label != c:
         raise OracleError("under-passage count does not match crossing count")
-
-    relations = []
-    for cid in range(c):
-        (ox, oy), (ux, uy) = vec_over[cid], vec_under[cid]
-        sign = 1 if ox * uy - oy * ux > 0 else -1
-        relations.append(
-            CrossingRelation(over_arc[cid], under_in[cid], (under_in[cid] + 1) % c, sign)
-        )
-    return WirtingerPresentation(c, tuple(relations))
+    return [(o, i, (i + 1) % c, s) for o, i, s in zip(over, under_in, sign)]
 
 
 # ----------------------------------------------------------------------
 # Alexander minor by unit-pivot elimination on packed integers
 
-def _minor_rows(pres: WirtingerPresentation) -> tuple[list[dict[int, int]], int]:
+def _minor_rows(relations: list[tuple[int, int, int, int]]) -> tuple[list[dict[int, int]], int]:
     """The rows of the minor that drops the last relation and the last arc,
     as {arc: Fox derivative packed at t = X = 2**(8*nbytes)}, and nbytes.
 
@@ -166,11 +143,10 @@ def _minor_rows(pres: WirtingerPresentation) -> tuple[list[dict[int, int]], int]
     several roles sums them.  The digit width in bits is 4 plus the bit
     lengths of the rows' l1 norms (at least 2 each).
     """
-    last = pres.generator_count - 1
-    relations = pres.relations[:last]
+    last = len(relations) - 1
+    relations = relations[:last]
     bits = 4
-    for rel in relations:
-        o, i, u = rel.over, rel.under_in, rel.under_out
+    for o, i, u, _ in relations:
         # 2 for the over-arc's 1 - t and 1 for each under-arc, except that
         # an over-arc that is also an under-arc sums to a monomial
         l1 = (o != last) * (1 if o in (i, u) else 2) + (i not in (o, last)) + (u not in (o, last))
@@ -179,9 +155,9 @@ def _minor_rows(pres: WirtingerPresentation) -> tuple[list[dict[int, int]], int]
     x = 1 << (8 * nbytes)
     entries = {1: (1 - x, x, -1), -1: (x - 1, 1, -x)}
     rows = []
-    for rel in relations:
+    for o, i, u, sign in relations:
         row: dict[int, int] = {}
-        for arc, v in zip((rel.over, rel.under_in, rel.under_out), entries[rel.sign]):
+        for arc, v in zip((o, i, u), entries[sign]):
             if arc != last:
                 row[arc] = row.get(arc, 0) + v
         rows.append(row)
@@ -267,11 +243,11 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
     The minor drops the last row and the last column of the Alexander
     matrix; any single column would give the same minor up to units.
     """
-    pres = build_diagram(link)
-    rows, nbytes = _minor_rows(pres)
+    relations = build_diagram(link)
+    rows, nbytes = _minor_rows(relations)
     value = _bareiss(_unit_pivot_core(rows))
     try:
-        digits = kronecker_unpack(value, nbytes, pres.generator_count + 1)
+        digits = kronecker_unpack(value, nbytes, len(relations) + 1)
     except OverflowError:
         raise OracleError("determinant decoding overflow: digit bound violated") from None
     det = LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(digits) if d})

@@ -3,7 +3,8 @@ descending-diagram skein recursion on signed oriented Gauss codes.
 
 Exponential in crossing number; only usable on small diagrams, but shares
 no code path with the twist-region engine beyond the crossing-sign
-assignment of the Wirtinger builder.
+assignment of the Wirtinger builder: the last entry, x(over) * y(under),
+of each ``build_diagram`` relation tuple.
 """
 
 from functools import lru_cache
@@ -17,7 +18,7 @@ from pretzelsurgery.pretzel import PretzelLink
 
 
 def gauss_from_pretzel(link: PretzelLink):
-    pres = build_diagram(link)
+    relations = build_diagram(link)
     passages, region_ids = _walk(link)
     region_of = {}
     for i, ids in enumerate(region_ids):
@@ -27,7 +28,7 @@ def gauss_from_pretzel(link: PretzelLink):
     for cid, corner in passages:
         over_diag_tlbr = link.params[region_of[cid]] > 0
         is_over = (corner in (0, 3)) == over_diag_tlbr  # TL=0, BR=3
-        comp.append((cid, is_over, pres.relations[cid].sign))
+        comp.append((cid, is_over, relations[cid][3]))
     return (tuple(comp),)
 
 

@@ -4,30 +4,32 @@ elimination.
 Builds the full c x c Alexander matrix of ``LaurentPoly`` entries from a
 Wirtinger presentation and takes the minor that drops the last row and
 column by dense fraction-free (Bareiss) elimination on Kronecker-packed
-integers.  It shares only the presentation with
+integers.  It shares only the presentation, the (over, under_in,
+under_out, sign) tuples of ``build_diagram``, with
 ``pretzelsurgery.oracle.alexander_fox``; the packing goes through
 ``laurent.kronecker_pack`` entry by entry, with no pivot search beyond
 the first nonzero entry of a column.
 """
 
 from pretzelsurgery.laurent import LaurentPoly, kronecker_pack, kronecker_unpack, slot_bytes
-from pretzelsurgery.oracle import OracleError, WirtingerPresentation, build_diagram
+from pretzelsurgery.oracle import OracleError, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 
 _T = LaurentPoly.t_term(1, 1)
 _ONE = LaurentPoly.one()
 
 
-def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
-    """Abelianized Fox-derivative matrix, one row per relation."""
-    c = pres.generator_count
+def alexander_matrix(relations: list[tuple[int, int, int, int]]) -> list[list[LaurentPoly]]:
+    """Abelianized Fox-derivative matrix, one row per relation
+    (over, under_in, under_out, sign)."""
+    c = len(relations)
     rows = []
-    for rel in pres.relations:
+    for over, under_in, under_out, sign in relations:
         row = [LaurentPoly.zero()] * c
-        if rel.sign > 0:
-            contrib = ((rel.over, _ONE - _T), (rel.under_in, _T), (rel.under_out, -_ONE))
+        if sign > 0:
+            contrib = ((over, _ONE - _T), (under_in, _T), (under_out, -_ONE))
         else:
-            contrib = ((rel.over, _T - _ONE), (rel.under_in, _ONE), (rel.under_out, -_T))
+            contrib = ((over, _T - _ONE), (under_in, _ONE), (under_out, -_T))
         # the same arc may play several roles at one crossing, so accumulate
         for arc, val in contrib:
             row[arc] = row[arc] + val
@@ -93,7 +95,7 @@ def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) ->
 
 def alexander_fox_dense(link: PretzelLink) -> LaurentPoly:
     """Normalized Alexander polynomial from the dense minor."""
-    pres = build_diagram(link)
-    c = pres.generator_count
-    minor = [row[: c - 1] for row in alexander_matrix(pres)[: c - 1]]
+    relations = build_diagram(link)
+    c = len(relations)
+    minor = [row[: c - 1] for row in alexander_matrix(relations)[: c - 1]]
     return kronecker_determinant(minor, degree_bound=c).normalize()

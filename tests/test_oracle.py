@@ -4,17 +4,18 @@ import pytest
 
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import parse
-from pretzelsurgery.oracle import OracleError, alexander_fox, build_diagram
+from pretzelsurgery.laurent import LaurentPoly, parse
+from pretzelsurgery.oracle import _DIRECTION, OracleError, _walk, alexander_fox, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 from reference_fox import alexander_fox_dense
 
 
 class TestWirtinger:
     def test_presentation_shape(self):
-        pres = build_diagram(PretzelLink((-2, 3, 7)))
-        assert len(pres.relations) == 12  # one relation per crossing
-        assert pres.generator_count == 12  # and one arc per crossing for knots
+        relations = build_diagram(PretzelLink((-2, 3, 7)))
+        assert len(relations) == 12  # one relation per crossing
+        # and one arc per crossing for knots
+        assert {arc for r in relations for arc in r[:3]} == set(range(12))
 
     def test_rejects_links(self):
         with pytest.raises(OracleError):
@@ -30,9 +31,41 @@ class TestWirtinger:
     def test_crossing_signs_match_writhe_parity(self):
         # every crossing in a single region carries the same sign
         for params in ((3,), (-3,), (5,)):
-            pres = build_diagram(PretzelLink(params))
-            signs = {r.sign for r in pres.relations}
+            relations = build_diagram(PretzelLink(params))
+            signs = {r[3] for r in relations}
             assert len(signs) == 1
+
+    def test_sign_rule_against_cross_product(self):
+        # x(over) * y(under) against the sign of the cross product
+        # ox*uy - oy*ux of the over and under directions of travel
+        knots = 0
+        for link in knot_box(4, 5):
+            passages, _ = _walk(link)
+            positive = [a > 0 for a in link.params for _ in range(abs(a))]
+            over, under = {}, {}
+            for cid, corner in passages:
+                is_over = (corner in (0, 3)) == positive[cid]  # TL=0, BR=3
+                (over if is_over else under)[cid] = _DIRECTION[corner]
+            signs = [r[3] for r in build_diagram(link)]
+            for cid, sign in enumerate(signs):
+                (ox, oy), (ux, uy) = over[cid], under[cid]
+                assert sign == (1 if ox * uy - oy * ux > 0 else -1), (link, cid)
+            knots += 1
+        assert knots == 5142
+
+
+class TestLoneRegion:
+    def test_torus_values(self):
+        # P(a) is the (2, a) torus link: a link for even a, and for odd a
+        # the knot with Delta = (t^|a| + 1) / (t + 1) = sum_{j<|a|} (-t)^j
+        for a in range(-101, 102):
+            link = PretzelLink((a,))
+            if a % 2 == 0:
+                with pytest.raises(OracleError, match="not a knot"):
+                    alexander_fox(link)
+                continue
+            expected = LaurentPoly({2 * j: (-1) ** j for j in range(abs(a))})
+            assert alexander_fox(link) == expected.normalize(), a
 
 
 class TestFoxValues:

@@ -1,12 +1,20 @@
-"""No floating point anywhere in the package: no float or complex
-constant, no use of the name ``float`` and no true division ``/``, which
-yields a float on integers.  Exact results come from ``//``, ``divmod``
-and ``fractions.Fraction``."""
+"""Source guards.  No floating point anywhere in the package: no float or
+complex constant, no use of the name ``float`` and no true division ``/``,
+which yields a float on integers.  Exact results come from ``//``,
+``divmod`` and ``fractions.Fraction``.  And the Fox oracle and the two
+reference engines share no code with the engines they check."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pretzelsurgery"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "pretzelsurgery"
+# the Fox oracle and the reference engines that arbitrate the skein engine
+INDEPENDENT = (
+    PACKAGE / "oracle.py",
+    ROOT / "tests" / "reference_fox.py",
+    ROOT / "tests" / "reference_conway.py",
+)
 
 
 def _float_sites(tree: ast.AST):
@@ -33,3 +41,46 @@ def test_no_floating_point():
 def test_guard_sees_floats():
     source = "x = 1.5\ny = float(2)\nz = 3 / 4\nz /= 2\nw = 3 // 4\n"
     assert sorted(line for line, _ in _float_sites(ast.parse(source))) == [1, 2, 3, 4]
+
+
+def _shared_code(tree: ast.AST):
+    """Imports of the skein engine, the classifier, the obstructions, the
+    package root (which re-exports them), or of anything from ``pretzel``
+    beyond the diagram template: ``PretzelLink`` and ``_MAX_TWIST``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports = [(alias.name, ["*"]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("pretzelsurgery." if node.level else "") + (node.module or "")
+            imports = [(module.rstrip("."), [alias.name for alias in node.names])]
+        else:
+            continue
+        for module, names in imports:
+            if module == "pretzelsurgery" or module.rpartition(".")[2] in ("alexander", "classify", "obstruction"):
+                yield node.lineno, module
+            elif module == "pretzelsurgery.pretzel" and not set(names) <= {"PretzelLink", "_MAX_TWIST"}:
+                yield node.lineno, f"{module}: {', '.join(names)}"
+
+
+def test_oracle_and_references_share_no_engine_code():
+    sites = [
+        f"{path.name}:{line}: {what}"
+        for path in INDEPENDENT
+        for line, what in _shared_code(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sites == []
+
+
+def test_guard_sees_shared_code():
+    source = (
+        "from .alexander import alexander_skein\n"
+        "from pretzelsurgery.classify import classify\n"
+        "import pretzelsurgery.obstruction\n"
+        "from pretzelsurgery import is_knot\n"
+        "from .pretzel import PretzelLink, is_knot\n"
+        "from pretzelsurgery.pretzel import tangles\n"
+        "import pretzelsurgery.pretzel\n"
+        "from .pretzel import _MAX_TWIST, PretzelLink\n"
+        "from pretzelsurgery.laurent import LaurentPoly\n"
+    )
+    assert sorted(line for line, _ in _shared_code(ast.parse(source))) == [1, 2, 3, 4, 5, 6, 7]
