@@ -10,7 +10,7 @@ The sum runs over oriented pretzel links: every sub-link keeps, on each of
 its regions, the strand flows that region had in the root knot, since
 crossing changes and oriented smoothings never change them, and
 ``pretzel.parallel_regions`` reads them from the parities.  Each region
-is resolved once, in ascending |a| order, into a few (multiplier, outcome)
+is resolved once, in index order, into a few (multiplier, outcome)
 branches chosen by its flows:
 
 * parallel strands: the torus-link recursion leaves the region at 0 or
@@ -123,8 +123,8 @@ class SkeinStep:
 @dataclass
 class SkeinTrace:
     """The program of one computation: a step for each region with
-    |a| >= 2, in the order the state sum resolves them.  Links with at most
-    two regions are closed forms and have no steps."""
+    |a| >= 2, in index order, as the state sum resolves them.  Links with
+    at most two regions are closed forms and have no steps."""
 
     root: PretzelLink
     steps: list[SkeinStep]
@@ -191,12 +191,6 @@ def _choices(a: int, parallel: bool, lift: bool = False) -> tuple[tuple[LaurentP
     return ((_ONE, r), (((a - r) // 2) * SKEIN_FACTOR, None))
 
 
-def _resolution_order(params) -> list[int]:
-    """Ascending |a|, ties by index: the accumulated weights meet the
-    largest torus values last."""
-    return sorted(range(len(params)), key=lambda i: (abs(params[i]), i))
-
-
 def _collect(over: dict[int, LaurentPoly], power: int, value: LaurentPoly) -> None:
     """Add ``value`` to the sum over (1 + t)^power."""
     over[power] = over[power] + value if power in over else value
@@ -214,24 +208,25 @@ def _divide_out(over: dict[int, LaurentPoly]) -> LaurentPoly:
     return divide_by_one_plus_t(total, top)
 
 
-def _state_sum(params, parallel, has_even: bool, order: list[int]) -> LaurentPoly:
-    """Sum over one branch per region, resolving the regions in ``order``
-    (see the module docstring)."""
+def _state_sum(params, parallel, has_even: bool) -> LaurentPoly:
+    """Sum over one branch per region, resolving the regions in index
+    order (see the module docstring)."""
     # (sum of the kept +-1 regions, min(kept, 3)) -> the weight of the
     # expansions without a 0 region
     states: dict = {(0, 0): _ONE}
     cut = _ZERO  # expansions with one 0 region, in Horner form
     power = 0  # of 1 + t under every state and the cut
     over: dict[int, LaurentPoly] = {}  # power -> the leaves over (1 + t)^power
-    for t, i in enumerate(order):
-        a, par = params[i], parallel[i]
+    for t, (a, par) in enumerate(zip(params, parallel)):
         lift = par and abs(a) >= 3
         power += lift
         if cut:
+            # a cut needs an even region, so every odd region runs parallel and
+            # this factor has at most two terms (guarded in test_alexander.py)
             cut = cut * _twist_value(a, par, lift=lift)[0]
         if not states:
             continue
-        rest = order[t + 1:]
+        rest = params[t + 1:]
         merged: dict = {}
         for mult, outcome in _choices(a, par, lift):
             for (total, kept), weight in states.items():
@@ -241,9 +236,8 @@ def _state_sum(params, parallel, has_even: bool, order: list[int]) -> LaurentPol
                     continue
                 if outcome is None:
                     if kept + len(rest) == 2:
-                        pair = [params[j] for j in rest]
                         value, up = _leaf_value(
-                            total + sum(pair), all(abs(b) == 1 for b in pair), has_even, lift=True
+                            total + sum(rest), all(abs(b) == 1 for b in rest), has_even, lift=True
                         )
                         _collect(over, power + up, w * value)
                         continue
@@ -272,19 +266,14 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     has_even = any(a % 2 == 0 for a in params)
     if len(params) <= 2:
         return _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)[0]
-    return _state_sum(params, parallel, has_even, _resolution_order(params))
+    return _state_sum(params, parallel, has_even)
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, SkeinTrace]:
     value = alexander_skein(link)
     params = link.params
-    parallel = parallel_regions(link)
-    order = _resolution_order(params) if len(params) > 2 else []
-    steps = [
-        SkeinStep(i, params[i], _choices(params[i], parallel[i]))
-        for i in order
-        if abs(params[i]) >= 2
-    ]
+    regions = enumerate(zip(params, parallel_regions(link))) if len(params) > 2 else ()
+    steps = [SkeinStep(i, a, _choices(a, par)) for i, (a, par) in regions if abs(a) >= 2]
     return value, SkeinTrace(link, steps)
 
 

@@ -6,20 +6,16 @@ values.  Exponents are stored in s-units: the s-exponent 2k represents
 t**k, an odd s-exponent an honest half-integer power of t.  Coefficients
 are arbitrary-precision Python ints.
 
-Products use Kronecker substitution.  Each operand is evaluated at
-s = 2**(8*nbytes), which turns it into one integer whose nbytes-wide
-two's-complement slots hold its coefficients, and the two integers are
-multiplied once; the slots of the result are the product's coefficients.
-The slot width comes from the bound min(#terms) * max|a| * max|b| on every
-product coefficient, so no slot overflows.  Widths of 1, 2, 4 and 8 bytes
-are packed and read back through ``array`` and ``memoryview`` at C speed;
-wider coefficients are read one slot at a time with ``int.from_bytes``,
-so results stay exact at any size.  ``kronecker_pack`` and
-``kronecker_unpack`` implement this encoding; the Fox-calculus oracle
-decodes its determinant with ``kronecker_unpack``.  A product whose shorter
-operand has at most ``_SCHOOLBOOK_MAX`` terms, or whose operands are so
-sparse that the slots would outnumber the term products, runs the plain
-dictionary double loop instead.
+Products run the dictionary double loop, whose cost is the product of the
+term counts; every product the skein state sum makes has an operand of at
+most two terms (a test in ``tests/test_alexander.py`` guards this).
+
+``kronecker_pack`` and ``kronecker_unpack`` encode a polynomial as one
+integer, its value at s = 2**(8*nbytes), whose nbytes-wide two's-complement
+slots hold the coefficients; the exact division and the Fox-calculus oracle
+use them.  Widths of 1, 2, 4 and 8 bytes are packed and read back through
+``array`` and ``memoryview`` at C speed; wider slots are read one at a time
+with ``int.from_bytes``, so results stay exact at any size.
 
 ``divide_by_one_plus_t`` divides exactly by (1 + t)**k in the same
 encoding: the dividend is packed once, divided by (1 + X**2)**k as one
@@ -257,12 +253,20 @@ def _trusted(c: dict[int, int]) -> LaurentPoly:
     return p
 
 
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Coefficients of the product of the coefficient maps ``a`` and ``b``."""
+    if len(a) > len(b):
+        a, b = b, a
+    c: dict[int, int] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            c[e] = c.get(e, 0) + v1 * v2
+    return {e: v for e, v in c.items() if v}
+
+
 # ----------------------------------------------------------------------
 # Kronecker substitution
-
-#: Products whose shorter operand has at most this many terms run the
-#: dictionary double loop; past it one big-integer product is faster.
-_SCHOOLBOOK_MAX = 4
 
 _BYTE_ORDER = "little"
 # slot width in bytes -> signed array typecode; native little-endian only,
@@ -286,15 +290,15 @@ def _sign_bits(nbytes: int, count: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, _BYTE_ORDER)
 
 
-def kronecker_pack(coeffs: Mapping[int, int], lo: int, count: int, nbytes: int) -> int:
-    """sum(v * 2**(8*nbytes*(e - lo))) over ``coeffs``: the coefficient map
-    times s**-lo evaluated at s = 2**(8*nbytes), in ``count`` slots.  Every
-    exponent must lie in [lo, lo + count) and every value fit a signed slot
-    of ``nbytes`` bytes."""
+def kronecker_pack(coeffs: Mapping[int, int], count: int, nbytes: int) -> int:
+    """sum(v * 2**(8*nbytes*e)) over ``coeffs``: the coefficient map
+    evaluated at s = 2**(8*nbytes), in ``count`` slots.  Every exponent
+    must lie in [0, count) and every value fit a signed slot of ``nbytes``
+    bytes."""
     fmt = _FORMATS.get(nbytes)
     slots = array(fmt, bytes(nbytes * count)) if fmt else [0] * count
     for e, v in coeffs.items():
-        slots[e - lo] = v
+        slots[e] = v
     if fmt:
         raw = slots.tobytes()
     else:
@@ -320,28 +324,6 @@ def kronecker_unpack(x: int, nbytes: int, count: int) -> Sequence[int]:
         int.from_bytes(raw[i:i + nbytes], _BYTE_ORDER, signed=True)
         for i in range(0, len(raw), nbytes)
     ]
-
-
-def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Coefficients of the product of the coefficient maps ``a`` and ``b``."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) > _SCHOOLBOOK_MAX:
-        lo_a, lo_b = min(a), min(b)
-        span_a, span_b = max(a) - lo_a + 1, max(b) - lo_b + 1
-        if span_a + span_b <= len(a) * len(b):  # else too sparse to pack
-            bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
-            nbytes = slot_bytes(bound.bit_length() + 1)  # + 1 for the sign
-            x = kronecker_pack(a, lo_a, span_a, nbytes) * kronecker_pack(b, lo_b, span_b, nbytes)
-            lo, count = lo_a + lo_b, span_a + span_b - 1
-            slots = kronecker_unpack(x, nbytes, count)
-            return dict(filter(itemgetter(1), zip(range(lo, lo + count), slots)))
-    c: dict[int, int] = {}
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            c[e] = c.get(e, 0) + v1 * v2
-    return {e: v for e, v in c.items() if v}
 
 
 def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
@@ -389,7 +371,7 @@ def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     span = (count - 1) * step // 2
     bound = sum(map(abs, c.values())) * comb(span + k - 1, k - 1) * (2**k + 1)
     nbytes = slot_bytes(bound.bit_length() + 1)  # + 1 for the sign
-    x = kronecker_pack({(e - lo) // step: v for e, v in c.items()}, 0, count + degree, nbytes)
+    x = kronecker_pack({(e - lo) // step: v for e, v in c.items()}, count + degree, nbytes)
     quotient, remainder = divmod(x, (1 + (1 << (8 * nbytes * (2 // step)))) ** k)
     if remainder:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")

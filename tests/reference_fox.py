@@ -67,7 +67,7 @@ def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) ->
     nbytes = slot_bytes(bits)
     # most entries are zero, and a zero entry packs to 0
     m = [
-        [kronecker_pack(c, 0, max(c) + 1, nbytes) if c else 0 for c in t_row]
+        [kronecker_pack(c, max(c) + 1, nbytes) if c else 0 for c in t_row]
         for t_row in t_rows
     ]
     sign = 1

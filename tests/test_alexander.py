@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from pretzelsurgery import alexander
+from pretzelsurgery import alexander, laurent
 from pretzelsurgery.alexander import (
     alexander_skein,
     alexander_with_trace,
@@ -203,6 +203,29 @@ class TestLargeQ:
         assert time.perf_counter() - start < 2.0
 
 
+class TestProductOperands:
+    def test_every_product_has_a_short_operand(self, monkeypatch):
+        # LaurentPoly products run the quadratic double loop, which is linear
+        # only while one operand stays short: every multiplier of the state
+        # sum (torus numerators, k w, small torus values, 1 + t) has at most
+        # two terms, including the cut factors of knots with zero regions
+        shortest = []
+        product = laurent._product
+
+        def recording(a, b):
+            shortest.append(min(len(a), len(b)))
+            return product(a, b)
+
+        monkeypatch.setattr(laurent, "_product", recording)
+        links = list(knot_box(4, 5))
+        assert len(links) == 5142
+        for family in ((-2, 3), (-1, 4, 3), (-1, -4, 5), (-1, -1, 4, 3)):
+            links += [PretzelLink(family + (q,)) for q in (101, 2001, 99999)]
+        for link in links:
+            alexander_skein(link)
+        assert shortest and max(shortest) <= 2
+
+
 class TestTrace:
     def test_branch_outcomes(self):
         # each branch keeps the region at 0 or +-1, or removes it
@@ -221,6 +244,7 @@ class TestTrace:
             assert value == alexander_skein(PretzelLink(params))
             assert trace.root == PretzelLink(params)
             indices = [step.region_index for step in trace.steps]
+            assert indices == sorted(indices)  # resolved in index order
             assert sorted(indices) == [
                 i for i, a in enumerate(params) if abs(a) >= 2
             ]

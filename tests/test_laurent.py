@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pretzelsurgery.laurent import (
-    _SCHOOLBOOK_MAX,
     LaurentError,
     LaurentPoly,
     SKEIN_FACTOR,
@@ -115,7 +114,8 @@ class TestDomainValues:
 
 
 def schoolbook(p, q):
-    """The dictionary double loop: the arbiter for the packed product."""
+    """The dictionary double loop, written out apart from ``LaurentPoly``:
+    the arbiter for its product."""
     c = {}
     for e1, v1 in p.items():
         for e2, v2 in q.items():
@@ -131,11 +131,11 @@ def _random_poly(rng, terms, lo, span, magnitude):
 
 def _boundary_pairs():
     """Operands whose product has a coefficient at or next to +-2**k for
-    every slot-width boundary k: a row of v's against a row of ones sums
-    exactly to the target in the middle slot."""
+    every fixed-width integer boundary k: a row of v's against a row of ones
+    sums exactly to the target in the middle term."""
     for k in (7, 15, 31, 63):
         for target in (2**k - 1, 2**k, 2**k + 1):
-            for m in (_SCHOOLBOOK_MAX + 1, 9):
+            for m in (5, 9):
                 v = target // m
                 a = LaurentPoly({i: v for i in range(1, m)} | {0: target - (m - 1) * v})
                 b = LaurentPoly({i: 1 for i in range(m)})
@@ -146,8 +146,8 @@ def _boundary_pairs():
 
 def _seeded_pairs():
     rng = random.Random(8)
-    # magnitudes whose products straddle each slot-width boundary, then
-    # coefficients past 64 bits (the one-slot-at-a-time path)
+    # magnitudes whose products straddle each fixed-width integer boundary,
+    # then coefficients past 64 bits
     for bits in (3, 4, 7, 8, 15, 16, 31, 32, 33, 64, 100, 200):
         for _ in range(60):
             magnitude = 2 ** (bits // 2)
@@ -169,16 +169,19 @@ def _shape_pairs():
     yield half, half
     yield half, torus
     yield half.conj(), torus.shifted(-41)
-    # a sparse operand: its slots would outnumber the term products
+    # a sparse operand, with exponents thousands apart
     yield LaurentPoly({0: 1, 1000: -1, 2001: 2, 5000: 1, 9999: 7}), torus
-    # shorter operand on both sides of the cut
-    for n in range(1, _SCHOOLBOOK_MAX + 3):
+    # a shorter operand of one to six terms, on either side
+    for n in range(1, 7):
         short = LaurentPoly({2 * i - 3: 3 - i for i in range(n + 1) if i != 3})
         yield short, torus
         yield torus, short
 
 
 class TestPackedProduct:
+    """``LaurentPoly`` products against ``schoolbook``, and the packed
+    encoding that the exact division and the Fox oracle use."""
+
     @pytest.mark.parametrize(
         "pairs", [_boundary_pairs, _seeded_pairs, _shape_pairs], ids=lambda f: f.__name__
     )
@@ -202,7 +205,7 @@ class TestPackedProduct:
             assert hash(r) == hash(public)
 
     def test_unpack_rejects_values_wider_than_the_slots(self):
-        assert list(kronecker_unpack(kronecker_pack({0: -3, 1: 5}, 0, 2, 1), 1, 2)) == [-3, 5]
+        assert list(kronecker_unpack(kronecker_pack({0: -3, 1: 5}, 2, 1), 1, 2)) == [-3, 5]
         for x in (2**16, -(2**16)):
             with pytest.raises(OverflowError):
                 kronecker_unpack(x, 1, 2)
