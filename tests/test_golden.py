@@ -1,16 +1,21 @@
-"""Byte-for-byte golden reports for a fixed list of classify inputs.
+"""Byte-for-byte golden reports for fixed lists of inputs.
 
-Each file in ``tests/golden/`` holds ``classify(text).to_json(indent=2)``
-for one input.  After a change that is meant to alter reports, rewrite the
-files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
-diff.
+Each ``*.json`` file in ``tests/golden/`` holds
+``classify(text).to_json(indent=2)`` for one input, and
+``tests/golden/obstruct.jsonl`` holds the standard output of
+``obstruct <params> --json`` for each of ``OBSTRUCT_INPUTS`` in turn.
+After a change that is meant to alter reports, rewrite the files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from pretzelsurgery.classify import classify
+from pretzelsurgery.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -32,6 +37,13 @@ INPUTS = (
 )
 
 
+# the two knots with exceptional surgeries, a torus knot, a reduced diagram of
+# a torus knot, a Montesinos knot outside the form, a (-1,-1,2m,p,q) knot with
+# its fiberedness block, and a two-bridge knot outside the form
+OBSTRUCT_INPUTS = ("-2,3,7", "-2,3,9", "5", "3,0", "-1,-4,5,21", "-1,-1,4,3,3", "2,1,1")
+OBSTRUCT_GOLDEN = GOLDEN / "obstruct.jsonl"
+
+
 def golden_name(text: str) -> str:
     """P_m2_3_7.json for "-2,3,7", M_3o7_1o2.json for "3/7;1/2"."""
     kind, sep = ("M", ";") if "/" in text or ";" in text else ("P", ",")
@@ -41,6 +53,15 @@ def golden_name(text: str) -> str:
 
 def render(text: str) -> bytes:
     return (classify(text).to_json(indent=2) + "\n").encode()
+
+
+def render_obstruct() -> bytes:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        codes = [run(["obstruct", params, "--json"]) for params in OBSTRUCT_INPUTS]
+    if codes != [0] * len(OBSTRUCT_INPUTS):
+        raise RuntimeError(f"obstruct exit codes {codes}")
+    return out.getvalue().encode()
 
 
 @pytest.mark.parametrize("text", INPUTS)
@@ -54,8 +75,13 @@ def test_golden_files_are_the_inputs():
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == names
 
 
+def test_obstruct_matches_golden():
+    assert render_obstruct() == OBSTRUCT_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
     for path in GOLDEN.glob("*.json"):
         path.unlink()
     for text in INPUTS:
         (GOLDEN / golden_name(text)).write_bytes(render(text))
+    OBSTRUCT_GOLDEN.write_bytes(render_obstruct())

@@ -1,10 +1,13 @@
+import random
 import time
+from itertools import product
 from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pretzelsurgery.alexander import alexander_skein
+from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import LaurentPoly, parse
 from pretzelsurgery.obstruction import (
     HFRankParams,
@@ -21,7 +24,7 @@ from pretzelsurgery.obstruction import (
     symmetrize,
 )
 from pretzelsurgery.oracle import alexander_fox
-from pretzelsurgery.pretzel import PretzelLink
+from pretzelsurgery.pretzel import PretzelLink, is_knot
 
 
 class TestOSForm:
@@ -82,12 +85,132 @@ class TestOSForm:
         with pytest.raises(ObstructionError):
             OSFormDecomposition(2, (1,))
 
+    def test_asymmetric_top_breaking_form_raises(self):
+        # the top coefficient 2 already breaks the form; asymmetry still wins
+        with pytest.raises(ObstructionError, match="not symmetric"):
+            os_form_check(parse("1 + t + 2t^3"))
+
+    def test_even_term_count_not_in_form(self):
+        assert os_form_check(parse("t^-1 + t")) is None
+
+    def test_half_integer_powers_not_in_form(self):
+        assert os_form_check(parse("t^(-1/2) - 1 + t^(1/2)")) is None
+
+    def test_monomial_units(self):
+        for unit in (LaurentPoly.s_term(1, 5), LaurentPoly.s_term(-1, -3)):
+            assert os_form_check(unit) == OSFormDecomposition(0, ())
+
+    def test_zero_raises(self):
+        with pytest.raises(ObstructionError, match="zero polynomial"):
+            os_form_check(LaurentPoly.zero())
+
     def test_symmetrize(self):
         delta = parse("1 - t + t^2")
         sym = symmetrize(delta)
         assert sym == sym.conj()
         with pytest.raises(ObstructionError):
             symmetrize(LaurentPoly.zero())
+
+
+def parent_os_form(delta):
+    """The definition the one-pass scan replaced: symmetrize, rebuild the form
+    from the positive powers of t through the validating constructor, and
+    compare.  It shares no code with the scan in ``os_form_check``."""
+    centered = symmetrize(delta)
+    if not centered.has_integer_exponents():
+        return None
+    exponents = tuple(e // 2 for e in centered.support if e > 0)
+    decomp = OSFormDecomposition(len(exponents), exponents)
+    return decomp if os_form_polynomial(decomp) == centered else None
+
+
+def outcome(check, delta):
+    """A decomposition, None, or the message of the ObstructionError raised."""
+    try:
+        return check(delta)
+    except ObstructionError as exc:
+        return ("raises", str(exc))
+
+
+def with_units(delta):
+    """``delta`` times each of the units 1, -1, s^3 and -s^-4."""
+    return (delta, -delta, delta.shifted(3), -delta.shifted(-4))
+
+
+def arbiter_knots():
+    """Every knot with 1-4 regions in -4..4 and with 5 regions in -3..3."""
+    yield from knot_box(4, 4)
+    for params in product(range(-3, 4), repeat=5):
+        link = PretzelLink(params)
+        if is_knot(link):
+            yield link
+
+
+def flipped(poly, s_exp):
+    """``poly`` with the sign of its s^s_exp coefficient changed."""
+    return poly - LaurentPoly.s_term(2 * poly.s_coefficient(s_exp), s_exp)
+
+
+def arbiter_forms():
+    """Every form with exponents in 1..9, and each with one coefficient
+    flipped at the top, the middle and the bottom, and with its innermost
+    pair flipped, so that breaks late in the scan are covered."""
+    for mask in range(512):
+        exponents = tuple(n for n in range(1, 10) if mask >> (n - 1) & 1)
+        form = os_form_polynomial(OSFormDecomposition(len(exponents), exponents))
+        yield form
+        yield flipped(form, form.maxdeg)
+        yield flipped(form, 0)
+        yield flipped(form, form.mindeg)
+        if exponents:
+            inner = 2 * exponents[0]
+            yield flipped(flipped(form, inner), -inner)
+
+
+def arbiter_random(seed=17, count=400):
+    """Seeded random polynomials p, with p + conj(p), conj(p) * p and a random
+    form under a random unit; exponents are s-exponents, so half-integer
+    powers of t occur."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = LaurentPoly({rng.randint(-7, 7): rng.choice((-2, -1, 1, 2))
+                         for _ in range(rng.randint(1, 6))})
+        yield p
+        yield p + p.conj()
+        yield p.conj() * p
+        exponents = tuple(sorted(rng.sample(range(1, 15), rng.randint(0, 6))))
+        form = os_form_polynomial(OSFormDecomposition(len(exponents), exponents))
+        yield form.shifted(rng.randint(-9, 9)) * rng.choice((1, -1))
+
+
+class TestOSFormArbiter:
+    def agree(self, polys):
+        """Assert agreement on every input and tally the outcomes."""
+        tally = {"form": 0, "none": 0, "raises": 0}
+        for delta in polys:
+            expected = outcome(parent_os_form, delta)
+            assert outcome(os_form_check, delta) == expected, delta
+            kind = ("none" if expected is None
+                    else "raises" if isinstance(expected, tuple) else "form")
+            tally[kind] += 1
+        return tally
+
+    def test_knots_under_units(self):
+        deltas = (unit_multiple for link in arbiter_knots()
+                  for unit_multiple in with_units(alexander_skein(link)))
+        tally = self.agree(deltas)
+        assert tally["form"] and tally["none"] and not tally["raises"], tally
+
+    def test_forms_and_flips(self):
+        tally = self.agree(arbiter_forms())
+        # the 512 forms and the three flips of the constant 1 are forms; a
+        # flip at the top or bottom is asymmetric; a flip at the middle or of
+        # the innermost pair breaks the alternation last
+        assert tally == {"form": 512 + 3, "none": 511 + 511, "raises": 511 + 511}, tally
+
+    def test_random(self):
+        tally = self.agree(arbiter_random())
+        assert all(tally.values()), tally
 
 
 class TestScalarChecks:
