@@ -13,7 +13,6 @@ from .pretzel import (
     parse_pretzel,
 )
 from .alexander import (
-    SkeinTrace,
     alexander_skein,
     alexander_with_trace,
     claim_formula,
@@ -41,13 +40,10 @@ from .classify import (
     ClassificationReport,
     ClassifyError,
     FinalVerdict,
-    Hyperbolicity,
-    HyperbolicityResult,
     StageResult,
     alexander_gate,
     classify,
     delman_gate,
-    hyperbolicity_status,
     mattman_gate,
 )
 

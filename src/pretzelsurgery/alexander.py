@@ -57,7 +57,6 @@ lists the values Delta, never the numerators.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import cycle
 
 from .laurent import SKEIN_FACTOR, LaurentPoly, divide_by_one_plus_t
@@ -104,30 +103,6 @@ def torus_link_alexander(l: int) -> LaurentPoly:
     if l < 1:
         raise ValueError("torus link parameter must be a positive integer")
     return _torus(l)
-
-
-# ----------------------------------------------------------------------
-# the per-region program
-
-@dataclass(frozen=True)
-class SkeinStep:
-    """The resolution of one region: each branch is a (multiplier, outcome)
-    pair, the outcome being the region's new parameter (0 or +-1), or None
-    when the branch removes the region."""
-
-    region_index: int
-    param: int
-    branches: tuple[tuple[LaurentPoly, int | None], ...]
-
-
-@dataclass
-class SkeinTrace:
-    """The program of one computation: a step for each region with
-    |a| >= 2, in index order, as the state sum resolves them.  Links with
-    at most two regions are closed forms and have no steps."""
-
-    root: PretzelLink
-    steps: list[SkeinStep]
 
 
 # ----------------------------------------------------------------------
@@ -269,12 +244,17 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     return _state_sum(params, parallel, has_even)
 
 
-def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, SkeinTrace]:
-    value = alexander_skein(link)
+def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
+    """Delta as ``alexander_skein`` gives it, with the program of the
+    computation: a step (region_index, param, branches) for each region with
+    |a| >= 2, in index order, as the state sum resolves them.  Each branch
+    is a (multiplier, outcome) pair, the outcome being the region's new
+    parameter (0 or +-1), or None when the branch removes the region.  Links
+    with at most two regions are closed forms and have no steps."""
+    value = alexander_skein(link)  # refuses an oversized twist before any step is built
     params = link.params
     regions = enumerate(zip(params, parallel_regions(link))) if len(params) > 2 else ()
-    steps = [SkeinStep(i, a, _choices(a, par)) for i, (a, par) in regions if abs(a) >= 2]
-    return value, SkeinTrace(link, steps)
+    return value, [(i, a, _choices(a, par)) for i, (a, par) in regions if abs(a) >= 2]
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +292,6 @@ def claim_formula(tag) -> LaurentPoly:
 
 
 __all__ = [
-    "SkeinStep",
-    "SkeinTrace",
     "torus_link_alexander",
     "alexander_skein",
     "alexander_with_trace",

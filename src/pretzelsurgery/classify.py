@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .alexander import alexander_skein
 from .obstruction import gabai_not_fibered, monic_check
@@ -94,17 +93,6 @@ MATTMAN_TABLE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-class Hyperbolicity(Enum):
-    HYPERBOLIC = "hyperbolic"
-    NON_HYPERBOLIC = "non-hyperbolic"
-
-
-@dataclass(frozen=True)
-class HyperbolicityResult:
-    status: Hyperbolicity
-    reason: str | None = None
-
-
 @dataclass
 class StageResult:
     """One pipeline stage: a verdict ('pass', 'excluded', 'slopes',
@@ -129,7 +117,7 @@ class ClassificationReport:
     schema_version: int
     input_text: str
     input_kind: str  # "pretzel" or "montesinos"
-    hyperbolic: str  # Hyperbolicity value
+    hyperbolic: str  # "hyperbolic" or "non-hyperbolic"
     hyperbolic_reason: str | None
     stages: list[StageResult]
     final: FinalVerdict
@@ -235,16 +223,19 @@ def _two_bridge_knot(reading: _Reading) -> str | None:
     return f"(2,{p})-torus knot" if q % p in (1, p - 1) else None
 
 
-def _hyperbolicity(reading: _Reading) -> HyperbolicityResult:
+def _hyperbolicity_stage(reading: _Reading) -> StageResult:
     """The non-hyperbolic Montesinos knots are the (2, p)-torus two-bridge
     knots and the (-2,3,3)/(-2,3,5) pretzels up to mirror image, whose
     tangles are all +-1 mod alpha; a pretzel with a zero region is a
-    connected sum."""
+    connected sum, out of scope with two or more factors.  A two-bridge
+    non-torus knot is hyperbolic (Menasco)."""
     factors = [alpha for _, alpha in reading.tangles if alpha >= 2]
+    verdict, citation = "non-hyperbolic", f"{CITE_REMARK}; {CITE_MOSER}"
     if any(alpha == 0 for _, alpha in reading.tangles):
         # a zero region cuts the necklace into a connected sum of
         # (2, a_j)-torus factors
         if len(factors) >= 2:
+            verdict, citation = "out-of-scope", CITE_REMARK
             reason = "composite knot (connected sum)"
         else:
             reason = f"(2,{factors[0]})-torus knot" if factors else "trivial knot"
@@ -253,21 +244,10 @@ def _hyperbolicity(reading: _Reading) -> HyperbolicityResult:
     else:
         reason = _TORUS_TAGS.get(reading.tag)
     if reason is None:
-        return HyperbolicityResult(Hyperbolicity.HYPERBOLIC, None)
-    return HyperbolicityResult(Hyperbolicity.NON_HYPERBOLIC, reason)
-
-
-def hyperbolicity_status(
-    input: PretzelLink | MontesinosDescription,
-) -> HyperbolicityResult:
-    """Hyperbolicity decision for a pretzel or Montesinos knot.
-
-    Montesinos knots admit a complete list of non-hyperbolic cases: the
-    (2,p)-torus two-bridge knots and the (-2,3,3)/(-2,3,5) pretzels.
-    Two-bridge non-torus knots are hyperbolic (Menasco).  Rejects
-    multi-component input.
-    """
-    return _hyperbolicity(_read(input))
+        citation = CITE_MENASCO if reading.two_bridge else CITE_REMARK
+        return StageResult("hyperbolicity", "pass", citation, {"status": "hyperbolic"})
+    evidence = {"status": "non-hyperbolic", "reason": reason}
+    return StageResult("hyperbolicity", verdict, citation, evidence)
 
 
 # ----------------------------------------------------------------------
@@ -422,20 +402,6 @@ def _final_from_stage(stage: StageResult) -> FinalVerdict:
     return FinalVerdict([NO_CYCLIC_OR_FINITE])
 
 
-def _hyperbolicity_stage(hyp: HyperbolicityResult, two_bridge: bool) -> StageResult:
-    evidence = {"status": hyp.status.value}
-    if hyp.reason:
-        evidence["reason"] = hyp.reason
-    if hyp.status is Hyperbolicity.HYPERBOLIC:
-        verdict = "pass"
-        citation = CITE_MENASCO if two_bridge else CITE_REMARK
-    elif "composite" in hyp.reason:
-        verdict, citation = "out-of-scope", CITE_REMARK
-    else:
-        verdict, citation = "non-hyperbolic", f"{CITE_REMARK}; {CITE_MOSER}"
-    return StageResult("hyperbolicity", verdict, citation, evidence)
-
-
 def _rational_delman_stage(two_bridge: bool) -> StageResult:
     """Delman gate for a knot with a genuinely rational tangle: no candidate
     family member has one, and a hyperbolic two-bridge knot carries
@@ -461,9 +427,8 @@ def classify(
     "pretzel" for every input with a family tag.
     """
     reading = _read(_parse_input(input))
-    hyp = _hyperbolicity(reading)
-    stages = [_hyperbolicity_stage(hyp, reading.two_bridge)]
-    if hyp.status is Hyperbolicity.HYPERBOLIC:
+    stages = [_hyperbolicity_stage(reading)]
+    if stages[0].verdict == "pass":
         if reading.tag is None:
             stages.append(_rational_delman_stage(reading.two_bridge))
         else:
@@ -474,7 +439,8 @@ def classify(
     return ClassificationReport(
         SCHEMA_VERSION, str(reading.knot),
         "montesinos" if reading.tag is None else "pretzel",
-        hyp.status.value, hyp.reason, stages, _final_from_stage(stages[-1]),
+        stages[0].evidence["status"], stages[0].evidence.get("reason"),
+        stages, _final_from_stage(stages[-1]),
     )
 
 
@@ -486,12 +452,9 @@ __all__ = [
     "FINITE_SLOPES",
     "NON_HYPERBOLIC_SEE_MOSER",
     "OUT_OF_SCOPE",
-    "Hyperbolicity",
-    "HyperbolicityResult",
     "StageResult",
     "FinalVerdict",
     "ClassificationReport",
-    "hyperbolicity_status",
     "delman_gate",
     "mattman_gate",
     "alexander_gate",

@@ -89,24 +89,20 @@ def _pretzel_arg(args) -> PretzelLink:
 def _cmd_alexander(args) -> int:
     link = _pretzel_arg(args)
     if args.trace:
-        value, trace = alexander_with_trace(link)
+        value, steps = alexander_with_trace(link)
     else:
-        value, trace = alexander_skein(link), None
+        value, steps = alexander_skein(link), None
     shown = value.normalize() if args.normalize else value
     doc = {"input": str(link), "engine": "skein", **_poly_payload(value, normalize=args.normalize)}
     lines = [f"{link}: {render(shown)}"]
-    if trace is not None:
+    if steps is not None:
         doc["steps"] = [
-            {
-                "region": s.region_index,
-                "param": s.param,
-                "branches": [[render(m), _outcome(o)] for m, o in s.branches],
-            }
-            for s in trace.steps
+            {"region": i, "param": a, "branches": [[render(m), _outcome(o)] for m, o in branches]}
+            for i, a, branches in steps
         ]
-        for s in trace.steps:
-            parts = " ; ".join(f"[{render(m)}] * {_outcome(o)}" for m, o in s.branches)
-            lines.append(f"  {link} @ region {s.region_index} ({s.param}) -> {parts}")
+        for i, a, branches in steps:
+            parts = " ; ".join(f"[{render(m)}] * {_outcome(o)}" for m, o in branches)
+            lines.append(f"  {link} @ region {i} ({a}) -> {parts}")
     _emit(doc, args.json, lines)
     return 0
 

@@ -258,10 +258,6 @@ class CheckResult:
     a_holds: bool
     b_holds: bool
 
-    @property
-    def implication_holds(self) -> bool:
-        return not self.hypothesis or (self.a_holds and self.b_holds)
-
 
 def claim2_implication(params: HFRankParams) -> CheckResult:
     """Arithmetic skeleton of the non-integral-to-integral L-space step.

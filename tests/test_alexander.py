@@ -230,20 +230,19 @@ class TestTrace:
     def test_branch_outcomes(self):
         # each branch keeps the region at 0 or +-1, or removes it
         for params in ((-2, 3, 7), (-1, -2, 3, 3), (-1, 6, 3, 5), (-1, -1, 4, 3, 3)):
-            _, trace = alexander_with_trace(PretzelLink(params))
-            for step in trace.steps:
-                assert step.param == params[step.region_index]
-                for mult, outcome in step.branches:
+            _, steps = alexander_with_trace(PretzelLink(params))
+            for region_index, param, branches in steps:
+                assert param == params[region_index]
+                for mult, outcome in branches:
                     assert not mult.is_zero
                     assert outcome in (0, 1, -1, None)
 
     def test_trace_steps_cover_root(self):
         # one step for each region with |a| >= 2, and no region twice
         for params in ((-2, 3, 7), (-1, -2, 3, 3), (1, -1, 2, 5, -3), (3,) * 9):
-            value, trace = alexander_with_trace(PretzelLink(params))
+            value, steps = alexander_with_trace(PretzelLink(params))
             assert value == alexander_skein(PretzelLink(params))
-            assert trace.root == PretzelLink(params)
-            indices = [step.region_index for step in trace.steps]
+            indices = [region_index for region_index, _, _ in steps]
             assert indices == sorted(indices)  # resolved in index order
             assert sorted(indices) == [
                 i for i, a in enumerate(params) if abs(a) >= 2

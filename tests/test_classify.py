@@ -6,18 +6,17 @@ from math import gcd
 import pytest
 
 from pretzelsurgery.classify import (
+    CITE_REMARK,
     ClassificationReport,
     ClassifyError,
     FINITE_SLOPES,
     CYCLIC_SLOPES,
-    Hyperbolicity,
     NO_CYCLIC_OR_FINITE,
     NON_HYPERBOLIC_SEE_MOSER,
     OUT_OF_SCOPE,
     alexander_gate,
     classify,
     delman_gate,
-    hyperbolicity_status,
     mattman_gate,
 )
 from pretzelsurgery.alexander import alexander_skein, torus_link_alexander
@@ -44,38 +43,38 @@ class TestHyperbolicity:
         ],
     )
     def test_non_hyperbolic(self, params, reason):
-        res = hyperbolicity_status(PretzelLink(params))
-        assert res.status is Hyperbolicity.NON_HYPERBOLIC
-        assert res.reason == reason
+        report = classify(PretzelLink(params))
+        assert report.hyperbolic == "non-hyperbolic"
+        assert report.hyperbolic_reason == reason
 
     @pytest.mark.parametrize("params", [(-2, 3, 7), (3, 5, 7), (-1, -2, 3, 3)])
     def test_hyperbolic(self, params):
-        res = hyperbolicity_status(PretzelLink(params))
-        assert res.status is Hyperbolicity.HYPERBOLIC
+        report = classify(PretzelLink(params))
+        assert report.hyperbolic == "hyperbolic"
 
     def test_two_bridge_torus_detection(self):
         # 3/7;1/2 is b(13, 9), drawn with 2 + 3 + 2 = 7 crossings, so it
         # cannot be the (2,13)-torus knot; 1/3;1/4 is b(7, 1)
-        res = hyperbolicity_status(parse_montesinos("3/7;1/2"))
-        assert res.status is Hyperbolicity.HYPERBOLIC
-        res = hyperbolicity_status(parse_montesinos("1/3;1/4"))
-        assert res.status is Hyperbolicity.NON_HYPERBOLIC
-        assert res.reason == "(2,7)-torus knot"
+        report = classify(parse_montesinos("3/7;1/2"))
+        assert report.hyperbolic == "hyperbolic"
+        report = classify(parse_montesinos("1/3;1/4"))
+        assert report.hyperbolic == "non-hyperbolic"
+        assert report.hyperbolic_reason == "(2,7)-torus knot"
 
     def test_two_bridge_non_torus_hyperbolic(self):
         # two twist regions side by side are one: P(3,4) is T(2,7)
-        res = hyperbolicity_status(PretzelLink((3, 4)))
-        assert res.status is Hyperbolicity.NON_HYPERBOLIC
-        assert res.reason == "(2,7)-torus knot"
-        res = hyperbolicity_status(PretzelLink((3, -3, 1)))
-        assert res.status is Hyperbolicity.HYPERBOLIC
+        report = classify(PretzelLink((3, 4)))
+        assert report.hyperbolic == "non-hyperbolic"
+        assert report.hyperbolic_reason == "(2,7)-torus knot"
+        report = classify(PretzelLink((3, -3, 1)))
+        assert report.hyperbolic == "hyperbolic"
 
     def test_multi_component_rejected(self):
         with pytest.raises(ClassifyError):
-            hyperbolicity_status(PretzelLink((2, 2)))
+            classify(PretzelLink((2, 2)))
         # determinant 2*2*2 + 1*5*2 + 1*5*2 = 28 is even: a link
         with pytest.raises(ClassifyError):
-            hyperbolicity_status(parse_montesinos("2/5;1/2;1/2"))
+            classify(parse_montesinos("2/5;1/2;1/2"))
 
 
 def _cf_crossings(beta: int, alpha: int) -> int:
@@ -112,9 +111,9 @@ class TestTwoBridgeArbiters:
                     reason = f"(2,{det})-torus knot"
                 else:
                     reason = None
-                res = hyperbolicity_status(link)
-                assert res.reason == reason, params
-                assert (res.status is Hyperbolicity.HYPERBOLIC) == (reason is None), params
+                report = classify(link)
+                assert report.hyperbolic_reason == reason, params
+                assert (report.hyperbolic == "hyperbolic") == (reason is None), params
         assert knots == 7954
         assert time.perf_counter() - start < 10
 
@@ -134,7 +133,7 @@ class TestTwoBridgeArbiters:
                     continue
             except PretzelError:
                 continue  # a link
-            reason = hyperbolicity_status(desc).reason
+            reason = classify(desc).hyperbolic_reason
             if reason and reason.startswith("(2,"):
                 torus += 1
                 p = int(reason[3:reason.index(")")])
@@ -221,9 +220,9 @@ class TestPipeline:
             ((2, -3, -5), "(3,5)-torus knot"),
             ((1, -2, -3, -3), "(3,4)-torus knot"),
         ):
-            res = hyperbolicity_status(PretzelLink(params))
-            assert res.status is Hyperbolicity.NON_HYPERBOLIC, params
-            assert res.reason == reason
+            report = classify(PretzelLink(params))
+            assert report.hyperbolic == "non-hyperbolic", params
+            assert report.hyperbolic_reason == reason
 
     def test_slope_lists_nonempty_when_claimed(self):
         for q in range(3, 26, 2):
@@ -338,3 +337,30 @@ class TestPipeline:
         report = classify("3,0,5")
         assert report.final.verdicts == [OUT_OF_SCOPE]
         assert "composite" in report.hyperbolic_reason
+
+    def test_zero_region_box(self):
+        # a zero region cuts the necklace into (2, a)-torus factors: two or
+        # more proper factors make a connected sum, out of scope, and one or
+        # none a torus knot or the unknot, every knot with 1-4 regions in -5..5
+        composite = 0
+        knots = [
+            params
+            for n in range(1, 5)
+            for params in product(range(-5, 6), repeat=n)
+            if 0 in params and is_knot(PretzelLink(params))
+        ]
+        for params in knots:
+            report = classify(PretzelLink(params))
+            stage = report.stages[0]
+            factors = [abs(a) for a in params if abs(a) >= 2]
+            if len(factors) >= 2:
+                composite += 1
+                assert report.final.verdicts == [OUT_OF_SCOPE], params
+                assert (stage.verdict, stage.citation) == ("out-of-scope", CITE_REMARK), params
+                assert report.hyperbolic_reason == "composite knot (connected sum)", params
+            else:
+                reason = f"(2,{factors[0]})-torus knot" if factors else "trivial knot"
+                assert report.final.verdicts == [NON_HYPERBOLIC_SEE_MOSER], params
+                assert stage.verdict == "non-hyperbolic", params
+                assert report.hyperbolic_reason == reason, params
+        assert (len(knots), composite) == (984, 688)

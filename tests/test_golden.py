@@ -3,7 +3,9 @@
 Each ``*.json`` file in ``tests/golden/`` holds
 ``classify(text).to_json(indent=2)`` for one input, and
 ``tests/golden/obstruct.jsonl`` holds the standard output of
-``obstruct <params> --json`` for each of ``OBSTRUCT_INPUTS`` in turn.
+``obstruct <params> --json`` for each of ``OBSTRUCT_INPUTS`` in turn, and
+``tests/golden/alexander_trace.jsonl`` that of ``alexander <params> --trace``
+then ``alexander <params> --trace --json`` for each of ``TRACE_INPUTS``.
 After a change that is meant to alter reports, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -43,6 +45,12 @@ INPUTS = (
 OBSTRUCT_INPUTS = ("-2,3,7", "-2,3,9", "5", "3,0", "-1,-4,5,21", "-1,-1,4,3,3", "2,1,1")
 OBSTRUCT_GOLDEN = GOLDEN / "obstruct.jsonl"
 
+# the per-region program of a knot with exceptional surgeries, a smoothed
+# link with unit regions, one with a kept unit region, a (-1,2n,p,q) knot
+# and a knot in no family
+TRACE_INPUTS = ("-2,3,7", "-1,-1,4,3,3", "1,-1,2,5,-3", "-1,6,3,5", "3,5,7")
+TRACE_GOLDEN = GOLDEN / "alexander_trace.jsonl"
+
 
 def golden_name(text: str) -> str:
     """P_m2_3_7.json for "-2,3,7", M_3o7_1o2.json for "3/7;1/2"."""
@@ -55,13 +63,26 @@ def render(text: str) -> bytes:
     return (classify(text).to_json(indent=2) + "\n").encode()
 
 
-def render_obstruct() -> bytes:
+def render_cli(commands: list[list[str]]) -> bytes:
+    """The standard output of the commands run in turn, each exiting 0."""
     out = io.StringIO()
     with redirect_stdout(out):
-        codes = [run(["obstruct", params, "--json"]) for params in OBSTRUCT_INPUTS]
-    if codes != [0] * len(OBSTRUCT_INPUTS):
-        raise RuntimeError(f"obstruct exit codes {codes}")
+        codes = [run(argv) for argv in commands]
+    if codes != [0] * len(commands):
+        raise RuntimeError(f"exit codes {codes} for {commands}")
     return out.getvalue().encode()
+
+
+def render_obstruct() -> bytes:
+    return render_cli([["obstruct", params, "--json"] for params in OBSTRUCT_INPUTS])
+
+
+def render_trace() -> bytes:
+    return render_cli([
+        ["alexander", params, "--trace", *json_flag]
+        for params in TRACE_INPUTS
+        for json_flag in ([], ["--json"])
+    ])
 
 
 @pytest.mark.parametrize("text", INPUTS)
@@ -79,9 +100,14 @@ def test_obstruct_matches_golden():
     assert render_obstruct() == OBSTRUCT_GOLDEN.read_bytes()
 
 
+def test_trace_matches_golden():
+    assert render_trace() == TRACE_GOLDEN.read_bytes()
+
+
 if __name__ == "__main__":
     for path in GOLDEN.glob("*.json"):
         path.unlink()
     for text in INPUTS:
         (GOLDEN / golden_name(text)).write_bytes(render(text))
     OBSTRUCT_GOLDEN.write_bytes(render_obstruct())
+    TRACE_GOLDEN.write_bytes(render_trace())

@@ -2,9 +2,12 @@
 complex constant, no use of the name ``float`` and no true division ``/``,
 which yields a float on integers.  Exact results come from ``//``,
 ``divmod`` and ``fractions.Fraction``.  And the Fox oracle and the two
-reference engines share no code with the engines they check."""
+reference engines share no code with the engines they check.  And every
+name a module lists in ``__all__`` exists, and the package root imports
+from such a module only names it lists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,3 +87,18 @@ def test_guard_sees_shared_code():
         "from pretzelsurgery.laurent import LaurentPoly\n"
     )
     assert sorted(line for line, _ in _shared_code(ast.parse(source))) == [1, 2, 3, 4, 5, 6, 7]
+
+
+def test_all_lists_existing_names():
+    # a stale __all__ entry breaks no import, so nothing else catches it
+    stale, unlisted = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "pretzelsurgery" if path.stem == "__init__" else f"pretzelsurgery.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = getattr(importlib.import_module(f"pretzelsurgery.{node.module}"), "__all__", None)
+            if listed is not None:
+                unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    assert (stale, unlisted) == ([], [])
