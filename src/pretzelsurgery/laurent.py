@@ -6,6 +6,20 @@ values.  Exponents are stored in s-units: the s-exponent 2k represents
 t**k, an odd s-exponent an honest half-integer power of t.  Coefficients
 are arbitrary-precision Python ints.
 
+A polynomial is stored as a coefficient map times a unit sign * s**shift.
+The unit lives in one slot, ``None`` for the unit 1 and ``(shift, sign)``
+otherwise, so multiplying by a unit relabels the same map: negation,
+``shifted`` and ``normalize`` (after one ``min`` over the exponents) are
+O(1) and share the map they read, and the quotient of
+``divide_by_one_plus_t`` keeps its dividend's unit.  Products add shifts
+and multiply signs; sums read the shorter operand in the longer one's
+frame; single coefficients, degrees and the value at t = 1 read the unit
+without rebuilding the map.  A sum or product of unit-free operands is
+unit-free and takes the same path as a plain coefficient map, so the skein
+state sum never carries a unit.  ``items()`` applies the unit in the pass
+after the sort, and the other readers go through the map with the unit
+applied.
+
 Products run the dictionary double loop, whose cost is the product of the
 term counts; every product the skein state sum makes has an operand of at
 most two terms (a test in ``tests/test_alexander.py`` guards this).
@@ -28,9 +42,9 @@ dividend leave a nonzero remainder, which raises ``LaurentError``.  The
 proof is in its docstring.
 
 Every result of the arithmetic is built by ``_trusted``, which wraps a
-dict already known to hold int keys and no zero values without checking
-it again; ``LaurentPoly(mapping)`` is the public constructor and keeps its
-checks.
+dict already known to hold int keys and no zero values, and its unit,
+without checking them again; ``LaurentPoly(mapping)`` is the public
+constructor and keeps its checks.
 """
 
 from __future__ import annotations
@@ -50,11 +64,15 @@ class LaurentError(ValueError):
 class LaurentPoly:
     """Immutable sparse Laurent polynomial in s (s**2 = t), integer coefficients.
 
-    The zero polynomial is the empty coefficient map; zero coefficients are
-    never stored.
+    The value is sign * s**shift * sum(v * s**e) over the coefficient map
+    ``_c``, with ``_unit`` = ``(shift, sign)``, or ``None`` for shift 0 and
+    sign 1.  The zero polynomial is the empty map; zero coefficients are
+    never stored.  Negation, ``shifted``, ``normalize``, ``mindeg``,
+    ``maxdeg``, ``coefficient`` and ``s_coefficient`` are O(1) in the
+    number of terms, apart from the ``min`` or ``max`` over the exponents.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_unit")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         c = {}
@@ -63,9 +81,14 @@ class LaurentPoly:
                 if v:
                     c[int(e)] = int(v)
         object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_unit", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
+
+    def _map(self) -> dict[int, int]:
+        """The coefficient map with the unit applied."""
+        return self._c if self._unit is None else dict(_frame(self, None))
 
     # ------------------------------------------------------------------
     # constructors
@@ -104,32 +127,39 @@ class LaurentPoly:
         """Minimal s-exponent.  Undefined (raises) for the zero polynomial."""
         if not self._c:
             raise LaurentError("zero polynomial has no mindeg")
-        return min(self._c)
+        u = self._unit
+        return min(self._c) if u is None else min(self._c) + u[0]
 
     @property
     def maxdeg(self) -> int:
         if not self._c:
             raise LaurentError("zero polynomial has no maxdeg")
-        return max(self._c)
+        u = self._unit
+        return max(self._c) if u is None else max(self._c) + u[0]
 
     def s_coefficient(self, s_exp: int) -> int:
-        return self._c.get(s_exp, 0)
+        u = self._unit
+        return self._c.get(s_exp, 0) if u is None else u[1] * self._c.get(s_exp - u[0], 0)
 
     def coefficient(self, t_exp: int) -> int:
         """Coefficient of t**t_exp (zero if absent)."""
-        return self._c.get(2 * t_exp, 0)
+        return self.s_coefficient(2 * t_exp)
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(s-exponent, coefficient) pairs in ascending exponent order."""
-        return iter(sorted(self._c.items()))
+        u = self._unit
+        if u is None:
+            return iter(sorted(self._c.items()))
+        shift, sign = u
+        return iter([(e + shift, sign * v) for e, v in sorted(self._c.items())])
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
+        return tuple(sorted(self._map()))
 
     def has_integer_exponents(self) -> bool:
-        """True iff every stored power of t is an integer (all s-exponents even)."""
-        return all(e % 2 == 0 for e in self._c)
+        """True iff every power of t is an integer (all s-exponents even)."""
+        return all(e % 2 == 0 for e in self._map())
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -139,11 +169,13 @@ class LaurentPoly:
             other = LaurentPoly.from_int(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._c == other._c
+        if self._unit == other._unit:
+            return self._c == other._c
+        return len(self._c) == len(other._c) and self._map() == other._map()
 
     def __hash__(self) -> int:
         # a constant equals its int (see __eq__), so it hashes like it
-        c = self._c
+        c = self._map()
         if c.keys() <= {0}:
             return hash(c.get(0, 0))
         return hash(frozenset(c.items()))
@@ -156,22 +188,23 @@ class LaurentPoly:
             if not isinstance(other, int):
                 return NotImplemented
             other = _trusted({0: int(other)} if other else {})
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        c = a.copy()
-        for e, v in b.items():
+        a, b = (self, other) if len(self._c) >= len(other._c) else (other, self)
+        unit = a._unit
+        c = a._c.copy()
+        # the sum keeps the longer operand's unit; the other is read in its frame
+        for e, v in b._c.items() if b._unit == unit else _frame(b, unit):
             v += c.get(e, 0)
             if v:
                 c[e] = v
             else:
                 del c[e]
-        return _trusted(c)
+        return _trusted(c, unit)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _trusted({e: -v for e, v in self._c.items()})
+        shift, sign = self._unit or (0, 1)
+        return _trusted(self._c, _as_unit(shift, -sign))
 
     def __sub__(self, other) -> "LaurentPoly":
         if not isinstance(other, (LaurentPoly, int)):
@@ -185,45 +218,53 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            return _trusted(_product(self._c, other._c))
+            c = _product(self._c, other._c)
+            u, w = self._unit, other._unit
+            if u is None or w is None:
+                return _trusted(c, w if u is None else u)
+            return _trusted(c, _as_unit(u[0] + w[0], u[1] * w[1]))
         if not isinstance(other, int):
             return NotImplemented
         if not other:
             return _trusted({})
-        return _trusted({e: other * v for e, v in self._c.items()})
+        return _trusted({e: other * v for e, v in self._c.items()}, self._unit)
 
     __rmul__ = __mul__
 
     def shifted(self, s_exp: int) -> "LaurentPoly":
         """Multiply by s**s_exp."""
-        return _trusted({e + s_exp: v for e, v in self._c.items()})
+        shift, sign = self._unit or (0, 1)
+        return _trusted(self._c, _as_unit(shift + s_exp, sign))
 
     def conj(self) -> "LaurentPoly":
         """Substitute s -> s**-1 (i.e. t -> t**-1)."""
-        return _trusted({-e: v for e, v in self._c.items()})
+        shift, sign = self._unit or (0, 1)
+        return _trusted({-e: v for e, v in self._c.items()}, _as_unit(-shift, sign))
 
     def eval_at_one(self) -> int:
         """Value at s = 1 (t = 1)."""
-        return sum(self._c.values())
+        u = self._unit
+        return sum(self._c.values()) if u is None else u[1] * sum(self._c.values())
 
     def eval_at_minus_one(self) -> int:
         """Value at t = -1.  Requires integer t-exponents."""
         if not self.has_integer_exponents():
             raise LaurentError("t = -1 evaluation needs integer t-exponents")
-        return sum(v * (-1) ** (e // 2) for e, v in self._c.items())
+        return sum(v * (-1) ** (e // 2) for e, v in self._map().items())
 
     # ------------------------------------------------------------------
     # spec operations
 
     def normalize(self) -> "LaurentPoly":
         """Unit-normalize: multiply by +-s**k so mindeg = 0 and the constant
-        coefficient is positive.  Rejects the zero polynomial.
+        coefficient is positive.  Rejects the zero polynomial.  The result
+        shares this polynomial's coefficient map under a new unit.
         """
-        if not self._c:
+        c = self._c
+        if not c:
             raise LaurentError("cannot normalize the zero polynomial")
-        m = self.mindeg
-        sign = 1 if self._c[m] > 0 else -1
-        return _trusted({e - m: sign * v for e, v in self._c.items()})
+        m = min(c)
+        return _trusted(c, _as_unit(-m, 1 if c[m] > 0 else -1))
 
     def equal_up_to_units(self, other: "LaurentPoly") -> bool:
         """True iff self = +-s**k * other for some integer k."""
@@ -243,14 +284,32 @@ class LaurentPoly:
 
 _new = object.__new__
 _set_coeffs = LaurentPoly._c.__set__
+_set_unit = LaurentPoly._unit.__set__
 
 
-def _trusted(c: dict[int, int]) -> LaurentPoly:
-    """Wrap ``c`` as a LaurentPoly without copying or checking it: every key
-    must be an int and no value may be zero."""
+def _trusted(c: dict[int, int], unit: tuple[int, int] | None = None) -> LaurentPoly:
+    """Wrap ``c`` times ``unit`` as a LaurentPoly without copying or checking
+    it: every key must be an int, no value may be zero, and ``unit`` must
+    come from ``_as_unit`` (or be None)."""
     p = _new(LaurentPoly)
     _set_coeffs(p, c)
+    _set_unit(p, unit)
     return p
+
+
+def _as_unit(shift: int, sign: int) -> tuple[int, int] | None:
+    """The unit slot of sign * s**shift: None for 1."""
+    return None if shift == 0 and sign == 1 else (shift, sign)
+
+
+def _frame(p: LaurentPoly, unit: tuple[int, int] | None) -> list[tuple[int, int]]:
+    """p's terms, its own unit applied, divided by ``unit`` (None for 1):
+    p read in the frame of a polynomial that carries ``unit``."""
+    shift, sign = p._unit or (0, 1)
+    if unit is not None:
+        shift -= unit[0]
+        sign *= unit[1]
+    return [(e + shift, sign * v) for e, v in p._c.items()]
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -335,7 +394,8 @@ def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     s = X = 2**(8*nbytes) and divided by (1 + X**2)**k; when every exponent
     of p has the parity of its lowest one, p is packed in steps of two
     exponents (at t = X) and divided by (1 + X)**k, which halves the
-    integers.  The quotient's slots are its coefficients.
+    integers.  The quotient's slots are its coefficients, read in the frame
+    of p's stored map, and the quotient carries p's unit.
 
     The slot width.  Let J be the quotient's t-span (its s-span halved,
     rounded down) and B = |p|_1 * C(J + k - 1, k - 1), where |p|_1 is the
@@ -376,7 +436,7 @@ def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     if remainder:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
     slots = kronecker_unpack(quotient, nbytes, count)
-    return _trusted(dict(filter(itemgetter(1), zip(range(lo, lo + step * count, step), slots))))
+    return _trusted(dict(filter(itemgetter(1), zip(range(lo, lo + step * count, step), slots))), p._unit)
 
 
 #: The skein multiplier t**(-1/2) - t**(1/2).

@@ -203,6 +203,32 @@ class TestLargeQ:
         assert time.perf_counter() - start < 2.0
 
 
+class TestConwayRepresentative:
+    def test_symmetric_with_value_one(self):
+        # mindeg == -maxdeg and Delta(1) = 1 fix the unit of Delta uniquely,
+        # so the raw output of alexander_skein cannot drift to another one
+        links = list(knot_box(4, 5))
+        assert len(links) == 5142
+        for family in ((-2, 3), (-1, -4, 5), (-1, -1, 4, 3)):
+            links += [PretzelLink(family + (q,)) for q in (101, 2001, 99999)]
+        for link in links:
+            delta = alexander_skein(link)
+            assert delta.mindeg == -delta.maxdeg and delta.eval_at_one() == 1, link
+
+    def test_normalized_coefficient_allocates_no_copy(self):
+        # normalize() relabels the q-term map under a unit instead of
+        # rebuilding it: reading one coefficient allocates almost nothing
+        delta = alexander_skein(PretzelLink((-2, 3, 99999)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert delta.normalize().coefficient(4) == -1
+            assert tracemalloc.get_traced_memory()[1] - start < 1024
+        finally:
+            tracemalloc.stop()
+
+
 class TestProductOperands:
     def test_every_product_has_a_short_operand(self, monkeypatch):
         # LaurentPoly products run the quadratic double loop, which is linear

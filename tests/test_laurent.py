@@ -197,6 +197,8 @@ class TestPackedProduct:
         results = [
             p * q, q * p, p * 3, -2 * q, p * 0, p + q, q + p, p - q, -q, 1 - p,
             p - p, p.shifted(-5), q.conj(), q.normalize(), (p * q).normalize(),
+            (-p).shifted(3), p.normalize().normalize(),
+            divide_by_one_plus_t(-q.shifted(1) * LaurentPoly({0: 1, 2: 2, 4: 1}), 2),
         ]
         for r in results:
             public = LaurentPoly(dict(r.items()))
@@ -274,6 +276,105 @@ class TestExactDivision:
             assert divide_by_one_plus_t(LaurentPoly.zero(), k).is_zero
         p = LaurentPoly({-3: 2, 0: -1, 7: 4})
         assert divide_by_one_plus_t(p, 0) == p
+
+
+_UNITS = [(k, sign) for k in range(-5, 6) for sign in (1, -1)]
+# (1 + t)**j for j = 1, 2
+_ONE_PLUS_T = {1: LaurentPoly({0: 1, 2: 1}), 2: LaurentPoly({0: 1, 2: 2, 4: 1})}
+
+
+def _under(p, k, sign):
+    """sign * s**k * p, by the O(1) relabelling of negation and ``shifted``."""
+    return (p if sign == 1 else -p).shifted(k)
+
+
+def _raises(f, *args):
+    """f(*args), or the type of the LaurentError it raises."""
+    try:
+        return f(*args)
+    except LaurentError as exc:
+        return type(exc)
+
+
+def _terms(r):
+    return r if isinstance(r, type) else list(r.items())
+
+
+class TestUnits:
+    """A polynomial carries a unit +-s**k beside its coefficient map.  Every
+    public operation on it must agree with the same operation on the
+    unit-free rebuild ``LaurentPoly(dict(p.items()))``."""
+
+    def _check_unary(self, pu, pr):
+        assert _terms(pu) == _terms(pr)
+        assert pu == pr and pr == pu and not pu != pr
+        assert hash(pu) == hash(pr)
+        assert bool(pu) == bool(pr) and pu.is_zero == pr.is_zero
+        for op in (operator.neg, LaurentPoly.conj,
+                   lambda x: x.shifted(3), lambda x: x.shifted(-4),
+                   lambda x: x * 3, lambda x: -2 * x, lambda x: x * 0,
+                   lambda x: x + 5, lambda x: 1 - x, lambda x: x - 2, lambda x: x + x,
+                   LaurentPoly.normalize, lambda x: x.normalize().normalize()):
+            assert _terms(_raises(op, pu)) == _terms(_raises(op, pr))
+        for attr in ("mindeg", "maxdeg"):
+            assert _raises(getattr, pu, attr) == _raises(getattr, pr, attr)
+        assert pu.support == pr.support
+        assert pu.has_integer_exponents() == pr.has_integer_exponents()
+        assert pu.eval_at_one() == pr.eval_at_one()
+        assert _raises(LaurentPoly.eval_at_minus_one, pu) == _raises(LaurentPoly.eval_at_minus_one, pr)
+        lo, hi = (pr.mindeg, pr.maxdeg) if pr else (0, 0)
+        for e in range(lo - 2, hi + 3):
+            assert pu.s_coefficient(e) == pr.s_coefficient(e)
+        for e in range(lo // 2 - 1, hi // 2 + 2):
+            assert pu.coefficient(e) == pr.coefficient(e)
+        assert render(pu) == render(pr) and str(pu) == str(pr)
+        assert parse(render(pu)) == pr
+        for j in (1, 2):
+            # the divisible dividend carries pu's unit, the bare one mostly raises
+            assert _terms(divide_by_one_plus_t(pu * _ONE_PLUS_T[j], j)) == _terms(pr)
+            assert _terms(_raises(divide_by_one_plus_t, pu, j)) == _terms(_raises(divide_by_one_plus_t, pr, j))
+        assert divide_by_one_plus_t(pu, 0) == pr
+
+    def _check_binary(self, pu, pr, qv, qr):
+        assert (pu == qv) == (pr == qr) and (pu != qv) == (pr != qr)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert _terms(op(pu, qv)) == _terms(op(pr, qr))
+            assert _terms(op(qv, pu)) == _terms(op(qr, pr))
+        assert _terms(pu + (-pu)) == []
+        if pr and qr:
+            assert pu.equal_up_to_units(qv) == pr.equal_up_to_units(qr)
+        assert pu.equal_up_to_units(pr)
+
+    @pytest.mark.parametrize(
+        "pairs", [_boundary_pairs, _seeded_pairs, _shape_pairs], ids=lambda f: f.__name__
+    )
+    def test_agrees_with_unit_free_rebuild(self, pairs):
+        # the 720 seeded pairs take each unit in turn, a stride apart
+        stride = 8 if pairs is _seeded_pairs else 1
+        for n, (p, q) in enumerate(pairs()):
+            p, q = LaurentPoly(dict(p.items())), LaurentPoly(dict(q.items()))
+            for i, (k, sign) in enumerate(_UNITS):
+                pu = _under(p, k, sign)
+                assert pu._unit == (None if (k, sign) == (0, 1) else (k, sign))
+                pr = LaurentPoly(dict(pu.items()))
+                assert pr._unit is None
+                # the unit applied by hand to the unit-free map
+                assert list(pr.items()) == [(e + k, sign * v) for e, v in p.items()]
+                if (i + n) % stride:
+                    continue
+                self._check_unary(pu, pr)
+                qv = _under(q, *_UNITS[(7 * i + 3 * n) % len(_UNITS)])
+                qr = LaurentPoly(dict(qv.items()))
+                self._check_binary(pu, pr, qv, qr)
+                self._check_binary(pu, pr, q, q)
+
+    def test_units_compose(self):
+        p = LaurentPoly({-3: 2, -1: -5, 1: 7, 5: -1, 9: 3})
+        assert (-(-p))._unit is None and p.shifted(2).shifted(-2)._unit is None
+        assert (-p.shifted(3)) * (-p).shifted(-3) == p * p
+        assert p.shifted(7).normalize() == p.normalize() == (-p).shifted(-1).normalize()
+        assert -LaurentPoly.from_int(3) == -3 and hash(-LaurentPoly.from_int(3)) == hash(-3)
+        assert (-LaurentPoly.zero()).shifted(5) == 0 == LaurentPoly.zero()
 
 
 class TestProtocol:
