@@ -10,10 +10,11 @@ entry +-1 (the outgoing under-arc at a positive crossing, the incoming one
 at a negative crossing), and a Schur complement on a unit pivot changes
 the determinant only by a sign, so a work queue eliminates unit pivots
 while any are left.  Fraction-free (Bareiss) elimination takes the few
-rows that remain, and one ``kronecker_unpack`` reads the coefficients
-back.  Nothing here shares a convention with the skein engine beyond the
-diagram template itself, not even the knot test (the strand walk rejects
-a link on its own), which is the point: it is the independent check.
+rows that remain, and one ``kronecker_unpack`` reads the coefficients back
+from a slot sized by the diagram's Kauffman state count.  Nothing here
+shares a convention with the skein engine beyond the diagram template
+itself, not even the knot test (the strand walk rejects a link on its
+own), which is the point: it is the independent check.
 """
 
 from __future__ import annotations
@@ -32,8 +33,17 @@ class OracleError(ValueError):
 _TL, _TR, _BL, _BR = 0, 1, 2, 3
 _DIAG_EXIT = {_TL: _BR, _TR: _BL, _BL: _TR, _BR: _TL}
 _VERTICAL = {_TL: _BL, _BL: _TL, _TR: _BR, _BR: _TR}
+# a closure arc from a region's corner: the step to the next region and
+# the corner it enters there
+_ACROSS = {_TR: (1, _TL), _BR: (1, _BL), _TL: (-1, _TR), _BL: (-1, _BR)}
 # the direction of travel through a crossing entered at each corner
 _DIRECTION = {_TL: (1, -1), _TR: (-1, -1), _BL: (1, 1), _BR: (-1, 1)}
+
+
+def _regions(link: PretzelLink) -> tuple[int, ...]:
+    """The twist regions of the diagram drawn: P(a) is drawn as P(a, 0),
+    whose zero region's vertical strands are the side arcs."""
+    return link.params if link.n_regions > 1 else link.params + (0,)
 
 
 def _walk(link: PretzelLink):
@@ -41,9 +51,8 @@ def _walk(link: PretzelLink):
     the passage list [(crossing, corner in)] and each region's range of
     crossing ids.  Raises OracleError for a link: no crossing, a return to
     the start before 2c passages, or a closure arc missed (two adjacent
-    zero regions bound a circle with no crossing).  P(a) is walked as
-    P(a, 0), whose zero region's vertical strands are the side arcs."""
-    params = link.params if link.n_regions > 1 else link.params + (0,)
+    zero regions bound a circle with no crossing)."""
+    params = _regions(link)
     n = len(params)
     arcs = 0  # closure arcs walked
     region_crossings = []
@@ -63,16 +72,9 @@ def _walk(link: PretzelLink):
         # region boundary: follow closure arcs, passing through zero regions
         i, port = region, corner  # region-level port has the same corner role
         while True:
-            # arc edge
             arcs += 1
-            if port == _TR:
-                i, port = (i + 1) % n, _TL
-            elif port == _BR:
-                i, port = (i + 1) % n, _BL
-            elif port == _TL:
-                i, port = (i - 1) % n, _TR
-            else:
-                i, port = (i - 1) % n, _BR
+            step, port = _ACROSS[port]
+            i = (i + step) % n
             if params[i] != 0:
                 ids = region_crossings[i]
                 return (ids[0] if port in (_TL, _TR) else ids[-1]), port
@@ -134,34 +136,24 @@ def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
 # ----------------------------------------------------------------------
 # Alexander minor by unit-pivot elimination on packed integers
 
-def _minor_rows(relations: list[tuple[int, int, int, int]]) -> tuple[list[dict[int, int]], int]:
+def _minor_rows(relations: list[tuple[int, int, int, int]], x: int) -> list[dict[int, int]]:
     """The rows of the minor that drops the last relation and the last arc,
-    as {arc: Fox derivative packed at t = X = 2**(8*nbytes)}, and nbytes.
+    as {arc: Fox derivative at t = x}.
 
     The derivatives by (over, under_in, under_out) are 1 - t, t, -1 at a
     positive crossing and t - 1, 1, -t at a negative one, and an arc in
-    several roles sums them.  The digit width in bits is 4 plus the bit
-    lengths of the rows' l1 norms (at least 2 each).
+    several roles sums them.
     """
     last = len(relations) - 1
-    relations = relations[:last]
-    bits = 4
-    for o, i, u, _ in relations:
-        # 2 for the over-arc's 1 - t and 1 for each under-arc, except that
-        # an over-arc that is also an under-arc sums to a monomial
-        l1 = (o != last) * (1 if o in (i, u) else 2) + (i not in (o, last)) + (u not in (o, last))
-        bits += max(l1, 2).bit_length()
-    nbytes = slot_bytes(bits)
-    x = 1 << (8 * nbytes)
     entries = {1: (1 - x, x, -1), -1: (x - 1, 1, -x)}
     rows = []
-    for o, i, u, sign in relations:
+    for o, i, u, sign in relations[:last]:
         row: dict[int, int] = {}
         for arc, v in zip((o, i, u), entries[sign]):
             if arc != last:
                 row[arc] = row.get(arc, 0) + v
         rows.append(row)
-    return rows, nbytes
+    return rows
 
 
 def _unit_pivot_core(rows: list[dict[int, int]]) -> list[list[int]]:
@@ -169,11 +161,11 @@ def _unit_pivot_core(rows: list[dict[int, int]]) -> list[list[int]]:
     the dense core that remains; its determinant is +- that of the square
     matrix ``rows`` (sparse, over the columns 0..len(rows)-1).
 
-    Every entry stays a minor of the input, bounded by the slot width, so
-    a packed entry is +-1 exactly when its polynomial is.  Rows are taken
-    from a work queue: every row at first, and a row again whenever an
-    update writes +-1 into it.  ``holders`` may keep rows that no longer
-    hold the arc; those are skipped.  ``rows`` is consumed.
+    Each step is an integer row operation on an integer pivot +-1, exact
+    whatever polynomials the entries encode.  Rows are taken from a work
+    queue: every row at first, and a row again whenever an update writes
+    +-1 into it.  ``holders`` may keep rows that no longer hold the arc;
+    those are skipped.  ``rows`` is consumed.
     """
     holders: list[set[int]] = [set() for _ in rows]
     for r, row in enumerate(rows):
@@ -216,10 +208,8 @@ def _bareiss(m: list[list[int]]) -> int:
     """Determinant, up to sign, of a square integer matrix by fraction-free
     elimination."""
     n = len(m)
-    if n == 0:
-        return 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k]:
@@ -234,7 +224,7 @@ def _bareiss(m: list[list[int]]) -> int:
             for j in range(k + 1, n):
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
         prev = pivot
-    return m[n - 1][n - 1]
+    return prev
 
 
 def alexander_fox(link: PretzelLink) -> LaurentPoly:
@@ -242,10 +232,21 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
 
     The minor drops the last row and the last column of the Alexander
     matrix; any single column would give the same minor up to units.
+    Unit pivots and Bareiss are integer row operations on M(X), the minor
+    at t = X, exact at any X: they end at det M(X) = +-X^e * Delta(X), and
+    only ``kronecker_unpack`` needs X above twice every |coefficient|.  The
+    number S of Kauffman states bounds them: the clock theorem (Kauffman,
+    Formal Knot Theory, 1983) sums one signed monomial per state, and the
+    states are the spanning trees of a Tait graph, an n-cycle of |a_i|
+    parallel edges at region i.  A tree drops every edge of one region and
+    keeps one of each other region, so S = sum_i prod_{j != i} |a_j|.
     """
     relations = build_diagram(link)
-    rows, nbytes = _minor_rows(relations)
-    value = _bareiss(_unit_pivot_core(rows))
+    states, product = 0, 1  # S and prod |a_j| over the regions read so far
+    for a in map(abs, _regions(link)):
+        states, product = states * a + product, product * a
+    nbytes = slot_bytes(states.bit_length() + 1)  # the 1 is the sign
+    value = _bareiss(_unit_pivot_core(_minor_rows(relations, 1 << (8 * nbytes))))
     try:
         digits = kronecker_unpack(value, nbytes, len(relations) + 1)
     except OverflowError:

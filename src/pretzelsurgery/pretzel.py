@@ -245,10 +245,9 @@ def family_link(tag: FamilyTag) -> PretzelLink:
 # Montesinos descriptions
 
 # the largest |a| the skein engine and the Wirtinger diagram take.  The state
-# sum is size-free; only its final quotient and the normalized copy are |a|-term
-# maps.  In a fresh Python 3.11 process, `classify -1,4,3,99999` takes 0.2 s and
-# 37 MB peak RSS (`--help` alone: 0.1 s, 16 MB); past the cap, 1000001 takes
-# 0.6 s and 197 MB in process
+# sum is size-free; only its final quotient is an |a|-term map.  In a fresh
+# Python 3.11 process on 2 CPUs, `classify -1,4,3,99999` takes 0.2 s and 30 MB
+# peak RSS (`--help` alone: 0.2 s, 17 MB)
 _MAX_TWIST = 100_000
 
 @dataclass(frozen=True)

@@ -19,14 +19,16 @@ from pretzelsurgery.pretzel import PretzelLink
 SRC = Path(__file__).resolve().parents[1] / "src"
 HUGE = "99999999999999999999"
 
-# `alexander -2,3,10001` in a fresh process, which prints its own peak RSS
-# in MB.  It reads VmHWM where there is /proc: Linux keeps ru_maxrss across
-# exec, so there ru_maxrss would be at least the spawning process's size.
+# one CLI command in a fresh process, which prints its own peak RSS in MB on
+# the first line and then the command's output.  It reads VmHWM where there
+# is /proc: Linux keeps ru_maxrss across exec, so there ru_maxrss would be at
+# least the spawning process's size.
 COLD_START = r"""
 import contextlib, io, re, resource, sys
 from pretzelsurgery import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(["alexander", sys.argv[1], "--normalize"])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.run(sys.argv[1:])
 try:
     with open("/proc/self/status") as status:
         kb = int(re.search(r"VmHWM:\s*(\d+)", status.read()).group(1))
@@ -34,8 +36,23 @@ except OSError:
     kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     kb //= 1024 if sys.platform == "darwin" else 1
 print(kb / 1024)
+print(out.getvalue(), end="")
 sys.exit(code)
 """
+
+
+def cold_start(*argv):
+    """Run ``argv`` through COLD_START: the process, its peak RSS in MB,
+    the command's output and the wall time in seconds."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    mb, _, out = proc.stdout.partition("\n")
+    return proc, float(mb), out, elapsed
 
 
 def run_cli(capsys, *argv):
@@ -95,15 +112,9 @@ class TestAlexander:
     def test_fresh_process_large_q(self, params):
         # no process-wide table of torus values: a cold start at q = 10^4,
         # and at the twist bound, stays fast and small
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_START, params],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        elapsed = time.perf_counter() - start
+        proc, mb, _, elapsed = cold_start("alexander", params, "--normalize")
         assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) < 100  # MB
+        assert mb < 100
         assert elapsed < 5.0
 
     def test_bad_params_exit_1(self, capsys):
@@ -122,6 +133,15 @@ class TestAlexander:
 
 
 class TestOracleCompare:
+    def test_fresh_process_large_q(self):
+        # Fox's slot is sized by the state count, not by the crossings, so
+        # 10^4 crossings decode in one narrow slot
+        proc, mb, out, elapsed = cold_start("oracle-compare", "-2,3,5001")
+        assert proc.returncode == 0, proc.stderr
+        assert out == "P(-2,3,5001): match\n"
+        assert mb < 100
+        assert elapsed < 5.0
+
     def test_match(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-compare", "-2,3,9", "--json")
         assert code == 0

@@ -1,10 +1,12 @@
 import time
+from math import prod
 
 import pytest
 
+from pretzelsurgery import oracle
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import LaurentPoly, parse
+from pretzelsurgery.laurent import LaurentPoly, parse, slot_bytes
 from pretzelsurgery.oracle import _DIRECTION, OracleError, _walk, alexander_fox, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 from reference_fox import alexander_fox_dense
@@ -133,6 +135,45 @@ class TestAgainstDenseReference:
         assert delta.equal_up_to_units(alexander_skein(link))
 
 
+def _state_count(params):
+    """Sum_i prod_{j != i} |a_j|, the spanning trees of the Tait graph of
+    P(params), an n-cycle of |a_i| parallel edges; |a| for P(a), drawn as
+    P(a, 0), whose Tait graph is two vertices joined by |a| edges."""
+    if len(params) == 1:
+        return abs(params[0])
+    return sum(prod(abs(b) for j, b in enumerate(params) if j != i) for i in range(len(params)))
+
+
+class TestStateCountBound:
+    """The oracle's slot is sized by the Kauffman state count S, so every
+    knot must have l1(Delta) <= S, with Delta from the skein engine, whose
+    value does not pass through that slot."""
+
+    def test_l1_norm_within_state_count(self):
+        knots = tight = 0
+        for link in knot_box(4, 6):
+            l1 = sum(abs(c) for _, c in alexander_skein(link).items())
+            bound = _state_count(link.params)
+            assert l1 <= bound, (link, l1, bound)
+            if all(a > 0 for a in link.params) or all(a < 0 for a in link.params):
+                # an alternating diagram: l1(Delta) = det = the tree count
+                assert l1 == bound, (link, l1, bound)
+                tight += 1
+            knots += 1
+        assert (knots, tight) == (7110, 906)
+
+    def test_slot_sized_by_state_count(self, monkeypatch):
+        # the slot the oracle asks for is S.bit_length() + 1 bits (the 1 is
+        # the sign); P(a) is drawn as P(a, 0), whose S is |a|, not the empty
+        # product 1 (its unit coefficients would decode in either slot)
+        asked = []
+        monkeypatch.setattr(oracle, "slot_bytes", lambda bits: asked.append(bits) or slot_bytes(bits))
+        links = [PretzelLink((a,)) for a in range(-101, 102, 2)] + list(knot_box(4, 3))
+        for link in links:
+            alexander_fox(link)
+        assert asked == [_state_count(link.params).bit_length() + 1 for link in links]
+
+
 class TestLargeQ:
     def test_minus2_3_201_within_budget(self):
         link = PretzelLink((-2, 3, 201))
@@ -141,3 +182,16 @@ class TestLargeQ:
         elapsed = time.perf_counter() - start
         assert delta.equal_up_to_units(alexander_skein(link))
         assert elapsed < 1.0, f"{elapsed:.2f}s"
+
+    def test_minus2_3_1001_within_budget(self):
+        link = PretzelLink((-2, 3, 1001))
+        start = time.perf_counter()
+        delta = alexander_fox(link)
+        elapsed = time.perf_counter() - start
+        assert delta.equal_up_to_units(alexander_skein(link))
+        assert elapsed < 0.5, f"{elapsed:.2f}s"
+
+    @pytest.mark.parametrize("params", [(-1, -4, 5, 1001), (-1, 4, 3, 1001), (-1, -1, 4, 3, 1001)])
+    def test_families_at_1001(self, params):
+        link = PretzelLink(params)
+        assert alexander_fox(link).equal_up_to_units(alexander_skein(link))
