@@ -12,12 +12,7 @@ from .pretzel import (
     parse_montesinos,
     parse_pretzel,
 )
-from .alexander import (
-    alexander_skein,
-    alexander_with_trace,
-    claim_formula,
-    torus_link_alexander,
-)
+from .alexander import alexander_skein, alexander_with_trace
 from .oracle import alexander_fox, build_diagram
 
 from .obstruction import (
@@ -29,12 +24,9 @@ from .obstruction import (
     SurgerySlope,
     claim2_implication,
     gabai_not_fibered,
-    hf_rank,
     monic_check,
     os_form_check,
-    os_form_polynomial,
     pm1_coefficients,
-    symmetrize,
 )
 from .classify import (
     ClassificationReport,

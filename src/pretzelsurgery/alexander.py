@@ -98,13 +98,6 @@ def _numerator(l: int) -> LaurentPoly:
     return LaurentPoly({1 - l: 1, 1 + l: -1 if l % 2 == 0 else 1})
 
 
-def torus_link_alexander(l: int) -> LaurentPoly:
-    """Delta of the (2, l)-torus link, l >= 1."""
-    if l < 1:
-        raise ValueError("torus link parameter must be a positive integer")
-    return _torus(l)
-
-
 # ----------------------------------------------------------------------
 # the engine
 
@@ -257,43 +250,7 @@ def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
     return value, [(i, a, _choices(a, par)) for i, (a, par) in regions if abs(a) >= 2]
 
 
-# ----------------------------------------------------------------------
-# closed forms from the twist-resolution identities
-
-def claim_formula(tag) -> LaurentPoly:
-    """Direct evaluation of the closed-form Delta for the (-1, 2n, p, q)
-    family (all three sign cases of n), as an internal consistency oracle
-    for the skein engine.  Result is up to units.
-    """
-    from .pretzel import FamilyKind, FamilyTag  # local import avoids cycle
-
-    if not isinstance(tag, FamilyTag) or tag.kind is not FamilyKind.MINUS1_2N:
-        raise ValueError("closed forms exist only for the (-1,2n,p,q) family")
-    n, p, q = tag.index, tag.p, tag.q
-    if n == 0 or p is None or q is None:
-        raise ValueError("invalid family parameters")
-    w = SKEIN_FACTOR
-    if n < 0:
-        b = -2 * n
-        return (
-            _torus(b - 1) * _torus(p) * _torus(q)
-            - _torus(b) * _torus(p - 1) * _torus(q)
-            - _torus(b) * _torus(p) * _torus(q - 1)
-        )
-    if n == 1:
-        # P(-1,2,p,q) = P(-2,p,q): one antiparallel crossing change
-        return _torus(p) * _torus(q) + w * _torus(p + q)
-    return (
-        _torus(2 * n - 1) * _torus(p) * _torus(q)
-        + _torus(2 * n) * _torus(p - 1) * _torus(q)
-        + _torus(2 * n) * _torus(p) * _torus(q - 1)
-        + w * _torus(2 * n) * _torus(p) * _torus(q)
-    )
-
-
 __all__ = [
-    "torus_link_alexander",
     "alexander_skein",
     "alexander_with_trace",
-    "claim_formula",
 ]

@@ -43,9 +43,9 @@ from .pretzel import (
     FamilyTag,
     MontesinosDescription,
     PretzelLink,
+    determinant,
     family_link,
-    family_membership,
-    is_knot,
+    family_of_tangles,
     parse_montesinos,
     parse_pretzel,
     tangles,
@@ -198,9 +198,10 @@ class _Reading:
 
 def _read(knot: PretzelLink | MontesinosDescription) -> _Reading:
     """Read a parsed input once as its tangles; ClassifyError for a link."""
-    if not is_knot(knot):
+    pairs = tangles(knot)
+    if determinant(pairs) % 2 == 0:  # the knot test of is_knot, on these pairs
         raise ClassifyError(f"{knot} is not a knot")
-    return _Reading(knot, tangles(knot), family_membership(knot))
+    return _Reading(knot, pairs, family_of_tangles(knot, pairs))
 
 
 def _two_bridge_knot(reading: _Reading) -> str | None:
@@ -314,61 +315,27 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
 # ----------------------------------------------------------------------
 # stage 4: Alexander gate
 
-def _violating_coefficient(tag: FamilyTag) -> tuple[int, int]:
-    """(exponent, value) of the always-violating normalized Alexander
-    coefficient for the (-1, 2n, p, q) family, computed fresh."""
-    delta = alexander_skein(family_link(tag)).normalize()
-    if tag.index < 0:
-        exp = 1
-    elif tag.index == 1:
-        exp = 4
-    else:
-        exp = 3
-    return exp, delta.coefficient(exp)
-
-
 def alexander_gate(tag: FamilyTag) -> StageResult:
     """Polynomial exclusions for the families surviving the seminorm gate:
-    a non-(+-1) coefficient for (-1,2n,p,q), or a non-fibered certificate
-    (with non-monic corroboration) for (-1,-1,2m,p,q)."""
-    if tag.kind is FamilyKind.MINUS1_MINUS1_2M:
+    a non-(+-1) coefficient of the normalized Delta for (-1,2n,p,q), at t^1
+    for n < 0, t^4 for n = 1 and t^3 for n >= 2, or a non-fibered
+    certificate (with non-monic corroboration) for (-1,-1,2m,p,q)."""
+    fibered_family = tag.kind is FamilyKind.MINUS1_MINUS1_2M
+    if not fibered_family and (tag.kind is not FamilyKind.MINUS1_2N or (tag.index == 1 and tag.p == 3)):
+        raise ClassifyError(f"tag {tag} should have been consumed by earlier stages")
+    link = family_link(tag)
+    if fibered_family:
         cert = gabai_not_fibered(tag.index, tag.p, tag.q)
-        monic = monic_check(alexander_skein(family_link(tag)))
-        if monic:
-            raise ClassifyError(
-                f"{family_link(tag)}: expected non-monic Alexander polynomial"
-            )
-        return StageResult(
-            stage="alexander",
-            verdict="excluded",
-            citation=CITE_FIBERED,
-            evidence={
-                "family": str(tag),
-                "fibered": False,
-                "surface_type": cert.surface_type,
-                "band_data": list(cert.band_data),
-                "case_path": list(cert.case_path),
-                "associated_link": str(cert.associated_link),
-                "monic": False,
-            },
-        )
-    if tag.kind is FamilyKind.MINUS1_2N and not (tag.index == 1 and tag.p == 3):
-        exp, value = _violating_coefficient(tag)
-        if value in (-1, 0, 1):
-            raise ClassifyError(
-                f"{family_link(tag)}: expected a coefficient violating +-1"
-            )
-        return StageResult(
-            stage="alexander",
-            verdict="excluded",
-            citation=CITE_ALEXANDER,
-            evidence={
-                "family": str(tag),
-                "coefficient_exponent": exp,
-                "coefficient": value,
-            },
-        )
-    raise ClassifyError(f"tag {tag} should have been consumed by earlier stages")
+        if monic_check(alexander_skein(link)):
+            raise ClassifyError(f"{link}: expected non-monic Alexander polynomial")
+        evidence = {"family": str(tag), "fibered": False, **cert.fields(), "monic": False}
+        return StageResult("alexander", "excluded", CITE_FIBERED, evidence)
+    exp = 1 if tag.index < 0 else 4 if tag.index == 1 else 3
+    value = alexander_skein(link).normalize().coefficient(exp)
+    if value in (-1, 0, 1):
+        raise ClassifyError(f"{link}: expected a coefficient violating +-1")
+    evidence = {"family": str(tag), "coefficient_exponent": exp, "coefficient": value}
+    return StageResult("alexander", "excluded", CITE_ALEXANDER, evidence)
 
 
 # ----------------------------------------------------------------------

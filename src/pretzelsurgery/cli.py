@@ -140,13 +140,7 @@ def _cmd_obstruct(args) -> int:
     tag = family_membership(link)
     if tag.kind is FamilyKind.MINUS1_MINUS1_2M:
         cert = gabai_not_fibered(tag.index, tag.p, tag.q)
-        doc["fiberedness"] = {
-            "verdict": cert.verdict,
-            "surface_type": cert.surface_type,
-            "band_data": list(cert.band_data),
-            "case_path": list(cert.case_path),
-            "associated_link": str(cert.associated_link),
-        }
+        doc["fiberedness"] = {"verdict": cert.verdict, **cert.fields()}
     lines = [
         f"{link}: {doc['polynomial']}",
         f"  all coefficients +-1: {doc['pm1_coefficients']}",

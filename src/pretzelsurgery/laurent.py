@@ -107,11 +107,6 @@ class LaurentPoly:
         return cls({s_exp: coeff})
 
     @classmethod
-    def t_term(cls, coeff: int, t_exp: int) -> "LaurentPoly":
-        """coeff * t**t_exp."""
-        return cls({2 * t_exp: coeff})
-
-    @classmethod
     def from_int(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
 
@@ -156,10 +151,6 @@ class LaurentPoly:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._map()))
-
-    def has_integer_exponents(self) -> bool:
-        """True iff every power of t is an integer (all s-exponents even)."""
-        return all(e % 2 == 0 for e in self._map())
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -236,21 +227,10 @@ class LaurentPoly:
         shift, sign = self._unit or (0, 1)
         return _trusted(self._c, _as_unit(shift + s_exp, sign))
 
-    def conj(self) -> "LaurentPoly":
-        """Substitute s -> s**-1 (i.e. t -> t**-1)."""
-        shift, sign = self._unit or (0, 1)
-        return _trusted({-e: v for e, v in self._c.items()}, _as_unit(-shift, sign))
-
     def eval_at_one(self) -> int:
         """Value at s = 1 (t = 1)."""
         u = self._unit
         return sum(self._c.values()) if u is None else u[1] * sum(self._c.values())
-
-    def eval_at_minus_one(self) -> int:
-        """Value at t = -1.  Requires integer t-exponents."""
-        if not self.has_integer_exponents():
-            raise LaurentError("t = -1 evaluation needs integer t-exponents")
-        return sum(v * (-1) ** (e // 2) for e, v in self._map().items())
 
     # ------------------------------------------------------------------
     # spec operations

@@ -53,40 +53,14 @@ class OSFormDecomposition:
             raise ObstructionError("exponents must be strictly increasing")
 
 
-def symmetrize(delta: LaurentPoly) -> LaurentPoly:
-    """The unit multiple of ``delta`` with Delta(t) = Delta(1/t) exactly and
-    positive leading coefficient.  Raises if no unit achieves symmetry."""
-    if delta.is_zero:
-        raise ObstructionError("zero polynomial cannot be symmetrized")
-    lo, hi = delta.mindeg, delta.maxdeg
-    if (lo + hi) % 2 != 0:
-        raise ObstructionError("polynomial has no symmetric centering")
-    centered = delta.shifted(-(lo + hi) // 2)
-    if centered != centered.conj():
-        raise ObstructionError("polynomial is not symmetric up to units")
-    if centered.s_coefficient(centered.maxdeg) < 0:
-        centered = -centered
-    return centered
-
-
-def os_form_polynomial(decomp: OSFormDecomposition) -> LaurentPoly:
-    """The symmetric Laurent polynomial encoded by a decomposition."""
-    k = decomp.k
-    coeffs = {0: (-1) ** k}  # s-exponents: t^n is s^(2n)
-    for j, n in enumerate(decomp.exponents, start=1):
-        sign = (-1) ** (k - j)
-        for e in (2 * n, -2 * n):
-            coeffs[e] = coeffs.get(e, 0) + sign
-    return LaurentPoly(coeffs)
-
-
 def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     """Match ``delta`` against the alternating +-1 form, up to units.
 
     Returns the decomposition when the symmetrized polynomial is exactly
     (-1)^k + sum (-1)^(k-j)(t^(n_j) + t^(-n_j)), and None otherwise.
     Input that no unit makes symmetric (not a knot polynomial) raises
-    ObstructionError with the message of ``symmetrize``.
+    ObstructionError: the zero polynomial, extreme exponents of odd sum,
+    or a term that differs from its mirror partner.
 
     One scan over the n sorted terms, with lo and hi the extreme
     s-exponents and mid = (lo + hi)/2, decides this without building a
@@ -104,7 +78,7 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     +1, -1, ... of odd length 2k + 1, read from the top.  Conversely every
     symmetric sequence of that kind is the form whose n_j are its positive
     powers of t.  So with sigma the sign of the top coefficient (the sign
-    symmetrize divides out), the symmetric ``delta`` is a unit times the
+    of the unit), the symmetric ``delta`` is a unit times the
     form iff n is odd (the constant term is present), every e - mid is
     even (every power of t is an integer) and its coefficients from the
     top are sigma, -sigma, sigma, ...; then k = n // 2 and the n_j are
@@ -166,6 +140,16 @@ class GabaiCaseTrace:
     case_path: tuple[str, ...]
     associated_link: PretzelLink
     verdict: str  # "fibered" or "not-fibered"
+
+    def fields(self) -> dict:
+        """The surface type, band data, case path and associated link as
+        JSON values, as ``obstruct`` and the classify report print them."""
+        return {
+            "surface_type": self.surface_type,
+            "band_data": list(self.band_data),
+            "case_path": list(self.case_path),
+            "associated_link": str(self.associated_link),
+        }
 
 
 def gabai_not_fibered(m: int, p: int, q: int) -> GabaiCaseTrace:
@@ -231,14 +215,9 @@ class HFRankParams:
 
 
 def _x(nu: int, alpha: int, beta: int) -> int:
+    """X(nu, alpha, beta) = max(0, (2 nu - 1)|beta| - |alpha|): the surgered
+    manifold's hat Floer rank is |alpha| + 2 X + |beta| Y."""
     return max(0, (2 * nu - 1) * abs(beta) - abs(alpha))
-
-
-def hf_rank(params: HFRankParams) -> int:
-    """Total rank of the surgered manifold's hat Floer homology:
-    |alpha| + 2 max(0, (2 nu - 1)|beta| - |alpha|) + |beta| Y."""
-    a, b = params.slope.alpha, params.slope.beta
-    return abs(a) + 2 * _x(params.nu, a, b) + abs(b) * params.Y
 
 
 @dataclass(frozen=True)
@@ -288,12 +267,9 @@ __all__ = [
     "HFRankParams",
     "GabaiCaseTrace",
     "CheckResult",
-    "symmetrize",
-    "os_form_polynomial",
     "os_form_check",
     "pm1_coefficients",
     "monic_check",
     "gabai_not_fibered",
-    "hf_rank",
     "claim2_implication",
 ]

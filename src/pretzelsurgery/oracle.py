@@ -240,6 +240,13 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
     states are the spanning trees of a Tait graph, an n-cycle of |a_i|
     parallel edges at region i.  A tree drops every edge of one region and
     keeps one of each other region, so S = sum_i prod_{j != i} |a_j|.
+
+    A coefficient too wide for its slot would carry into its neighbour and
+    decode as another polynomial, so the digits are checked against two
+    properties of every knot's Delta, at O(c) cost: Delta(1) = +-1, and
+    the digits between the first and last nonzero one read the same
+    backwards (Delta(t) = t^d Delta(1/t); an antisymmetric Delta would
+    vanish at 1).  Either failing raises OracleError.
     """
     relations = build_diagram(link)
     states, product = 0, 1  # S and prod |a_j| over the regions read so far
@@ -251,7 +258,11 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
         digits = kronecker_unpack(value, nbytes, len(relations) + 1)
     except OverflowError:
         raise OracleError("determinant decoding overflow: digit bound violated") from None
-    det = LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(digits) if d})
-    if det.is_zero:
+    digits = list(digits)
+    nonzero = [t_exp for t_exp, d in enumerate(digits) if d]
+    if not nonzero:
         raise OracleError(f"vanishing Alexander minor for {link}: diagram bug")
-    return det.normalize()
+    delta = digits[nonzero[0]:nonzero[-1] + 1]  # Delta up to a power of t
+    if sum(delta) not in (1, -1) or delta != delta[::-1]:
+        raise OracleError(f"{link}: the decoded determinant is not a knot polynomial: digit bound violated")
+    return LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(delta) if d}).normalize()

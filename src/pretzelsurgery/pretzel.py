@@ -187,9 +187,14 @@ def family_membership(knot: PretzelLink | MontesinosDescription) -> FamilyTag | 
     """
     if not is_knot(knot):
         raise PretzelError(f"{knot} is not a knot")
-    if isinstance(knot, MontesinosDescription) and len(knot.tangles) == 1:
+    return family_of_tangles(knot, tangles(knot))
+
+
+def family_of_tangles(knot: PretzelLink | MontesinosDescription, pairs) -> FamilyTag | None:
+    """``family_membership`` of a knot already read as its tangles
+    ``pairs``, with no knot test: None for a one-tangle description."""
+    if isinstance(knot, MontesinosDescription) and len(pairs) == 1:
         return None
-    pairs = tangles(knot)
     tag = _family_tag(pairs)
     if tag is not None and tag.kind is FamilyKind.OTHER:
         mirror = _family_tag([(-beta, alpha) for beta, alpha in pairs])

@@ -15,7 +15,7 @@ from pretzelsurgery.laurent import LaurentPoly, kronecker_pack, kronecker_unpack
 from pretzelsurgery.oracle import OracleError, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 
-_T = LaurentPoly.t_term(1, 1)
+_T = LaurentPoly({2: 1})
 _ONE = LaurentPoly.one()
 
 

@@ -8,17 +8,14 @@ import tracemalloc
 import pytest
 
 from pretzelsurgery import alexander, laurent
-from pretzelsurgery.alexander import (
-    alexander_skein,
-    alexander_with_trace,
-    claim_formula,
-    torus_link_alexander,
-)
+from pretzelsurgery.alexander import alexander_skein, alexander_with_trace
 from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import SKEIN_FACTOR, LaurentPoly, parse
 from pretzelsurgery.oracle import alexander_fox
-from pretzelsurgery.pretzel import PretzelLink, family_membership, is_knot
+from pretzelsurgery.pretzel import PretzelLink, is_knot
 
+from invariants import at_minus_one, conj
+from reference_closed_form import claim_formula
 from reference_conway import conway_pretzel
 
 
@@ -55,21 +52,17 @@ class TestTorusValues:
         prev, cur = LaurentPoly.zero(), LaurentPoly.one()
         assert alexander._torus(0) == prev
         for l in range(1, 2001):
-            assert torus_link_alexander(l) == cur, l
+            assert alexander._torus(l) == cur, l
             if l <= 50:
                 assert alexander._torus(-l) == (cur if l % 2 else -cur), l
             prev, cur = cur, prev + w * cur
 
     def test_known_polynomials(self):
-        assert torus_link_alexander(1) == LaurentPoly.one()
-        assert torus_link_alexander(3).equal_up_to_units(parse("1 - t + t^2"))
-        assert torus_link_alexander(5).equal_up_to_units(
+        assert alexander._torus(1) == LaurentPoly.one()
+        assert alexander._torus(3).equal_up_to_units(parse("1 - t + t^2"))
+        assert alexander._torus(5).equal_up_to_units(
             parse("1 - t + t^2 - t^3 + t^4")
         )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            torus_link_alexander(0)
 
     def test_large_values_not_kept(self):
         # no process-wide table grows with l: 50 values of about 20,000
@@ -79,7 +72,7 @@ class TestTorusValues:
         try:
             start = tracemalloc.get_traced_memory()[0]
             for l in range(20001, 20101, 2):
-                assert torus_link_alexander(l).s_coefficient(l - 1) == 1
+                assert alexander._torus(l).s_coefficient(l - 1) == 1
             gc.collect()
             assert tracemalloc.get_traced_memory()[0] - start < 2**20
         finally:
@@ -167,9 +160,9 @@ class TestManyRegions:
             if not is_knot(link):
                 continue
             delta = alexander_skein(link)
-            assert abs(delta.eval_at_minus_one()) == abs(determinant(params)), link
+            assert abs(at_minus_one(delta)) == abs(determinant(params)), link
             assert abs(delta.eval_at_one()) == 1, link
-            assert delta.equal_up_to_units(delta.conj()), link
+            assert delta.equal_up_to_units(conj(delta)), link
             checked += 1
 
     @pytest.mark.parametrize(
@@ -183,7 +176,7 @@ class TestManyRegions:
         start = time.perf_counter()
         delta = alexander_skein(link)
         assert time.perf_counter() - start < 1.0
-        assert abs(delta.eval_at_minus_one()) == abs(determinant(params))
+        assert abs(at_minus_one(delta)) == abs(determinant(params))
         assert abs(delta.eval_at_one()) == 1
 
 
@@ -195,11 +188,12 @@ class TestLargeQ:
         start = time.perf_counter()
         link = PretzelLink((-2, 3, q))
         delta = alexander_skein(link)
-        assert delta.equal_up_to_units(delta.conj())
+        assert delta.equal_up_to_units(conj(delta))
         assert abs(delta.eval_at_one()) == 1
         normal = delta.normalize()
         assert normal.mindeg == 0 and normal.maxdeg == 2 * (q + 3)
-        assert delta.equal_up_to_units(claim_formula(family_membership(link)))
+        # P(-2,3,q) = P(-1,2,3,q)
+        assert delta.equal_up_to_units(claim_formula(1, 3, q))
         assert time.perf_counter() - start < 2.0
 
 
@@ -280,14 +274,9 @@ class TestClosedForms:
         for n in (-3, -2, -1, 1, 2, 3):
             for p, q in ((3, 3), (3, 5), (5, 7), (3, 9)):
                 link = PretzelLink((-1, 2 * n, p, q))
-                tag = family_membership(link)
-                assert claim_formula(tag).equal_up_to_units(
+                assert claim_formula(n, p, q).equal_up_to_units(
                     alexander_skein(link)
                 ), (n, p, q)
-
-    def test_claim_formula_rejects_other(self):
-        with pytest.raises(ValueError):
-            claim_formula(family_membership(PretzelLink((3, 5, 7))))
 
 
 class TestSupports:
@@ -317,4 +306,4 @@ class TestSupports:
             if len(link.params) < 2:
                 continue
             value = alexander_skein(link).normalize()
-            assert abs(value.eval_at_minus_one()) == abs(determinant(link.params)), link
+            assert abs(at_minus_one(value)) == abs(determinant(link.params)), link

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import time
 from itertools import product
 from math import gcd
@@ -19,7 +20,7 @@ from pretzelsurgery.classify import (
     delman_gate,
     mattman_gate,
 )
-from pretzelsurgery.alexander import alexander_skein, torus_link_alexander
+from pretzelsurgery.alexander import _torus, alexander_skein
 from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.pretzel import (
@@ -29,6 +30,7 @@ from pretzelsurgery.pretzel import (
     is_knot,
     parse_montesinos,
 )
+from invariants import at_minus_one
 from reference_pretzel import box_knots
 
 
@@ -104,10 +106,10 @@ class TestTwoBridgeArbiters:
                     continue
                 knots += 1
                 delta = alexander_skein(link).normalize()
-                det = abs(delta.eval_at_minus_one())
+                det = abs(at_minus_one(delta))
                 if delta == LaurentPoly.one():
                     reason = "trivial knot"
-                elif delta.equal_up_to_units(torus_link_alexander(det)):
+                elif delta.equal_up_to_units(_torus(det)):
                     reason = f"(2,{det})-torus knot"
                 else:
                     reason = None
@@ -332,6 +334,25 @@ class TestPipeline:
             assert classify(text).hyperbolic_reason == reason, text
         with pytest.raises(ClassifyError, match="not a knot"):
             classify("4/3")
+
+    @pytest.mark.parametrize(
+        "text,kind",
+        [("3,5,7", "pretzel"), ("-2,3,7", "pretzel"), ("4,3,5,-1", "pretzel"),
+         ("6,-1,3,-1,5", "pretzel"), ("1/3;2/5;2/7", "montesinos"),
+         ("3/1", "montesinos"), ("3", "pretzel")],
+    )
+    def test_input_read_once(self, monkeypatch, text, kind):
+        # one tangle read, shared by the knot test and the family tag; the
+        # Alexander gate reads its own family link, which these reorder.  A
+        # one-tangle description has no tag, so its kind stays "montesinos"
+        reads = []
+        for name in ("pretzelsurgery.classify", "pretzelsurgery.pretzel"):
+            module = importlib.import_module(name)
+            read = module.tangles
+            monkeypatch.setattr(module, "tangles", lambda knot, read=read: reads.append(str(knot)) or read(knot))
+        report = classify(text)
+        assert reads.count(report.input_text) == 1, reads
+        assert report.input_kind == kind
 
     def test_composite_out_of_scope(self):
         report = classify("3,0,5")

@@ -1,10 +1,12 @@
 """Source guards.  No floating point anywhere in the package: no float or
 complex constant, no use of the name ``float`` and no true division ``/``,
 which yields a float on integers.  Exact results come from ``//``,
-``divmod`` and ``fractions.Fraction``.  And the Fox oracle and the two
-reference engines share no code with the engines they check.  And every
-name a module lists in ``__all__`` exists, and the package root imports
-from such a module only names it lists."""
+``divmod`` and ``fractions.Fraction``.  And the Fox oracle and the
+reference engines and arbiters share no code with the engines they check.
+And every name a module lists in ``__all__`` exists, and the package root
+imports from such a module only names it lists.  And every module-level
+function and class of the package is used by the package itself, so code
+that only tests read lives in ``tests/``."""
 
 import ast
 import importlib
@@ -12,12 +14,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pretzelsurgery"
-# the Fox oracle and the reference engines that arbitrate the skein engine
+# the Fox oracle and the reference engines and arbiters of the engines
 INDEPENDENT = (
     PACKAGE / "oracle.py",
     ROOT / "tests" / "reference_fox.py",
     ROOT / "tests" / "reference_conway.py",
+    ROOT / "tests" / "reference_closed_form.py",
+    ROOT / "tests" / "reference_os_form.py",
 )
+# module-level names no package code uses: parse is render's documented inverse
+UNUSED_ALLOWED = {"laurent.parse"}
 
 
 def _float_sites(tree: ast.AST):
@@ -102,3 +108,39 @@ def test_all_lists_existing_names():
             if listed is not None:
                 unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
     assert (stale, unlisted) == ([], [])
+
+
+def _unused_definitions(trees: dict):
+    """``module.name`` of each module-level function or class in ``trees``
+    (module name -> ast) whose name no other top-level statement of any of
+    the modules reads, as a name or an attribute."""
+    defs, used = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defs.append((module, own))
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
+                if name is not None and name != own:
+                    used.add(name)
+    return [f"{module}.{name}" for module, name in defs if name not in used]
+
+
+def test_package_uses_every_definition():
+    # the package root only re-exports, so its imports use nothing
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert [name for name in _unused_definitions(trees) if name not in UNUSED_ALLOWED] == []
+
+
+def test_guard_sees_unused_definitions():
+    trees = {
+        "a": ast.parse("def f(): return g()\ndef g(): return 1\ndef h(n): return h(n - 1)\nclass C: pass\n"),
+        "b": ast.parse("import a\nx = a.f\n"),
+    }
+    assert _unused_definitions(trees) == ["a.h", "a.C"]
