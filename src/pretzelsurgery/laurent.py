@@ -8,17 +8,15 @@ are arbitrary-precision Python ints.
 
 A polynomial is stored as a coefficient map times a unit sign * s**shift.
 The unit lives in one slot, ``None`` for the unit 1 and ``(shift, sign)``
-otherwise, so multiplying by a unit relabels the same map: negation,
-``shifted`` and ``normalize`` (after one ``min`` over the exponents) are
-O(1) and share the map they read, and the quotient of
-``divide_by_one_plus_t`` keeps its dividend's unit.  Products add shifts
-and multiply signs; sums read the shorter operand in the longer one's
-frame; single coefficients, degrees and the value at t = 1 read the unit
-without rebuilding the map.  A sum or product of unit-free operands is
-unit-free and takes the same path as a plain coefficient map, so the skein
-state sum never carries a unit.  ``items()`` applies the unit in the pass
-after the sort, and the other readers go through the map with the unit
-applied.
+otherwise.  ``normalize`` is the only operation that makes a unit: after
+one ``min`` over the exponents it relabels the map it reads, in O(1).
+Products add shifts and multiply signs; sums read the shorter operand in
+the longer one's frame; the quotient of ``divide_by_one_plus_t`` keeps its
+dividend's unit; single coefficients and the degree read the unit without
+rebuilding the map.  A sum or product of unit-free operands is unit-free
+and takes the same path as a plain coefficient map, so the skein state sum
+never carries a unit.  ``items()`` applies the unit in the pass after the
+sort, and the other readers go through the map with the unit applied.
 
 Products run the dictionary double loop, whose cost is the product of the
 term counts; every product the skein state sum makes has an operand of at
@@ -32,14 +30,14 @@ use them.  Widths of 1, 2, 4 and 8 bytes are packed and read back through
 with ``int.from_bytes``, so results stay exact at any size.
 
 ``divide_by_one_plus_t`` divides exactly by (1 + t)**k in the same
-encoding: the dividend is packed once, divided by (1 + X**2)**k as one
-big integer (by (1 + X)**k at X = t when every exponent has one parity),
-and the quotient unpacked.  Its slots hold |p|_1 * C(J + k - 1, k - 1)
-* (2**k + 1), where J is the quotient's t-span: the first two factors bound
-every quotient coefficient, since C(J + k - 1, k - 1) is the largest
-coefficient size of (1 + t)**-k up to t**J, and the last makes an indivisible
-dividend leave a nonzero remainder, which raises ``LaurentError``.  The
-proof is in its docstring.
+encoding: the dividend, whose s-exponents share one parity, is packed once
+at X = t, divided by (1 + X)**k as one big integer, and the quotient
+unpacked.  Its slots hold |p|_1 * C(J + k - 1, k - 1) * (2**k + 1), where
+J is the quotient's t-span: the first two factors bound every quotient
+coefficient, since C(J + k - 1, k - 1) is the largest coefficient size of
+(1 + t)**-k up to t**J, and the last makes an indivisible dividend leave a
+nonzero remainder, which raises ``LaurentError``.  The proof is in its
+docstring.
 
 Every result of the arithmetic is built by ``_trusted``, which wraps a
 dict already known to hold int keys and no zero values, and its unit,
@@ -53,7 +51,7 @@ import re
 import sys
 from array import array
 from math import comb
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterator, Mapping, Sequence
 
 
@@ -67,9 +65,10 @@ class LaurentPoly:
     The value is sign * s**shift * sum(v * s**e) over the coefficient map
     ``_c``, with ``_unit`` = ``(shift, sign)``, or ``None`` for shift 0 and
     sign 1.  The zero polynomial is the empty map; zero coefficients are
-    never stored.  Negation, ``shifted``, ``normalize``, ``mindeg``,
-    ``maxdeg``, ``coefficient`` and ``s_coefficient`` are O(1) in the
-    number of terms, apart from the ``min`` or ``max`` over the exponents.
+    never stored.  Entries are read with ``operator.index``, so anything
+    but an integer raises TypeError.  ``normalize``, ``maxdeg``,
+    ``coefficient`` and ``s_coefficient`` are O(1) in the number of terms,
+    apart from the ``min`` or ``max`` over the exponents.
     """
 
     __slots__ = ("_c", "_unit")
@@ -78,8 +77,9 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
+                e, v = index(e), index(v)
                 if v:
-                    c[int(e)] = int(v)
+                    c[e] = v
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_unit", None)
 
@@ -101,29 +101,12 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def s_term(cls, coeff: int, s_exp: int) -> "LaurentPoly":
-        """coeff * s**s_exp."""
-        return cls({s_exp: coeff})
-
-    @classmethod
-    def from_int(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
     # ------------------------------------------------------------------
     # inspection
 
     @property
     def is_zero(self) -> bool:
         return not self._c
-
-    @property
-    def mindeg(self) -> int:
-        """Minimal s-exponent.  Undefined (raises) for the zero polynomial."""
-        if not self._c:
-            raise LaurentError("zero polynomial has no mindeg")
-        u = self._unit
-        return min(self._c) if u is None else min(self._c) + u[0]
 
     @property
     def maxdeg(self) -> int:
@@ -157,28 +140,19 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
+            other = _trusted({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self._unit == other._unit:
             return self._c == other._c
         return len(self._c) == len(other._c) and self._map() == other._map()
 
-    def __hash__(self) -> int:
-        # a constant equals its int (see __eq__), so it hashes like it
-        c = self._map()
-        if c.keys() <= {0}:
-            return hash(c.get(0, 0))
-        return hash(frozenset(c.items()))
-
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            if not isinstance(other, int):
-                return NotImplemented
-            other = _trusted({0: int(other)} if other else {})
+            return NotImplemented
         a, b = (self, other) if len(self._c) >= len(other._c) else (other, self)
         unit = a._unit
         c = a._c.copy()
@@ -190,22 +164,6 @@ class LaurentPoly:
             else:
                 del c[e]
         return _trusted(c, unit)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        shift, sign = self._unit or (0, 1)
-        return _trusted(self._c, _as_unit(shift, -sign))
-
-    def __sub__(self, other) -> "LaurentPoly":
-        if not isinstance(other, (LaurentPoly, int)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        if not isinstance(other, int):
-            return NotImplemented
-        return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -222,23 +180,14 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shifted(self, s_exp: int) -> "LaurentPoly":
-        """Multiply by s**s_exp."""
-        shift, sign = self._unit or (0, 1)
-        return _trusted(self._c, _as_unit(shift + s_exp, sign))
-
-    def eval_at_one(self) -> int:
-        """Value at s = 1 (t = 1)."""
-        u = self._unit
-        return sum(self._c.values()) if u is None else u[1] * sum(self._c.values())
-
     # ------------------------------------------------------------------
     # spec operations
 
     def normalize(self) -> "LaurentPoly":
-        """Unit-normalize: multiply by +-s**k so mindeg = 0 and the constant
-        coefficient is positive.  Rejects the zero polynomial.  The result
-        shares this polynomial's coefficient map under a new unit.
+        """Unit-normalize: multiply by +-s**k so the lowest exponent is 0
+        and the constant coefficient is positive.  Rejects the zero
+        polynomial.  The result shares this polynomial's coefficient map
+        under a new unit, and is the only way a unit comes about.
         """
         c = self._c
         if not c:
@@ -368,55 +317,52 @@ def kronecker_unpack(x: int, nbytes: int, count: int) -> Sequence[int]:
 def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     """The exact quotient p / (1 + t)**k, for k >= 0.
 
-    Raises LaurentError when (1 + t)**k does not divide p.
+    Raises LaurentError when (1 + t)**k does not divide p, and when p's
+    s-exponents mix both parities: a knot's dividend Delta * (1 + t)**k
+    has one parity class, and only that case is packed.
 
-    The division is one big-integer division.  p is packed at
-    s = X = 2**(8*nbytes) and divided by (1 + X**2)**k; when every exponent
-    of p has the parity of its lowest one, p is packed in steps of two
-    exponents (at t = X) and divided by (1 + X)**k, which halves the
-    integers.  The quotient's slots are its coefficients, read in the frame
-    of p's stored map, and the quotient carries p's unit.
+    The division is one big-integer division.  p is packed at t = X =
+    2**(8*nbytes), in steps of two s-exponents from its lowest one, and
+    divided by (1 + X)**k.  The quotient's slots are its coefficients,
+    read in the frame of p's stored map, and the quotient carries p's unit.
 
-    The slot width.  Let J be the quotient's t-span (its s-span halved,
-    rounded down) and B = |p|_1 * C(J + k - 1, k - 1), where |p|_1 is the
-    sum of the absolute coefficients.  Slots hold every |v| up to
-    B * (2**k + 1).  Write (1 + t)**-k = sum_j c_j t**j with
-    |c_j| = C(j + k - 1, k - 1), which grows with j.  Match p from its
-    lowest slot up: the series quotient Q has the coefficient
-    q_e = sum_j p_(e-2j) c_j at each s-exponent e, where p_(e-2j) vanishes
-    below p's lowest exponent, and only j <= J reach the quotient's slots.
-    So |q_e| <= |p|_1 * C(J + k - 1, k - 1) = B.
+    The slot width.  Let J be the quotient's t-span and
+    B = |p|_1 * C(J + k - 1, k - 1), where |p|_1 is the sum of the absolute
+    coefficients.  Slots hold every |v| up to B * (2**k + 1).  Write
+    (1 + t)**-k = sum_j c_j t**j with |c_j| = C(j + k - 1, k - 1), which
+    grows with j.  Match p from its lowest slot up: the series quotient Q
+    has the coefficient q_e = sum_j p_(e-j) c_j at each slot e, where
+    p_(e-j) vanishes below p's lowest slot, and only j <= J reach the
+    quotient's slots.  So |q_e| <= |p|_1 * C(J + k - 1, k - 1) = B.
 
     * If (1 + t)**k divides p, Q is the quotient, and every slot of
-      p(X) / (1 + X**2)**k holds a value of size at most B, below X / 2.
+      p(X) / (1 + X)**k holds a value of size at most B, below X / 2.
       So the slots read back the quotient exactly.
-    * If not, R = p - Q (1 + t)**k is a nonzero polynomial on the 2k slots
-      above Q's (k slots in steps of two), with coefficients of size at
-      most |p|_1 + 2**k B <= B * (2**k + 1) < X / 2.  p(X) is
-      Q(X) (1 + X**2)**k plus a power of X times R', the integer that R
-      packs to from its own lowest slot.  R' is nonzero and smaller in
-      size than X**(2k) < (1 + X**2)**k (X**k < (1 + X)**k in steps of
-      two), and X is prime to the divisor, so the integer division leaves
-      a nonzero remainder, which raises.
+    * If not, R = p - Q (1 + t)**k is a nonzero polynomial on the k slots
+      above Q's, with coefficients of size at most
+      |p|_1 + 2**k B <= B * (2**k + 1) < X / 2.  p(X) is Q(X) (1 + X)**k
+      plus a power of X times R', the integer that R packs to from its own
+      lowest slot.  R' is nonzero and smaller in size than X**k < (1 + X)**k,
+      and X is prime to the divisor, so the integer division leaves a
+      nonzero remainder, which raises.
     """
     c = p._c
     if not k or not c:
         return p
     lo, hi = min(c), max(c)
-    step = 2 if all((e - lo) % 2 == 0 for e in c) else 1
-    degree = 2 * k // step  # of the divisor, in slots
-    count = (hi - lo) // step + 1 - degree  # the quotient's slots
+    if any((e - lo) % 2 for e in c):
+        raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
+    count = (hi - lo) // 2 + 1 - k  # the quotient's slots
     if count <= 0:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    span = (count - 1) * step // 2
-    bound = sum(map(abs, c.values())) * comb(span + k - 1, k - 1) * (2**k + 1)
+    bound = sum(map(abs, c.values())) * comb(count + k - 2, k - 1) * (2**k + 1)
     nbytes = slot_bytes(bound.bit_length() + 1)  # + 1 for the sign
-    x = kronecker_pack({(e - lo) // step: v for e, v in c.items()}, count + degree, nbytes)
-    quotient, remainder = divmod(x, (1 + (1 << (8 * nbytes * (2 // step)))) ** k)
+    x = kronecker_pack({(e - lo) // 2: v for e, v in c.items()}, count + k, nbytes)
+    quotient, remainder = divmod(x, (1 + (1 << (8 * nbytes))) ** k)
     if remainder:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
     slots = kronecker_unpack(quotient, nbytes, count)
-    return _trusted(dict(filter(itemgetter(1), zip(range(lo, lo + step * count, step), slots))), p._unit)
+    return _trusted(dict(filter(itemgetter(1), zip(range(lo, lo + 2 * count, 2), slots))), p._unit)
 
 
 #: The skein multiplier t**(-1/2) - t**(1/2).
@@ -438,8 +384,6 @@ def _power_str(s_exp: int) -> str:
 
 
 def render(p: LaurentPoly) -> str:
-    if p.is_zero:
-        return "0"
     parts = []
     for e, v in p.items():
         pw = _power_str(e)
@@ -454,7 +398,7 @@ def render(p: LaurentPoly) -> str:
             parts.append(body if v > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if v > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 _TERM_RE = re.compile(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import index
 
 
 class PretzelError(ValueError):
@@ -21,12 +22,13 @@ class PretzelError(ValueError):
 
 @dataclass(frozen=True)
 class PretzelLink:
-    """An ordered tuple of signed twist-region parameters."""
+    """An ordered tuple of signed twist-region parameters, each read with
+    ``operator.index``: anything but an integer raises TypeError."""
 
     params: tuple[int, ...]
 
     def __init__(self, params):
-        params = tuple(int(a) for a in params)
+        params = tuple(map(index, params))
         if len(params) < 1:
             raise PretzelError("need at least one twist region")
         object.__setattr__(self, "params", params)
@@ -257,12 +259,17 @@ _MAX_TWIST = 100_000
 
 @dataclass(frozen=True)
 class MontesinosDescription:
-    """An ordered list of reduced rational tangles beta_i/alpha_i."""
+    """An ordered list of reduced rational tangles beta_i/alpha_i, each an
+    int or a Fraction."""
 
     tangles: tuple[Fraction, ...]
 
     def __init__(self, tangles):
-        fr = tuple(Fraction(t) for t in tangles)
+        fr = tuple(tangles)
+        for t in fr:
+            if not isinstance(t, (int, Fraction)):
+                raise PretzelError(f"a tangle must be an int or a Fraction, not {t!r}")
+        fr = tuple(map(Fraction, fr))
         if not fr:
             raise PretzelError("need at least one tangle")
         object.__setattr__(self, "tangles", fr)

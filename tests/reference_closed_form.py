@@ -24,8 +24,7 @@ def claim_formula(n: int, p: int, q: int) -> LaurentPoly:
         b = -2 * n
         return (
             torus(b - 1) * torus(p) * torus(q)
-            - torus(b) * torus(p - 1) * torus(q)
-            - torus(b) * torus(p) * torus(q - 1)
+            + torus(b) * (torus(p - 1) * torus(q) + torus(p) * torus(q - 1)) * -1
         )
     if n == 1:
         # P(-1,2,p,q) = P(-2,p,q): one antiparallel crossing change

@@ -17,6 +17,8 @@ from pretzelsurgery.pretzel import PretzelLink
 
 _T = LaurentPoly({2: 1})
 _ONE = LaurentPoly.one()
+_MINUS_T = LaurentPoly({2: -1})
+_MINUS_ONE = LaurentPoly({0: -1})
 
 
 def alexander_matrix(relations: list[tuple[int, int, int, int]]) -> list[list[LaurentPoly]]:
@@ -27,9 +29,9 @@ def alexander_matrix(relations: list[tuple[int, int, int, int]]) -> list[list[La
     for over, under_in, under_out, sign in relations:
         row = [LaurentPoly.zero()] * c
         if sign > 0:
-            contrib = ((over, _ONE - _T), (under_in, _T), (under_out, -_ONE))
+            contrib = ((over, _ONE + _MINUS_T), (under_in, _T), (under_out, _MINUS_ONE))
         else:
-            contrib = ((over, _T - _ONE), (under_in, _ONE), (under_out, -_T))
+            contrib = ((over, _T + _MINUS_ONE), (under_in, _ONE), (under_out, _MINUS_T))
         # the same arc may play several roles at one crossing, so accumulate
         for arc, val in contrib:
             row[arc] = row[arc] + val

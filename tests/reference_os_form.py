@@ -22,14 +22,14 @@ def symmetrize(delta: LaurentPoly) -> LaurentPoly:
     positive leading coefficient.  Raises if no unit achieves symmetry."""
     if delta.is_zero:
         raise NotSymmetric("zero polynomial cannot be symmetrized")
-    lo, hi = delta.mindeg, delta.maxdeg
+    terms = list(delta.items())
+    (lo, _), (hi, top) = terms[0], terms[-1]
     if (lo + hi) % 2 != 0:
         raise NotSymmetric("polynomial has no symmetric centering")
-    centered = delta.shifted(-(lo + hi) // 2)
+    # times sign(top) * s**-((lo + hi) / 2)
+    centered = LaurentPoly({e - (lo + hi) // 2: v if top > 0 else -v for e, v in terms})
     if centered != conj(centered):
         raise NotSymmetric("polynomial is not symmetric up to units")
-    if centered.s_coefficient(centered.maxdeg) < 0:
-        centered = -centered
     return centered
 
 

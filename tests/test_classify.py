@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import time
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -24,6 +25,7 @@ from pretzelsurgery.alexander import _torus, alexander_skein
 from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.pretzel import (
+    MontesinosDescription,
     PretzelError,
     PretzelLink,
     family_membership,
@@ -201,6 +203,18 @@ class TestGates:
 
 
 class TestPipeline:
+    def test_inputs_are_integers_or_fractions(self):
+        # int() read 7.9 as 7 and reported the slopes of P(-2,3,7), and
+        # Fraction(0.1) is 3602879701896397/36028797018963968
+        for params in ((-2, 3, 7.9), (-2, 3, "7"), (-2.0, 3, 7)):
+            with pytest.raises(TypeError):
+                classify(PretzelLink(params))
+        for tangles in ((Fraction(1, 3), 0.1, Fraction(-1, 2)), ("1/3", Fraction(1, 3), Fraction(1, 5))):
+            with pytest.raises(PretzelError, match="int or a Fraction"):
+                classify(MontesinosDescription(tangles))
+        assert PretzelLink((True, 3)) == PretzelLink((1, 3))
+        assert MontesinosDescription((2, Fraction(1, 3))).tangles == (Fraction(2), Fraction(1, 3))
+
     def test_theorem_sweep(self):
         for q in range(3, 26, 2):
             final = classify(PretzelLink((-2, 3, q))).final

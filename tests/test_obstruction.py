@@ -23,7 +23,7 @@ from pretzelsurgery.obstruction import (
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink, is_knot
 
-from invariants import conj
+from invariants import conj, lowest_exponent, under_unit
 from reference_os_form import NotSymmetric, os_form_polynomial, parent_os_form, symmetrize
 
 
@@ -49,7 +49,7 @@ class TestOSForm:
 
     def test_unit_invariance(self):
         delta = alexander_skein(PretzelLink((-2, 3, 7)))
-        shifted = delta.shifted(5) * LaurentPoly.from_int(-1)
+        shifted = under_unit(delta * LaurentPoly({5: -1}), 5, -1)
         assert os_form_check(shifted) == os_form_check(delta)
 
     @given(
@@ -97,7 +97,7 @@ class TestOSForm:
         assert os_form_check(parse("t^(-1/2) - 1 + t^(1/2)")) is None
 
     def test_monomial_units(self):
-        for unit in (LaurentPoly.s_term(1, 5), LaurentPoly.s_term(-1, -3)):
+        for unit in (LaurentPoly({5: 1}), LaurentPoly({-3: -1})):
             assert os_form_check(unit) == OSFormDecomposition(0, ())
 
     def test_zero_raises(self):
@@ -129,8 +129,14 @@ def outcome(check, delta):
 
 
 def with_units(delta):
-    """``delta`` times each of the units 1, -1, s^3 and -s^-4."""
-    return (delta, -delta, delta.shifted(3), -delta.shifted(-4))
+    """``delta`` times each of the units 1, -1, s^3 and -s^-4; the last two
+    carry their unit in the unit slot."""
+    return (
+        delta,
+        delta * -1,
+        under_unit(delta * LaurentPoly({3: 1}), 3, 1),
+        under_unit(delta * LaurentPoly({-4: -1}), -4, -1),
+    )
 
 
 def arbiter_knots():
@@ -144,7 +150,7 @@ def arbiter_knots():
 
 def flipped(poly, s_exp):
     """``poly`` with the sign of its s^s_exp coefficient changed."""
-    return poly - LaurentPoly.s_term(2 * poly.s_coefficient(s_exp), s_exp)
+    return poly + LaurentPoly({s_exp: -2 * poly.s_coefficient(s_exp)})
 
 
 def arbiter_forms():
@@ -157,7 +163,7 @@ def arbiter_forms():
         yield form
         yield flipped(form, form.maxdeg)
         yield flipped(form, 0)
-        yield flipped(form, form.mindeg)
+        yield flipped(form, lowest_exponent(form))
         if exponents:
             inner = 2 * exponents[0]
             yield flipped(flipped(form, inner), -inner)
@@ -176,7 +182,7 @@ def arbiter_random(seed=17, count=400):
         yield conj(p) * p
         exponents = tuple(sorted(rng.sample(range(1, 15), rng.randint(0, 6))))
         form = os_form_polynomial(exponents)
-        yield form.shifted(rng.randint(-9, 9)) * rng.choice((1, -1))
+        yield form * LaurentPoly({rng.randint(-9, 9): rng.choice((1, -1))})
 
 
 class TestOSFormArbiter:

@@ -9,7 +9,7 @@ from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import LaurentPoly, parse, slot_bytes
 from pretzelsurgery.oracle import _DIRECTION, OracleError, _walk, alexander_fox, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
-from invariants import at_minus_one, conj
+from invariants import at_minus_one, at_one, conj
 from reference_fox import alexander_fox_dense
 
 
@@ -88,7 +88,7 @@ class TestFoxValues:
 class TestInvariants:
     def test_unit_evaluation(self):
         for link in knot_box(3, 4):
-            assert abs(alexander_fox(link).eval_at_one()) == 1, link
+            assert abs(at_one(alexander_fox(link))) == 1, link
 
     def test_palindromic_symmetry(self):
         for link in knot_box(3, 4):

@@ -5,11 +5,13 @@ which yields a float on integers.  Exact results come from ``//``,
 reference engines and arbiters share no code with the engines they check.
 And every name a module lists in ``__all__`` exists, and the package root
 imports from such a module only names it lists.  And every module-level
-function and class of the package is used by the package itself, so code
+function and class of the package is used by the package itself, and every
+method and property of its classes by the package or the benchmark, so code
 that only tests read lives in ``tests/``."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,6 +26,9 @@ INDEPENDENT = (
 )
 # module-level names no package code uses: parse is render's documented inverse
 UNUSED_ALLOWED = {"laurent.parse"}
+# class members nothing reads: from_json reads saved reports back, and
+# argparse calls _Parser.error
+UNUSED_MEMBERS_ALLOWED = {"classify.ClassificationReport.from_json", "cli._Parser.error"}
 
 
 def _float_sites(tree: ast.AST):
@@ -144,3 +149,59 @@ def test_guard_sees_unused_definitions():
         "b": ast.parse("import a\nx = a.f\n"),
     }
     assert _unused_definitions(trees) == ["a.h", "a.C"]
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute inside ``node``."""
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
+def _unused_members(package: dict, readers: dict):
+    """``module.Class.name`` of each method or property, dunders aside, of a
+    module-level class in ``package`` (module name -> ast) that no attribute
+    read in ``package`` or ``readers`` names outside the member's own body."""
+    reads = sum((_attribute_reads(tree) for tree in (*package.values(), *readers.values())), Counter())
+    return [
+        f"{module}.{cls.name}.{node.name}"
+        for module, tree in package.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and reads[node.name] <= _attribute_reads(node)[node.name]
+    ]
+
+
+def test_package_or_benchmark_reads_every_member():
+    package = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    readers = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "perfbench").glob("*.py"))}
+    assert readers
+    assert [name for name in _unused_members(package, readers) if name not in UNUSED_MEMBERS_ALLOWED] == []
+
+
+def test_guard_sees_unused_members():
+    package = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def f(self): return self.g()\n"
+            "    def g(self): return 1\n"
+            "    def h(self, n): return self.h(n - 1)\n"
+            "    @property\n"
+            "    def p(self): return 2\n"
+            "    @property\n"
+            "    def q(self): return 3\n"
+            "    def __len__(self): return 0\n"
+            "    def _private(self): return 4\n"
+            "def k(c): c.q = 1; return c.f()\n"
+        ),
+    }
+    readers = {"bench": ast.parse("import a\nx = a.C().p\n")}
+    assert _unused_members(package, readers) == ["a.C.h", "a.C.q", "a.C._private"]
+    assert _unused_members(package, {}) == ["a.C.h", "a.C.p", "a.C.q", "a.C._private"]
