@@ -47,10 +47,10 @@ every state and the cut lie over (1 + t)^k.  A torus-valued leaf with
 leaves are summed per power, each sum is brought to the top power, and the
 total is divided once (``laurent.divide_by_one_plus_t``).  The state sum
 thus multiplies and adds polynomials whose size does not grow with the
-twists; the only work linear in the largest twist is the division and the
-unpacking of its quotient.  Antiparallel regions, regions with |a| <= 2 and
-smaller leaves keep their values Delta, so a knot with none of these
-numerators divides by nothing.  The program of ``alexander_with_trace``
+twists; the only work linear in the largest twist is the division, k
+running sums over the t-span of the total.  Antiparallel regions, regions
+with |a| <= 2 and smaller leaves keep their values Delta, so a knot with
+none of these numerators divides by nothing.  The program of ``alexander_with_trace``
 lists the values Delta, never the numerators.
 """
 

@@ -8,7 +8,6 @@ Subcommands:
 * ``classify``       - the full cyclic/finite surgery pipeline
 * ``verify-claims``  - grid suites (claim3 | claim4 | claim5 | oracle |
                        claim2 | classify-sweep)
-* ``verify-claim2``  - the rank-formula implication grid
 
 The grids, their default bounds and their checks are defined in
 :mod:`pretzelsurgery.grids`; ``--nmax``/``--pmax``/``--qmax`` override the
@@ -174,8 +173,8 @@ def _cmd_classify(args) -> int:
 # ----------------------------------------------------------------------
 # grid suites
 
-def _run_suite(args, suite_name: str) -> int:
-    make_grid = SUITES[suite_name]
+def _cmd_verify_claims(args) -> int:
+    make_grid = SUITES[args.suite]
     # a suite reads the bounds it names; the other bound flags are ignored
     bounds = {
         name: getattr(args, name)
@@ -190,21 +189,13 @@ def _run_suite(args, suite_name: str) -> int:
             failures += 1
         if args.json:
             print(json.dumps(r, sort_keys=True))
-    summary = {"suite": suite_name, "cells": len(results),
+    summary = {"suite": args.suite, "cells": len(results),
                "failures": failures, "ok": failures == 0}
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
-        print(f"{suite_name}: {len(results)} cells, {failures} failures")
+        print(f"{args.suite}: {len(results)} cells, {failures} failures")
     return 0 if failures == 0 else 2
-
-
-def _cmd_verify_claims(args) -> int:
-    return _run_suite(args, args.suite)
-
-
-def _cmd_verify_claim2(args) -> int:
-    return _run_suite(args, "claim2")
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +239,6 @@ def _build_parser() -> _Parser:
                    help="defaults to pmax (claims), 5 (oracle), 25 (classify-sweep)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify_claims)
-
-    p = sub.add_parser("verify-claim2", help="rank-formula implication grid")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify_claim2)
 
     return parser
 

@@ -2,9 +2,9 @@
 
 A grid is a list of cells and a check that turns one cell into a JSON
 record whose ``ok`` field says whether the paper's claim holds there.  The
-``verify-claims`` and ``verify-claim2`` subcommands run these grids at the
-default bounds below (or at the bounds given on the command line), and the
-acceptance gate runs the same grids at its own bounds.
+``verify-claims`` subcommand runs these grids at the default bounds below
+(or at the bounds given on the command line), and the acceptance gate runs
+the same grids at its own bounds.
 
 The expected values are the paper's constants, written here and not read
 from the pipeline, so that the grids stay a check on it.
@@ -27,7 +27,7 @@ from .classify import (
     NON_HYPERBOLIC_SEE_MOSER,
     classify,
 )
-from .obstruction import HFRankParams, SurgerySlope, claim2_implication
+from .obstruction import CheckResult, HFRankParams, SurgerySlope, claim2_implication
 from .oracle import alexander_fox
 from .pretzel import PretzelLink, is_knot
 
@@ -167,8 +167,8 @@ def oracle(nmax: int = 5, qmax: int = 5) -> Grid:
     return Grid(list(knot_box(nmax, max(2, qmax))), _check_oracle)
 
 
-def _check_claim2(params: HFRankParams) -> dict:
-    res = claim2_implication(params)
+def _check_claim2(res: CheckResult) -> dict:
+    params = res.params
     return {"suite": "claim2", "nu": params.nu, "alpha": params.slope.alpha,
             "beta": params.slope.beta, "Y": params.Y,
             "x_beta": res.x_beta, "x_one": res.x_one,
@@ -179,15 +179,16 @@ def _check_claim2(params: HFRankParams) -> dict:
 def claim2() -> Grid:
     """The rank-formula step at every nu in -3..5, slope alpha/beta with
     beta in 2..5 and alpha in -30..30, and Y in -10..0 where its hypothesis
-    (the alpha/beta surgery is an L-space) holds."""
+    (the alpha/beta surgery is an L-space) holds; the cells are the
+    implication's results there."""
     cells = []
     ranges = (range(-3, 6), range(2, 6), range(-30, 31), range(-10, 1))
     for nu, beta, alpha, y in product(*ranges):
         if gcd(alpha, beta) != 1:
             continue
-        params = HFRankParams(nu=nu, Y=y, slope=SurgerySlope(alpha, beta))
-        if claim2_implication(params).hypothesis:
-            cells.append(params)
+        res = claim2_implication(HFRankParams(nu=nu, Y=y, slope=SurgerySlope(alpha, beta)))
+        if res.hypothesis:
+            cells.append(res)
     return Grid(cells, _check_claim2)
 
 

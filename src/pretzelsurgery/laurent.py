@@ -22,22 +22,12 @@ Products run the dictionary double loop, whose cost is the product of the
 term counts; every product the skein state sum makes has an operand of at
 most two terms (a test in ``tests/test_alexander.py`` guards this).
 
-``kronecker_pack`` and ``kronecker_unpack`` encode a polynomial as one
-integer, its value at s = 2**(8*nbytes), whose nbytes-wide two's-complement
-slots hold the coefficients; the exact division and the Fox-calculus oracle
-use them.  Widths of 1, 2, 4 and 8 bytes are packed and read back through
-``array`` and ``memoryview`` at C speed; wider slots are read one at a time
-with ``int.from_bytes``, so results stay exact at any size.
-
-``divide_by_one_plus_t`` divides exactly by (1 + t)**k in the same
-encoding: the dividend, whose s-exponents share one parity, is packed once
-at X = t, divided by (1 + X)**k as one big integer, and the quotient
-unpacked.  Its slots hold |p|_1 * C(J + k - 1, k - 1) * (2**k + 1), where
-J is the quotient's t-span: the first two factors bound every quotient
-coefficient, since C(J + k - 1, k - 1) is the largest coefficient size of
-(1 + t)**-k up to t**J, and the last makes an indivisible dividend leave a
-nonzero remainder, which raises ``LaurentError``.  The proof is in its
-docstring.
+``divide_by_one_plus_t`` divides exactly by (1 + t)**k by synthetic
+division: the dividend, whose s-exponents share one parity, is laid out
+densely in t-steps with alternating signs, and k running sums of that list
+give, up to the same signs, the first terms of the power series
+p / (1 + t)**k.  The top k of them vanish exactly when the division is
+exact, and the others are the quotient.
 
 Every result of the arithmetic is built by ``_trusted``, which wraps a
 dict already known to hold int keys and no zero values, and its unit,
@@ -48,11 +38,9 @@ constructor and keeps its checks.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
-from math import comb
-from operator import index, itemgetter
-from typing import Iterator, Mapping, Sequence
+from itertools import accumulate, compress
+from operator import index, neg
+from typing import Iterator, Mapping
 
 
 class LaurentError(ValueError):
@@ -253,98 +241,23 @@ def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {e: v for e, v in c.items() if v}
 
 
-# ----------------------------------------------------------------------
-# Kronecker substitution
-
-_BYTE_ORDER = "little"
-# slot width in bytes -> signed array typecode; native little-endian only,
-# so a big-endian host reads every slot through int.from_bytes
-_FORMATS = (
-    {array(f).itemsize: f for f in "bhiq"} if sys.byteorder == _BYTE_ORDER else {}
-)
-
-
-def slot_bytes(bits: int) -> int:
-    """The narrowest slot width of at least ``bits`` bits: 1, 2, 4 or 8
-    bytes, which pack at C speed, else the fewest whole bytes."""
-    for nbytes in (1, 2, 4, 8):
-        if bits <= 8 * nbytes:
-            return nbytes
-    return (bits + 7) // 8
-
-
-def _sign_bits(nbytes: int, count: int) -> int:
-    """The top bit of each of ``count`` slots of ``nbytes`` bytes."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, _BYTE_ORDER)
-
-
-def kronecker_pack(coeffs: Mapping[int, int], count: int, nbytes: int) -> int:
-    """sum(v * 2**(8*nbytes*e)) over ``coeffs``: the coefficient map
-    evaluated at s = 2**(8*nbytes), in ``count`` slots.  Every exponent
-    must lie in [0, count) and every value fit a signed slot of ``nbytes``
-    bytes."""
-    fmt = _FORMATS.get(nbytes)
-    slots = array(fmt, bytes(nbytes * count)) if fmt else [0] * count
-    for e, v in coeffs.items():
-        slots[e] = v
-    if fmt:
-        raw = slots.tobytes()
-    else:
-        raw = b"".join([v.to_bytes(nbytes, _BYTE_ORDER, signed=True) for v in slots])
-    u = int.from_bytes(raw, _BYTE_ORDER)
-    # u read each negative slot v as v + 2**(8*nbytes); take those back
-    return u - ((u & _sign_bits(nbytes, count)) << 1)
-
-
-def kronecker_unpack(x: int, nbytes: int, count: int) -> Sequence[int]:
-    """The ``count`` signed slots of ``x`` (inverse of ``kronecker_pack``).
-
-    Raises OverflowError when ``x`` is not a sum of ``count`` signed slots.
-    """
-    bias = _sign_bits(nbytes, count)
-    # adding the bias lifts every slot into [0, 2**(8*nbytes)) with no
-    # carries; the xor then puts each slot back in two's complement
-    raw = ((x + bias) ^ bias).to_bytes(nbytes * count, _BYTE_ORDER)
-    fmt = _FORMATS.get(nbytes)
-    if fmt:
-        return memoryview(raw).cast(fmt)
-    return [
-        int.from_bytes(raw[i:i + nbytes], _BYTE_ORDER, signed=True)
-        for i in range(0, len(raw), nbytes)
-    ]
-
-
 def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     """The exact quotient p / (1 + t)**k, for k >= 0.
 
     Raises LaurentError when (1 + t)**k does not divide p, and when p's
     s-exponents mix both parities: a knot's dividend Delta * (1 + t)**k
-    has one parity class, and only that case is packed.
+    has one parity class, and only that case is divided.
 
-    The division is one big-integer division.  p is packed at t = X =
-    2**(8*nbytes), in steps of two s-exponents from its lowest one, and
-    divided by (1 + X)**k.  The quotient's slots are its coefficients,
-    read in the frame of p's stored map, and the quotient carries p's unit.
-
-    The slot width.  Let J be the quotient's t-span and
-    B = |p|_1 * C(J + k - 1, k - 1), where |p|_1 is the sum of the absolute
-    coefficients.  Slots hold every |v| up to B * (2**k + 1).  Write
-    (1 + t)**-k = sum_j c_j t**j with |c_j| = C(j + k - 1, k - 1), which
-    grows with j.  Match p from its lowest slot up: the series quotient Q
-    has the coefficient q_e = sum_j p_(e-j) c_j at each slot e, where
-    p_(e-j) vanishes below p's lowest slot, and only j <= J reach the
-    quotient's slots.  So |q_e| <= |p|_1 * C(J + k - 1, k - 1) = B.
-
-    * If (1 + t)**k divides p, Q is the quotient, and every slot of
-      p(X) / (1 + X)**k holds a value of size at most B, below X / 2.
-      So the slots read back the quotient exactly.
-    * If not, R = p - Q (1 + t)**k is a nonzero polynomial on the k slots
-      above Q's, with coefficients of size at most
-      |p|_1 + 2**k B <= B * (2**k + 1) < X / 2.  p(X) is Q(X) (1 + X)**k
-      plus a power of X times R', the integer that R packs to from its own
-      lowest slot.  R' is nonzero and smaller in size than X**k < (1 + X)**k,
-      and X is prime to the divisor, so the integer division leaves a
-      nonzero remainder, which raises.
+    Write p = sum_j a_j t**j over its n t-steps from its lowest exponent.
+    The power series p / (1 + t) has the coefficients
+    q_j = sum_{i <= j} (-1)**(j - i) a_i, so (-1)**j q_j is the running sum
+    of the (-1)**i a_i: k running sums of the signed list give the first n
+    coefficients of p / (1 + t)**k, times (-1)**j.  The quotient, if any,
+    has n - k terms, so (1 + t)**k divides p exactly when the top k sums
+    vanish: then the first n - k sums, times (-1)**j, are a polynomial Q
+    with Q (1 + t)**k = p modulo t**n, and both sides have degree below n.
+    The quotient is read in the frame of p's stored map and carries p's
+    unit.
     """
     c = p._c
     if not k or not c:
@@ -352,17 +265,23 @@ def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     lo, hi = min(c), max(c)
     if any((e - lo) % 2 for e in c):
         raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
-    count = (hi - lo) // 2 + 1 - k  # the quotient's slots
+    n = (hi - lo) // 2 + 1
+    count = n - k  # the quotient's terms
     if count <= 0:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    bound = sum(map(abs, c.values())) * comb(count + k - 2, k - 1) * (2**k + 1)
-    nbytes = slot_bytes(bound.bit_length() + 1)  # + 1 for the sign
-    x = kronecker_pack({(e - lo) // 2: v for e, v in c.items()}, count + k, nbytes)
-    quotient, remainder = divmod(x, (1 + (1 << (8 * nbytes))) ** k)
-    if remainder:
+    sums = [0] * n
+    for e, v in c.items():
+        j = (e - lo) // 2
+        sums[j] = -v if j % 2 else v
+    for _ in range(k):  # lazy passes, run at C speed by the list() below
+        sums = accumulate(sums)
+    sums = list(sums)
+    if any(sums[count:]):
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    slots = kronecker_unpack(quotient, nbytes, count)
-    return _trusted(dict(filter(itemgetter(1), zip(range(lo, lo + 2 * count, 2), slots))), p._unit)
+    del sums[count:]
+    sums[1::2] = map(neg, sums[1::2])
+    exponents = compress(range(lo, lo + 2 * count, 2), sums)
+    return _trusted(dict(zip(exponents, filter(None, sums))), p._unit)
 
 
 #: The skein multiplier t**(-1/2) - t**(1/2).

@@ -4,24 +4,29 @@ One pass over the strand walk of the standard pretzel diagram gives the
 Wirtinger presentation: a tuple (over, under_in, under_out, sign) of arc
 labels per crossing, signed x(over) * y(under) by the directions of travel.
 Every meridian is abelianized to t, and the minor of the Alexander matrix
-that drops the last relation and arc has sparse {arc: value} rows of
-integers packed at t = X = 2**(8*nbytes).  Every Wirtinger row holds an
-entry +-1 (the outgoing under-arc at a positive crossing, the incoming one
-at a negative crossing), and a Schur complement on a unit pivot changes
-the determinant only by a sign, so a work queue eliminates unit pivots
-while any are left.  Fraction-free (Bareiss) elimination takes the few
+that drops the last relation and arc has sparse {arc: value} rows of the
+integer values of its entries at t = X = 2**(8*nbytes).  Every Wirtinger
+row holds an entry +-1 (the outgoing under-arc at a positive crossing, the
+incoming one at a negative crossing), and a Schur complement on a unit
+pivot changes the determinant only by a sign, so a work queue eliminates
+unit pivots while any are left.  Fraction-free (Bareiss) elimination takes the few
 rows that remain, and one ``kronecker_unpack`` reads the coefficients back
-from a slot sized by the diagram's Kauffman state count.  Nothing here
-shares a convention with the skein engine beyond the diagram template
-itself, not even the knot test (the strand walk rejects a link on its
-own), which is the point: it is the independent check.
+from a slot sized by the diagram's Kauffman state count.  The decoder is
+the oracle's own: the skein engine's exact division runs on the
+coefficient lists and never packs.  Nothing here shares a convention with
+the skein engine beyond the diagram template itself, not even the knot
+test (the strand walk rejects a link on its own), which is the point: it
+is the independent check.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
+from typing import Sequence
 
-from .laurent import LaurentPoly, kronecker_unpack, slot_bytes
+from .laurent import LaurentPoly
 from .pretzel import _MAX_TWIST, PretzelLink
 
 
@@ -225,6 +230,52 @@ def _bareiss(m: list[list[int]]) -> int:
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
         prev = pivot
     return prev
+
+
+# ----------------------------------------------------------------------
+# Kronecker decoding of the determinant's value at X = 2**(8*nbytes)
+
+_BYTE_ORDER = "little"
+# slot width in bytes -> signed array typecode; native little-endian only,
+# so a big-endian host reads every slot through int.from_bytes
+_FORMATS = (
+    {array(f).itemsize: f for f in "bhiq"} if sys.byteorder == _BYTE_ORDER else {}
+)
+
+
+def slot_bytes(bits: int) -> int:
+    """The narrowest slot width of at least ``bits`` bits: 1, 2, 4 or 8
+    bytes, which unpack at C speed, else the fewest whole bytes."""
+    for nbytes in (1, 2, 4, 8):
+        if bits <= 8 * nbytes:
+            return nbytes
+    return (bits + 7) // 8
+
+
+def _sign_bits(nbytes: int, count: int) -> int:
+    """The top bit of each of ``count`` slots of ``nbytes`` bytes."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, _BYTE_ORDER)
+
+
+def kronecker_unpack(x: int, nbytes: int, count: int) -> Sequence[int]:
+    """The ``count`` signed slots v_e of ``x`` = sum(v_e * 2**(8*nbytes*e)).
+
+    Widths of 1, 2, 4 and 8 bytes are read through ``memoryview`` at C
+    speed; wider slots one at a time with ``int.from_bytes``, so results
+    stay exact at any size.  Raises OverflowError when ``x`` is not a sum
+    of ``count`` signed slots.
+    """
+    bias = _sign_bits(nbytes, count)
+    # adding the bias lifts every slot into [0, 2**(8*nbytes)) with no
+    # carries; the xor then puts each slot back in two's complement
+    raw = ((x + bias) ^ bias).to_bytes(nbytes * count, _BYTE_ORDER)
+    fmt = _FORMATS.get(nbytes)
+    if fmt:
+        return memoryview(raw).cast(fmt)
+    return [
+        int.from_bytes(raw[i:i + nbytes], _BYTE_ORDER, signed=True)
+        for i in range(0, len(raw), nbytes)
+    ]
 
 
 def alexander_fox(link: PretzelLink) -> LaurentPoly:

@@ -3,15 +3,16 @@ elimination.
 
 Builds the full c x c Alexander matrix of ``LaurentPoly`` entries from a
 Wirtinger presentation and takes the minor that drops the last row and
-column by dense fraction-free (Bareiss) elimination on Kronecker-packed
-integers.  It shares only the presentation, the (over, under_in,
-under_out, sign) tuples of ``build_diagram``, with
-``pretzelsurgery.oracle.alexander_fox``; the packing goes through
-``laurent.kronecker_pack`` entry by entry, with no pivot search beyond
-the first nonzero entry of a column.
+column by dense fraction-free (Bareiss) elimination on the entries'
+integer values at t = X = 2**width.  It shares only the presentation, the
+(over, under_in, under_out, sign) tuples of ``build_diagram``, with
+``pretzelsurgery.oracle.alexander_fox``: each entry is evaluated at X as a
+plain sum of shifts, the determinant is read back as balanced base-X
+digits by ``divmod``, and there is no pivot search beyond the first
+nonzero entry of a column.
 """
 
-from pretzelsurgery.laurent import LaurentPoly, kronecker_pack, kronecker_unpack, slot_bytes
+from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.oracle import OracleError, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 
@@ -39,20 +40,36 @@ def alexander_matrix(relations: list[tuple[int, int, int, int]]) -> list[list[La
     return rows
 
 
+def _balanced_digits(value: int, width: int, count: int) -> list[int]:
+    """The ``count`` digits d_e of ``value`` = sum(d_e * 2**(width*e)) with
+    every |d_e| < 2**(width-1)."""
+    base, half = 1 << width, 1 << (width - 1)
+    digits = []
+    for _ in range(count):
+        value, d = divmod(value, base)
+        if d >= half:
+            d -= base
+            value += 1
+        digits.append(d)
+    if value:
+        raise OracleError("determinant wider than its digit bound")
+    return digits
+
+
 def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) -> LaurentPoly:
     """Determinant of a matrix of polynomials in t (nonnegative powers only),
     computed exactly by Kronecker substitution: evaluate every entry at
-    t = 2**(8*nbytes) with ``kronecker_pack``, take an integer fraction-free
-    determinant, and read the coefficients back with ``kronecker_unpack``.
-    Sound as long as every determinant coefficient is below 2**(8*nbytes-1)
-    in absolute value; the digit width is the l1-norm bound prod(rows'
-    coefficient sums) in bits, rounded up to whole bytes by ``slot_bytes``."""
+    t = 2**width, take an integer fraction-free determinant, and read the
+    coefficients back as balanced digits.  Sound as long as every
+    determinant coefficient is below 2**(width-1) in absolute value; the
+    width is the l1-norm bound prod(rows' coefficient sums) in bits, with
+    room to spare."""
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one()
     # entries as {t-exponent: coefficient}, and the digit width in bits
     t_rows = []
-    bits = 4
+    width = 4
     for row in matrix:
         t_row = []
         row_l1 = 0
@@ -65,13 +82,8 @@ def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) ->
                 row_l1 += abs(coeff)
             t_row.append(coeffs)
         t_rows.append(t_row)
-        bits += max(row_l1, 2).bit_length()
-    nbytes = slot_bytes(bits)
-    # most entries are zero, and a zero entry packs to 0
-    m = [
-        [kronecker_pack(c, max(c) + 1, nbytes) if c else 0 for c in t_row]
-        for t_row in t_rows
-    ]
+        width += max(row_l1, 2).bit_length()
+    m = [[sum(v << (width * e) for e, v in c.items()) for c in t_row] for t_row in t_rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -91,7 +103,7 @@ def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) ->
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
         prev = pivot
     value = sign * m[n - 1][n - 1]
-    digits = kronecker_unpack(value, nbytes, degree_bound + 1)
+    digits = _balanced_digits(value, width, degree_bound + 1)
     return LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(digits) if d})
 
 

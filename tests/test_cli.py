@@ -284,7 +284,7 @@ class TestGrids:
         assert grids._box_count(10**20, 2) > grids.MAX_CELLS
 
     def test_claim2_grid(self, capsys):
-        code, out, _ = run_cli(capsys, "verify-claim2")
+        code, out, _ = run_cli(capsys, "verify-claims", "--suite", "claim2")
         assert code == 0
         assert "0 failures" in out
 
@@ -295,7 +295,6 @@ class TestGrids:
             (("verify-claims", "--suite", "claim4"), 60),
             (("verify-claims", "--suite", "claim5"), 10),
             (("verify-claims", "--suite", "claim2"), 958),
-            (("verify-claim2",), 958),
             (("verify-claims", "--suite", "classify-sweep"), 12),
         ],
     )
@@ -373,7 +372,7 @@ FUZZ_FORMS = (
     ("verify-claims", "--suite", "{}"),
     ("verify-claims", "--suite", "claim5", "--pmax", "{}"),
     ("verify-claims", "--suite", "oracle", "--nmax", "{}"),
-    ("verify-claim2", "{}"),
+    ("verify-claim2", "{}"),  # no such subcommand: a usage error
 )
 
 
@@ -399,6 +398,8 @@ class TestFuzz:
         # Mattman's gate decides P(-2,3,q) without Delta, at any size
         assert codes[("classify", f"-2,3,{HUGE}")] == 0
         assert codes[("classify", f"-1,4,3,{HUGE}")] == 1
+        # the claim-2 grid runs only as a verify-claims suite
+        assert {code for argv, code in codes.items() if argv[0] == "verify-claim2"} == {1}
         # a tangle's integer part only adds to e, at any size
         for tangles in (f"{HUGE[:-1]}5/7;1/3;1/5", f"{HUGE}/7;1/3;1/5", f"{HUGE}/3;1/3;1/5", "30007/3;1/3;1/5"):
             assert codes[("classify", tangles)] == 0, tangles

@@ -10,8 +10,6 @@ from pretzelsurgery.laurent import (
     LaurentPoly,
     SKEIN_FACTOR,
     divide_by_one_plus_t,
-    kronecker_pack,
-    kronecker_unpack,
     parse,
     render,
 )
@@ -175,8 +173,7 @@ def _shape_pairs():
 
 
 class TestPackedProduct:
-    """``LaurentPoly`` products against ``schoolbook``, and the packed
-    encoding that the exact division and the Fox oracle use."""
+    """``LaurentPoly`` products against ``schoolbook``."""
 
     @pytest.mark.parametrize(
         "pairs", [_boundary_pairs, _seeded_pairs, _shape_pairs], ids=lambda f: f.__name__
@@ -201,12 +198,6 @@ class TestPackedProduct:
             assert all(v for _, v in r.items())
             assert r == public
 
-    def test_unpack_rejects_values_wider_than_the_slots(self):
-        assert list(kronecker_unpack(kronecker_pack({0: -3, 1: 5}, 2, 1), 1, 2)) == [-3, 5]
-        for x in (2**16, -(2**16)):
-            with pytest.raises(OverflowError):
-                kronecker_unpack(x, 1, 2)
-
 
 def _times_one_plus_t(q, k):
     """q * (1 + t)**k by the dictionary double loop, one factor at a time."""
@@ -223,8 +214,8 @@ def _even(q):
 
 def _seeded_quotients():
     rng = random.Random(13)
-    # quotients whose coefficients straddle each slot width, then go past
-    # 64 bits; s-exponents all even or all odd
+    # quotients whose coefficients straddle each fixed-width integer
+    # boundary, then go past 64 bits; s-exponents all even or all odd
     for bits in (3, 6, 7, 8, 14, 15, 16, 30, 31, 32, 33, 62, 63, 64, 65, 100, 200):
         for k in range(1, 27):
             q = _even(_random_poly(rng, rng.randint(1, 12), rng.randint(-40, 20), 40, 2**bits))
@@ -235,8 +226,8 @@ def _seeded_quotients():
 def _wide_quotients():
     """Quotients far larger than their numerators: ((1 + t**m) / (1 + t))**k
     for odd m has numerator (1 + t**m)**k, of 1-norm 2**k, and a middle
-    coefficient near m**(k-1) / (k-1)!, which only the binomial factor of
-    the slot bound covers."""
+    coefficient near m**(k-1) / (k-1)!, which the running sums build up
+    across a long run of zeros in the dividend."""
     for m, k in ((1001, 2), (301, 3), (41, 6), (9, 26)):
         q = LaurentPoly.one()
         for _ in range(k):
@@ -272,7 +263,7 @@ class TestExactDivision:
                 divide_by_one_plus_t(n, 3)
 
     def test_mixed_parity_raises(self):
-        # a knot's dividend has one parity class, and only that is packed:
+        # a knot's dividend has one parity class, and only that is divided:
         # a mixed one raises without a verdict on divisibility, so the
         # divisible (1 + s)(1 + t) raises too
         one_plus_s = LaurentPoly({0: 1, 1: 1})
@@ -352,7 +343,7 @@ class TestUnits:
             assert pu.coefficient(e) == pr.coefficient(e)
         assert render(pu) == render(pr) and str(pu) == str(pr) and repr(pu) == repr(pr)
         assert parse(render(pu)) == pr
-        # the division packs one parity class: pr's exponents doubled, under the unit
+        # the division takes one parity class: pr's exponents doubled, under the unit
         dr = LaurentPoly({2 * e: v for e, v in pr.items()})
         du = under_unit(dr, *unit)
         for j in (1, 2):

@@ -6,8 +6,16 @@ import pytest
 from pretzelsurgery import oracle
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import LaurentPoly, parse, slot_bytes
-from pretzelsurgery.oracle import _DIRECTION, OracleError, _walk, alexander_fox, build_diagram
+from pretzelsurgery.laurent import LaurentPoly, parse
+from pretzelsurgery.oracle import (
+    _DIRECTION,
+    OracleError,
+    _walk,
+    alexander_fox,
+    build_diagram,
+    kronecker_unpack,
+    slot_bytes,
+)
 from pretzelsurgery.pretzel import PretzelLink
 from invariants import at_minus_one, at_one, conj
 from reference_fox import alexander_fox_dense
@@ -173,6 +181,14 @@ class TestStateCountBound:
         for link in links:
             alexander_fox(link)
         assert asked == [_state_count(link.params).bit_length() + 1 for link in links]
+
+    def test_unpack_rejects_values_wider_than_the_slots(self):
+        # sum(v X**e) at X = 2**8 reads back as its signed one-byte slots
+        slots = [-3, 5]
+        assert list(kronecker_unpack(sum(v << (8 * e) for e, v in enumerate(slots)), 1, 2)) == slots
+        for x in (2**16, -(2**16)):
+            with pytest.raises(OverflowError):
+                kronecker_unpack(x, 1, 2)
 
     @pytest.mark.parametrize(
         "params", [(5,) * 7, (11, 11, 11), (-7, -7, -7, -7, -4)], ids=["5^7", "11^3", "-7^4,-4"]

@@ -8,7 +8,8 @@ Under ``sys.settrace`` this script runs, in one process:
   checked by the workload's own check;
 * every CLI subcommand, with and without ``--json``, on a fixed list of
   inputs: knots, links, parse errors and twists over the 100,000 bound;
-* every ``verify-claims`` suite and ``verify-claim2`` at small bounds.
+* every ``verify-claims`` suite at small bounds;
+* argparse refusals, the removed ``verify-claim2`` subcommand among them.
 
 It then prints, as JSON, each module's statement count and the statements
 (docstrings aside) that no line event reached, as ``"line: source"``.  A
@@ -20,7 +21,7 @@ Stdlib only; pytest does not collect it.  Run it from anywhere:
 
     python tests/traffic.py > unreached.json
 
-It takes about 5 s on 2 CPUs with Python 3.11.7.  Only frames of the
+It takes 5–7 s on 2 CPUs with Python 3.11.7.  Only frames of the
 package get a local trace function, so the rest runs at close to full
 speed.
 """
@@ -74,7 +75,10 @@ SUITE_BOUNDS = {
     "classify-sweep": ["--qmax", "11"],
 }
 # argparse refusals, which exit 1 like every other error
-USAGE_ERRORS = ([], ["nope"], ["classify"], ["verify-claims", "--suite", "nope"], ["alexander", "--bogus", "3"])
+USAGE_ERRORS = (
+    [], ["nope"], ["classify"], ["verify-claims", "--suite", "nope"], ["alexander", "--bogus", "3"],
+    ["verify-claim2"],
+)
 
 
 def cli_runs():
@@ -92,7 +96,6 @@ def cli_runs():
             yield ["classify", text, *flags], code
         for suite, bounds in SUITE_BOUNDS.items():
             yield ["verify-claims", "--suite", suite, *bounds, *flags], 0
-        yield ["verify-claim2", *flags], 0
     for argv in USAGE_ERRORS:
         yield argv, 1
 
