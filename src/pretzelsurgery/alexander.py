@@ -38,26 +38,26 @@ known by the sum of its kept +-1 regions and their number (counted up to
 3); expansions that agree on these are added, so the work is polynomial in
 the number of regions.
 
-Torus values of three or more terms are carried as numerators:
-Delta_l = N_l / (1 + t) with the two-term N_l = s^(1-l) - (-1)^l s^(1+l).
-A parallel region with |a| >= 3 takes numerators for both of its branch
-multipliers and for its twist value in the cut, so after k such regions
-every state and the cut lie over (1 + t)^k.  A torus-valued leaf with
-|total| >= 3 takes its numerator too, one power above its expansion.  The
-leaves are summed per power, each sum is brought to the top power, and the
-total is divided once (``laurent.divide_by_one_plus_t``).  The state sum
-thus multiplies and adds polynomials whose size does not grow with the
-twists; the only work linear in the largest twist is the division, k
-running sums over the t-span of the total.  Antiparallel regions, regions
-with |a| <= 2 and smaller leaves keep their values Delta, so a knot with
-none of these numerators divides by nothing.  The program of ``alexander_with_trace``
-lists the values Delta, never the numerators.
+Every torus value of three or more terms is carried as its numerator:
+Delta_l = N_l / (1 + t) with the two-term N_l = s^(1-l) - (-1)^l s^(1+l);
+the values of at most two terms (0, 1 and +-w) are a table.  A parallel
+region with |a| >= 3 takes numerators for both of its branch multipliers
+and for its twist value in the cut, so after k such regions every state
+and the cut lie over (1 + t)^k.  A torus-valued leaf with |total| >= 3
+takes its numerator too, one power above its expansion.  The leaves are
+summed per power and each sum is brought to the top power: the state sum
+returns one numerator and its power, as the closed form of a knot with one
+or two regions does, and ``alexander_skein`` ends both in one division
+(``laurent.divide_by_one_plus_t``).  The state sum thus multiplies and
+adds polynomials whose size does not grow with the twists; the only work
+linear in the largest twist is the division, k running sums over the
+t-span of the numerator.  The program of ``alexander_with_trace`` lists
+the values Delta: each multiplier divided by its region's power of 1 + t.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import cycle
 
 from .laurent import SKEIN_FACTOR, LaurentPoly, divide_by_one_plus_t
 from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
@@ -65,52 +65,33 @@ from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 
 # ----------------------------------------------------------------------
 # torus link polynomials
-
-def _torus(l: int) -> LaurentPoly:
-    """Conway-consistent Delta of the (2, l)-torus link, any integer l.
-
-    Delta_0 = 0, Delta_1 = 1 and Delta_{l+1} = Delta_{l-1} + w Delta_l with
-    w = s^-1 - s (s^2 = t).  The recursion's characteristic roots are s^-1
-    and -s, so Delta_l = sum_{j<l} (-1)^j s^(2j-l+1): alternating unit
-    coefficients on every other s-exponent from 1-l to l-1, built in O(l).
-    Negative indices extend the same recursion (the mirror image), giving
-    Delta_{-l} = (-1)^(l+1) Delta_l.  Only the values of at most two terms
-    are kept, so no process-wide table grows with l.
-    """
-    value = _SMALL_TORUS.get(l)
-    if value is not None:
-        return value
-    m = abs(l)
-    sign = -1 if l < 0 and m % 2 == 0 else 1
-    return LaurentPoly(dict(zip(range(1 - m, m, 2), cycle((sign, -sign)))))
-
-
-# the values of at most two terms, built once by _torus itself
-_SMALL_TORUS: dict[int, LaurentPoly] = {}
-_SMALL_TORUS.update((l, _torus(l)) for l in range(-2, 3))
-
-
-@functools.lru_cache(maxsize=256)
-def _numerator(l: int) -> LaurentPoly:
-    """N_l = (1 + t) Delta_l = s^(1-l) - (-1)^l s^(1+l), two terms for any
-    l != 0: the sum for Delta_l above is geometric with ratio -s^2 = -t.
-    A bounded cache keeps the recent ones."""
-    return LaurentPoly({1 - l: 1, 1 + l: -1 if l % 2 == 0 else 1})
-
-
-# ----------------------------------------------------------------------
-# the engine
+#
+# Delta_0 = 0, Delta_1 = 1 and Delta_{l+1} = Delta_{l-1} + w Delta_l with
+# w = s^-1 - s (s^2 = t); negative indices extend the same recursion (the
+# mirror image), giving Delta_{-l} = (-1)^(l+1) Delta_l.
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 _ONE_PLUS_T = LaurentPoly({0: 1, 2: 1})
 
+# Delta_l for |l| <= 2, the values of at most two terms: 0, 1 and +-w
+_SMALL_TORUS = {0: _ZERO, 1: _ONE, -1: _ONE, 2: SKEIN_FACTOR, -2: LaurentPoly({-1: -1, 1: 1})}
 
-def _twist_value(m: int, parallel: bool, *, lift: bool = False) -> tuple[LaurentPoly, int]:
+
+@functools.lru_cache(maxsize=256)
+def _numerator(l: int) -> LaurentPoly:
+    """N_l = (1 + t) Delta_l = s^(1-l) - (-1)^l s^(1+l), two terms for any
+    l != 0: the recursion's characteristic roots are s^-1 and -s, so
+    Delta_l = sum_{j<l} (-1)^j s^(2j-l+1) is geometric with ratio -s^2 = -t.
+    A bounded cache keeps the recent ones."""
+    return LaurentPoly({1 - l: 1, 1 + l: -1 if l % 2 == 0 else 1})
+
+
+def _twist_value(m: int, parallel: bool) -> tuple[LaurentPoly, int]:
     """Exact Conway value of the closed vertical (2, m) twist with the two
-    strands running parallel or antiparallel, over its power of 1 + t:
-    with ``lift``, a torus value of three or more terms comes as its
-    numerator over (1 + t)^1, else every value comes over (1 + t)^0.
+    strands running parallel or antiparallel, over its power of 1 + t: a
+    torus value of three or more terms comes as its numerator over
+    (1 + t)^1, every other value over (1 + t)^0.
 
     A parallel twist is a torus value, and Delta_m(-s) = (-1)^(m+1) Delta_m
     = Delta_{-m} puts the vertical one at -m; an odd twist is a knot, and
@@ -119,13 +100,11 @@ def _twist_value(m: int, parallel: bool, *, lift: bool = False) -> tuple[Laurent
     horizontal twist m is the vertical twist -m.
     """
     if parallel or m % 2 != 0:
-        if lift and abs(m) >= 3:
-            return _numerator(-m), 1
-        return _torus(-m), 0
+        return (_numerator(-m), 1) if abs(m) >= 3 else (_SMALL_TORUS[-m], 0)
     return (m // 2) * SKEIN_FACTOR, 0
 
 
-def _leaf_value(total: int, units: bool, has_even: bool, *, lift: bool = False) -> tuple[LaurentPoly, int]:
+def _leaf_value(total: int, units: bool, has_even: bool) -> tuple[LaurentPoly, int]:
     """Conway value of a necklace that closes into one (2, total) twist:
     a necklace of +-1 regions (units), or one or two regions, in a knot
     with an even region or not (see the module docstring); over its power
@@ -137,26 +116,28 @@ def _leaf_value(total: int, units: bool, has_even: bool, *, lift: bool = False) 
     the total is odd, and an odd twist's value does not depend on flows.
     """
     if units:
-        return _twist_value(-total, not has_even, lift=lift)
-    return _twist_value(total, has_even, lift=lift)
+        return _twist_value(-total, not has_even)
+    return _twist_value(total, has_even)
 
 
-def _choices(a: int, parallel: bool, lift: bool = False) -> tuple[tuple[LaurentPoly, int | None], ...]:
+def _choices(a: int, parallel: bool) -> tuple[tuple[tuple[LaurentPoly, int | None], ...], int]:
     """The (multiplier, outcome) branches that resolve a region a whose
-    strands run parallel or antiparallel; with ``lift`` (a parallel region,
-    |a| >= 3) both multipliers are numerators, over (1 + t)^1."""
+    strands run parallel or antiparallel, and the region's power of 1 + t:
+    1 for a parallel region with |a| >= 3, whose multipliers are both
+    numerators, else 0."""
     if abs(a) <= 1:
-        return ((_ONE, a),)
+        return ((_ONE, a),), 0
     sign = 1 if a > 0 else -1
     if parallel:
         # parallel strands drawn as positive twists carry negative crossings
         # (and vice versa): the recursion runs on the mirror index -a
-        value = _numerator if lift else _torus
-        return ((value(sign - a), 0), (value(-a), sign))
+        if abs(a) >= 3:
+            return ((_numerator(sign - a), 0), (_numerator(-a), sign)), 1
+        return ((_SMALL_TORUS[sign - a], 0), (_SMALL_TORUS[-a], sign)), 0
     # antiparallel: crossing changes walk a to 0 (even) or sign(a) (odd),
     # and each change's smoothing caps the region off, leaving P(rest)
     r = 0 if a % 2 == 0 else sign
-    return ((_ONE, r), (((a - r) // 2) * SKEIN_FACTOR, None))
+    return ((_ONE, r), (((a - r) // 2) * SKEIN_FACTOR, None)), 0
 
 
 def _collect(over: dict[int, LaurentPoly], power: int, value: LaurentPoly) -> None:
@@ -164,21 +145,10 @@ def _collect(over: dict[int, LaurentPoly], power: int, value: LaurentPoly) -> No
     over[power] = over[power] + value if power in over else value
 
 
-def _divide_out(over: dict[int, LaurentPoly]) -> LaurentPoly:
-    """The sum of over[k] / (1 + t)^k: every term is brought to the top
-    power, in Horner form, and the sum divided once."""
-    top = max(over, default=0)
-    total = over[0] if 0 in over else _ZERO
-    for k in range(1, top + 1):
-        total = total * _ONE_PLUS_T
-        if k in over:
-            total = total + over[k]
-    return divide_by_one_plus_t(total, top)
-
-
-def _state_sum(params, parallel, has_even: bool) -> LaurentPoly:
+def _state_sum(params, parallel, has_even: bool) -> tuple[LaurentPoly, int]:
     """Sum over one branch per region, resolving the regions in index
-    order (see the module docstring)."""
+    order (see the module docstring): the numerator N and the power k
+    with Delta = N / (1 + t)^k."""
     # (sum of the kept +-1 regions, min(kept, 3)) -> the weight of the
     # expansions without a 0 region
     states: dict = {(0, 0): _ONE}
@@ -186,17 +156,21 @@ def _state_sum(params, parallel, has_even: bool) -> LaurentPoly:
     power = 0  # of 1 + t under every state and the cut
     over: dict[int, LaurentPoly] = {}  # power -> the leaves over (1 + t)^power
     for t, (a, par) in enumerate(zip(params, parallel)):
-        lift = par and abs(a) >= 3
-        power += lift
+        choices, up = _choices(a, par)
+        power += up
         if cut:
-            # a cut needs an even region, so every odd region runs parallel and
-            # this factor has at most two terms (guarded in test_alexander.py)
-            cut = cut * _twist_value(a, par, lift=lift)[0]
+            # a cut needs an even region, so every odd region runs parallel
+            # and its factor lies over its region's power
+            factor, factor_up = _twist_value(a, par)
+            if factor_up != up:
+                raise RuntimeError(f"{params}: region {t} lies over (1 + t)^{up} "
+                                   f"and its cut factor over (1 + t)^{factor_up}")
+            cut = cut * factor
         if not states:
             continue
         rest = params[t + 1:]
         merged: dict = {}
-        for mult, outcome in _choices(a, par, lift):
+        for mult, outcome in choices:
             for (total, kept), weight in states.items():
                 w = weight if mult is _ONE else (mult if weight is _ONE else mult * weight)
                 if outcome == 0:
@@ -204,10 +178,10 @@ def _state_sum(params, parallel, has_even: bool) -> LaurentPoly:
                     continue
                 if outcome is None:
                     if kept + len(rest) == 2:
-                        value, up = _leaf_value(
-                            total + sum(rest), all(abs(b) == 1 for b in rest), has_even, lift=True
+                        value, leaf_up = _leaf_value(
+                            total + sum(rest), all(abs(b) == 1 for b in rest), has_even
                         )
-                        _collect(over, power + up, w * value)
+                        _collect(over, power + leaf_up, w * value)
                         continue
                     key = (total, kept)
                 else:
@@ -215,11 +189,18 @@ def _state_sum(params, parallel, has_even: bool) -> LaurentPoly:
                 merged[key] = merged[key] + w if key in merged else w
         states = merged
     for (total, _), weight in states.items():
-        value, up = _leaf_value(total, True, has_even, lift=True)
-        _collect(over, power + up, weight * value)
+        value, leaf_up = _leaf_value(total, True, has_even)
+        _collect(over, power + leaf_up, weight * value)
     if cut:
         _collect(over, power, cut)
-    return _divide_out(over)
+    # every sum brought to the top power, in Horner form
+    top = max(over, default=0)
+    numerator = over[0] if 0 in over else _ZERO
+    for k in range(1, top + 1):
+        numerator = numerator * _ONE_PLUS_T
+        if k in over:
+            numerator = numerator + over[k]
+    return numerator, top
 
 
 def alexander_skein(link: PretzelLink) -> LaurentPoly:
@@ -233,21 +214,30 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     parallel = parallel_regions(link)
     has_even = any(a % 2 == 0 for a in params)
     if len(params) <= 2:
-        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)[0]
-    return _state_sum(params, parallel, has_even)
+        numerator, k = _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
+    else:
+        numerator, k = _state_sum(params, parallel, has_even)
+    return divide_by_one_plus_t(numerator, k)
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
     """Delta as ``alexander_skein`` gives it, with the program of the
     computation: a step (region_index, param, branches) for each region with
     |a| >= 2, in index order, as the state sum resolves them.  Each branch
-    is a (multiplier, outcome) pair, the outcome being the region's new
-    parameter (0 or +-1), or None when the branch removes the region.  Links
-    with at most two regions are closed forms and have no steps."""
+    is a (multiplier, outcome) pair, the multiplier a value Delta (a
+    numerator divided by its region's power of 1 + t) and the outcome the
+    region's new parameter (0 or +-1), or None when the branch removes the
+    region.  Links with at most two regions are closed forms and have no
+    steps."""
     value = alexander_skein(link)  # refuses an oversized twist before any step is built
     params = link.params
     regions = enumerate(zip(params, parallel_regions(link))) if len(params) > 2 else ()
-    return value, [(i, a, _choices(a, par)) for i, (a, par) in regions if abs(a) >= 2]
+    steps = []
+    for i, (a, par) in regions:
+        if abs(a) >= 2:
+            branches, k = _choices(a, par)
+            steps.append((i, a, tuple((divide_by_one_plus_t(m, k), o) for m, o in branches)))
+    return value, steps
 
 
 __all__ = [

@@ -28,7 +28,7 @@ from inspect import signature
 from .alexander import alexander_skein, alexander_with_trace
 from .classify import classify
 from .grids import SUITES
-from .laurent import LaurentPoly, render
+from .laurent import render
 from .obstruction import (
     gabai_not_fibered,
     monic_check,
@@ -51,15 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _poly_payload(delta: LaurentPoly, *, normalize: bool) -> dict:
-    shown = delta.normalize() if normalize else delta
-    return {
-        "polynomial": render(shown),
-        "normalized": normalize,
-        "coefficients": {str(e): c for e, c in shown.items()},
-    }
 
 
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
@@ -92,8 +83,15 @@ def _cmd_alexander(args) -> int:
     else:
         value, steps = alexander_skein(link), None
     shown = value.normalize() if args.normalize else value
-    doc = {"input": str(link), "engine": "skein", **_poly_payload(value, normalize=args.normalize)}
-    lines = [f"{link}: {render(shown)}"]
+    polynomial = render(shown)
+    doc = {
+        "input": str(link),
+        "engine": "skein",
+        "polynomial": polynomial,
+        "normalized": args.normalize,
+        "coefficients": {str(e): c for e, c in shown.items()},
+    }
+    lines = [f"{link}: {polynomial}"]
     if steps is not None:
         doc["steps"] = [
             {"region": i, "param": a, "branches": [[render(m), _outcome(o)] for m, o in branches]}

@@ -9,8 +9,9 @@ the same grids at its own bounds.
 The expected values are the paper's constants, written here and not read
 from the pipeline, so that the grids stay a check on it.
 
-A grid whose bounds would enumerate more than ``MAX_CELLS`` cells, counted
-from the bounds before any cell is built, raises ValueError.
+A grid whose bounds would enumerate more than ``MAX_CELLS`` cells, or no
+cell at all, raises ValueError, decided from the bounds before any cell is
+built: a suite that checked nothing does not pass.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ MAX_CELLS = 1_000_000
 def _capped(cells: int) -> None:
     if cells > MAX_CELLS:
         raise ValueError(f"grid bounds give more than {MAX_CELLS} cells")
+    if cells <= 0:
+        raise ValueError("grid bounds give no cells")
 
 
 class Grid(NamedTuple):

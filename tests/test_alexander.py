@@ -12,7 +12,7 @@ from pretzelsurgery.alexander import alexander_skein, alexander_with_trace
 from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import SKEIN_FACTOR, LaurentPoly, parse
 from pretzelsurgery.oracle import alexander_fox
-from pretzelsurgery.pretzel import PretzelLink, is_knot
+from pretzelsurgery.pretzel import PretzelLink, is_knot, parallel_regions
 
 from invariants import at_minus_one, at_one, conj, lowest_exponent
 from reference_closed_form import claim_formula
@@ -46,33 +46,49 @@ def determinant(params) -> int:
 class TestTorusValues:
     def test_recursion(self):
         # the recursion Delta_{l+1} = Delta_{l-1} + w Delta_l from Delta_0 = 0
-        # and Delta_1 = 1 is the arbiter of the closed form; negative indices
-        # follow the sign rule Delta_{-l} = (-1)^(l+1) Delta_l
+        # and Delta_1 = 1, run both ways, is the arbiter of the numerators
+        # N_l = (1 + t) Delta_l, of the table of two-term values and of
+        # alexander_skein on the one-region knots P(l)
         w = SKEIN_FACTOR
+        one_plus_t = LaurentPoly({0: 1, 2: 1})
+
+        def check(l, delta):
+            if l:
+                assert alexander._numerator(l) == one_plus_t * delta, l
+            if abs(l) <= 2:
+                assert alexander._SMALL_TORUS[l] == delta, l
+            if l % 2:
+                assert alexander_skein(PretzelLink((l,))) == delta, l
+
         prev, cur = LaurentPoly.zero(), LaurentPoly.one()
-        assert alexander._torus(0) == prev
+        check(0, prev)
         for l in range(1, 2001):
-            assert alexander._torus(l) == cur, l
-            if l <= 50:
-                assert alexander._torus(-l) == (cur if l % 2 else cur * -1), l
+            check(l, cur)
             prev, cur = cur, prev + w * cur
+        # Delta_{l-1} = Delta_{l+1} - w Delta_l
+        cur, nxt = LaurentPoly.zero(), LaurentPoly.one()
+        for l in range(-1, -51, -1):
+            cur, nxt = nxt + w * cur * -1, cur
+            check(l, cur)
 
     def test_known_polynomials(self):
-        assert alexander._torus(1) == LaurentPoly.one()
-        assert alexander._torus(3).equal_up_to_units(parse("1 - t + t^2"))
-        assert alexander._torus(5).equal_up_to_units(
+        assert alexander._SMALL_TORUS[1] == LaurentPoly.one()
+        assert laurent.divide_by_one_plus_t(alexander._numerator(3), 1).equal_up_to_units(
+            parse("1 - t + t^2")
+        )
+        assert laurent.divide_by_one_plus_t(alexander._numerator(5), 1).equal_up_to_units(
             parse("1 - t + t^2 - t^3 + t^4")
         )
 
     def test_large_values_not_kept(self):
-        # no process-wide table grows with l: 50 values of about 20,000
-        # terms each leave nothing behind
+        # no process-wide table grows with l: the values of 50 one-region
+        # knots of about 20,000 terms each leave nothing behind
         gc.collect()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for l in range(20001, 20101, 2):
-                assert alexander._torus(l).s_coefficient(l - 1) == 1
+                assert alexander_skein(PretzelLink((l,))).s_coefficient(l - 1) == 1
             gc.collect()
             assert tracemalloc.get_traced_memory()[0] - start < 2**20
         finally:
@@ -227,8 +243,9 @@ class TestProductOperands:
     def test_every_product_has_a_short_operand(self, monkeypatch):
         # LaurentPoly products run the quadratic double loop, which is linear
         # only while one operand stays short: every multiplier of the state
-        # sum (torus numerators, k w, small torus values, 1 + t) has at most
-        # two terms, including the cut factors of knots with zero regions
+        # sum (torus numerators, k w, the torus values 0, 1 and +-w, 1 + t)
+        # has at most two terms, including the cut factors of knots with zero
+        # regions
         shortest = []
         product = laurent._product
 
@@ -244,6 +261,20 @@ class TestProductOperands:
         for link in links:
             alexander_skein(link)
         assert shortest and max(shortest) <= 2
+
+    @pytest.mark.parametrize(
+        "params,parallel",
+        [((0, 3, 3), (True, False, False)), ((2, 1, -5, 3), (True, True, False, True))],
+    )
+    def test_cut_factor_over_its_region_power(self, params, parallel):
+        # an antiparallel odd region with |a| >= 3 after a nonempty cut would
+        # multiply the cut by its numerator over (1 + t)^1 while its region
+        # lies over (1 + t)^0; real flows never do this (a cut needs an even
+        # region, and then every odd region runs parallel), so it raises
+        with pytest.raises(RuntimeError, match="cut factor"):
+            alexander._state_sum(params, parallel, True)
+        numerator, k = alexander._state_sum(params, parallel_regions(PretzelLink(params)), True)
+        assert laurent.divide_by_one_plus_t(numerator, k) == alexander_skein(PretzelLink(params))
 
 
 class TestTrace:
@@ -282,8 +313,8 @@ class TestClosedForms:
 class TestSupports:
     def test_supported_examples(self):
         # the last four resolve 24, 24, 12 and 10 parallel regions as
-        # numerators over 1 + t; all but (-4,7^9) divide with slots wider
-        # than 64 bits
+        # numerators over 1 + t, and each ends in one division by (1 + t)^k
+        # with k >= 10
         for params in (
             (-2, 3, 7),
             (-1, -2, 3, 3),

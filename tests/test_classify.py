@@ -21,7 +21,7 @@ from pretzelsurgery.classify import (
     delman_gate,
     mattman_gate,
 )
-from pretzelsurgery.alexander import _torus, alexander_skein
+from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.pretzel import (
@@ -33,6 +33,7 @@ from pretzelsurgery.pretzel import (
     parse_montesinos,
 )
 from invariants import at_minus_one
+from reference_closed_form import torus
 from reference_pretzel import box_knots
 
 
@@ -111,7 +112,7 @@ class TestTwoBridgeArbiters:
                 det = abs(at_minus_one(delta))
                 if delta == LaurentPoly.one():
                     reason = "trivial knot"
-                elif delta.equal_up_to_units(_torus(det)):
+                elif delta.equal_up_to_units(torus(det)):
                     reason = f"(2,{det})-torus knot"
                 else:
                     reason = None

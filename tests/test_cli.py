@@ -272,6 +272,19 @@ class TestGrids:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "suite,flag,value",
+        [("claim3", "--nmax", "0"), ("claim4", "--nmax", "1"), ("claim5", "--pmax", "3"),
+         ("classify-sweep", "--qmax", "2"), ("oracle", "--nmax", "0")],
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_empty_grid_rejected(self, capsys, suite, flag, value, json_flag):
+        # a grid with no cells checks nothing, so it is a usage error and
+        # not "0 cells, 0 failures"
+        code, out, err = run_cli(capsys, "verify-claims", "--suite", suite, flag, value, *json_flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_cell_counts_match_enumeration(self):
         for pmin in (3, 5):
             for pmax in range(-1, 16):

@@ -1,4 +1,6 @@
+import random
 import time
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -10,6 +12,8 @@ from pretzelsurgery.laurent import LaurentPoly, parse
 from pretzelsurgery.oracle import (
     _DIRECTION,
     OracleError,
+    _bareiss,
+    _unit_pivot_core,
     _walk,
     alexander_fox,
     build_diagram,
@@ -142,6 +146,42 @@ class TestAgainstDenseReference:
         delta = alexander_fox(link)
         assert delta == alexander_fox_dense(link)
         assert delta.equal_up_to_units(alexander_skein(link))
+
+
+def _fraction_determinant(matrix: list[list[int]]) -> Fraction:
+    """Determinant of a square integer matrix by Gaussian elimination over
+    the rationals."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            f = row[k] / m[k][k]
+            for j in range(k, len(m)):
+                row[j] -= f * m[k][j]
+    return det
+
+
+class TestUnitPivotCore:
+    def test_determinant_up_to_sign(self):
+        # the Schur complements on +-1 pivots keep |det|: constant entries
+        # +-2 among them must not be taken as pivots (1/p == p holds for
+        # +-1 only), as on the first two matrices
+        rng = random.Random(20261019)
+        matrices = [[[2, 1], [1, 2]], [[2, 3], [5, 2]]]
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            matrices.append([[rng.randint(-3, 3) if rng.random() < 0.4 else 0 for _ in range(n)]
+                             for _ in range(n)])
+        for matrix in matrices:
+            rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+            assert abs(_bareiss(_unit_pivot_core(rows))) == abs(_fraction_determinant(matrix)), matrix
 
 
 def _state_count(params):

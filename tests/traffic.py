@@ -21,9 +21,9 @@ Stdlib only; pytest does not collect it.  Run it from anywhere:
 
     python tests/traffic.py > unreached.json
 
-It takes 5–7 s on 2 CPUs with Python 3.11.7.  Only frames of the
-package get a local trace function, so the rest runs at close to full
-speed.
+It took 4.7–6.6 s in four runs on 2 CPUs with Python 3.11.7 (shared
+host).  Only frames of the package get a local trace function, so the
+rest runs at close to full speed.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ SUITE_BOUNDS = {
     "claim2": [],
     "classify-sweep": ["--qmax", "11"],
 }
-# argparse refusals, which exit 1 like every other error
+# argparse refusals and a grid with no cells, which exit 1 like every other error
 USAGE_ERRORS = (
     [], ["nope"], ["classify"], ["verify-claims", "--suite", "nope"], ["alexander", "--bogus", "3"],
-    ["verify-claim2"],
+    ["verify-claim2"], ["verify-claims", "--suite", "claim5", "--pmax", "3"],
 )
 
 
