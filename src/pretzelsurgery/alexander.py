@@ -48,10 +48,11 @@ takes its numerator too, one power above its expansion.  The leaves are
 summed per power and each sum is brought to the top power: the state sum
 returns one numerator and its power, as the closed form of a knot with one
 or two regions does, and ``alexander_skein`` ends both in one division
-(``laurent.divide_by_one_plus_t``).  The state sum thus multiplies and
-adds polynomials whose size does not grow with the twists; the only work
-linear in the largest twist is the division, k running sums over the
-t-span of the numerator.  The program of ``alexander_with_trace`` lists
+(``laurent.divide_by_one_plus_t``).  The state sum adds and multiplies
+coefficient maps by ``laurent._sum`` and ``_product``, skips every product
+known to be 0 (a leaf of value 0, a Horner step on an empty sum) and wraps
+only its numerator as a ``LaurentPoly``.  The maps do not grow with the
+twists: the only work linear in the largest twist is the division.  The program of ``alexander_with_trace`` lists
 the values Delta: each multiplier divided by its region's power of 1 + t.
 """
 
@@ -59,7 +60,8 @@ from __future__ import annotations
 
 import functools
 
-from .laurent import SKEIN_FACTOR, LaurentPoly, divide_by_one_plus_t
+from . import laurent
+from .laurent import LaurentPoly, _trusted, divide_by_one_plus_t
 from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 
 
@@ -68,26 +70,27 @@ from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 #
 # Delta_0 = 0, Delta_1 = 1 and Delta_{l+1} = Delta_{l-1} + w Delta_l with
 # w = s^-1 - s (s^2 = t); negative indices extend the same recursion (the
-# mirror image), giving Delta_{-l} = (-1)^(l+1) Delta_l.
+# mirror image), giving Delta_{-l} = (-1)^(l+1) Delta_l.  Values are
+# coefficient maps {s-exponent: coefficient}, shared and never modified.
 
-_ONE = LaurentPoly.one()
-_ZERO = LaurentPoly.zero()
-_ONE_PLUS_T = LaurentPoly({0: 1, 2: 1})
+_ONE = {0: 1}
+_ZERO: dict[int, int] = {}
+_ONE_PLUS_T = {0: 1, 2: 1}
 
 # Delta_l for |l| <= 2, the values of at most two terms: 0, 1 and +-w
-_SMALL_TORUS = {0: _ZERO, 1: _ONE, -1: _ONE, 2: SKEIN_FACTOR, -2: LaurentPoly({-1: -1, 1: 1})}
+_SMALL_TORUS = {0: _ZERO, 1: _ONE, -1: _ONE, 2: {-1: 1, 1: -1}, -2: {-1: -1, 1: 1}}
 
 
 @functools.lru_cache(maxsize=256)
-def _numerator(l: int) -> LaurentPoly:
+def _numerator(l: int) -> dict[int, int]:
     """N_l = (1 + t) Delta_l = s^(1-l) - (-1)^l s^(1+l), two terms for any
     l != 0: the recursion's characteristic roots are s^-1 and -s, so
     Delta_l = sum_{j<l} (-1)^j s^(2j-l+1) is geometric with ratio -s^2 = -t.
     A bounded cache keeps the recent ones."""
-    return LaurentPoly({1 - l: 1, 1 + l: -1 if l % 2 == 0 else 1})
+    return {1 - l: 1, 1 + l: -1 if l % 2 == 0 else 1}
 
 
-def _twist_value(m: int, parallel: bool) -> tuple[LaurentPoly, int]:
+def _twist_value(m: int, parallel: bool) -> tuple[dict[int, int], int]:
     """Exact Conway value of the closed vertical (2, m) twist with the two
     strands running parallel or antiparallel, over its power of 1 + t: a
     torus value of three or more terms comes as its numerator over
@@ -101,10 +104,10 @@ def _twist_value(m: int, parallel: bool) -> tuple[LaurentPoly, int]:
     """
     if parallel or m % 2 != 0:
         return (_numerator(-m), 1) if abs(m) >= 3 else (_SMALL_TORUS[-m], 0)
-    return (m // 2) * SKEIN_FACTOR, 0
+    return ({-1: m // 2, 1: -(m // 2)} if m else _ZERO), 0
 
 
-def _leaf_value(total: int, units: bool, has_even: bool) -> tuple[LaurentPoly, int]:
+def _leaf_value(total: int, units: bool, has_even: bool) -> tuple[dict[int, int], int]:
     """Conway value of a necklace that closes into one (2, total) twist:
     a necklace of +-1 regions (units), or one or two regions, in a knot
     with an even region or not (see the module docstring); over its power
@@ -120,7 +123,7 @@ def _leaf_value(total: int, units: bool, has_even: bool) -> tuple[LaurentPoly, i
     return _twist_value(total, has_even)
 
 
-def _choices(a: int, parallel: bool) -> tuple[tuple[tuple[LaurentPoly, int | None], ...], int]:
+def _choices(a: int, parallel: bool) -> tuple[tuple[tuple[dict[int, int], int | None], ...], int]:
     """The (multiplier, outcome) branches that resolve a region a whose
     strands run parallel or antiparallel, and the region's power of 1 + t:
     1 for a parallel region with |a| >= 3, whose multipliers are both
@@ -137,24 +140,25 @@ def _choices(a: int, parallel: bool) -> tuple[tuple[tuple[LaurentPoly, int | Non
     # antiparallel: crossing changes walk a to 0 (even) or sign(a) (odd),
     # and each change's smoothing caps the region off, leaving P(rest)
     r = 0 if a % 2 == 0 else sign
-    return ((_ONE, r), (((a - r) // 2) * SKEIN_FACTOR, None)), 0
+    k = (a - r) // 2
+    return ((_ONE, r), ({-1: k, 1: -k}, None)), 0
 
 
-def _collect(over: dict[int, LaurentPoly], power: int, value: LaurentPoly) -> None:
-    """Add ``value`` to the sum over (1 + t)^power."""
-    over[power] = over[power] + value if power in over else value
-
-
-def _state_sum(params, parallel, has_even: bool) -> tuple[LaurentPoly, int]:
+def _state_sum(params, parallel, has_even: bool) -> tuple[dict[int, int], int]:
     """Sum over one branch per region, resolving the regions in index
     order (see the module docstring): the numerator N and the power k
     with Delta = N / (1 + t)^k."""
+    product, add = laurent._product, laurent._sum
     # (sum of the kept +-1 regions, min(kept, 3)) -> the weight of the
     # expansions without a 0 region
     states: dict = {(0, 0): _ONE}
     cut = _ZERO  # expansions with one 0 region, in Horner form
     power = 0  # of 1 + t under every state and the cut
-    over: dict[int, LaurentPoly] = {}  # power -> the leaves over (1 + t)^power
+    over: dict[int, dict[int, int]] = {}  # power -> the leaves over (1 + t)^power
+
+    def collect(k, value):
+        over[k] = add(over[k], value) if k in over else value
+
     for t, (a, par) in enumerate(zip(params, parallel)):
         choices, up = _choices(a, par)
         power += up
@@ -165,41 +169,44 @@ def _state_sum(params, parallel, has_even: bool) -> tuple[LaurentPoly, int]:
             if factor_up != up:
                 raise RuntimeError(f"{params}: region {t} lies over (1 + t)^{up} "
                                    f"and its cut factor over (1 + t)^{factor_up}")
-            cut = cut * factor
+            cut = product(cut, factor) if factor else _ZERO
         if not states:
             continue
         rest = params[t + 1:]
         merged: dict = {}
         for mult, outcome in choices:
             for (total, kept), weight in states.items():
-                w = weight if mult is _ONE else (mult if weight is _ONE else mult * weight)
+                w = weight if mult is _ONE else (mult if weight is _ONE else product(mult, weight))
                 if outcome == 0:
-                    cut = cut + w
+                    cut = add(cut, w)
                     continue
                 if outcome is None:
                     if kept + len(rest) == 2:
                         value, leaf_up = _leaf_value(
                             total + sum(rest), all(abs(b) == 1 for b in rest), has_even
                         )
-                        _collect(over, power + leaf_up, w * value)
+                        if value:
+                            collect(power + leaf_up, product(w, value))
                         continue
                     key = (total, kept)
                 else:
                     key = (total + outcome, min(kept + 1, 3))
-                merged[key] = merged[key] + w if key in merged else w
+                merged[key] = add(merged[key], w) if key in merged else w
         states = merged
     for (total, _), weight in states.items():
         value, leaf_up = _leaf_value(total, True, has_even)
-        _collect(over, power + leaf_up, weight * value)
+        if value:
+            collect(power + leaf_up, product(weight, value))
     if cut:
-        _collect(over, power, cut)
-    # every sum brought to the top power, in Horner form
+        collect(power, cut)
+    # every sum brought to the top power, in Horner form from the lowest one
     top = max(over, default=0)
-    numerator = over[0] if 0 in over else _ZERO
-    for k in range(1, top + 1):
-        numerator = numerator * _ONE_PLUS_T
+    numerator = _ZERO
+    for k in range(top + 1):
+        if numerator:
+            numerator = product(numerator, _ONE_PLUS_T)
         if k in over:
-            numerator = numerator + over[k]
+            numerator = add(numerator, over[k]) if numerator else over[k]
     return numerator, top
 
 
@@ -215,9 +222,10 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     has_even = any(a % 2 == 0 for a in params)
     if len(params) <= 2:
         numerator, k = _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
+        numerator = dict(numerator)  # never wrap a shared value
     else:
         numerator, k = _state_sum(params, parallel, has_even)
-    return divide_by_one_plus_t(numerator, k)
+    return divide_by_one_plus_t(_trusted(numerator), k)
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
@@ -236,7 +244,7 @@ def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
     for i, (a, par) in regions:
         if abs(a) >= 2:
             branches, k = _choices(a, par)
-            steps.append((i, a, tuple((divide_by_one_plus_t(m, k), o) for m, o in branches)))
+            steps.append((i, a, tuple((divide_by_one_plus_t(LaurentPoly(m), k), o) for m, o in branches)))
     return value, steps
 
 

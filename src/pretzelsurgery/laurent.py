@@ -13,14 +13,15 @@ one ``min`` over the exponents it relabels the map it reads, in O(1).
 Products add shifts and multiply signs; sums read the shorter operand in
 the longer one's frame; the quotient of ``divide_by_one_plus_t`` keeps its
 dividend's unit; single coefficients and the degree read the unit without
-rebuilding the map.  A sum or product of unit-free operands is unit-free
-and takes the same path as a plain coefficient map, so the skein state sum
-never carries a unit.  ``items()`` applies the unit in the pass after the
+rebuilding the map.  ``items()`` applies the unit in the pass after the
 sort, and the other readers go through the map with the unit applied.
 
-Products run the dictionary double loop, whose cost is the product of the
-term counts; every product the skein state sum makes has an operand of at
-most two terms (a test in ``tests/test_alexander.py`` guards this).
+The arithmetic is two functions on plain coefficient maps: ``_product``,
+the dictionary double loop, whose cost is the product of the term counts,
+and ``_sum``.  ``+`` and ``*`` wrap them with the units; the skein state
+sum calls them directly on unit-free maps and wraps only its one numerator.
+Every product it makes has an operand of at most two terms (a test in
+``tests/test_alexander.py`` guards this).
 
 ``divide_by_one_plus_t`` divides exactly by (1 + t)**k by synthetic
 division: the dividend, whose s-exponents share one parity, is laid out
@@ -76,7 +77,7 @@ class LaurentPoly:
 
     def _map(self) -> dict[int, int]:
         """The coefficient map with the unit applied."""
-        return self._c if self._unit is None else dict(_frame(self, None))
+        return self._c if self._unit is None else _frame(self, None)
 
     # ------------------------------------------------------------------
     # constructors
@@ -84,10 +85,6 @@ class LaurentPoly:
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
 
     # ------------------------------------------------------------------
     # inspection
@@ -143,15 +140,8 @@ class LaurentPoly:
             return NotImplemented
         a, b = (self, other) if len(self._c) >= len(other._c) else (other, self)
         unit = a._unit
-        c = a._c.copy()
         # the sum keeps the longer operand's unit; the other is read in its frame
-        for e, v in b._c.items() if b._unit == unit else _frame(b, unit):
-            v += c.get(e, 0)
-            if v:
-                c[e] = v
-            else:
-                del c[e]
-        return _trusted(c, unit)
+        return _trusted(_sum(a._c, b._c if b._unit == unit else _frame(b, unit)), unit)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -219,26 +209,48 @@ def _as_unit(shift: int, sign: int) -> tuple[int, int] | None:
     return None if shift == 0 and sign == 1 else (shift, sign)
 
 
-def _frame(p: LaurentPoly, unit: tuple[int, int] | None) -> list[tuple[int, int]]:
+def _frame(p: LaurentPoly, unit: tuple[int, int] | None) -> dict[int, int]:
     """p's terms, its own unit applied, divided by ``unit`` (None for 1):
     p read in the frame of a polynomial that carries ``unit``."""
     shift, sign = p._unit or (0, 1)
     if unit is not None:
         shift -= unit[0]
         sign *= unit[1]
-    return [(e + shift, sign * v) for e, v in p._c.items()]
+    return {e + shift: sign * v for e, v in p._c.items()}
 
 
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Coefficients of the product of the coefficient maps ``a`` and ``b``."""
+    """The coefficient map of a * b by the double loop: a new dict, no zeros."""
     if len(a) > len(b):
         a, b = b, a
-    c: dict[int, int] = {}
-    for e1, v1 in a.items():
+    if not a:
+        return {}
+    terms = iter(a.items())
+    e1, v1 = next(terms)
+    c = {e1 + e2: v1 * v2 for e2, v2 in b.items()}
+    for e1, v1 in terms:
         for e2, v2 in b.items():
             e = e1 + e2
-            c[e] = c.get(e, 0) + v1 * v2
-    return {e: v for e, v in c.items() if v}
+            v = c.get(e, 0) + v1 * v2
+            if v:
+                c[e] = v
+            else:
+                del c[e]
+    return c
+
+
+def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The coefficient map of a + b: a new dict, no zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    c = a.copy()
+    for e, v in b.items():
+        v += c.get(e, 0)
+        if v:
+            c[e] = v
+        else:
+            del c[e]
+    return c
 
 
 def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:

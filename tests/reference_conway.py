@@ -60,9 +60,9 @@ def _conway(diagram) -> LaurentPoly:
     comps = [c for c in diagram if c]
     if len(diagram) > len(comps):
         # a crossing-free component splits off unless it is the whole link
-        return LaurentPoly.one() if len(diagram) == 1 else LaurentPoly.zero()
+        return LaurentPoly({0: 1}) if len(diagram) == 1 else LaurentPoly.zero()
     if not comps:
-        return LaurentPoly.one()
+        return LaurentPoly({0: 1})
     # first passage violating the descending order
     target = None
     visited = set()
@@ -78,7 +78,7 @@ def _conway(diagram) -> LaurentPoly:
             break
     if target is None:
         # descending diagrams are unlinks
-        return LaurentPoly.one() if len(comps) == 1 else LaurentPoly.zero()
+        return LaurentPoly({0: 1}) if len(comps) == 1 else LaurentPoly.zero()
     _, _, cid, sign = target
     switched = tuple(
         tuple(

@@ -17,7 +17,7 @@ from pretzelsurgery.oracle import OracleError, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 
 _T = LaurentPoly({2: 1})
-_ONE = LaurentPoly.one()
+_ONE = LaurentPoly({0: 1})
 _MINUS_T = LaurentPoly({2: -1})
 _MINUS_ONE = LaurentPoly({0: -1})
 
@@ -66,7 +66,7 @@ def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) ->
     room to spare."""
     n = len(matrix)
     if n == 0:
-        return LaurentPoly.one()
+        return LaurentPoly({0: 1})
     # entries as {t-exponent: coefficient}, and the digit width in bits
     t_rows = []
     width = 4

@@ -48,35 +48,37 @@ class TestTorusValues:
         # the recursion Delta_{l+1} = Delta_{l-1} + w Delta_l from Delta_0 = 0
         # and Delta_1 = 1, run both ways, is the arbiter of the numerators
         # N_l = (1 + t) Delta_l, of the table of two-term values and of
-        # alexander_skein on the one-region knots P(l)
+        # alexander_skein on the one-region knots P(l); the state sum keeps
+        # its values as coefficient maps, compared whole, so a stored zero
+        # would fail
         w = SKEIN_FACTOR
         one_plus_t = LaurentPoly({0: 1, 2: 1})
 
         def check(l, delta):
             if l:
-                assert alexander._numerator(l) == one_plus_t * delta, l
+                assert alexander._numerator(l) == dict((one_plus_t * delta).items()), l
             if abs(l) <= 2:
-                assert alexander._SMALL_TORUS[l] == delta, l
+                assert alexander._SMALL_TORUS[l] == dict(delta.items()), l
             if l % 2:
                 assert alexander_skein(PretzelLink((l,))) == delta, l
 
-        prev, cur = LaurentPoly.zero(), LaurentPoly.one()
+        prev, cur = LaurentPoly.zero(), LaurentPoly({0: 1})
         check(0, prev)
         for l in range(1, 2001):
             check(l, cur)
             prev, cur = cur, prev + w * cur
         # Delta_{l-1} = Delta_{l+1} - w Delta_l
-        cur, nxt = LaurentPoly.zero(), LaurentPoly.one()
+        cur, nxt = LaurentPoly.zero(), LaurentPoly({0: 1})
         for l in range(-1, -51, -1):
             cur, nxt = nxt + w * cur * -1, cur
             check(l, cur)
 
     def test_known_polynomials(self):
-        assert alexander._SMALL_TORUS[1] == LaurentPoly.one()
-        assert laurent.divide_by_one_plus_t(alexander._numerator(3), 1).equal_up_to_units(
+        assert alexander._SMALL_TORUS[1] == {0: 1}
+        assert laurent.divide_by_one_plus_t(LaurentPoly(alexander._numerator(3)), 1).equal_up_to_units(
             parse("1 - t + t^2")
         )
-        assert laurent.divide_by_one_plus_t(alexander._numerator(5), 1).equal_up_to_units(
+        assert laurent.divide_by_one_plus_t(LaurentPoly(alexander._numerator(5)), 1).equal_up_to_units(
             parse("1 - t + t^2 - t^3 + t^4")
         )
 
@@ -241,11 +243,12 @@ class TestConwayRepresentative:
 
 class TestProductOperands:
     def test_every_product_has_a_short_operand(self, monkeypatch):
-        # LaurentPoly products run the quadratic double loop, which is linear
-        # only while one operand stays short: every multiplier of the state
-        # sum (torus numerators, k w, the torus values 0, 1 and +-w, 1 + t)
-        # has at most two terms, including the cut factors of knots with zero
-        # regions
+        # products run the quadratic double loop, which is linear only while
+        # one operand stays short: every multiplier of the state sum (torus
+        # numerators, k w, the torus values 1 and +-w, 1 + t) has at most two
+        # terms, including the cut factors of knots with zero regions; and no
+        # product has an empty operand, as a 0 leaf, a 0 cut factor or a
+        # Horner step on an empty sum would give
         shortest = []
         product = laurent._product
 
@@ -260,7 +263,26 @@ class TestProductOperands:
             links += [PretzelLink(family + (q,)) for q in (101, 2001, 99999)]
         for link in links:
             alexander_skein(link)
-        assert shortest and max(shortest) <= 2
+        assert shortest and min(shortest) >= 1 and max(shortest) <= 2
+
+    @pytest.mark.parametrize(
+        "params,products",
+        [((-1, -4, 5, 7), 6), ((-2, 5, 7), 4), ((-1, -1, 4, 5, 7), 6), ((3, 5, 7, 9, 11), 14),
+         ((-1, 4, 3, 99999), 7)],
+    )
+    def test_product_count(self, params, products, monkeypatch):
+        # the state sum makes no product known to be 0: no Horner step on an
+        # empty sum and no leaf of value 0
+        calls = []
+        product = laurent._product
+
+        def counting(a, b):
+            calls.append(None)
+            return product(a, b)
+
+        monkeypatch.setattr(laurent, "_product", counting)
+        alexander_skein(PretzelLink(params))
+        assert len(calls) == products
 
     @pytest.mark.parametrize(
         "params,parallel",
@@ -274,7 +296,27 @@ class TestProductOperands:
         with pytest.raises(RuntimeError, match="cut factor"):
             alexander._state_sum(params, parallel, True)
         numerator, k = alexander._state_sum(params, parallel_regions(PretzelLink(params)), True)
-        assert laurent.divide_by_one_plus_t(numerator, k) == alexander_skein(PretzelLink(params))
+        assert all(numerator.values())
+        assert laurent.divide_by_one_plus_t(LaurentPoly(numerator), k) == alexander_skein(PretzelLink(params))
+
+
+class TestSharedValues:
+    def test_state_sum_modifies_no_shared_map(self):
+        # the state sum keeps module constants, cached numerators and weights
+        # as shared dicts and must never update one in place
+        cached = {l: alexander._numerator(l) for l in range(-12, 13) if l}
+        shared = [alexander._ONE, alexander._ZERO, alexander._ONE_PLUS_T,
+                  *alexander._SMALL_TORUS.values(), *cached.values()]
+        before = [dict(m) for m in shared]
+        for link in knot_box(4, 5):
+            alexander_skein(link)
+        assert [dict(m) for m in shared] == before
+        assert all(alexander._numerator(l) is m for l, m in cached.items())
+        # a one- or two-region knot over (1 + t)^0 is not divided, and its
+        # result owns its map
+        for params in ((1,), (-1,), (2, -1), (3,), (-2, 1), (4, -1)):
+            delta = alexander_skein(PretzelLink(params))
+            assert all(delta._c is not m for m in shared), params
 
 
 class TestTrace:

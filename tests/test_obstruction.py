@@ -29,7 +29,7 @@ from reference_os_form import NotSymmetric, os_form_polynomial, parent_os_form, 
 
 class TestOSForm:
     def test_unknot(self):
-        decomp = os_form_check(LaurentPoly.one())
+        decomp = os_form_check(LaurentPoly({0: 1}))
         assert decomp is not None and decomp.k == 0
 
     def test_minus2_3_7_in_form(self):
