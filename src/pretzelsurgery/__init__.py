@@ -1,7 +1,7 @@
 """Exact Alexander polynomials of pretzel knots and the classification of
 cyclic/finite Dehn surgeries on Montesinos knots."""
 
-from .laurent import LaurentPoly, SKEIN_FACTOR, parse, render
+from .laurent import LaurentPoly, render
 from .pretzel import (
     FamilyKind,
     FamilyTag,

@@ -1,27 +1,29 @@
-"""Exact Laurent polynomial arithmetic over the integers.
+"""Exact Laurent polynomials over the integers, as read-only results.
 
 Polynomials live in a half-power variable s with s**2 = t, so quantities
-like t**(1/2) and the skein factor t**(-1/2) - t**(1/2) are first-class
-values.  Exponents are stored in s-units: the s-exponent 2k represents
-t**k, an odd s-exponent an honest half-integer power of t.  Coefficients
-are arbitrary-precision Python ints.
+like t**(1/2) are first-class values.  Exponents are stored in s-units:
+the s-exponent 2k represents t**k, an odd s-exponent an honest
+half-integer power of t.  Coefficients are arbitrary-precision Python ints.
+
+The program only reads a polynomial: its coefficients, its degree, its
+unit-normal form, equality and its text form.  It never adds, multiplies
+or parses one, so ``LaurentPoly`` has no operators; the tests and their
+arbiters bring their own arithmetic (``tests/reference_laurent.py``).
 
 A polynomial is stored as a coefficient map times a unit sign * s**shift.
 The unit lives in one slot, ``None`` for the unit 1 and ``(shift, sign)``
 otherwise.  ``normalize`` is the only operation that makes a unit: after
-one ``min`` over the exponents it relabels the map it reads, in O(1).
-Products add shifts and multiply signs; sums read the shorter operand in
-the longer one's frame; the quotient of ``divide_by_one_plus_t`` keeps its
-dividend's unit; single coefficients and the degree read the unit without
-rebuilding the map.  ``items()`` applies the unit in the pass after the
-sort, and the other readers go through the map with the unit applied.
+one ``min`` over the exponents it relabels the map it reads, in O(1).  The
+quotient of ``divide_by_one_plus_t`` keeps its dividend's unit; single
+coefficients and the degree read the unit without rebuilding the map.
+``items()`` applies the unit in the pass after the sort, and ``==`` under
+two different units compares the ``items()`` of both.
 
-The arithmetic is two functions on plain coefficient maps: ``_product``,
-the dictionary double loop, whose cost is the product of the term counts,
-and ``_sum``.  ``+`` and ``*`` wrap them with the units; the skein state
-sum calls them directly on unit-free maps and wraps only its one numerator.
-Every product it makes has an operand of at most two terms (a test in
-``tests/test_alexander.py`` guards this).
+The skein state sum builds its numerator on plain coefficient maps with
+two functions: ``_product``, the dictionary double loop, whose cost is the
+product of the term counts, and ``_sum``.  Every product it makes has an
+operand of at most two terms (a test in ``tests/test_alexander.py`` guards
+this).
 
 ``divide_by_one_plus_t`` divides exactly by (1 + t)**k by synthetic
 division: the dividend, whose s-exponents share one parity, is laid out
@@ -30,18 +32,20 @@ give, up to the same signs, the first terms of the power series
 p / (1 + t)**k.  The top k of them vanish exactly when the division is
 exact, and the others are the quotient.
 
-Every result of the arithmetic is built by ``_trusted``, which wraps a
-dict already known to hold int keys and no zero values, and its unit,
-without checking them again; ``LaurentPoly(mapping)`` is the public
-constructor and keeps its checks.
+The results of ``normalize`` and the division, and the state sum's
+numerator, are built by ``_trusted``, which wraps a dict already known to
+hold int keys and no zero values, and its unit, without checking them
+again; ``LaurentPoly(mapping)`` is the public constructor and keeps its
+checks.
 """
 
 from __future__ import annotations
 
-import re
 from itertools import accumulate, compress
 from operator import index, neg
 from typing import Iterator, Mapping
+
+__all__ = ["LaurentError", "LaurentPoly", "divide_by_one_plus_t", "render"]
 
 
 class LaurentError(ValueError):
@@ -75,17 +79,6 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
-    def _map(self) -> dict[int, int]:
-        """The coefficient map with the unit applied."""
-        return self._c if self._unit is None else _frame(self, None)
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
     # ------------------------------------------------------------------
     # inspection
 
@@ -116,47 +109,15 @@ class LaurentPoly:
         shift, sign = u
         return iter([(e + shift, sign * v) for e, v in sorted(self._c.items())])
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._map()))
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = _trusted({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         if self._unit == other._unit:
             return self._c == other._c
-        return len(self._c) == len(other._c) and self._map() == other._map()
-
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def __add__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        a, b = (self, other) if len(self._c) >= len(other._c) else (other, self)
-        unit = a._unit
-        # the sum keeps the longer operand's unit; the other is read in its frame
-        return _trusted(_sum(a._c, b._c if b._unit == unit else _frame(b, unit)), unit)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, LaurentPoly):
-            c = _product(self._c, other._c)
-            u, w = self._unit, other._unit
-            if u is None or w is None:
-                return _trusted(c, w if u is None else u)
-            return _trusted(c, _as_unit(u[0] + w[0], u[1] * w[1]))
-        if not isinstance(other, int):
-            return NotImplemented
-        if not other:
-            return _trusted({})
-        return _trusted({e: other * v for e, v in self._c.items()}, self._unit)
-
-    __rmul__ = __mul__
+        return len(self._c) == len(other._c) and list(self.items()) == list(other.items())
 
     # ------------------------------------------------------------------
     # spec operations
@@ -209,16 +170,6 @@ def _as_unit(shift: int, sign: int) -> tuple[int, int] | None:
     return None if shift == 0 and sign == 1 else (shift, sign)
 
 
-def _frame(p: LaurentPoly, unit: tuple[int, int] | None) -> dict[int, int]:
-    """p's terms, its own unit applied, divided by ``unit`` (None for 1):
-    p read in the frame of a polynomial that carries ``unit``."""
-    shift, sign = p._unit or (0, 1)
-    if unit is not None:
-        shift -= unit[0]
-        sign *= unit[1]
-    return {e + shift: sign * v for e, v in p._c.items()}
-
-
 def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """The coefficient map of a * b by the double loop: a new dict, no zeros."""
     if len(a) > len(b):
@@ -256,9 +207,9 @@ def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     """The exact quotient p / (1 + t)**k, for k >= 0.
 
-    Raises LaurentError when (1 + t)**k does not divide p, and when p's
-    s-exponents mix both parities: a knot's dividend Delta * (1 + t)**k
-    has one parity class, and only that case is divided.
+    Raises LaurentError for a negative k, when (1 + t)**k does not divide
+    p, and when p's s-exponents mix both parities: a knot's dividend
+    Delta * (1 + t)**k has one parity class, and only that case is divided.
 
     Write p = sum_j a_j t**j over its n t-steps from its lowest exponent.
     The power series p / (1 + t) has the coefficients
@@ -271,6 +222,8 @@ def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     The quotient is read in the frame of p's stored map and carries p's
     unit.
     """
+    if k < 0:
+        raise LaurentError(f"cannot divide by (1 + t)^{k}: the power must be at least 0")
     c = p._c
     if not k or not c:
         return p
@@ -296,14 +249,9 @@ def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
     return _trusted(dict(zip(exponents, filter(None, sums))), p._unit)
 
 
-#: The skein multiplier t**(-1/2) - t**(1/2).
-SKEIN_FACTOR = LaurentPoly({-1: 1, 1: -1})
-
-
 # ----------------------------------------------------------------------
-# rendering and parsing.  Terms appear in ascending exponent order; integer
-# powers print as t^k, half powers as t^(k/2).  parse() accepts exactly the
-# emitted grammar (round-trips exactly).
+# rendering.  Terms appear in ascending exponent order; integer powers
+# print as t^k, half powers as t^(k/2).
 
 def _power_str(s_exp: int) -> str:
     if s_exp == 0:
@@ -330,44 +278,3 @@ def render(p: LaurentPoly) -> str:
         else:
             parts.append(f"+ {body}" if v > 0 else f"- {body}")
     return " ".join(parts) or "0"
-
-
-_TERM_RE = re.compile(
-    r"""(?P<sign>[+-])?\s*
-        (?P<coeff>\d+)?\s*
-        (?P<var>t(\^(?P<intexp>-?\d+)|\^\((?P<halfexp>-?\d+)/2\))?)?\s*""",
-    re.VERBOSE,
-)
-
-
-def parse(text: str) -> LaurentPoly:
-    """Parse the textual form produced by render()."""
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly.zero()
-    coeffs: dict[int, int] = {}
-    pos = 0
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise LaurentError(f"cannot parse polynomial at: {text[pos:]!r}")
-        sign_s, coeff_s, var = m.group("sign"), m.group("coeff"), m.group("var")
-        if coeff_s is None and var is None:
-            raise LaurentError(f"cannot parse polynomial at: {text[pos:]!r}")
-        if not first and sign_s is None:
-            raise LaurentError(f"missing +/- between terms in: {text!r}")
-        sign = -1 if sign_s == "-" else 1
-        coeff = int(coeff_s) if coeff_s is not None else 1
-        if var is None:
-            s_exp = 0
-        elif m.group("halfexp") is not None:
-            s_exp = int(m.group("halfexp"))
-        elif m.group("intexp") is not None:
-            s_exp = 2 * int(m.group("intexp"))
-        else:
-            s_exp = 2
-        coeffs[s_exp] = coeffs.get(s_exp, 0) + sign * coeff
-        pos = m.end()
-        first = False
-    return LaurentPoly(coeffs)

@@ -28,8 +28,11 @@ def lowest_exponent(p: LaurentPoly) -> int:
 
 
 def under_unit(p: LaurentPoly, k: int, sign: int) -> LaurentPoly:
-    """p's value, stored as a coefficient map under the unit sign * s**k.
-    ``normalize`` is the only operation that makes a unit: it stores the
-    monomial sign * s**-k, whose value is 1, under the unit sign * s**k, and
-    a product with the unit-free p keeps that unit."""
-    return LaurentPoly({-k: sign}).normalize() * p
+    """p's value, stored as a coefficient map under the unit sign * s**k:
+    the map of p / (sign * s**k) from the public constructor, with the unit
+    written into its slot (None for the unit 1).  ``normalize`` is the only
+    operation that makes a unit, and it picks the unit from the lowest
+    term, so a unit of the test's choosing is set by hand."""
+    q = LaurentPoly({e - k: sign * v for e, v in p.items()})
+    object.__setattr__(q, "_unit", None if (k, sign) == (0, 1) else (k, sign))
+    return q

@@ -1,13 +1,13 @@
 """The closed form of Delta for the (-1, 2n, p, q) pretzel family, from
 the twist-resolution identities: an arbiter of the skein engine on that
-family at any q.  It builds its own (2, l)-torus values and imports only
-``LaurentPoly`` from the package.
+family at any q.  It builds its own (2, l)-torus values, imports only
+``LaurentPoly`` from the package and does its arithmetic with
+``reference_laurent``.
 """
 
 from pretzelsurgery.laurent import LaurentPoly
 
-# w = t^(-1/2) - t^(1/2), in s-exponents (s^2 = t)
-_W = LaurentPoly({-1: 1, 1: -1})
+from reference_laurent import SKEIN_FACTOR, add, multiply, scale
 
 
 def torus(l: int) -> LaurentPoly:
@@ -22,16 +22,16 @@ def claim_formula(n: int, p: int, q: int) -> LaurentPoly:
         raise ValueError("the family has n != 0")
     if n < 0:
         b = -2 * n
-        return (
-            torus(b - 1) * torus(p) * torus(q)
-            + torus(b) * (torus(p - 1) * torus(q) + torus(p) * torus(q - 1)) * -1
+        return add(
+            multiply(torus(b - 1), torus(p), torus(q)),
+            scale(multiply(torus(b), add(multiply(torus(p - 1), torus(q)), multiply(torus(p), torus(q - 1)))), -1),
         )
     if n == 1:
         # P(-1,2,p,q) = P(-2,p,q): one antiparallel crossing change
-        return torus(p) * torus(q) + _W * torus(p + q)
-    return (
-        torus(2 * n - 1) * torus(p) * torus(q)
-        + torus(2 * n) * torus(p - 1) * torus(q)
-        + torus(2 * n) * torus(p) * torus(q - 1)
-        + _W * torus(2 * n) * torus(p) * torus(q)
+        return add(multiply(torus(p), torus(q)), multiply(SKEIN_FACTOR, torus(p + q)))
+    return add(
+        multiply(torus(2 * n - 1), torus(p), torus(q)),
+        multiply(torus(2 * n), torus(p - 1), torus(q)),
+        multiply(torus(2 * n), torus(p), torus(q - 1)),
+        multiply(SKEIN_FACTOR, torus(2 * n), torus(p), torus(q)),
     )

@@ -4,14 +4,18 @@ descending-diagram skein recursion on signed oriented Gauss codes.
 Exponential in crossing number; only usable on small diagrams, but shares
 no code path with the twist-region engine beyond the crossing-sign
 assignment of the Wirtinger builder: the last entry, x(over) * y(under),
-of each ``build_diagram`` relation tuple.
+of each ``build_diagram`` relation tuple.  Its sums and products are
+``reference_laurent``'s, not the ``laurent._product`` and ``_sum`` that
+the engine's state sum runs.
 """
 
 from functools import lru_cache
 
-from pretzelsurgery.laurent import LaurentPoly, SKEIN_FACTOR
+from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.oracle import _walk, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
+
+from reference_laurent import SKEIN_FACTOR, add, multiply, scale
 
 # a diagram is a tuple of components; each component is a tuple of
 # passages (crossing_id, is_over, sign)
@@ -60,7 +64,7 @@ def _conway(diagram) -> LaurentPoly:
     comps = [c for c in diagram if c]
     if len(diagram) > len(comps):
         # a crossing-free component splits off unless it is the whole link
-        return LaurentPoly({0: 1}) if len(diagram) == 1 else LaurentPoly.zero()
+        return LaurentPoly({0: 1}) if len(diagram) == 1 else LaurentPoly()
     if not comps:
         return LaurentPoly({0: 1})
     # first passage violating the descending order
@@ -78,7 +82,7 @@ def _conway(diagram) -> LaurentPoly:
             break
     if target is None:
         # descending diagrams are unlinks
-        return LaurentPoly({0: 1}) if len(comps) == 1 else LaurentPoly.zero()
+        return LaurentPoly({0: 1}) if len(comps) == 1 else LaurentPoly()
     _, _, cid, sign = target
     switched = tuple(
         tuple(
@@ -108,4 +112,4 @@ def _conway(diagram) -> LaurentPoly:
         smoothed.append(xr + yr)
     res = _conway(_relabel(switched))
     smv = _conway(_relabel(tuple(smoothed)))
-    return res + sign * (SKEIN_FACTOR * smv)
+    return add(res, scale(multiply(SKEIN_FACTOR, smv), sign))

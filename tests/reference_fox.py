@@ -16,6 +16,8 @@ from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.oracle import OracleError, build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 
+from reference_laurent import add
+
 _T = LaurentPoly({2: 1})
 _ONE = LaurentPoly({0: 1})
 _MINUS_T = LaurentPoly({2: -1})
@@ -28,14 +30,14 @@ def alexander_matrix(relations: list[tuple[int, int, int, int]]) -> list[list[La
     c = len(relations)
     rows = []
     for over, under_in, under_out, sign in relations:
-        row = [LaurentPoly.zero()] * c
+        row = [LaurentPoly()] * c
         if sign > 0:
-            contrib = ((over, _ONE + _MINUS_T), (under_in, _T), (under_out, _MINUS_ONE))
+            contrib = ((over, add(_ONE, _MINUS_T)), (under_in, _T), (under_out, _MINUS_ONE))
         else:
-            contrib = ((over, _T + _MINUS_ONE), (under_in, _ONE), (under_out, _MINUS_T))
+            contrib = ((over, add(_T, _MINUS_ONE)), (under_in, _ONE), (under_out, _MINUS_T))
         # the same arc may play several roles at one crossing, so accumulate
         for arc, val in contrib:
-            row[arc] = row[arc] + val
+            row[arc] = add(row[arc], val)
         rows.append(row)
     return rows
 
@@ -94,7 +96,7 @@ def kronecker_determinant(matrix: list[list[LaurentPoly]], degree_bound: int) ->
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero()
+                return LaurentPoly()
         pivot = m[k][k]
         for i in range(k + 1, n):
             mik = m[i][k]

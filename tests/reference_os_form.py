@@ -52,5 +52,5 @@ def parent_os_form(delta: LaurentPoly) -> tuple[int, tuple[int, ...]] | None:
     centered = symmetrize(delta)
     if any(e % 2 for e, _ in centered.items()):
         return None
-    exponents = tuple(e // 2 for e in centered.support if e > 0)
+    exponents = tuple(e // 2 for e, _ in centered.items() if e > 0)
     return (len(exponents), exponents) if os_form_polynomial(exponents) == centered else None

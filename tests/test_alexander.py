@@ -10,13 +10,14 @@ import pytest
 from pretzelsurgery import alexander, laurent
 from pretzelsurgery.alexander import alexander_skein, alexander_with_trace
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import SKEIN_FACTOR, LaurentPoly, parse
+from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink, is_knot, parallel_regions
 
 from invariants import at_minus_one, at_one, conj, lowest_exponent
 from reference_closed_form import claim_formula
 from reference_conway import conway_pretzel
+from reference_laurent import SKEIN_FACTOR, add, multiply, parse, scale
 
 
 def small_knots(n_regions: int, max_crossings: int):
@@ -56,21 +57,21 @@ class TestTorusValues:
 
         def check(l, delta):
             if l:
-                assert alexander._numerator(l) == dict((one_plus_t * delta).items()), l
+                assert alexander._numerator(l) == dict(multiply(one_plus_t, delta).items()), l
             if abs(l) <= 2:
                 assert alexander._SMALL_TORUS[l] == dict(delta.items()), l
             if l % 2:
                 assert alexander_skein(PretzelLink((l,))) == delta, l
 
-        prev, cur = LaurentPoly.zero(), LaurentPoly({0: 1})
+        prev, cur = LaurentPoly(), LaurentPoly({0: 1})
         check(0, prev)
         for l in range(1, 2001):
             check(l, cur)
-            prev, cur = cur, prev + w * cur
+            prev, cur = cur, add(prev, multiply(w, cur))
         # Delta_{l-1} = Delta_{l+1} - w Delta_l
-        cur, nxt = LaurentPoly.zero(), LaurentPoly({0: 1})
+        cur, nxt = LaurentPoly(), LaurentPoly({0: 1})
         for l in range(-1, -51, -1):
-            cur, nxt = nxt + w * cur * -1, cur
+            cur, nxt = add(nxt, scale(multiply(w, cur), -1)), cur
             check(l, cur)
 
     def test_known_polynomials(self):

@@ -10,10 +10,11 @@ import pytest
 
 from pretzelsurgery import cli, grids
 from pretzelsurgery.cli import run
-from pretzelsurgery.laurent import parse
 from pretzelsurgery.obstruction import ObstructionError
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink
+
+from reference_laurent import parse
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

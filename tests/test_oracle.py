@@ -8,7 +8,7 @@ import pytest
 from pretzelsurgery import oracle
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import LaurentPoly, parse
+from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.oracle import (
     _DIRECTION,
     OracleError,
@@ -23,6 +23,7 @@ from pretzelsurgery.oracle import (
 from pretzelsurgery.pretzel import PretzelLink
 from invariants import at_minus_one, at_one, conj
 from reference_fox import alexander_fox_dense
+from reference_laurent import parse
 
 
 class TestWirtinger:

@@ -2,8 +2,9 @@
 complex constant, no use of the name ``float`` and no true division ``/``,
 which yields a float on integers.  Exact results come from ``//``,
 ``divmod`` and ``fractions.Fraction``.  And the Fox oracle and the
-reference engines and arbiters share no code with the engines they check,
-and the oracle's arbiter takes no decoder from the oracle.
+reference engines and arbiters share no code with the engines they check:
+they take nothing from ``laurent`` but the ``LaurentPoly`` type, so no
+arithmetic, and the oracle's arbiter takes no decoder from the oracle.
 And every name a module lists in ``__all__`` exists, and the package root
 imports from such a module only names it lists.  And every module-level
 function and class of the package is used by the package itself, and every
@@ -17,25 +18,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pretzelsurgery"
-# the Fox oracle and the reference engines and arbiters of the engines
+# the Fox oracle, the reference engines and arbiters of the engines, and
+# the arbiters' arithmetic
 INDEPENDENT = (
     PACKAGE / "oracle.py",
     ROOT / "tests" / "reference_fox.py",
     ROOT / "tests" / "reference_conway.py",
     ROOT / "tests" / "reference_closed_form.py",
     ROOT / "tests" / "reference_os_form.py",
+    ROOT / "tests" / "reference_laurent.py",
 )
 # what an independent file may take from the modules it shares, where the
-# guard above is not enough: the oracle's arbiter reads the presentation
-# and the polynomial type, and decodes its determinant on its own
+# guard above is not enough: the oracle's arbiter reads the presentation,
+# and decodes its determinant on its own
 ALLOWED_NAMES = {
-    "reference_fox.py": {
-        "pretzelsurgery.oracle": {"build_diagram", "OracleError"},
-        "pretzelsurgery.laurent": {"LaurentPoly"},
-    },
+    "reference_fox.py": {"pretzelsurgery.oracle": {"build_diagram", "OracleError"}},
 }
-# module-level names no package code uses: parse is render's documented inverse
-UNUSED_ALLOWED = {"laurent.parse"}
 # class members nothing reads: from_json reads saved reports back, and
 # argparse calls _Parser.error
 UNUSED_MEMBERS_ALLOWED = {"classify.ClassificationReport.from_json", "cli._Parser.error"}
@@ -69,9 +67,11 @@ def test_guard_sees_floats():
 
 def _shared_code(tree: ast.AST, allowed: dict | None = None):
     """Imports of the skein engine, the classifier, the obstructions, the
-    package root (which re-exports them), or of anything from ``pretzel``
-    beyond the diagram template: ``PretzelLink`` and ``_MAX_TWIST``; and of
-    any module in ``allowed`` (module -> names) beyond the names it lists."""
+    package root (which re-exports them), of anything from ``pretzel``
+    beyond the diagram template: ``PretzelLink`` and ``_MAX_TWIST``, or of
+    anything from ``laurent`` beyond the ``LaurentPoly`` type, such as the
+    ``_product`` and ``_sum`` the skein state sum runs; and of any module
+    in ``allowed`` (module -> names) beyond the names it lists."""
     allowed = allowed or {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -85,6 +85,8 @@ def _shared_code(tree: ast.AST, allowed: dict | None = None):
             if module == "pretzelsurgery" or module.rpartition(".")[2] in ("alexander", "classify", "obstruction"):
                 yield node.lineno, module
             elif module == "pretzelsurgery.pretzel" and not set(names) <= {"PretzelLink", "_MAX_TWIST"}:
+                yield node.lineno, f"{module}: {', '.join(names)}"
+            elif module == "pretzelsurgery.laurent" and not set(names) <= {"LaurentPoly"}:
                 yield node.lineno, f"{module}: {', '.join(names)}"
             elif module in allowed and not set(names) <= allowed[module]:
                 yield node.lineno, f"{module}: {', '.join(names)}"
@@ -110,8 +112,12 @@ def test_guard_sees_shared_code():
         "import pretzelsurgery.pretzel\n"
         "from .pretzel import _MAX_TWIST, PretzelLink\n"
         "from pretzelsurgery.laurent import LaurentPoly\n"
+        "from pretzelsurgery.laurent import LaurentPoly, _product\n"
+        "from .laurent import _sum\n"
+        "import pretzelsurgery.laurent\n"
+        "from .laurent import LaurentPoly\n"
     )
-    assert sorted(line for line, _ in _shared_code(ast.parse(source))) == [1, 2, 3, 4, 5, 6, 7]
+    assert sorted(line for line, _ in _shared_code(ast.parse(source))) == [1, 2, 3, 4, 5, 6, 7, 10, 11, 12]
 
 
 def test_guard_sees_the_arbiter_import_the_decoder():
@@ -119,7 +125,7 @@ def test_guard_sees_the_arbiter_import_the_decoder():
         "from pretzelsurgery.oracle import OracleError, build_diagram\n"
         "from pretzelsurgery.oracle import build_diagram, slot_bytes\n"
         "from pretzelsurgery.laurent import LaurentPoly\n"
-        "from pretzelsurgery.laurent import LaurentPoly, parse\n"
+        "from pretzelsurgery.oracle import kronecker_unpack\n"
         "import pretzelsurgery.oracle\n"
         "from pretzelsurgery.pretzel import PretzelLink\n"
     )
@@ -168,7 +174,7 @@ def test_package_uses_every_definition():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
     }
-    assert [name for name in _unused_definitions(trees) if name not in UNUSED_ALLOWED] == []
+    assert _unused_definitions(trees) == []
 
 
 def test_guard_sees_unused_definitions():

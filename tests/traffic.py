@@ -21,7 +21,7 @@ Stdlib only; pytest does not collect it.  Run it from anywhere:
 
     python tests/traffic.py > unreached.json
 
-It took 4.7–6.6 s in four runs on 2 CPUs with Python 3.11.7 (shared
+It took 2.9–5.3 s in four runs on 2 CPUs with Python 3.11.7 (shared
 host).  Only frames of the package get a local trace function, so the
 rest runs at close to full speed.
 """
