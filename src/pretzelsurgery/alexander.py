@@ -48,20 +48,29 @@ takes its numerator too, one power above its expansion.  The leaves are
 summed per power and each sum is brought to the top power: the state sum
 returns one numerator and its power, as the closed form of a knot with one
 or two regions does, and ``alexander_skein`` ends both in one division
-(``laurent.divide_by_one_plus_t``).  The state sum adds and multiplies
-coefficient maps by ``laurent._sum`` and ``_product``, skips every product
-known to be 0 (a leaf of value 0, a Horner step on an empty sum) and wraps
-only its numerator as a ``LaurentPoly``.  The maps do not grow with the
-twists: the only work linear in the largest twist is the division.  The program of ``alexander_with_trace`` lists
+(``_divide_by_one_plus_t``).  The program of ``alexander_with_trace`` lists
 the values Delta: each multiplier divided by its region's power of 1 + t.
+
+The state sum and the division run on plain coefficient maps
+{s-exponent: coefficient} with no zero value: ``_product``, the dictionary
+double loop, whose cost is the product of the term counts, ``_sum`` and
+``_divide_by_one_plus_t``, a synthetic division by k running sums.  Each
+returns a new map and leaves its operands as they were, and only the
+finished maps are wrapped as ``LaurentPoly`` values.  Every product the
+state sum makes has an operand of at most two terms (a test in
+``tests/test_alexander.py`` guards this), and it skips every product known
+to be 0 (a leaf of value 0, a Horner step on an empty sum).  The maps do
+not grow with the twists: the only work linear in the largest twist is the
+division.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate, compress
+from operator import neg
 
-from . import laurent
-from .laurent import LaurentPoly, _trusted, divide_by_one_plus_t
+from .laurent import LaurentError, LaurentPoly, _trusted
 from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 
 
@@ -79,6 +88,86 @@ _ONE_PLUS_T = {0: 1, 2: 1}
 
 # Delta_l for |l| <= 2, the values of at most two terms: 0, 1 and +-w
 _SMALL_TORUS = {0: _ZERO, 1: _ONE, -1: _ONE, 2: {-1: 1, 1: -1}, -2: {-1: -1, 1: 1}}
+
+
+# ----------------------------------------------------------------------
+# arithmetic on coefficient maps
+
+def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The coefficient map of a * b by the double loop: a new dict, no zeros."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    terms = iter(a.items())
+    e1, v1 = next(terms)
+    c = {e1 + e2: v1 * v2 for e2, v2 in b.items()}
+    for e1, v1 in terms:
+        for e2, v2 in b.items():
+            e = e1 + e2
+            v = c.get(e, 0) + v1 * v2
+            if v:
+                c[e] = v
+            else:
+                del c[e]
+    return c
+
+
+def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The coefficient map of a + b: a new dict, no zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    c = a.copy()
+    for e, v in b.items():
+        v += c.get(e, 0)
+        if v:
+            c[e] = v
+        else:
+            del c[e]
+    return c
+
+
+def _divide_by_one_plus_t(c: dict[int, int], k: int) -> dict[int, int]:
+    """The coefficient map of the exact quotient c / (1 + t)**k, for k >= 0:
+    a new dict, no zeros.
+
+    Raises LaurentError for a negative k, when (1 + t)**k does not divide
+    c, and when c's s-exponents mix both parities: a knot's dividend
+    Delta * (1 + t)**k has one parity class, and only that case is divided.
+
+    Write c = sum_j a_j t**j over its n t-steps from its lowest exponent.
+    The power series c / (1 + t) has the coefficients
+    q_j = sum_{i <= j} (-1)**(j - i) a_i, so (-1)**j q_j is the running sum
+    of the (-1)**i a_i: k running sums of the signed list give the first n
+    coefficients of c / (1 + t)**k, times (-1)**j.  The quotient, if any,
+    has n - k terms, so (1 + t)**k divides c exactly when the top k sums
+    vanish: then the first n - k sums, times (-1)**j, are a polynomial Q
+    with Q (1 + t)**k = c modulo t**n, and both sides have degree below n.
+    """
+    if k < 0:
+        raise LaurentError(f"cannot divide by (1 + t)^{k}: the power must be at least 0")
+    if not k or not c:
+        return dict(c)
+    lo, hi = min(c), max(c)
+    if any((e - lo) % 2 for e in c):
+        raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
+    n = (hi - lo) // 2 + 1
+    count = n - k  # the quotient's terms
+    if count <= 0:
+        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
+    sums = [0] * n
+    for e, v in c.items():
+        j = (e - lo) // 2
+        sums[j] = -v if j % 2 else v
+    for _ in range(k):  # lazy passes, run at C speed by the list() below
+        sums = accumulate(sums)
+    sums = list(sums)
+    if any(sums[count:]):
+        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
+    del sums[count:]
+    sums[1::2] = map(neg, sums[1::2])
+    exponents = compress(range(lo, lo + 2 * count, 2), sums)
+    return dict(zip(exponents, filter(None, sums)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -148,7 +237,7 @@ def _state_sum(params, parallel, has_even: bool) -> tuple[dict[int, int], int]:
     """Sum over one branch per region, resolving the regions in index
     order (see the module docstring): the numerator N and the power k
     with Delta = N / (1 + t)^k."""
-    product, add = laurent._product, laurent._sum
+    product, add = _product, _sum
     # (sum of the kept +-1 regions, min(kept, 3)) -> the weight of the
     # expansions without a 0 region
     states: dict = {(0, 0): _ONE}
@@ -222,10 +311,9 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
     has_even = any(a % 2 == 0 for a in params)
     if len(params) <= 2:
         numerator, k = _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
-        numerator = dict(numerator)  # never wrap a shared value
     else:
         numerator, k = _state_sum(params, parallel, has_even)
-    return divide_by_one_plus_t(_trusted(numerator), k)
+    return _trusted(_divide_by_one_plus_t(numerator, k))
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
@@ -244,7 +332,7 @@ def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
     for i, (a, par) in regions:
         if abs(a) >= 2:
             branches, k = _choices(a, par)
-            steps.append((i, a, tuple((divide_by_one_plus_t(LaurentPoly(m), k), o) for m, o in branches)))
+            steps.append((i, a, tuple((_trusted(_divide_by_one_plus_t(m, k)), o) for m, o in branches)))
     return value, steps
 
 

@@ -11,7 +11,8 @@ Subcommands:
 
 The grids, their default bounds and their checks are defined in
 :mod:`pretzelsurgery.grids`; ``--nmax``/``--pmax``/``--qmax`` override the
-bounds a suite reads.
+bounds a suite reads, and a bound flag that the suite does not read is a
+usage error.
 
 Exit codes: 0 success, 1 usage/input error, 2 verification failure.
 All output is deterministic; grid output is JSON-lines sorted by
@@ -173,12 +174,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify_claims(args) -> int:
     make_grid = SUITES[args.suite]
-    # a suite reads the bounds it names; the other bound flags are ignored
-    bounds = {
-        name: getattr(args, name)
-        for name in signature(make_grid).parameters
-        if getattr(args, name, None) is not None
-    }
+    # a suite reads the bounds it names; another bound flag is a usage error,
+    # since the grid it asks for would never run
+    reads = signature(make_grid).parameters
+    for name in ("nmax", "pmax", "qmax"):
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(f"--suite {args.suite} does not read --{name}")
+    bounds = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
     results = make_grid(**bounds).records()
     results.sort(key=lambda r: json.dumps(r, sort_keys=True))
     failures = 0

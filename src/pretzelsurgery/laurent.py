@@ -13,39 +13,23 @@ arbiters bring their own arithmetic (``tests/reference_laurent.py``).
 A polynomial is stored as a coefficient map times a unit sign * s**shift.
 The unit lives in one slot, ``None`` for the unit 1 and ``(shift, sign)``
 otherwise.  ``normalize`` is the only operation that makes a unit: after
-one ``min`` over the exponents it relabels the map it reads, in O(1).  The
-quotient of ``divide_by_one_plus_t`` keeps its dividend's unit; single
-coefficients and the degree read the unit without rebuilding the map.
-``items()`` applies the unit in the pass after the sort, and ``==`` under
-two different units compares the ``items()`` of both.
+one ``min`` over the exponents it relabels the map it reads, in O(1).
+Single coefficients and the degree read the unit without rebuilding the
+map.  ``items()`` applies the unit in the pass after the sort, and ``==``
+under two different units compares the ``items()`` of both.
 
-The skein state sum builds its numerator on plain coefficient maps with
-two functions: ``_product``, the dictionary double loop, whose cost is the
-product of the term counts, and ``_sum``.  Every product it makes has an
-operand of at most two terms (a test in ``tests/test_alexander.py`` guards
-this).
-
-``divide_by_one_plus_t`` divides exactly by (1 + t)**k by synthetic
-division: the dividend, whose s-exponents share one parity, is laid out
-densely in t-steps with alternating signs, and k running sums of that list
-give, up to the same signs, the first terms of the power series
-p / (1 + t)**k.  The top k of them vanish exactly when the division is
-exact, and the others are the quotient.
-
-The results of ``normalize`` and the division, and the state sum's
-numerator, are built by ``_trusted``, which wraps a dict already known to
-hold int keys and no zero values, and its unit, without checking them
-again; ``LaurentPoly(mapping)`` is the public constructor and keeps its
-checks.
+The results of ``normalize`` and of the skein engine are built by
+``_trusted``, which wraps a dict already known to hold int keys and no
+zero values, and its unit, without checking them again;
+``LaurentPoly(mapping)`` is the public constructor and keeps its checks.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, compress
-from operator import index, neg
+from operator import index
 from typing import Iterator, Mapping
 
-__all__ = ["LaurentError", "LaurentPoly", "divide_by_one_plus_t", "render"]
+__all__ = ["LaurentError", "LaurentPoly", "render"]
 
 
 class LaurentError(ValueError):
@@ -168,85 +152,6 @@ def _trusted(c: dict[int, int], unit: tuple[int, int] | None = None) -> LaurentP
 def _as_unit(shift: int, sign: int) -> tuple[int, int] | None:
     """The unit slot of sign * s**shift: None for 1."""
     return None if shift == 0 and sign == 1 else (shift, sign)
-
-
-def _product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The coefficient map of a * b by the double loop: a new dict, no zeros."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return {}
-    terms = iter(a.items())
-    e1, v1 = next(terms)
-    c = {e1 + e2: v1 * v2 for e2, v2 in b.items()}
-    for e1, v1 in terms:
-        for e2, v2 in b.items():
-            e = e1 + e2
-            v = c.get(e, 0) + v1 * v2
-            if v:
-                c[e] = v
-            else:
-                del c[e]
-    return c
-
-
-def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The coefficient map of a + b: a new dict, no zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    c = a.copy()
-    for e, v in b.items():
-        v += c.get(e, 0)
-        if v:
-            c[e] = v
-        else:
-            del c[e]
-    return c
-
-
-def divide_by_one_plus_t(p: LaurentPoly, k: int) -> LaurentPoly:
-    """The exact quotient p / (1 + t)**k, for k >= 0.
-
-    Raises LaurentError for a negative k, when (1 + t)**k does not divide
-    p, and when p's s-exponents mix both parities: a knot's dividend
-    Delta * (1 + t)**k has one parity class, and only that case is divided.
-
-    Write p = sum_j a_j t**j over its n t-steps from its lowest exponent.
-    The power series p / (1 + t) has the coefficients
-    q_j = sum_{i <= j} (-1)**(j - i) a_i, so (-1)**j q_j is the running sum
-    of the (-1)**i a_i: k running sums of the signed list give the first n
-    coefficients of p / (1 + t)**k, times (-1)**j.  The quotient, if any,
-    has n - k terms, so (1 + t)**k divides p exactly when the top k sums
-    vanish: then the first n - k sums, times (-1)**j, are a polynomial Q
-    with Q (1 + t)**k = p modulo t**n, and both sides have degree below n.
-    The quotient is read in the frame of p's stored map and carries p's
-    unit.
-    """
-    if k < 0:
-        raise LaurentError(f"cannot divide by (1 + t)^{k}: the power must be at least 0")
-    c = p._c
-    if not k or not c:
-        return p
-    lo, hi = min(c), max(c)
-    if any((e - lo) % 2 for e in c):
-        raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
-    n = (hi - lo) // 2 + 1
-    count = n - k  # the quotient's terms
-    if count <= 0:
-        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    sums = [0] * n
-    for e, v in c.items():
-        j = (e - lo) // 2
-        sums[j] = -v if j % 2 else v
-    for _ in range(k):  # lazy passes, run at C speed by the list() below
-        sums = accumulate(sums)
-    sums = list(sums)
-    if any(sums[count:]):
-        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    del sums[count:]
-    sums[1::2] = map(neg, sums[1::2])
-    exponents = compress(range(lo, lo + 2 * count, 2), sums)
-    return _trusted(dict(zip(exponents, filter(None, sums))), p._unit)
 
 
 # ----------------------------------------------------------------------

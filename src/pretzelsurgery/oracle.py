@@ -21,10 +21,7 @@ is the independent check.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import deque
-from typing import Sequence
 
 from .laurent import LaurentPoly
 from .pretzel import _MAX_TWIST, PretzelLink
@@ -53,10 +50,10 @@ def _regions(link: PretzelLink) -> tuple[int, ...]:
 
 def _walk(link: PretzelLink):
     """Traverse the knot from the top-left corner of crossing 0, returning
-    the passage list [(crossing, corner in)] and each region's range of
-    crossing ids.  Raises OracleError for a link: no crossing, a return to
-    the start before 2c passages, or a closure arc missed (two adjacent
-    zero regions bound a circle with no crossing)."""
+    the passage list [(crossing, corner in)].  Raises OracleError for a
+    link: no crossing, a return to the start before 2c passages, or a
+    closure arc missed (two adjacent zero regions bound a circle with no
+    crossing)."""
     params = _regions(link)
     n = len(params)
     arcs = 0  # closure arcs walked
@@ -102,7 +99,7 @@ def _walk(link: PretzelLink):
         raise OracleError(f"{link}: strand walk did not close up after {2 * c} passages")
     if arcs < 2 * n:
         raise OracleError(f"{link} is not a knot: the strand walk misses a circle with no crossing")
-    return passages, region_crossings
+    return passages
 
 
 def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
@@ -110,7 +107,7 @@ def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
     0..c-1 of a knot with no region of more than ``_MAX_TWIST`` crossings."""
     if max(map(abs, link.params)) > _MAX_TWIST:
         raise OracleError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
-    passages, _ = _walk(link)
+    passages = _walk(link)
     c = link.crossing_count
     # the over-strand runs TL-BR at the crossings of a positive region
     positive = [a > 0 for a in link.params for _ in range(abs(a))]
@@ -235,47 +232,22 @@ def _bareiss(m: list[list[int]]) -> int:
 # ----------------------------------------------------------------------
 # Kronecker decoding of the determinant's value at X = 2**(8*nbytes)
 
-_BYTE_ORDER = "little"
-# slot width in bytes -> signed array typecode; native little-endian only,
-# so a big-endian host reads every slot through int.from_bytes
-_FORMATS = (
-    {array(f).itemsize: f for f in "bhiq"} if sys.byteorder == _BYTE_ORDER else {}
-)
-
-
 def slot_bytes(bits: int) -> int:
-    """The narrowest slot width of at least ``bits`` bits: 1, 2, 4 or 8
-    bytes, which unpack at C speed, else the fewest whole bytes."""
-    for nbytes in (1, 2, 4, 8):
-        if bits <= 8 * nbytes:
-            return nbytes
+    """The fewest whole bytes that hold ``bits`` bits."""
     return (bits + 7) // 8
 
 
-def _sign_bits(nbytes: int, count: int) -> int:
-    """The top bit of each of ``count`` slots of ``nbytes`` bytes."""
-    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, _BYTE_ORDER)
-
-
-def kronecker_unpack(x: int, nbytes: int, count: int) -> Sequence[int]:
-    """The ``count`` signed slots v_e of ``x`` = sum(v_e * 2**(8*nbytes*e)).
-
-    Widths of 1, 2, 4 and 8 bytes are read through ``memoryview`` at C
-    speed; wider slots one at a time with ``int.from_bytes``, so results
-    stay exact at any size.  Raises OverflowError when ``x`` is not a sum
-    of ``count`` signed slots.
+def kronecker_unpack(x: int, nbytes: int, count: int) -> list[int]:
+    """The ``count`` signed slots v_e of ``x`` = sum(v_e * 2**(8*nbytes*e)),
+    exact at any width.  Raises OverflowError when ``x`` is not a sum of
+    ``count`` signed slots.
     """
-    bias = _sign_bits(nbytes, count)
-    # adding the bias lifts every slot into [0, 2**(8*nbytes)) with no
-    # carries; the xor then puts each slot back in two's complement
-    raw = ((x + bias) ^ bias).to_bytes(nbytes * count, _BYTE_ORDER)
-    fmt = _FORMATS.get(nbytes)
-    if fmt:
-        return memoryview(raw).cast(fmt)
-    return [
-        int.from_bytes(raw[i:i + nbytes], _BYTE_ORDER, signed=True)
-        for i in range(0, len(raw), nbytes)
-    ]
+    # adding the bias, the top bit of every slot, lifts every slot into
+    # [0, 2**(8*nbytes)) with no carries; the xor then puts each slot back
+    # in two's complement
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    raw = ((x + bias) ^ bias).to_bytes(nbytes * count, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True) for i in range(0, len(raw), nbytes)]
 
 
 def alexander_fox(link: PretzelLink) -> LaurentPoly:
@@ -309,7 +281,6 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
         digits = kronecker_unpack(value, nbytes, len(relations) + 1)
     except OverflowError:
         raise OracleError("determinant decoding overflow: digit bound violated") from None
-    digits = list(digits)
     nonzero = [t_exp for t_exp, d in enumerate(digits) if d]
     if not nonzero:
         raise OracleError(f"vanishing Alexander minor for {link}: diagram bug")

@@ -5,7 +5,7 @@ Exponential in crossing number; only usable on small diagrams, but shares
 no code path with the twist-region engine beyond the crossing-sign
 assignment of the Wirtinger builder: the last entry, x(over) * y(under),
 of each ``build_diagram`` relation tuple.  Its sums and products are
-``reference_laurent``'s, not the ``laurent._product`` and ``_sum`` that
+``reference_laurent``'s, not the ``alexander._product`` and ``_sum`` that
 the engine's state sum runs.
 """
 
@@ -23,11 +23,9 @@ from reference_laurent import SKEIN_FACTOR, add, multiply, scale
 
 def gauss_from_pretzel(link: PretzelLink):
     relations = build_diagram(link)
-    passages, region_ids = _walk(link)
-    region_of = {}
-    for i, ids in enumerate(region_ids):
-        for cid in ids:
-            region_of[cid] = i
+    passages = _walk(link)
+    # crossing ids run region by region
+    region_of = [i for i, a in enumerate(link.params) for _ in range(abs(a))]
     comp = []
     for cid, corner in passages:
         over_diag_tlbr = link.params[region_of[cid]] > 0

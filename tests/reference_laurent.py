@@ -6,8 +6,9 @@ or parses a polynomial.  The tests and the arbiters that do (the Conway
 skein of ``reference_conway``, the dense Fox minor of ``reference_fox``)
 do it here, on ``LaurentPoly.items()``, the public constructor and a
 dictionary double loop of this module's own.  So they share no arithmetic
-with the skein state sum, which runs ``laurent._product`` and ``_sum``,
-and ``multiply`` and ``add`` are the arbiters of those two.
+with the skein state sum, which runs ``alexander._product`` and ``_sum``
+and divides by ``alexander._divide_by_one_plus_t``, and ``multiply`` and
+``add`` are the arbiters of those three.
 """
 
 import re

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from pretzelsurgery import alexander, laurent
+from pretzelsurgery import alexander
 from pretzelsurgery.alexander import alexander_skein, alexander_with_trace
 from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import LaurentPoly
@@ -76,12 +76,9 @@ class TestTorusValues:
 
     def test_known_polynomials(self):
         assert alexander._SMALL_TORUS[1] == {0: 1}
-        assert laurent.divide_by_one_plus_t(LaurentPoly(alexander._numerator(3)), 1).equal_up_to_units(
-            parse("1 - t + t^2")
-        )
-        assert laurent.divide_by_one_plus_t(LaurentPoly(alexander._numerator(5)), 1).equal_up_to_units(
-            parse("1 - t + t^2 - t^3 + t^4")
-        )
+        divide = alexander._divide_by_one_plus_t
+        assert LaurentPoly(divide(alexander._numerator(3), 1)).equal_up_to_units(parse("1 - t + t^2"))
+        assert LaurentPoly(divide(alexander._numerator(5), 1)).equal_up_to_units(parse("1 - t + t^2 - t^3 + t^4"))
 
     def test_large_values_not_kept(self):
         # no process-wide table grows with l: the values of 50 one-region
@@ -251,13 +248,13 @@ class TestProductOperands:
         # product has an empty operand, as a 0 leaf, a 0 cut factor or a
         # Horner step on an empty sum would give
         shortest = []
-        product = laurent._product
+        product = alexander._product
 
         def recording(a, b):
             shortest.append(min(len(a), len(b)))
             return product(a, b)
 
-        monkeypatch.setattr(laurent, "_product", recording)
+        monkeypatch.setattr(alexander, "_product", recording)
         links = list(knot_box(4, 5))
         assert len(links) == 5142
         for family in ((-2, 3), (-1, 4, 3), (-1, -4, 5), (-1, -1, 4, 3)):
@@ -275,13 +272,13 @@ class TestProductOperands:
         # the state sum makes no product known to be 0: no Horner step on an
         # empty sum and no leaf of value 0
         calls = []
-        product = laurent._product
+        product = alexander._product
 
         def counting(a, b):
             calls.append(None)
             return product(a, b)
 
-        monkeypatch.setattr(laurent, "_product", counting)
+        monkeypatch.setattr(alexander, "_product", counting)
         alexander_skein(PretzelLink(params))
         assert len(calls) == products
 
@@ -298,7 +295,7 @@ class TestProductOperands:
             alexander._state_sum(params, parallel, True)
         numerator, k = alexander._state_sum(params, parallel_regions(PretzelLink(params)), True)
         assert all(numerator.values())
-        assert laurent.divide_by_one_plus_t(LaurentPoly(numerator), k) == alexander_skein(PretzelLink(params))
+        assert LaurentPoly(alexander._divide_by_one_plus_t(numerator, k)) == alexander_skein(PretzelLink(params))
 
 
 class TestSharedValues:
@@ -313,8 +310,8 @@ class TestSharedValues:
             alexander_skein(link)
         assert [dict(m) for m in shared] == before
         assert all(alexander._numerator(l) is m for l, m in cached.items())
-        # a one- or two-region knot over (1 + t)^0 is not divided, and its
-        # result owns its map
+        # a one- or two-region knot over (1 + t)^0 is divided by (1 + t)^0,
+        # which copies: its result owns its map
         for params in ((1,), (-1,), (2, -1), (3,), (-2, 1), (4, -1)):
             delta = alexander_skein(PretzelLink(params))
             assert all(delta._c is not m for m in shared), params

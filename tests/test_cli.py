@@ -286,6 +286,19 @@ class TestGrids:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "suite,flag",
+        [("claim2", "--nmax"), ("claim2", "--pmax"), ("claim2", "--qmax"), ("claim5", "--nmax"),
+         ("classify-sweep", "--pmax")],
+    )
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_unread_bound_rejected(self, capsys, suite, flag, json_flag):
+        # a bound the suite does not read would report a grid that was never
+        # asked for as passed, so it is a usage error naming suite and flag
+        code, out, err = run_cli(capsys, "verify-claims", "--suite", suite, flag, "9", *json_flag)
+        assert (code, out) == (1, "")
+        assert err == f"error: --suite {suite} does not read {flag}\n"
+
     def test_cell_counts_match_enumeration(self):
         for pmin in (3, 5):
             for pmax in range(-1, 16):

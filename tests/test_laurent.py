@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pretzelsurgery import laurent
-from pretzelsurgery.laurent import LaurentError, LaurentPoly, divide_by_one_plus_t, render
+from pretzelsurgery.alexander import _divide_by_one_plus_t, _product, _sum
+from pretzelsurgery.laurent import LaurentError, LaurentPoly, _trusted, render
 
 from invariants import conj, lowest_exponent, under_unit
 from reference_laurent import SKEIN_FACTOR, add, multiply, parse, scale
@@ -20,8 +21,19 @@ coeffs = st.dictionaries(
 polys = coeffs.map(LaurentPoly)
 
 
-# the zero-free coefficient maps that ``laurent._product`` and ``_sum`` take
-maps = polys.map(lambda p: dict(p.items()))
+def _map(p):
+    """The coefficient map of a polynomial: the zero-free map that the skein
+    engine's ``_product``, ``_sum`` and ``_divide_by_one_plus_t`` take."""
+    return dict(p.items())
+
+
+maps = polys.map(_map)
+
+
+def _shifted(m, unit):
+    """The coefficient map m times the unit sign * s**k."""
+    k, sign = unit
+    return {e + k: sign * v for e, v in m.items()}
 
 
 def _conj(m):
@@ -30,44 +42,43 @@ def _conj(m):
 
 
 class TestArithmetic:
-    """Ring properties of ``laurent._product`` and ``_sum``, the arithmetic
+    """Ring properties of ``alexander._product`` and ``_sum``, the arithmetic
     the skein state sum runs on plain coefficient maps."""
 
     @given(maps, maps)
     def test_addition_commutes(self, a, b):
-        assert laurent._sum(a, b) == laurent._sum(b, a)
+        assert _sum(a, b) == _sum(b, a)
 
     @given(maps, maps)
     def test_multiplication_commutes(self, a, b):
-        assert laurent._product(a, b) == laurent._product(b, a)
+        assert _product(a, b) == _product(b, a)
 
     @given(maps, maps, maps)
     def test_distributive(self, a, b, c):
-        product, plus = laurent._product, laurent._sum
-        assert product(a, plus(b, c)) == plus(product(a, b), product(a, c))
+        assert _product(a, _sum(b, c)) == _sum(_product(a, b), _product(a, c))
 
     @given(maps)
     def test_additive_inverse(self, a):
-        assert laurent._sum(a, {e: -v for e, v in a.items()}) == {}
+        assert _sum(a, {e: -v for e, v in a.items()}) == {}
 
     @given(maps)
     def test_units(self, a):
-        assert laurent._product(a, {0: 1}) == a
-        assert laurent._product(a, {}) == {}
+        assert _product(a, {0: 1}) == a
+        assert _product(a, {}) == {}
 
     @given(maps, st.integers(min_value=-6, max_value=6))
     def test_shift_is_unit_multiplication(self, a, k):
-        assert laurent._product(a, {k: 1}) == {e + k: v for e, v in a.items()}
+        assert _product(a, {k: 1}) == {e + k: v for e, v in a.items()}
 
     @given(maps, maps)
     def test_conj_multiplicative(self, a, b):
-        assert _conj(laurent._product(a, b)) == laurent._product(_conj(a), _conj(b))
+        assert _conj(_product(a, b)) == _product(_conj(a), _conj(b))
 
     @given(maps, maps)
     def test_evaluation_ring_hom(self, a, b):
         # the value at s = 1 is the sum of the coefficients
-        assert sum(laurent._product(a, b).values()) == sum(a.values()) * sum(b.values())
-        assert sum(laurent._sum(a, b).values()) == sum(a.values()) + sum(b.values())
+        assert sum(_product(a, b).values()) == sum(a.values()) * sum(b.values())
+        assert sum(_sum(a, b).values()) == sum(a.values()) + sum(b.values())
 
 
 class TestNormalization:
@@ -93,6 +104,20 @@ class TestNormalization:
         n = p.normalize()
         assert lowest_exponent(n) == 0
         assert n.s_coefficient(0) > 0
+
+    def test_trusted_results_match_public_constructor(self):
+        p = LaurentPoly({-3: 2, -1: -5, 1: 7, 5: -1, 9: 3})
+        q = LaurentPoly({e: e - 4 for e in range(-10, 12)})
+        one_plus_t_squared = LaurentPoly({0: 1, 2: 2, 4: 1})
+        results = [
+            q.normalize(), multiply(p, q).normalize(), p.normalize().normalize(),
+            scale(q, -3).normalize(), under_unit(p, 3, -1).normalize(),
+            _trusted(_divide_by_one_plus_t(_map(multiply(p, one_plus_t_squared)), 2)),
+        ]
+        for r in results:
+            public = LaurentPoly(dict(r.items()))
+            assert all(v for _, v in r.items())
+            assert r == public
 
 
 class TestRendering:
@@ -176,8 +201,8 @@ def _shape_pairs():
         yield torus, short
 
 
-class TestPackedProduct:
-    """``laurent._product`` and ``_sum`` against the schoolbook ``multiply``
+class TestProductAndSumAgainstSchoolbook:
+    """``alexander._product`` and ``_sum`` against the schoolbook ``multiply``
     and ``add`` of ``reference_laurent``."""
 
     @pytest.mark.parametrize(
@@ -187,38 +212,22 @@ class TestPackedProduct:
         # the map functions the skein state sum calls: each returns a new map
         # with no zero stored and leaves both operands as they were
         for p, q in pairs():
-            a, b = dict(p.items()), dict(q.items())
+            a, b = _map(p), _map(q)
             a0, b0 = dict(a), dict(b)
             minus_a = {e: -v for e, v in a.items()}
             for fn, arbiter, x, y in (
-                (laurent._product, multiply, a, b),
-                (laurent._product, multiply, b, a),
-                (laurent._sum, add, a, b),
-                (laurent._sum, add, b, a),
-                (laurent._sum, add, a, minus_a),
+                (_product, multiply, a, b),
+                (_product, multiply, b, a),
+                (_sum, add, a, b),
+                (_sum, add, b, a),
+                (_sum, add, a, minus_a),
             ):
                 m = fn(x, y)
                 assert m is not x and m is not y
                 assert all(m.values()), (fn, p, q)
                 assert LaurentPoly(m) == arbiter(LaurentPoly(x), LaurentPoly(y)), (fn, p, q)
                 assert a == a0 and b == b0, (fn, p, q)
-            assert laurent._sum(a, minus_a) == {}
-
-    def test_trusted_results_match_public_constructor(self):
-        p = LaurentPoly({-3: 2, -1: -5, 1: 7, 5: -1, 9: 3})
-        q = LaurentPoly({e: e - 4 for e in range(-10, 12)})
-        one_plus_t_squared = LaurentPoly({0: 1, 2: 2, 4: 1})
-        results = [
-            q.normalize(), multiply(p, q).normalize(), p.normalize().normalize(),
-            scale(q, -3).normalize(), under_unit(p, 3, -1).normalize(),
-            divide_by_one_plus_t(multiply(p, one_plus_t_squared), 2),
-            divide_by_one_plus_t(under_unit(multiply(p, one_plus_t_squared), 1, -1), 2),
-            divide_by_one_plus_t(multiply(p, one_plus_t_squared).normalize(), 1),
-        ]
-        for r in results:
-            public = LaurentPoly(dict(r.items()))
-            assert all(v for _, v in r.items())
-            assert r == public
+            assert _sum(a, minus_a) == {}
 
 
 def _times_one_plus_t(q, k):
@@ -259,14 +268,17 @@ def _wide_quotients():
 
 
 class TestExactDivision:
+    """``alexander._divide_by_one_plus_t`` on coefficient maps, against
+    quotients multiplied back by the schoolbook ``multiply``."""
+
     @pytest.mark.parametrize(
         "cases", [_seeded_quotients, _wide_quotients], ids=lambda f: f.__name__
     )
     def test_quotient_of_product(self, cases):
         for q, k in cases():
-            r = divide_by_one_plus_t(_times_one_plus_t(q, k), k)
-            assert r == q, (q, k)
-            assert all(v for _, v in r.items())
+            r = _divide_by_one_plus_t(_map(_times_one_plus_t(q, k)), k)
+            assert r == _map(q), (q, k)
+            assert all(r.values())
 
     def test_indivisible_raises(self):
         rng = random.Random(14)
@@ -276,13 +288,13 @@ class TestExactDivision:
             lo, hi = lowest_exponent(n), n.maxdeg
             for e in (lo, hi, lo + 2, hi - 6):
                 with pytest.raises(LaurentError, match="does not divide"):
-                    divide_by_one_plus_t(add(n, LaurentPoly({e: 1})), k)
+                    _divide_by_one_plus_t(_map(add(n, LaurentPoly({e: 1}))), k)
             # one factor short
             with pytest.raises(LaurentError, match="does not divide"):
-                divide_by_one_plus_t(_times_one_plus_t(q, k - 1), k)
+                _divide_by_one_plus_t(_map(_times_one_plus_t(q, k - 1)), k)
         for n in (LaurentPoly({0: 1}), parse("1 + 2t + t^2"), parse("1 - t")):
             with pytest.raises(LaurentError, match="does not divide"):
-                divide_by_one_plus_t(n, 3)
+                _divide_by_one_plus_t(_map(n), 3)
 
     def test_mixed_parity_raises(self):
         # a knot's dividend has one parity class, and only that is divided:
@@ -297,26 +309,35 @@ class TestExactDivision:
             cases += [
                 (_times_one_plus_t(multiply(q, one_plus_s), k), k),
                 (add(n, LaurentPoly({lowest_exponent(n) + 1: 1})), k),
-                (under_unit(add(n, LaurentPoly({n.maxdeg - 3: -1})), k, -1), k),
+                (multiply(add(n, LaurentPoly({n.maxdeg - 3: -1})), LaurentPoly({k: -1})), k),
             ]
         for n, k in cases:
             with pytest.raises(LaurentError, match="one parity") as exc:
-                divide_by_one_plus_t(n, k)
+                _divide_by_one_plus_t(_map(n), k)
             assert "does not divide" not in str(exc.value)
 
     def test_zero_and_no_factor(self):
         for k in (0, 1, 5):
-            assert divide_by_one_plus_t(LaurentPoly(), k).is_zero
-        p = LaurentPoly({-3: 2, 0: -1, 7: 4})
-        assert divide_by_one_plus_t(p, 0) == p
+            assert _divide_by_one_plus_t({}, k) == {}
+        assert _divide_by_one_plus_t({-3: 2, 0: -1, 7: 4}, 0) == {-3: 2, 0: -1, 7: 4}
+
+    def test_returns_a_new_map(self):
+        # the quotient never aliases its dividend, at k = 0 and on the zero
+        # map too, so a shared value can be divided and then wrapped
+        for c, k in (({}, 0), ({}, 2), ({-3: 2, 0: -1, 7: 4}, 0), ({0: 1, 2: 2, 4: 1}, 1),
+                     ({0: 1, 2: 2, 4: 1}, 2), ({-1: 3, 1: 3}, 1)):
+            before = dict(c)
+            r = _divide_by_one_plus_t(c, k)
+            assert r is not c and c == before, (c, k)
+            assert _map(_times_one_plus_t(LaurentPoly(r), k)) == c, (c, k)
 
     def test_negative_power_raises(self):
         # a negative k would ask for p * (1 + t)**-k: it raises instead of
         # returning p
-        for p in (LaurentPoly({0: 1, 2: 2, 4: 1}), LaurentPoly(), under_unit(LaurentPoly({0: 1}), 3, -1)):
+        for c in ({0: 1, 2: 2, 4: 1}, {}, {3: -1}):
             for k in (-1, -2):
                 with pytest.raises(LaurentError, match="at least 0"):
-                    divide_by_one_plus_t(p, k)
+                    _divide_by_one_plus_t(c, k)
 
 
 _UNITS = [(k, sign) for k in range(-5, 6) for sign in (1, -1)]
@@ -351,10 +372,10 @@ def _up_to_units(p, q):
 class TestUnits:
     """A polynomial carries a unit +-s**k beside its coefficient map.
     ``normalize`` is the only operation that makes one (``under_unit`` puts
-    any value under any unit by hand), and the division carries it on.
-    Every operation on a polynomial under a unit must agree
-    with the same operation on the unit-free rebuild
-    ``LaurentPoly(dict(p.items()))``."""
+    any value under any unit by hand).  Every read of a polynomial under a
+    unit must agree with the same read of the unit-free rebuild
+    ``LaurentPoly(dict(p.items()))``, and the skein's division on maps must
+    commute with the same unit."""
 
     def _check_unary(self, pu, pr, unit):
         assert list(pu.items()) == list(pr.items())
@@ -370,16 +391,20 @@ class TestUnits:
             assert pu.coefficient(e) == pr.coefficient(e)
         assert render(pu) == render(pr) and str(pu) == str(pr) and repr(pu) == repr(pr)
         assert parse(render(pu)) == pr
-        # the division takes one parity class: pr's exponents doubled, under the unit
-        dr = LaurentPoly({2 * e: v for e, v in pr.items()})
-        du = under_unit(dr, *unit)
+        # the skein's division runs on maps and commutes with the unit:
+        # dividing the shifted and negated map gives the quotient shifted and
+        # negated alike, or raises the same error.  It takes one parity
+        # class, pr's exponents doubled; pr's own map may mix both
+        dr = {2 * e: v for e, v in pr.items()}
+        for m in (dr, _map(pr)):
+            for j in (0, 1, 2):
+                quotient = _outcome(_divide_by_one_plus_t, m, j)
+                expected = quotient if isinstance(quotient, str) else _shifted(quotient, unit)
+                assert _outcome(_divide_by_one_plus_t, _shifted(m, unit), j) == expected
         for j in (1, 2):
-            # the divisible dividend carries du's unit, the bare one mostly raises
-            dividend = under_unit(multiply(dr, _ONE_PLUS_T[j]), *unit)
-            assert _outcome(divide_by_one_plus_t, dividend, j) == list(dr.items())
-            assert _outcome(divide_by_one_plus_t, du, j) == _outcome(divide_by_one_plus_t, dr, j)
-            assert _outcome(divide_by_one_plus_t, pu, j) == _outcome(divide_by_one_plus_t, pr, j)
-        assert divide_by_one_plus_t(pu, 0) == pr
+            # the divisible dividend under the unit; the bare dr mostly raises
+            dividend = _map(multiply(LaurentPoly(dr), _ONE_PLUS_T[j]))
+            assert _divide_by_one_plus_t(_shifted(dividend, unit), j) == _shifted(dr, unit)
 
     def _check_binary(self, pu, pr, qv, qr):
         assert (pu == qv) == (pr == qr) and (pu != qv) == (pr != qr)
@@ -422,10 +447,6 @@ class TestUnits:
         assert pu.normalize()._c is pu._c and pu.normalize()._unit == (5, -1)
         assert pu.normalize() == n == multiply(p, LaurentPoly({7: 1})).normalize()
         assert multiply(p, LaurentPoly({-1: -1})).normalize() == n
-        # the quotient carries its dividend's unit
-        one_plus_t = LaurentPoly({0: 1, 2: 1})
-        quotient = divide_by_one_plus_t(under_unit(multiply(p, one_plus_t), 2, -1), 1)
-        assert quotient._unit == (2, -1) and quotient == p
         assert under_unit(LaurentPoly({0: 3}), 4, -1) == LaurentPoly({0: 3})
         assert under_unit(LaurentPoly(), 5, -1) == LaurentPoly()
 
@@ -466,7 +487,10 @@ class TestProtocol:
             -p
         for name in ("__add__", "__mul__", "__rmul__", "zero", "support"):
             assert not hasattr(LaurentPoly, name), name
-        assert not hasattr(laurent, "parse") and not hasattr(laurent, "SKEIN_FACTOR")
+        # nor does the module: the skein's map arithmetic and division live
+        # in ``alexander``
+        for name in ("parse", "SKEIN_FACTOR", "_product", "_sum", "divide_by_one_plus_t"):
+            assert not hasattr(laurent, name), name
 
     @pytest.mark.parametrize(
         "coeffs", [{0.5: 1, 2: 2}, {0: 2.9}, {"1": 1}, {0: "2"}, {0: Fraction(1)}, {1.0: 0}], ids=repr

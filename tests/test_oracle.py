@@ -56,7 +56,7 @@ class TestWirtinger:
         # ox*uy - oy*ux of the over and under directions of travel
         knots = 0
         for link in knot_box(4, 5):
-            passages, _ = _walk(link)
+            passages = _walk(link)
             positive = [a > 0 for a in link.params for _ in range(abs(a))]
             over, under = {}, {}
             for cid, corner in passages:
@@ -230,6 +230,21 @@ class TestStateCountBound:
         for x in (2**16, -(2**16)):
             with pytest.raises(OverflowError):
                 kronecker_unpack(x, 1, 2)
+
+    @pytest.mark.parametrize("nbytes", [3, 5, 9])
+    def test_unpack_round_trips_any_width(self, nbytes):
+        # a slot is as many whole bytes as its bits need, so widths such as
+        # 3, 5 and 9 bytes are the usual case: signed slots at both ends of
+        # the range read back exactly, and a value that needs one slot more
+        # than count is refused
+        top = 1 << (8 * nbytes - 1)
+        rng = random.Random(nbytes)
+        slots = [top - 1, -top, 0, -1, 1, -top, top - 1] + [rng.randrange(-top, top) for _ in range(20)]
+        x = sum(v << (8 * nbytes * e) for e, v in enumerate(slots))
+        assert kronecker_unpack(x, nbytes, len(slots)) == slots
+        for extra in (1, -1, top - 1, -top):
+            with pytest.raises(OverflowError):
+                kronecker_unpack(x + (extra << (8 * nbytes * len(slots))), nbytes, len(slots))
 
     @pytest.mark.parametrize(
         "params", [(5,) * 7, (11, 11, 11), (-7, -7, -7, -7, -4)], ids=["5^7", "11^3", "-7^4,-4"]

@@ -1,5 +1,5 @@
 import functools
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -96,11 +96,13 @@ def _walk_box() -> tuple:
         for params in product(range(-bound, bound + 1), repeat=n):
             link = PretzelLink(params)
             try:
-                passages, region_crossings = _walk(link)
+                passages = _walk(link)
             except OracleError:
                 readings.append((link, None))
                 continue
-            first = {region_crossings[i][0]: i for i, a in enumerate(params) if a}
+            # crossing ids run region by region
+            starts = accumulate((abs(a) for a in params), initial=0)
+            first = {start: i for i, (a, start) in enumerate(zip(params, starts)) if a}
             ys: dict[int, list[int]] = {}
             for cid, corner in passages:
                 if cid in first:

@@ -70,8 +70,10 @@ def _shared_code(tree: ast.AST, allowed: dict | None = None):
     package root (which re-exports them), of anything from ``pretzel``
     beyond the diagram template: ``PretzelLink`` and ``_MAX_TWIST``, or of
     anything from ``laurent`` beyond the ``LaurentPoly`` type, such as the
-    ``_product`` and ``_sum`` the skein state sum runs; and of any module
-    in ``allowed`` (module -> names) beyond the names it lists."""
+    ``_trusted`` wrapper the skein engine builds its results with; and of
+    any module in ``allowed`` (module -> names) beyond the names it lists.
+    The skein's map arithmetic (``alexander._product``, ``_sum`` and the
+    division) is shut out with the rest of ``alexander``."""
     allowed = allowed or {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -112,8 +114,8 @@ def test_guard_sees_shared_code():
         "import pretzelsurgery.pretzel\n"
         "from .pretzel import _MAX_TWIST, PretzelLink\n"
         "from pretzelsurgery.laurent import LaurentPoly\n"
-        "from pretzelsurgery.laurent import LaurentPoly, _product\n"
-        "from .laurent import _sum\n"
+        "from pretzelsurgery.laurent import LaurentPoly, _trusted\n"
+        "from .laurent import render\n"
         "import pretzelsurgery.laurent\n"
         "from .laurent import LaurentPoly\n"
     )

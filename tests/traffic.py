@@ -9,7 +9,8 @@ Under ``sys.settrace`` this script runs, in one process:
 * every CLI subcommand, with and without ``--json``, on a fixed list of
   inputs: knots, links, parse errors and twists over the 100,000 bound;
 * every ``verify-claims`` suite at small bounds;
-* argparse refusals, the removed ``verify-claim2`` subcommand among them.
+* argparse refusals, the removed ``verify-claim2`` subcommand among them,
+  and a bound flag that its suite does not read.
 
 It then prints, as JSON, each module's statement count and the statements
 (docstrings aside) that no line event reached, as ``"line: source"``.  A
@@ -21,7 +22,7 @@ Stdlib only; pytest does not collect it.  Run it from anywhere:
 
     python tests/traffic.py > unreached.json
 
-It took 2.9–5.3 s in four runs on 2 CPUs with Python 3.11.7 (shared
+It took 3.7–5.8 s in five runs on 2 CPUs with Python 3.11.7 (shared
 host).  Only frames of the package get a local trace function, so the
 rest runs at close to full speed.
 """
@@ -74,10 +75,12 @@ SUITE_BOUNDS = {
     "claim2": [],
     "classify-sweep": ["--qmax", "11"],
 }
-# argparse refusals and a grid with no cells, which exit 1 like every other error
+# argparse refusals, a grid with no cells and a bound the suite does not
+# read, which exit 1 like every other error
 USAGE_ERRORS = (
     [], ["nope"], ["classify"], ["verify-claims", "--suite", "nope"], ["alexander", "--bogus", "3"],
     ["verify-claim2"], ["verify-claims", "--suite", "claim5", "--pmax", "3"],
+    ["verify-claims", "--suite", "claim2", "--nmax", "9"],
 )
 
 
