@@ -1,11 +1,11 @@
 """Cyclic/finite surgery classification pipeline for Montesinos knots.
 
-Every input takes one path: a pretzel or a Montesinos description is read
-once as its tangles beta/alpha (``pretzel.tangles``), which the
-hyperbolicity stage and every gate share.  The parity of
-D = sum_i beta_i prod_{j != i} alpha_j is the knot test, and the family
-tag reads the essential regions and the sum e of the integer parts, so a
-tangle's integer part costs the same at any size.
+Every input takes one path: ``pretzel.parse`` reads text, and
+``pretzel.read`` reads a pretzel or Montesinos description once as its
+tangles beta/alpha, D = sum_i beta_i prod_{j != i} alpha_j and family tag,
+which the hyperbolicity stage and every gate share.  A link, with D even,
+raises PretzelError there; the tag reads the essential regions and the sum
+e of the integer parts, so an integer part costs the same at any size.
 
 The pipeline runs four stages in order, short-circuiting at the first
 decisive one, and emits an auditable report:
@@ -43,17 +43,16 @@ from .pretzel import (
     FamilyTag,
     MontesinosDescription,
     PretzelLink,
-    determinant,
+    Reading,
     family_link,
-    family_of_tangles,
-    parse_montesinos,
-    parse_pretzel,
-    tangles,
+    parse,
+    read,
 )
 
 
 class ClassifyError(ValueError):
-    """Invalid input to the classification pipeline."""
+    """A report of another schema version, or a gate check that failed; a
+    link or an input that does not parse raises PretzelError."""
 
 
 SCHEMA_VERSION = 1
@@ -183,54 +182,32 @@ _TORUS_TAGS = {
 }
 
 
-@dataclass(frozen=True)
-class _Reading:
-    """A knot read once as its tangles (beta, alpha)."""
-
-    knot: PretzelLink | MontesinosDescription
-    tangles: tuple[tuple[int, int], ...]
-    tag: FamilyTag | None  # None for a genuinely rational tangle
-
-    @property
-    def two_bridge(self) -> bool:
-        return sum(1 for _, alpha in self.tangles if alpha >= 2) <= 2
-
-
-def _read(knot: PretzelLink | MontesinosDescription) -> _Reading:
-    """Read a parsed input once as its tangles; ClassifyError for a link."""
-    pairs = tangles(knot)
-    if determinant(pairs) % 2 == 0:  # the knot test of is_knot, on these pairs
-        raise ClassifyError(f"{knot} is not a knot")
-    return _Reading(knot, pairs, family_of_tangles(knot, pairs))
-
-
-def _two_bridge_knot(reading: _Reading) -> str | None:
+def _two_bridge_knot(reading: Reading) -> str | None:
     """The reason a closure of at most two proper tangles plus integer
     tangles is not hyperbolic, or None when it is hyperbolic (Menasco).
 
     The integer tangles fold into the first proper tangle, and a missing
     tangle is 0/1.  The closure of b1/a1 + b2/a2 is the two-bridge knot
-    b(p, q) with p = b1 a2 + a1 b2 = D and q = b1' a2 + a1' b2, where
-    b1 a1' - b1' a1 = 1.  It is trivial iff |p| = 1 and the (2, |p|)-torus
-    knot iff q = +-1 mod p.
+    b(p, q) with p = |b1 a2 + a1 b2| = |D|, the reading's D, and
+    q = b1' a2 + a1' b2, where b1 a1' - b1' a1 = 1.  It is trivial iff
+    p = 1 and the (2, p)-torus knot iff q = +-1 mod p.
     """
-    pairs = reading.tangles
-    (b1, a1), (b2, a2) = ([t for t in pairs if t[1] >= 2] + [(0, 1), (0, 1)])[:2]
-    b1 += a1 * sum(beta for beta, alpha in pairs if alpha == 1)
+    (b1, a1), (b2, a2) = (reading.proper + ((0, 1), (0, 1)))[:2]
+    b1 += a1 * sum(beta for beta, alpha in reading.tangles if alpha == 1)
     a1_dual = pow(b1, -1, a1)
-    p, q = abs(b1 * a2 + a1 * b2), (b1 * a1_dual - 1) // a1 * a2 + a1_dual * b2
+    p, q = abs(reading.det), (b1 * a1_dual - 1) // a1 * a2 + a1_dual * b2
     if p == 1:
         return "trivial knot"
     return f"(2,{p})-torus knot" if q % p in (1, p - 1) else None
 
 
-def _hyperbolicity_stage(reading: _Reading) -> StageResult:
+def _hyperbolicity_stage(reading: Reading) -> StageResult:
     """The non-hyperbolic Montesinos knots are the (2, p)-torus two-bridge
     knots and the (-2,3,3)/(-2,3,5) pretzels up to mirror image, whose
     tangles are all +-1 mod alpha; a pretzel with a zero region is a
     connected sum, out of scope with two or more factors.  A two-bridge
     non-torus knot is hyperbolic (Menasco)."""
-    factors = [alpha for _, alpha in reading.tangles if alpha >= 2]
+    factors = [alpha for _, alpha in reading.proper]
     verdict, citation = "non-hyperbolic", f"{CITE_REMARK}; {CITE_MOSER}"
     if any(alpha == 0 for _, alpha in reading.tangles):
         # a zero region cuts the necklace into a connected sum of
@@ -341,17 +318,6 @@ def alexander_gate(tag: FamilyTag) -> StageResult:
 # ----------------------------------------------------------------------
 # the pipeline
 
-def _parse_input(
-    text_or_obj: str | PretzelLink | MontesinosDescription,
-) -> PretzelLink | MontesinosDescription:
-    if isinstance(text_or_obj, (PretzelLink, MontesinosDescription)):
-        return text_or_obj
-    text = text_or_obj.strip()
-    if "/" in text or ";" in text:
-        return parse_montesinos(text)
-    return parse_pretzel(text)
-
-
 def _final_from_stage(stage: StageResult) -> FinalVerdict:
     if stage.verdict == "non-hyperbolic":
         return FinalVerdict([NON_HYPERBOLIC_SEE_MOSER])
@@ -389,11 +355,12 @@ def classify(
 ) -> ClassificationReport:
     """Full cyclic/finite surgery classification with an auditable report.
 
-    The hyperbolicity stage and every gate share one reading of the input
-    as tangles.  ``input_text`` echoes the parsed input; ``input_kind`` is
+    Text goes through ``pretzel.parse``; the hyperbolicity stage and every
+    gate share one ``pretzel.read`` of the input, which raises PretzelError
+    for a link.  ``input_text`` echoes the parsed input; ``input_kind`` is
     "pretzel" for every input with a family tag.
     """
-    reading = _read(_parse_input(input))
+    reading = read(parse(input) if isinstance(input, str) else input)
     stages = [_hyperbolicity_stage(reading)]
     if stages[0].verdict == "pass":
         if reading.tag is None:

@@ -37,7 +37,7 @@ from .obstruction import (
     pm1_coefficients,
 )
 from .oracle import alexander_fox
-from .pretzel import FamilyKind, PretzelError, PretzelLink, family_membership, parse_pretzel
+from .pretzel import FamilyKind, MontesinosDescription, PretzelError, PretzelLink, family_membership, parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,10 +71,11 @@ def _outcome(outcome: int | None) -> str:
 
 
 def _pretzel_arg(args) -> PretzelLink:
-    if "/" in args.params or ";" in args.params:  # only classify reads tangle lists
+    knot = parse(args.params)
+    if isinstance(knot, MontesinosDescription):  # only classify reads tangle lists
         raise PretzelError(f"{args.command} takes pretzel parameters such as -2,3,7; "
                            f"classify takes tangle lists such as {args.params!r}")
-    return parse_pretzel(args.params)
+    return knot
 
 
 def _cmd_alexander(args) -> int:

@@ -3,9 +3,14 @@
 The pretzel diagram: vertical twist regions stand side by side, region i
 joined to region i+1 (cyclically) by parallel arcs at top and bottom.
 Region i carries |a_i| crossings; an odd a_i swaps its two strands, an even
-a_i preserves them.  Both kinds of input are read as tangles beta/alpha
-(``tangles``), and nothing traces the strands: the knot test, the parallel
-regions and the family tag read parities and a normal form of the tangles.
+a_i preserves them.
+
+Every input takes one reading: ``parse`` makes text a tangle list if it
+holds "/" or ";", else a pretzel list, and ``read`` forms the tangles
+beta/alpha, D and the family tag once.  A link raises PretzelError("<knot>
+is not a knot") from ``read`` and every other entry point but the Fox
+oracle.  Nothing traces the strands: the knot test, the parallel regions
+and the family tag read parities and a normal form of the tangles.
 """
 
 from __future__ import annotations
@@ -158,17 +163,43 @@ class FamilyTag:
         return f"MIRROR({text})" if self.mirror else text
 
 
-def _odd_pq(values) -> tuple[int, int] | None:
-    vals = sorted(values)
-    if len(vals) == 2 and all(v % 2 == 1 and v >= 3 for v in vals):
-        return vals[0], vals[1]
-    return None
+@dataclass(frozen=True)
+class Reading:
+    """A knot read once: its tangles (beta, alpha), their ``determinant`` D,
+    the proper tangles (alpha >= 2) in order and the family tag."""
+
+    knot: PretzelLink | MontesinosDescription
+    tangles: tuple[tuple[int, int], ...]
+    det: int
+    proper: tuple[tuple[int, int], ...]
+    tag: FamilyTag | None  # None for a genuinely rational tangle or a lone tangle
+
+    @property
+    def two_bridge(self) -> bool:
+        return len(self.proper) <= 2
+
+
+def read(knot: PretzelLink | MontesinosDescription) -> Reading:
+    """Read a parsed input once as its tangles, D and family tag; raises
+    PretzelError for a link, whose D is even (``is_knot``)."""
+    pairs = tangles(knot)
+    det = determinant(pairs)
+    if det % 2 == 0:
+        raise PretzelError(f"{knot} is not a knot")
+    lone = isinstance(knot, MontesinosDescription) and len(pairs) == 1  # two-bridge: no family
+    tag = None if lone else _family_tag(pairs)
+    if tag is not None and tag.kind is FamilyKind.OTHER:
+        mirror = _family_tag([(-beta, alpha) for beta, alpha in pairs])
+        if mirror.kind is not FamilyKind.OTHER:
+            tag = replace(mirror, mirror=True)
+    return Reading(knot, pairs, det, tuple(t for t in pairs if t[1] >= 2), tag)
 
 
 def family_membership(knot: PretzelLink | MontesinosDescription) -> FamilyTag | None:
-    """Classify a knot into the candidate surgery families: None when some
-    tangle is not +-1 mod its denominator, or for a one-tangle description
-    (a two-bridge knot); raises PretzelError for a link.
+    """Classify a knot into the candidate surgery families: ``read(knot).tag``.
+    None when some tangle is not +-1 mod its denominator, or for a
+    one-tangle description (a two-bridge knot); raises PretzelError for a
+    link, as ``read`` does.
 
     The lookup runs on a normal form that depends only on the knot's
     tangles mod 1 and the sum e of their integer parts (Boileau-Zieschang).
@@ -187,22 +218,7 @@ def family_membership(knot: PretzelLink | MontesinosDescription) -> FamilyTag | 
     A knot whose mirror image (every tangle negated) is a member gets the
     member's tag with ``mirror`` set; no knot is both.
     """
-    if not is_knot(knot):
-        raise PretzelError(f"{knot} is not a knot")
-    return family_of_tangles(knot, tangles(knot))
-
-
-def family_of_tangles(knot: PretzelLink | MontesinosDescription, pairs) -> FamilyTag | None:
-    """``family_membership`` of a knot already read as its tangles
-    ``pairs``, with no knot test: None for a one-tangle description."""
-    if isinstance(knot, MontesinosDescription) and len(pairs) == 1:
-        return None
-    tag = _family_tag(pairs)
-    if tag is not None and tag.kind is FamilyKind.OTHER:
-        mirror = _family_tag([(-beta, alpha) for beta, alpha in pairs])
-        if mirror.kind is not FamilyKind.OTHER:
-            return replace(mirror, mirror=True)
-    return tag
+    return read(knot).tag
 
 
 def _family_tag(pairs) -> FamilyTag | None:
@@ -220,8 +236,8 @@ def _family_tag(pairs) -> FamilyTag | None:
         else:
             return None
     evens = [a for a in regions if a % 2 == 0]
-    pq = _odd_pq(a for a in regions if a % 2 == 1)
-    if len(evens) != 1 or evens[0] == 0 or pq is None:
+    pq = sorted(a for a in regions if a % 2 == 1)  # odd 3 <= p <= q
+    if len(evens) != 1 or evens[0] == 0 or len(pq) != 2 or pq[0] < 3:
         return FamilyTag(FamilyKind.OTHER)
     k = evens[0] // 2
     if e == 0 and k <= -2:
@@ -292,3 +308,12 @@ def parse_montesinos(text: str) -> MontesinosDescription:
         except (ValueError, ZeroDivisionError) as exc:
             raise PretzelError(f"bad tangle fraction: {tok!r}") from exc
     return MontesinosDescription(tangles)
+
+
+def parse(text: str) -> PretzelLink | MontesinosDescription:
+    """Parse an input: a tangle list (``parse_montesinos``) when the text
+    holds a "/" or ";", otherwise a pretzel list (``parse_pretzel``)."""
+    text = text.strip()
+    if "/" in text or ";" in text:
+        return parse_montesinos(text)
+    return parse_pretzel(text)

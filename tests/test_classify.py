@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import time
 from fractions import Fraction
 from itertools import product
@@ -24,12 +23,15 @@ from pretzelsurgery.classify import (
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.laurent import LaurentPoly
+from pretzelsurgery import pretzel
 from pretzelsurgery.pretzel import (
     MontesinosDescription,
     PretzelError,
     PretzelLink,
     family_membership,
     is_knot,
+    parallel_regions,
+    parse,
     parse_montesinos,
 )
 from invariants import at_minus_one
@@ -75,10 +77,10 @@ class TestHyperbolicity:
         assert report.hyperbolic == "hyperbolic"
 
     def test_multi_component_rejected(self):
-        with pytest.raises(ClassifyError):
+        with pytest.raises(PretzelError):
             classify(PretzelLink((2, 2)))
         # determinant 2*2*2 + 1*5*2 + 1*5*2 = 28 is even: a link
-        with pytest.raises(ClassifyError):
+        with pytest.raises(PretzelError):
             classify(parse_montesinos("2/5;1/2;1/2"))
 
 
@@ -267,8 +269,26 @@ class TestPipeline:
         assert classify("-1,6,3,5") == classify("-1,6,3,5")
 
     def test_multi_component_rejected(self):
-        with pytest.raises(ClassifyError):
+        with pytest.raises(PretzelError):
             classify("2,2")
+
+    def test_link_refused_everywhere(self):
+        # one refusal, from pretzel.read and the knot test: every entry
+        # point raises the same PretzelError for a link
+        links = [
+            PretzelLink(params)
+            for n in range(1, 4)
+            for params in product(range(-3, 4), repeat=n)
+            if not is_knot(PretzelLink(params))
+        ]
+        entry_points = [classify, family_membership, parallel_regions, alexander_skein]
+        cases = [(f, link) for link in links for f in entry_points]
+        for text in ("2/5;1/2;1/2", "4/3", "0/1"):
+            cases += [(classify, text), (classify, parse_montesinos(text)), (family_membership, parse_montesinos(text))]
+        for f, knot in cases:
+            with pytest.raises(PretzelError, match="is not a knot"):
+                f(knot)
+        assert len(links) == 163
 
     def test_json_round_trip(self):
         for text in ("-2,3,7", "-1,-1,4,3,3", "3", "2/5;1/3;1/2"):
@@ -347,7 +367,7 @@ class TestPipeline:
             ("3/7", "(2,3)-torus knot"),
         ):
             assert classify(text).hyperbolic_reason == reason, text
-        with pytest.raises(ClassifyError, match="not a knot"):
+        with pytest.raises(PretzelError, match="not a knot"):
             classify("4/3")
 
     @pytest.mark.parametrize(
@@ -357,16 +377,17 @@ class TestPipeline:
          ("3/1", "montesinos"), ("3", "pretzel")],
     )
     def test_input_read_once(self, monkeypatch, text, kind):
-        # one tangle read, shared by the knot test and the family tag; the
-        # Alexander gate reads its own family link, which these reorder.  A
-        # one-tangle description has no tag, so its kind stays "montesinos"
-        reads = []
-        for name in ("pretzelsurgery.classify", "pretzelsurgery.pretzel"):
-            module = importlib.import_module(name)
-            read = module.tangles
-            monkeypatch.setattr(module, "tangles", lambda knot, read=read: reads.append(str(knot)) or read(knot))
+        # one tangle read and one D, shared by the knot test, the family tag
+        # and the two-bridge reason; the Alexander gate reads its own family
+        # link, which these reorder.  A one-tangle description has no tag,
+        # so its kind stays "montesinos"
+        reads, dets = [], []
+        tangles, determinant = pretzel.tangles, pretzel.determinant
+        monkeypatch.setattr(pretzel, "tangles", lambda knot: reads.append(str(knot)) or tangles(knot))
+        monkeypatch.setattr(pretzel, "determinant", lambda pairs: dets.append(pairs) or determinant(pairs))
         report = classify(text)
         assert reads.count(report.input_text) == 1, reads
+        assert dets.count(tangles(parse(text))) == 1, dets
         assert report.input_kind == kind
 
     def test_composite_out_of_scope(self):

@@ -14,6 +14,7 @@ from pretzelsurgery.pretzel import (
     family_membership,
     is_knot,
     parallel_regions,
+    parse,
     parse_montesinos,
     parse_pretzel,
     tangles,
@@ -31,6 +32,30 @@ class TestParsing:
         for bad in ("", "1,,2", "a,b", "1;2"):
             with pytest.raises(PretzelError):
                 parse_pretzel(bad)
+
+    @pytest.mark.parametrize(
+        "text,parser,error",
+        [
+            ("-2,3,7", parse_pretzel, None),
+            (" P(-2,3,7) ", parse_pretzel, None),
+            ("3", parse_pretzel, None),
+            ("3/1", parse_montesinos, None),
+            ("1;2", parse_montesinos, None),
+            ("-1/2;1/3;1/5", parse_montesinos, None),
+            ("", None, "bad pretzel parameter list: ''"),
+            ("1,,2", None, "bad pretzel parameter list: '1,,2'"),
+            ("1/0;1/3", None, "bad tangle fraction: '1/0'"),
+            ("a,b", None, "bad pretzel parameter list: 'a,b'"),
+        ],
+    )
+    def test_parse_reads_either_list(self, text, parser, error):
+        # a "/" or ";" makes a tangle list, anything else a pretzel list
+        if error is None:
+            assert parse(text) == parser(text)
+        else:
+            with pytest.raises(PretzelError) as info:
+                parse(text)
+            assert str(info.value) == error
 
     def test_empty_params_rejected(self):
         with pytest.raises(PretzelError):

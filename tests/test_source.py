@@ -9,7 +9,9 @@ And every name a module lists in ``__all__`` exists, and the package root
 imports from such a module only names it lists.  And every module-level
 function and class of the package is used by the package itself, and every
 method and property of its classes by the package or the benchmark, so code
-that only tests read lives in ``tests/``."""
+that only tests read lives in ``tests/``.  And only ``pretzel.py`` reads an
+input: no other module of the package parses text, reads tangles, forms the
+determinant or tests a string for the "/" or ";" of a tangle list."""
 
 import ast
 import importlib
@@ -34,6 +36,8 @@ INDEPENDENT = (
 ALLOWED_NAMES = {
     "reference_fox.py": {"pretzelsurgery.oracle": {"build_diagram", "OracleError"}},
 }
+# the parts of the one reading of an input, which only pretzel.py calls
+READING = {"parse_pretzel", "parse_montesinos", "tangles", "determinant"}
 # class members nothing reads: from_json reads saved reports back, and
 # argparse calls _Parser.error
 UNUSED_MEMBERS_ALLOWED = {"classify.ClassificationReport.from_json", "cli._Parser.error"}
@@ -134,6 +138,52 @@ def test_guard_sees_the_arbiter_import_the_decoder():
     allowed = ALLOWED_NAMES["reference_fox.py"]
     assert sorted(line for line, _ in _shared_code(ast.parse(source), allowed)) == [2, 4, 5]
     assert list(_shared_code(ast.parse(source))) == []
+
+
+def _second_reading(tree: ast.AST):
+    """Calls of a part of the reading in ``READING``, by name or as an
+    attribute, and ``in`` or ``not in`` tests of "/" or ";"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in READING:
+                yield node.lineno, f"call {name}"
+        elif (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Constant)
+            and node.left.value in ("/", ";")
+            and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        ):
+            yield node.lineno, f"test for {node.left.value!r}"
+
+
+def test_only_pretzel_reads_input():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "pretzel.py"]
+    assert paths
+    sites = [
+        f"{path.name}:{line}: {what}"
+        for path in paths
+        for line, what in _second_reading(ast.parse(path.read_text(), str(path)))
+    ]
+    assert sites == []
+
+
+def test_guard_sees_second_reading():
+    source = (
+        "knot = parse_pretzel(text)\n"
+        "desc = pretzel.parse_montesinos(text)\n"
+        "pairs = tangles(knot)\n"
+        "d = determinant(pairs)\n"
+        'if "/" in text or ";" in text: pass\n'
+        'if ";" not in text: pass\n'
+        "knot = parse(text)\n"
+        "reading = read(knot)\n"
+        "fractions = desc.tangles\n"
+        'ok = "," in text\n'
+        'ok = text == "/"\n'
+    )
+    assert sorted(line for line, _ in _second_reading(ast.parse(source))) == [1, 2, 3, 4, 5, 5, 6]
 
 
 def test_all_lists_existing_names():
