@@ -51,26 +51,27 @@ or two regions does, and ``alexander_skein`` ends both in one division
 (``_divide_by_one_plus_t``).  The program of ``alexander_with_trace`` lists
 the values Delta: each multiplier divided by its region's power of 1 + t.
 
-The state sum and the division run on plain coefficient maps
-{s-exponent: coefficient} with no zero value: ``_product``, the dictionary
-double loop, whose cost is the product of the term counts, ``_sum`` and
-``_divide_by_one_plus_t``, a synthetic division by k running sums.  Each
-returns a new map and leaves its operands as they were, and only the
-finished maps are wrapped as ``LaurentPoly`` values.  Every product the
-state sum makes has an operand of at most two terms (a test in
-``tests/test_alexander.py`` guards this), and it skips every product known
-to be 0 (a leaf of value 0, a Horner step on an empty sum).  The maps do
-not grow with the twists: the only work linear in the largest twist is the
-division.
+The state sum runs on plain coefficient maps {s-exponent: coefficient}
+with no zero value: ``_product``, the dictionary double loop, whose cost is
+the product of the term counts, and ``_sum``.  Each returns a new map and
+leaves its operands as they were.  Every product the state sum makes has
+an operand of at most two terms (a test in ``tests/test_alexander.py``
+guards this), and it skips every product known to be 0 (a leaf of value
+0, a Horner step on an empty sum).  The maps do not grow with the twists:
+the only work linear in the largest twist is the division.
+``_divide_by_one_plus_t``, a synthetic division by k running sums, takes
+the numerator's map and returns the quotient already in ``LaurentPoly``'s
+dense layout, its lowest exponent and one slot per s-exponent, which
+``laurent._from_slots`` wraps as it is: no map of the quotient is built.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, compress
+from itertools import accumulate
 from operator import neg
 
-from .laurent import LaurentError, LaurentPoly, _trusted
+from .laurent import LaurentError, LaurentPoly, _from_slots
 from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
 
 
@@ -127,9 +128,10 @@ def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return c
 
 
-def _divide_by_one_plus_t(c: dict[int, int], k: int) -> dict[int, int]:
-    """The coefficient map of the exact quotient c / (1 + t)**k, for k >= 0:
-    a new dict, no zeros.
+def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
+    """The exact quotient c / (1 + t)**k, for k >= 0, in ``LaurentPoly``'s
+    layout: its lowest s-exponent and a new list with one slot per
+    s-exponent from there, the first and last nonzero ((0, []) for 0).
 
     Raises LaurentError for a negative k, when (1 + t)**k does not divide
     c, and when c's s-exponents mix both parities: a knot's dividend
@@ -143,12 +145,19 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> dict[int, int]:
     has n - k terms, so (1 + t)**k divides c exactly when the top k sums
     vanish: then the first n - k sums, times (-1)**j, are a polynomial Q
     with Q (1 + t)**k = c modulo t**n, and both sides have degree below n.
+    Q's first and last coefficients are those of c, so neither is 0, and
+    they land in every other slot, one t-step apart.
     """
     if k < 0:
         raise LaurentError(f"cannot divide by (1 + t)^{k}: the power must be at least 0")
-    if not k or not c:
-        return dict(c)
+    if not c:
+        return 0, []
     lo, hi = min(c), max(c)
+    if not k:
+        slots = [0] * (hi - lo + 1)
+        for e, v in c.items():
+            slots[e - lo] = v
+        return lo, slots
     if any((e - lo) % 2 for e in c):
         raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
     n = (hi - lo) // 2 + 1
@@ -164,10 +173,10 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> dict[int, int]:
     sums = list(sums)
     if any(sums[count:]):
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    del sums[count:]
-    sums[1::2] = map(neg, sums[1::2])
-    exponents = compress(range(lo, lo + 2 * count, 2), sums)
-    return dict(zip(exponents, filter(None, sums)))
+    out = [0] * (2 * count - 1)  # the sums, times (-1)**j, every other slot
+    out[::4] = sums[:count:2]
+    out[2::4] = map(neg, sums[1:count:2])
+    return lo, out
 
 
 @functools.lru_cache(maxsize=256)
@@ -313,7 +322,7 @@ def alexander_skein(link: PretzelLink) -> LaurentPoly:
         numerator, k = _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
     else:
         numerator, k = _state_sum(params, parallel, has_even)
-    return _trusted(_divide_by_one_plus_t(numerator, k))
+    return _from_slots(*_divide_by_one_plus_t(numerator, k))
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
@@ -332,7 +341,7 @@ def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
     for i, (a, par) in regions:
         if abs(a) >= 2:
             branches, k = _choices(a, par)
-            steps.append((i, a, tuple((_trusted(_divide_by_one_plus_t(m, k)), o) for m, o in branches)))
+            steps.append((i, a, tuple((_from_slots(*_divide_by_one_plus_t(m, k)), o) for m, o in branches)))
     return value, steps
 
 

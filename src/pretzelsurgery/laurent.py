@@ -10,23 +10,25 @@ unit-normal form, equality and its text form.  It never adds, multiplies
 or parses one, so ``LaurentPoly`` has no operators; the tests and their
 arbiters bring their own arithmetic (``tests/reference_laurent.py``).
 
-A polynomial is stored as a coefficient map times a unit sign * s**shift.
-The unit lives in one slot, ``None`` for the unit 1 and ``(shift, sign)``
-otherwise.  ``normalize`` is the only operation that makes a unit: after
-one ``min`` over the exponents it relabels the map it reads, in O(1).
-Single coefficients and the degree read the unit without rebuilding the
-map.  ``items()`` applies the unit in the pass after the sort, and ``==``
-under two different units compares the ``items()`` of both.
+A polynomial is stored densely: its lowest s-exponent ``lo``, a list with
+one slot per s-exponent from ``lo`` whose first and last slots are
+nonzero, and a sign +-1 that multiplies every slot.  The zero polynomial
+is the empty list at ``lo`` = 0.  Memory is proportional to the span from
+the lowest to the highest exponent, zero slots included.  Single
+coefficients and the degree are index arithmetic, ``items()`` is one pass
+over the slots, and ``normalize`` sets ``lo`` to 0 and picks the sign from
+the first slot, in O(1), sharing the slot list it reads.
 
 The results of ``normalize`` and of the skein engine are built by
-``_trusted``, which wraps a dict already known to hold int keys and no
-zero values, and its unit, without checking them again;
-``LaurentPoly(mapping)`` is the public constructor and keeps its checks.
+``_from_slots``, which wraps a slot list already in this layout without
+copying or checking it; ``LaurentPoly(mapping)`` is the public constructor,
+keeps its checks and lays the map out once.
 """
 
 from __future__ import annotations
 
-from operator import index
+from itertools import compress
+from operator import index, neg
 from typing import Iterator, Mapping
 
 __all__ = ["LaurentError", "LaurentPoly", "render"]
@@ -37,18 +39,17 @@ class LaurentError(ValueError):
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial in s (s**2 = t), integer coefficients.
+    """Immutable Laurent polynomial in s (s**2 = t), integer coefficients.
 
-    The value is sign * s**shift * sum(v * s**e) over the coefficient map
-    ``_c``, with ``_unit`` = ``(shift, sign)``, or ``None`` for shift 0 and
-    sign 1.  The zero polynomial is the empty map; zero coefficients are
-    never stored.  Entries are read with ``operator.index``, so anything
-    but an integer raises TypeError.  ``normalize``, ``maxdeg``,
-    ``coefficient`` and ``s_coefficient`` are O(1) in the number of terms,
-    apart from the ``min`` or ``max`` over the exponents.
+    The value is sign * sum(v * s**(lo + i)) over the slots ``_slots``,
+    with ``_lo`` = lo and ``_sign`` = sign.  The first and last slots are
+    nonzero; the zero polynomial is the empty list at lo = 0.  Entries of
+    the public constructor's map are read with ``operator.index``, so
+    anything but an integer raises TypeError.  ``normalize``, ``maxdeg``,
+    ``coefficient`` and ``s_coefficient`` are O(1).
     """
 
-    __slots__ = ("_c", "_unit")
+    __slots__ = ("_lo", "_slots", "_sign")
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         c = {}
@@ -57,8 +58,15 @@ class LaurentPoly:
                 e, v = index(e), index(v)
                 if v:
                     c[e] = v
-        object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_unit", None)
+        lo, slots = 0, []
+        if c:
+            lo = min(c)
+            slots = [0] * (max(c) - lo + 1)
+            for e, v in c.items():
+                slots[e - lo] = v
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_sign", 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -68,18 +76,17 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return not self._slots
 
     @property
     def maxdeg(self) -> int:
-        if not self._c:
+        if not self._slots:
             raise LaurentError("zero polynomial has no maxdeg")
-        u = self._unit
-        return max(self._c) if u is None else max(self._c) + u[0]
+        return self._lo + len(self._slots) - 1
 
     def s_coefficient(self, s_exp: int) -> int:
-        u = self._unit
-        return self._c.get(s_exp, 0) if u is None else u[1] * self._c.get(s_exp - u[0], 0)
+        i = s_exp - self._lo
+        return self._sign * self._slots[i] if 0 <= i < len(self._slots) else 0
 
     def coefficient(self, t_exp: int) -> int:
         """Coefficient of t**t_exp (zero if absent)."""
@@ -87,21 +94,20 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(s-exponent, coefficient) pairs in ascending exponent order."""
-        u = self._unit
-        if u is None:
-            return iter(sorted(self._c.items()))
-        shift, sign = u
-        return iter([(e + shift, sign * v) for e, v in sorted(self._c.items())])
+        slots = self._slots
+        values = slots if self._sign > 0 else map(neg, slots)
+        return compress(zip(range(self._lo, self._lo + len(slots)), values), slots)
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._slots)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self._unit == other._unit:
-            return self._c == other._c
-        return len(self._c) == len(other._c) and list(self.items()) == list(other.items())
+        a, b = self._slots, other._slots
+        if self._sign == other._sign:
+            return self._lo == other._lo and a == b
+        return self._lo == other._lo and len(a) == len(b) and a == list(map(neg, b))
 
     # ------------------------------------------------------------------
     # spec operations
@@ -109,14 +115,13 @@ class LaurentPoly:
     def normalize(self) -> "LaurentPoly":
         """Unit-normalize: multiply by +-s**k so the lowest exponent is 0
         and the constant coefficient is positive.  Rejects the zero
-        polynomial.  The result shares this polynomial's coefficient map
-        under a new unit, and is the only way a unit comes about.
+        polynomial.  The result shares this polynomial's slots, at lo = 0
+        with the sign of the first slot.
         """
-        c = self._c
-        if not c:
+        slots = self._slots
+        if not slots:
             raise LaurentError("cannot normalize the zero polynomial")
-        m = min(c)
-        return _trusted(c, _as_unit(-m, 1 if c[m] > 0 else -1))
+        return _from_slots(0, slots, 1 if slots[0] > 0 else -1)
 
     def equal_up_to_units(self, other: "LaurentPoly") -> bool:
         """True iff self = +-s**k * other for some integer k."""
@@ -135,23 +140,20 @@ class LaurentPoly:
 
 
 _new = object.__new__
-_set_coeffs = LaurentPoly._c.__set__
-_set_unit = LaurentPoly._unit.__set__
+_set_lo = LaurentPoly._lo.__set__
+_set_slots = LaurentPoly._slots.__set__
+_set_sign = LaurentPoly._sign.__set__
 
 
-def _trusted(c: dict[int, int], unit: tuple[int, int] | None = None) -> LaurentPoly:
-    """Wrap ``c`` times ``unit`` as a LaurentPoly without copying or checking
-    it: every key must be an int, no value may be zero, and ``unit`` must
-    come from ``_as_unit`` (or be None)."""
+def _from_slots(lo: int, slots: list[int], sign: int = 1) -> LaurentPoly:
+    """Wrap sign * sum(v * s**(lo + i)) over ``slots`` as a LaurentPoly
+    without copying or checking it: every slot must be an int, the first
+    and last nonzero (or the list empty, at lo = 0), and sign 1 or -1."""
     p = _new(LaurentPoly)
-    _set_coeffs(p, c)
-    _set_unit(p, unit)
+    _set_lo(p, lo)
+    _set_slots(p, slots)
+    _set_sign(p, sign)
     return p
-
-
-def _as_unit(shift: int, sign: int) -> tuple[int, int] | None:
-    """The unit slot of sign * s**shift: None for 1."""
-    return None if shift == 0 and sign == 1 else (shift, sign)
 
 
 # ----------------------------------------------------------------------

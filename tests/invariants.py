@@ -2,7 +2,7 @@
 against, read from ``LaurentPoly.items()`` alone, and ``under_unit``, which
 puts a polynomial's value under a unit of the test's choosing."""
 
-from pretzelsurgery.laurent import LaurentPoly
+from pretzelsurgery.laurent import LaurentPoly, _from_slots
 
 
 def conj(p: LaurentPoly) -> LaurentPoly:
@@ -28,11 +28,10 @@ def lowest_exponent(p: LaurentPoly) -> int:
 
 
 def under_unit(p: LaurentPoly, k: int, sign: int) -> LaurentPoly:
-    """p's value, stored as a coefficient map under the unit sign * s**k:
-    the map of p / (sign * s**k) from the public constructor, with the unit
-    written into its slot (None for the unit 1).  ``normalize`` is the only
-    operation that makes a unit, and it picks the unit from the lowest
-    term, so a unit of the test's choosing is set by hand."""
+    """p's value, stored as the slots of p / (sign * s**k) under the unit
+    sign * s**k: the slots of that quotient from the public constructor,
+    with k added to its lowest exponent and ``sign`` in the sign slot (the
+    zero polynomial keeps lo = 0).  ``normalize`` picks the sign from the
+    first slot, so a sign of the test's choosing is set by hand."""
     q = LaurentPoly({e - k: sign * v for e, v in p.items()})
-    object.__setattr__(q, "_unit", None if (k, sign) == (0, 1) else (k, sign))
-    return q
+    return _from_slots(q._lo + k if q else 0, q._slots, sign)

@@ -10,7 +10,7 @@ import pytest
 from pretzelsurgery import alexander
 from pretzelsurgery.alexander import alexander_skein, alexander_with_trace
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import LaurentPoly
+from pretzelsurgery.laurent import LaurentPoly, _from_slots
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink, is_knot, parallel_regions
 
@@ -77,8 +77,8 @@ class TestTorusValues:
     def test_known_polynomials(self):
         assert alexander._SMALL_TORUS[1] == {0: 1}
         divide = alexander._divide_by_one_plus_t
-        assert LaurentPoly(divide(alexander._numerator(3), 1)).equal_up_to_units(parse("1 - t + t^2"))
-        assert LaurentPoly(divide(alexander._numerator(5), 1)).equal_up_to_units(parse("1 - t + t^2 - t^3 + t^4"))
+        assert _from_slots(*divide(alexander._numerator(3), 1)).equal_up_to_units(parse("1 - t + t^2"))
+        assert _from_slots(*divide(alexander._numerator(5), 1)).equal_up_to_units(parse("1 - t + t^2 - t^3 + t^4"))
 
     def test_large_values_not_kept(self):
         # no process-wide table grows with l: the values of 50 one-region
@@ -93,6 +93,23 @@ class TestTorusValues:
             assert tracemalloc.get_traced_memory()[0] - start < 2**20
         finally:
             tracemalloc.stop()
+
+    def test_twist_bound_memory(self):
+        # at the twist bound, one skein call peaks at a few slot lists of
+        # Delta's span (about 200,000 s-exponents), and builds no map of it
+        link = PretzelLink((-1, 4, 3, 99999))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            delta = alexander_skein(link)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta.normalize().coefficient(3) == 2
+        assert peak < 5 * 2**20, peak
+        assert elapsed < 0.5, elapsed
 
 
 class TestKnownKnots:
@@ -295,7 +312,7 @@ class TestProductOperands:
             alexander._state_sum(params, parallel, True)
         numerator, k = alexander._state_sum(params, parallel_regions(PretzelLink(params)), True)
         assert all(numerator.values())
-        assert LaurentPoly(alexander._divide_by_one_plus_t(numerator, k)) == alexander_skein(PretzelLink(params))
+        assert _from_slots(*alexander._divide_by_one_plus_t(numerator, k)) == alexander_skein(PretzelLink(params))
 
 
 class TestSharedValues:
@@ -311,10 +328,12 @@ class TestSharedValues:
         assert [dict(m) for m in shared] == before
         assert all(alexander._numerator(l) is m for l, m in cached.items())
         # a one- or two-region knot over (1 + t)^0 is divided by (1 + t)^0,
-        # which copies: its result owns its map
+        # which lays its map out in a new slot list on every call: its
+        # result owns its slots, and the shared map is left as it was
         for params in ((1,), (-1,), (2, -1), (3,), (-2, 1), (4, -1)):
             delta = alexander_skein(PretzelLink(params))
-            assert all(delta._c is not m for m in shared), params
+            assert delta._slots is not alexander_skein(PretzelLink(params))._slots, params
+        assert [dict(m) for m in shared] == before
 
 
 class TestTrace:

@@ -6,8 +6,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pretzelsurgery import laurent
-from pretzelsurgery.alexander import _divide_by_one_plus_t, _product, _sum
-from pretzelsurgery.laurent import LaurentError, LaurentPoly, _trusted, render
+from pretzelsurgery.alexander import (
+    _divide_by_one_plus_t,
+    _product,
+    _sum,
+    alexander_skein,
+    alexander_with_trace,
+)
+from pretzelsurgery.grids import knot_box
+from pretzelsurgery.laurent import LaurentError, LaurentPoly, _from_slots, render
+from pretzelsurgery.pretzel import PretzelLink
 
 from invariants import conj, lowest_exponent, under_unit
 from reference_laurent import SKEIN_FACTOR, add, multiply, parse, scale
@@ -30,10 +38,37 @@ def _map(p):
 maps = polys.map(_map)
 
 
+def _layout(m):
+    """The dense layout (lo, slots) of a zero-free coefficient map, built
+    here: its lowest exponent and one slot per exponent up to its highest,
+    or (0, []) for the empty map."""
+    if not m:
+        return 0, []
+    lo = min(m)
+    return lo, [m.get(e, 0) for e in range(lo, max(m) + 1)]
+
+
+def _check_layout(p):
+    """p is stored in the one layout: a sign of +-1 and a list of ints whose
+    first and last slots are nonzero, or the empty list at lo = 0."""
+    assert p._sign in (1, -1)
+    assert all(type(v) is int for v in p._slots)
+    if p._slots:
+        assert p._slots[0] and p._slots[-1]
+    else:
+        assert p._lo == 0
+
+
 def _shifted(m, unit):
     """The coefficient map m times the unit sign * s**k."""
     k, sign = unit
     return {e + k: sign * v for e, v in m.items()}
+
+
+def _shifted_layout(layout, unit):
+    """The dense layout (lo, slots) times the unit sign * s**k."""
+    (lo, slots), (k, sign) = layout, unit
+    return (lo + k if slots else 0), [sign * v for v in slots]
 
 
 def _conj(m):
@@ -106,15 +141,25 @@ class TestNormalization:
         assert n.s_coefficient(0) > 0
 
     def test_trusted_results_match_public_constructor(self):
+        # every polynomial built by _from_slots without a check (normalize,
+        # the skein's quotient, its trace's multipliers) is in the layout
+        # and equals the public constructor's polynomial of its terms
         p = LaurentPoly({-3: 2, -1: -5, 1: 7, 5: -1, 9: 3})
         q = LaurentPoly({e: e - 4 for e in range(-10, 12)})
         one_plus_t_squared = LaurentPoly({0: 1, 2: 2, 4: 1})
         results = [
             q.normalize(), multiply(p, q).normalize(), p.normalize().normalize(),
             scale(q, -3).normalize(), under_unit(p, 3, -1).normalize(),
-            _trusted(_divide_by_one_plus_t(_map(multiply(p, one_plus_t_squared)), 2)),
+            _from_slots(*_divide_by_one_plus_t(_map(multiply(p, one_plus_t_squared)), 2)),
         ]
+        families = ((-1, 4, 3), (-1, -4, 5), (-2, 5), (-2, 3))
+        links = [*knot_box(4, 5), *(PretzelLink(f + (n,)) for f in families for n in (101, 2001, 99999))]
+        for link in links:
+            delta, steps = alexander_with_trace(link)
+            results += [delta, alexander_skein(link), delta.normalize()]
+            results += [m for _, _, branches in steps for m, _ in branches]
         for r in results:
+            _check_layout(r)
             public = LaurentPoly(dict(r.items()))
             assert all(v for _, v in r.items())
             assert r == public
@@ -277,8 +322,8 @@ class TestExactDivision:
     def test_quotient_of_product(self, cases):
         for q, k in cases():
             r = _divide_by_one_plus_t(_map(_times_one_plus_t(q, k)), k)
-            assert r == _map(q), (q, k)
-            assert all(r.values())
+            assert r == _layout(_map(q)), (q, k)
+            assert r[1][0] and r[1][-1]
 
     def test_indivisible_raises(self):
         rng = random.Random(14)
@@ -317,19 +362,21 @@ class TestExactDivision:
             assert "does not divide" not in str(exc.value)
 
     def test_zero_and_no_factor(self):
+        # k = 0 lays the map out as it is, both parities included
         for k in (0, 1, 5):
-            assert _divide_by_one_plus_t({}, k) == {}
-        assert _divide_by_one_plus_t({-3: 2, 0: -1, 7: 4}, 0) == {-3: 2, 0: -1, 7: 4}
+            assert _divide_by_one_plus_t({}, k) == (0, [])
+        assert _divide_by_one_plus_t({-3: 2, 0: -1, 7: 4}, 0) == (-3, [2, 0, 0, -1, 0, 0, 0, 0, 0, 0, 4])
 
     def test_returns_a_new_map(self):
-        # the quotient never aliases its dividend, at k = 0 and on the zero
-        # map too, so a shared value can be divided and then wrapped
+        # the quotient is a new slot list on every call, at k = 0 and on
+        # the zero map too, and the dividend is left as it was, so a shared
+        # value can be divided and then wrapped
         for c, k in (({}, 0), ({}, 2), ({-3: 2, 0: -1, 7: 4}, 0), ({0: 1, 2: 2, 4: 1}, 1),
                      ({0: 1, 2: 2, 4: 1}, 2), ({-1: 3, 1: 3}, 1)):
             before = dict(c)
             r = _divide_by_one_plus_t(c, k)
-            assert r is not c and c == before, (c, k)
-            assert _map(_times_one_plus_t(LaurentPoly(r), k)) == c, (c, k)
+            assert r[1] is not _divide_by_one_plus_t(c, k)[1] and c == before, (c, k)
+            assert _map(_times_one_plus_t(_from_slots(*r), k)) == c, (c, k)
 
     def test_negative_power_raises(self):
         # a negative k would ask for p * (1 + t)**-k: it raises instead of
@@ -370,12 +417,14 @@ def _up_to_units(p, q):
 
 
 class TestUnits:
-    """A polynomial carries a unit +-s**k beside its coefficient map.
-    ``normalize`` is the only operation that makes one (``under_unit`` puts
-    any value under any unit by hand).  Every read of a polynomial under a
-    unit must agree with the same read of the unit-free rebuild
-    ``LaurentPoly(dict(p.items()))``, and the skein's division on maps must
-    commute with the same unit."""
+    """A polynomial carries its lowest exponent and a sign +-1 beside its
+    slots.  ``normalize`` moves the lowest exponent to 0 and picks the sign
+    of the first slot (``under_unit`` stores any value as the slots of its
+    quotient by any unit +-s**k, by hand).  Every read of a polynomial so
+    stored must agree with the same read of the rebuild
+    ``LaurentPoly(dict(p.items()))`` by the public constructor, and the
+    skein's division, from maps to slots, must commute with the same
+    unit."""
 
     def _check_unary(self, pu, pr, unit):
         assert list(pu.items()) == list(pr.items())
@@ -391,20 +440,20 @@ class TestUnits:
             assert pu.coefficient(e) == pr.coefficient(e)
         assert render(pu) == render(pr) and str(pu) == str(pr) and repr(pu) == repr(pr)
         assert parse(render(pu)) == pr
-        # the skein's division runs on maps and commutes with the unit:
-        # dividing the shifted and negated map gives the quotient shifted and
-        # negated alike, or raises the same error.  It takes one parity
-        # class, pr's exponents doubled; pr's own map may mix both
+        # the skein's division takes maps, returns slots and commutes with
+        # the unit: dividing the shifted and negated map gives the quotient
+        # shifted and negated alike, or raises the same error.  It takes one
+        # parity class, pr's exponents doubled; pr's own map may mix both
         dr = {2 * e: v for e, v in pr.items()}
         for m in (dr, _map(pr)):
             for j in (0, 1, 2):
                 quotient = _outcome(_divide_by_one_plus_t, m, j)
-                expected = quotient if isinstance(quotient, str) else _shifted(quotient, unit)
+                expected = quotient if isinstance(quotient, str) else _shifted_layout(quotient, unit)
                 assert _outcome(_divide_by_one_plus_t, _shifted(m, unit), j) == expected
         for j in (1, 2):
             # the divisible dividend under the unit; the bare dr mostly raises
             dividend = _map(multiply(LaurentPoly(dr), _ONE_PLUS_T[j]))
-            assert _divide_by_one_plus_t(_shifted(dividend, unit), j) == _shifted(dr, unit)
+            assert _divide_by_one_plus_t(_shifted(dividend, unit), j) == _layout(_shifted(dr, unit))
 
     def _check_binary(self, pu, pr, qv, qr):
         assert (pu == qv) == (pr == qr) and (pu != qv) == (pr != qr)
@@ -421,11 +470,13 @@ class TestUnits:
         for n, (p, q) in enumerate(pairs()):
             for i, (k, sign) in enumerate(_UNITS):
                 pu = under_unit(p, k, sign)
-                assert pu._unit == (None if (k, sign) == (0, 1) else (k, sign))
-                # the map is p's times the inverse unit, stored by hand
-                assert sorted(pu._c.items()) == [(e - k, sign * v) for e, v in p.items()]
+                _check_layout(pu)
+                assert pu._sign == sign and pu._lo == (lowest_exponent(p) if p else 0)
+                # the slots are p's times the inverse unit, stored by hand
+                stored = [(pu._lo - k + i, v) for i, v in enumerate(pu._slots) if v]
+                assert stored == [(e - k, sign * v) for e, v in p.items()]
                 pr = LaurentPoly(dict(pu.items()))
-                assert pr._unit is None and pr == p
+                assert pr._sign == 1 and pr == p
                 if (i + n) % stride:
                     continue
                 self._check_unary(pu, pr, (k, sign))
@@ -434,17 +485,19 @@ class TestUnits:
                 self._check_binary(pu, pr, qv, qr)
                 self._check_binary(pu, pr, q, q)
             if p:
-                # the unit normalize makes from p's own lowest term
+                # the unit normalize takes from p's own lowest term
                 pn = p.normalize()
-                self._check_unary(pn, LaurentPoly(dict(pn.items())), pn._unit or (0, 1))
+                _check_layout(pn)
+                self._check_unary(pn, LaurentPoly(dict(pn.items())), (-lowest_exponent(p), pn._sign))
 
     def test_units_compose(self):
         p = LaurentPoly({-3: 2, -1: -5, 1: 7, 5: -1, 9: 3})
         n, m = p.normalize(), scale(p, -1).normalize()
-        # normalize relabels the map it reads, whatever unit that map carries
-        assert n._c is p._c and n._unit == (3, 1) and m._unit == (3, -1)
+        # normalize shares the slots it reads, whatever sign they carry, at
+        # lo = 0 with the sign of the first slot
+        assert n._slots is p._slots and (n._lo, n._sign) == (0, 1) and (m._lo, m._sign) == (0, -1)
         pu = under_unit(p, 2, -1)
-        assert pu.normalize()._c is pu._c and pu.normalize()._unit == (5, -1)
+        assert pu.normalize()._slots is pu._slots and (pu.normalize()._lo, pu.normalize()._sign) == (0, -1)
         assert pu.normalize() == n == multiply(p, LaurentPoly({7: 1})).normalize()
         assert multiply(p, LaurentPoly({-1: -1})).normalize() == n
         assert under_unit(LaurentPoly({0: 3}), 4, -1) == LaurentPoly({0: 3})
@@ -461,7 +514,7 @@ class TestProtocol:
             assert under_unit(c, 3, -1) != n and under_unit(c, 3, -1) == c
             assert c.coefficient(0) == n
         assert LaurentPoly({0: 0}) == LaurentPoly()
-        # equality reads through the unit, so a polynomial has no hash
+        # equality reads through the sign, so a polynomial has no hash
         with pytest.raises(TypeError):
             hash(LaurentPoly({0: 1}))
 

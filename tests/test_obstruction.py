@@ -51,6 +51,8 @@ class TestOSForm:
     def test_unit_invariance(self):
         delta = alexander_skein(PretzelLink((-2, 3, 7)))
         shifted = under_unit(multiply(delta, LaurentPoly({5: -1})), 5, -1)
+        # stored over delta's own slots, with the shift 5 and the sign -1
+        assert shifted._lo == lowest_exponent(delta) + 5 and shifted._sign == -1
         assert os_form_check(shifted) == os_form_check(delta)
 
     @given(
@@ -131,7 +133,8 @@ def outcome(check, delta):
 
 def with_units(delta):
     """``delta`` times each of the units 1, -1, s^3 and -s^-4; the last two
-    carry their unit in the unit slot."""
+    are stored over the slots of ``delta`` itself, with the shift in their
+    lowest exponent and the sign in their sign slot."""
     return (
         delta,
         scale(delta, -1),

@@ -74,7 +74,7 @@ def _shared_code(tree: ast.AST, allowed: dict | None = None):
     package root (which re-exports them), of anything from ``pretzel``
     beyond the diagram template: ``PretzelLink`` and ``_MAX_TWIST``, or of
     anything from ``laurent`` beyond the ``LaurentPoly`` type, such as the
-    ``_trusted`` wrapper the skein engine builds its results with; and of
+    ``_from_slots`` wrapper the skein engine builds its results with; and of
     any module in ``allowed`` (module -> names) beyond the names it lists.
     The skein's map arithmetic (``alexander._product``, ``_sum`` and the
     division) is shut out with the rest of ``alexander``."""
@@ -118,7 +118,7 @@ def test_guard_sees_shared_code():
         "import pretzelsurgery.pretzel\n"
         "from .pretzel import _MAX_TWIST, PretzelLink\n"
         "from pretzelsurgery.laurent import LaurentPoly\n"
-        "from pretzelsurgery.laurent import LaurentPoly, _trusted\n"
+        "from pretzelsurgery.laurent import LaurentPoly, _from_slots\n"
         "from .laurent import render\n"
         "import pretzelsurgery.laurent\n"
         "from .laurent import LaurentPoly\n"
