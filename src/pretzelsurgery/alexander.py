@@ -58,11 +58,16 @@ leaves its operands as they were.  Every product the state sum makes has
 an operand of at most two terms (a test in ``tests/test_alexander.py``
 guards this), and it skips every product known to be 0 (a leaf of value
 0, a Horner step on an empty sum).  The maps do not grow with the twists:
-the only work linear in the largest twist is the division.
+the only work linear in the largest twist is the division's layout of its
+dividend and its quotient.
 ``_divide_by_one_plus_t``, a synthetic division by k running sums, takes
 the numerator's map and returns the quotient already in ``LaurentPoly``'s
 dense layout, its lowest exponent and one slot per s-exponent, which
 ``laurent._from_slots`` wraps as it is: no map of the quotient is built.
+Across the long run of zero t-steps between the numerator's low and high
+blocks the quotient is one constant up to sign, whenever the sums below
+the top one are 0 at its start; the division then sums only the t-steps
+on either side and lays the run out as a repeated pattern.
 """
 
 from __future__ import annotations
@@ -147,6 +152,27 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
     with Q (1 + t)**k = c modulo t**n, and both sides have degree below n.
     Q's first and last coefficients are those of c, so neither is 0, and
     they land in every other slot, one t-step apart.
+
+    A knot's numerator has a few terms in a low and a high block far
+    apart, and the sums need not be run across the zero t-steps between
+    them.  A run of zero t-steps between two terms is cut off so that it
+    ends by t-step n - k: the top k t-steps, whose sums decide
+    divisibility, are always summed.  The longest such run is taken when
+    it covers more than half of the quotient's n - k t-steps; a run that
+    long holds the middle one, (n - k) // 2, so the loop that lays c out
+    needs only the terms next to that t-step to find it.  The run is
+    taken only if the k passes over the head (the t-steps before it) end
+    with the k - 1 lower sums at 0, which holds exactly when
+    (1 + t)**(k - 1) divides the head.  Across the run each sum then adds
+    the one below it, so the lower sums stay 0 and the top one stays at
+    its last value v: the quotient there is (-1)**j v, which the output
+    takes from the start as the repeated slots [v, 0, -v, 0].  The passes
+    run over the tail from the sums at the run's end (the tail starts at
+    an even t-step inside the run, so its slots take the head's signs),
+    and the head's and the tail's sums overwrite their slots.  The sums
+    are those of the full passes, so the test of the top k and the
+    quotient are the same.  Any other dividend is summed over every
+    t-step.
     """
     if k < 0:
         raise LaurentError(f"cannot divide by (1 + t)^{k}: the power must be at least 0")
@@ -158,24 +184,60 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
         for e, v in c.items():
             slots[e - lo] = v
         return lo, slots
-    if any((e - lo) % 2 for e in c):
-        raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
     n = (hi - lo) // 2 + 1
     count = n - k  # the quotient's terms
+    sums = [0] * n
+    # the terms next to the quotient's middle t-step, which bound the only
+    # run of zero t-steps that can cover more than half of it
+    mid = count // 2
+    below, above = -1, n
+    for e, v in c.items():
+        j = e - lo
+        if j & 1:
+            raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
+        j >>= 1
+        sums[j] = -v if j & 1 else v
+        if j < mid:
+            if j > below:
+                below = j
+        elif mid < j < above:
+            above = j
     if count <= 0:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    sums = [0] * n
-    for e, v in c.items():
-        j = (e - lo) // 2
-        sums[j] = -v if j % 2 else v
-    for _ in range(k):  # lazy passes, run at C speed by the list() below
-        sums = accumulate(sums)
-    sums = list(sums)
-    if any(sums[count:]):
+    start, end = below + 1, min(above, count)
+    skip_run = not sums[mid] and 2 * (end - start) > count
+    if skip_run:
+        head = sums[:start]
+        last = []  # each pass's sum at t-step start - 1
+        for _ in range(k):
+            head = list(accumulate(head))
+            last.append(head[-1])
+        v = last.pop()
+        skip_run = not any(last)
+    if skip_run:
+        # across the run the lower sums stay 0 and the top one stays v; the
+        # tail starts at an even t-step inside the run, so its slots take
+        # the head's signs
+        end -= end % 2
+        sums = sums[end:]
+        for _ in range(k - 1):
+            sums = accumulate(sums)
+        sums = list(accumulate(sums, initial=v))[1:]
+        out = [v, 0, -v, 0] * ((count + 1) // 2)
+        del out[2 * count - 1:]
+        out[:2 * start:4] = head[::2]
+        out[2:2 * start:4] = map(neg, head[1::2])
+        out[2 * end::4] = sums[:count - end:2]
+        out[2 * end + 2::4] = map(neg, sums[1:count - end:2])
+    else:
+        for _ in range(k):  # lazy passes, run at C speed by the list() below
+            sums = accumulate(sums)
+        sums = list(sums)
+        out = [0] * (2 * count - 1)  # the sums, times (-1)**j, every other slot
+        out[::4] = sums[:count:2]
+        out[2::4] = map(neg, sums[1:count:2])
+    if any(sums[-k:]):  # the top k t-steps
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    out = [0] * (2 * count - 1)  # the sums, times (-1)**j, every other slot
-    out[::4] = sums[:count:2]
-    out[2::4] = map(neg, sums[1:count:2])
     return lo, out
 
 

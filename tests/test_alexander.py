@@ -15,7 +15,7 @@ from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink, is_knot, parallel_regions
 
 from invariants import at_minus_one, at_one, conj, lowest_exponent
-from reference_closed_form import claim_formula
+from reference_closed_form import claim_formula, torus
 from reference_conway import conway_pretzel
 from reference_laurent import SKEIN_FACTOR, add, multiply, parse, scale
 
@@ -228,6 +228,36 @@ class TestLargeQ:
         # P(-2,3,q) = P(-1,2,3,q)
         assert delta.equal_up_to_units(claim_formula(1, 3, q))
         assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("q", [2001, 10001])
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("n", [-2, -1, 2])
+    def test_family_matches_closed_form(self, n, p, q):
+        # the paper's family P(-1,2n,p,q), whose numerators have a low and
+        # a high block about 2q apart, against the independent closed form
+        start = time.perf_counter()
+        delta = alexander_skein(PretzelLink((-1, 2 * n, p, q)))
+        assert delta.equal_up_to_units(claim_formula(n, p, q)), (n, p, q)
+        assert time.perf_counter() - start < 2.0
+
+    def test_trace_multipliers_are_torus_values(self):
+        # a parallel region a with |a| = 10001 takes the two-term numerators
+        # of Delta_(sign - a) and Delta_(-a) over (1 + t)^1, and the trace
+        # lists their quotients; Delta_(-l) = (-1)^(l+1) Delta_l mirrors
+        # the arbiter's torus values to negative indices
+        def mirror(l):
+            return torus(l) if l >= 0 else scale(torus(-l), 1 if l % 2 else -1)
+
+        steps_seen = 0
+        for params in ((-2, 3, 10001), (-1, 4, 3, 10001), (-1, -4, 5, 10001),
+                       (-2, 3, -10001), (-1, 2, 3, -10001), (-2, -10001, 5)):
+            _, steps = alexander_with_trace(PretzelLink(params))
+            for _, a, branches in steps:
+                if abs(a) == 10001:
+                    sign = 1 if a > 0 else -1
+                    assert branches == ((mirror(sign - a), 0), (mirror(-a), sign)), params
+                    steps_seen += 1
+        assert steps_seen == 6
 
 
 class TestConwayRepresentative:

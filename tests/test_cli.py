@@ -342,6 +342,23 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "match" in proc.stdout
 
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # a first line of 1 MB and 2.4 MB after it, far past a pipe's
+        # buffer, so the CLI is still writing when the reader closes the
+        # pipe after the first line
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pretzelsurgery", "alexander", "-2,3,99999", "--trace"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline().startswith("P(-2,3,99999): ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert len(err.splitlines()) <= 1, err
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

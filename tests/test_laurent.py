@@ -17,7 +17,7 @@ from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import LaurentError, LaurentPoly, _from_slots, render
 from pretzelsurgery.pretzel import PretzelLink
 
-from invariants import conj, lowest_exponent, under_unit
+from invariants import at_minus_one, conj, lowest_exponent, under_unit
 from reference_laurent import SKEIN_FACTOR, add, multiply, parse, scale
 
 
@@ -312,18 +312,106 @@ def _wide_quotients():
         yield multiply(q, LaurentPoly({-7: -1})), k
 
 
+def _run_quotient(head, v, length, tail, degree=0):
+    """The quotient with the t-step coefficients of head, then length
+    t-steps (-1)**j * v * i**degree for i = 1, 2, ..., then those of tail.
+    Times (1 + t)**k with k > degree the middle cancels: the dividend has
+    a run of about length zero t-steps between a low and a high block."""
+    h = len(head)
+    middle = [(-1) ** j * v * (j - h + 1) ** degree for j in range(h, h + length)]
+    return _even(LaurentPoly(dict(enumerate(head + middle + tail))))
+
+
+def _longest_run(c):
+    """The first and last t-steps of the longest run of zero t-steps between
+    two terms of the coefficient map c, and its length."""
+    steps = sorted((e - min(c)) // 2 for e in c)
+    a, b = max(zip(steps, steps[1:]), key=lambda ab: ab[1] - ab[0])
+    return a + 1, b - 1, b - a - 1
+
+
+def _constant_runs():
+    """Dividends whose quotient is one constant up to sign, v, across more
+    than half of its t-steps: k = 1 to 6, heads of one to four t-steps (so
+    the run starts on either parity), runs of either parity of length,
+    v = 0 and v != 0, and tails of none to five t-steps; with no tail the
+    run reaches the quotient's last t-step.  1 + t never divides the
+    quotient."""
+    rng = random.Random(30)
+    for k in range(1, 7):
+        for h in (1, 2, 3, 4):
+            for length in (40, 41):
+                for v in (0, 3, -1):
+                    for r in (0, 1, 2, 5):
+                        if not (v or r):
+                            continue
+                        head = [rng.choice((-2, 1, 5))] + [rng.randint(-9, 9) for _ in range(h - 1)]
+                        tail = [rng.randint(-9, 9) for _ in range(r - 1)] + [rng.choice((-1, 4))] if r else []
+                        q = _run_quotient(head, v, length, tail)
+                        if not at_minus_one(q):
+                            # 1 + t divides q, so one factor short would divide
+                            head[0] += 1
+                            q = _run_quotient(head, v, length, tail)
+                        yield q, k
+                        yield multiply(q, LaurentPoly({-5: -1})), k
+
+
+def _summed_through():
+    """Dividends with a run of zero t-steps over more than half of the
+    quotient, across which the quotient is (-1)**j v times a polynomial in
+    j of degree 1 to k - 1: the lower running sums are not 0 at the run's
+    start, so the sums are run across it."""
+    for k in range(2, 7):
+        for degree in range(1, k):
+            for head, tail in (([1], []), ([2, -1, 3], [1, 1]), ([-1, 0, 0, 4], [5])):
+                yield _run_quotient(head, 1, 60, tail, degree), k
+
+
 class TestExactDivision:
     """``alexander._divide_by_one_plus_t`` on coefficient maps, against
     quotients multiplied back by the schoolbook ``multiply``."""
 
     @pytest.mark.parametrize(
-        "cases", [_seeded_quotients, _wide_quotients], ids=lambda f: f.__name__
+        "cases", [_seeded_quotients, _wide_quotients, _constant_runs, _summed_through],
+        ids=lambda f: f.__name__,
     )
     def test_quotient_of_product(self, cases):
         for q, k in cases():
             r = _divide_by_one_plus_t(_map(_times_one_plus_t(q, k)), k)
             assert r == _layout(_map(q)), (q, k)
             assert r[1][0] and r[1][-1]
+
+    @pytest.mark.parametrize("cases", [_constant_runs, _summed_through], ids=lambda f: f.__name__)
+    def test_run_cases_have_long_runs(self, cases):
+        # every dividend of these cases has a run of zero t-steps over more
+        # than half of the quotient's t-steps, and the runs start and end
+        # on both parities of t-step
+        parities = set()
+        for q, k in cases():
+            c = _map(_times_one_plus_t(q, k))
+            first, last, length = _longest_run(c)
+            count = (max(c) - min(c)) // 2 + 1 - k
+            assert 2 * min(length, count - first) > count, (q, k)
+            parities.add((first % 2, min(last, count - 1) % 2))
+        assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_run_perturbed_raises(self):
+        # one term changed in the head, at each edge of the run or in the
+        # tail, and one factor short: none is divisible
+        for q, k in _constant_runs():
+            c = _map(_times_one_plus_t(q, k))
+            first, last, _ = _longest_run(c)
+            lo, top = min(c), max(c)
+            for step in (0, first - 1, first, last, last + 1, (top - lo) // 2):
+                e = lo + 2 * step
+                changed = dict(c)
+                changed[e] = changed.get(e, 0) + 1
+                if not changed[e]:
+                    del changed[e]
+                with pytest.raises(LaurentError, match="does not divide"):
+                    _divide_by_one_plus_t(changed, k)
+            with pytest.raises(LaurentError, match="does not divide"):
+                _divide_by_one_plus_t(_map(_times_one_plus_t(q, k - 1)), k)
 
     def test_indivisible_raises(self):
         rng = random.Random(14)

@@ -10,7 +10,9 @@ Under ``sys.settrace`` this script runs, in one process:
   inputs: knots, links, parse errors and twists over the 100,000 bound;
 * every ``verify-claims`` suite at small bounds;
 * argparse refusals, the removed ``verify-claim2`` subcommand among them,
-  and a bound flag that its suite does not read.
+  and a bound flag that its suite does not read;
+* the entry point ``cli.main`` twice: once into a buffer, and once into a
+  pipe whose read end is closed, where it must exit 1, not raise.
 
 It then prints, as JSON, each module's statement count and the statements
 that no line event reached, as ``"line: source"``.  Docstrings and
@@ -35,6 +37,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -193,6 +196,29 @@ def run_cli(cli) -> list[str]:
     return failures
 
 
+def run_main(cli) -> list[str]:
+    """Run ``cli.main`` with the argv of a knot, into a buffer and into a
+    pipe that no one reads (its 1 MB of output cannot fit in the pipe);
+    the unexpected exit statuses."""
+    failures = []
+    read, write = os.pipe()
+    os.close(read)
+    argv = sys.argv
+    with open(write, "w") as closed_pipe:
+        for out, expected in ((io.StringIO(), 0), (closed_pipe, 1)):
+            sys.argv = ["pretzelsurgery", "alexander", "-2,3,99999"]
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    cli.main()
+            except SystemExit as exc:
+                code = exc.code
+            finally:
+                sys.argv = argv
+            if code != expected:
+                failures.append(f"main into {type(out).__name__}: exit {code}, expected {expected}")
+    return failures
+
+
 def main() -> int:
     start = time.perf_counter()
     sys.path.insert(0, str(ROOT / "src"))
@@ -201,7 +227,7 @@ def main() -> int:
         api = SimpleNamespace(**{name: importlib.import_module("pretzelsurgery." + name) for name in API_MODULES})
         cli = importlib.import_module("pretzelsurgery.cli")
         importlib.import_module("pretzelsurgery.__main__")
-        failures = run_workloads(api) + run_cli(cli)
+        failures = run_workloads(api) + run_cli(cli) + run_main(cli)
     report = {}
     for path in sorted(PACKAGE.glob("*.py")):
         count, missed = unreached(path, trace.lines.get(str(path.resolve()), set()))
