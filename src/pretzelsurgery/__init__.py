@@ -7,7 +7,6 @@ from .pretzel import (
     FamilyTag,
     MontesinosDescription,
     PretzelLink,
-    family_membership,
     is_knot,
     parse_montesinos,
     parse_pretzel,
@@ -17,13 +16,11 @@ from .oracle import alexander_fox, build_diagram
 
 from .obstruction import (
     CheckResult,
-    GabaiCaseTrace,
     HFRankParams,
     ObstructionError,
     OSFormDecomposition,
     SurgerySlope,
     claim2_implication,
-    gabai_not_fibered,
     monic_check,
     os_form_check,
     pm1_coefficients,

@@ -26,9 +26,11 @@ decisive one, and emits an auditable report:
 3. seminorm gate: Culler-Shalen seminorm bounds (Mattman) kill the
    (-2l, p, q) family for l > 1 and reduce (-2, 3, q) to a static slope
    table at q = 7, 9;
-4. Alexander gate: the remaining families fail the L-space polynomial
-   conditions - a violating coefficient for the (-1, 2n, p, q) family,
-   or a non-fibered certificate for the (-1,-1,2m,p,q) family.
+4. Alexander gate: every coefficient of the Alexander polynomial of a
+   knot with an L-space surgery, and so with a cyclic or finite one, is
+   0 or +-1 (Ozsvath-Szabo); the remaining families each have one
+   coefficient of the normalized Delta outside {0, +-1}: [t^0] = 2m - 1
+   for (-1,-1,2m,p,q), and [t^1], [t^4] or [t^3] for (-1, 2n, p, q).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import json
 from dataclasses import dataclass, field
 
 from .alexander import alexander_skein
-from .obstruction import gabai_not_fibered, monic_check
 from .pretzel import (
     FamilyKind,
     FamilyTag,
@@ -55,7 +56,9 @@ class ClassifyError(ValueError):
     link or an input that does not parse raises PretzelError."""
 
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# version 1 reports have the same structure; only their contents differ
+_READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 # verdict names
 NO_CYCLIC_OR_FINITE = "NO_CYCLIC_OR_FINITE"
@@ -80,9 +83,6 @@ CITE_MATTMAN = (
 )
 CITE_ALEXANDER = (
     "Ozsvath-Szabo L-space coefficient condition via the Alexander polynomial"
-)
-CITE_FIBERED = (
-    "Gabai: fibered pretzel links; Ni: knots with L-space surgeries are fibered"
 )
 
 # static slope table for the (-2,3,q) knots with cyclic or finite surgeries
@@ -154,7 +154,7 @@ class ClassificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassificationReport":
-        if data.get("schema_version") != SCHEMA_VERSION:
+        if data.get("schema_version") not in _READABLE_VERSIONS:
             raise ClassifyError("unsupported report schema version")
         return cls(
             schema_version=data["schema_version"],
@@ -292,22 +292,29 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
 # ----------------------------------------------------------------------
 # stage 4: Alexander gate
 
+# the exponent of the coefficient of the normalized Delta that excludes each
+# family left after the seminorm gate, keyed by the family and its index
+# clamped to -1..2 (OTHER's index is None, read as 0); the m of
+# (-1,-1,2m,p,q) is at least 2
+_GATE_EXPONENTS = {
+    (FamilyKind.MINUS1_2N, -1): 1,
+    (FamilyKind.MINUS1_2N, 1): 4,
+    (FamilyKind.MINUS1_2N, 2): 3,
+    (FamilyKind.MINUS1_MINUS1_2M, 2): 0,
+}
+
+
 def alexander_gate(tag: FamilyTag) -> StageResult:
-    """Polynomial exclusions for the families surviving the seminorm gate:
-    a non-(+-1) coefficient of the normalized Delta for (-1,2n,p,q), at t^1
-    for n < 0, t^4 for n = 1 and t^3 for n >= 2, or a non-fibered
-    certificate (with non-monic corroboration) for (-1,-1,2m,p,q)."""
-    fibered_family = tag.kind is FamilyKind.MINUS1_MINUS1_2M
-    if not fibered_family and (tag.kind is not FamilyKind.MINUS1_2N or (tag.index == 1 and tag.p == 3)):
+    """Polynomial exclusion for the families left after the seminorm gate:
+    a knot with a cyclic or finite surgery has an L-space surgery, so every
+    coefficient of its Delta is 0 or +-1 (Ozsvath-Szabo).  The gate reads
+    one coefficient of the normalized Delta, [t^0] (which is 2m - 1) for
+    (-1,-1,2m,p,q), and for (-1,2n,p,q) [t^1] at n < 0, [t^4] at n = 1
+    and [t^3] at n >= 2; a mirror image has the same normalized Delta."""
+    exp = _GATE_EXPONENTS.get((tag.kind, max(-1, min(tag.index or 0, 2))))
+    if exp is None or (tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3):
         raise ClassifyError(f"tag {tag} should have been consumed by earlier stages")
     link = family_link(tag)
-    if fibered_family:
-        cert = gabai_not_fibered(tag.index, tag.p, tag.q)
-        if monic_check(alexander_skein(link)):
-            raise ClassifyError(f"{link}: expected non-monic Alexander polynomial")
-        evidence = {"family": str(tag), "fibered": False, **cert.fields(), "monic": False}
-        return StageResult("alexander", "excluded", CITE_FIBERED, evidence)
-    exp = 1 if tag.index < 0 else 4 if tag.index == 1 else 3
     value = alexander_skein(link).normalize().coefficient(exp)
     if value in (-1, 0, 1):
         raise ClassifyError(f"{link}: expected a coefficient violating +-1")
@@ -358,7 +365,7 @@ def classify(
     Text goes through ``pretzel.parse``; the hyperbolicity stage and every
     gate share one ``pretzel.read`` of the input, which raises PretzelError
     for a link.  ``input_text`` echoes the parsed input; ``input_kind`` is
-    "pretzel" for every input with a family tag.
+    "montesinos" for a tangle list and "pretzel" for a parameter list.
     """
     reading = read(parse(input) if isinstance(input, str) else input)
     stages = [_hyperbolicity_stage(reading)]
@@ -372,7 +379,7 @@ def classify(
                     break
     return ClassificationReport(
         SCHEMA_VERSION, str(reading.knot),
-        "montesinos" if reading.tag is None else "pretzel",
+        "montesinos" if isinstance(reading.knot, MontesinosDescription) else "pretzel",
         stages[0].evidence["status"], stages[0].evidence.get("reason"),
         stages, _final_from_stage(stages[-1]),
     )

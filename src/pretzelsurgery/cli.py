@@ -31,14 +31,9 @@ from .alexander import alexander_skein, alexander_with_trace
 from .classify import classify
 from .grids import SUITES
 from .laurent import render
-from .obstruction import (
-    gabai_not_fibered,
-    monic_check,
-    os_form_check,
-    pm1_coefficients,
-)
+from .obstruction import monic_check, os_form_check, pm1_coefficients
 from .oracle import alexander_fox
-from .pretzel import FamilyKind, MontesinosDescription, PretzelError, PretzelLink, family_membership, parse
+from .pretzel import MontesinosDescription, PretzelError, PretzelLink, parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,10 +132,6 @@ def _cmd_obstruct(args) -> int:
         if decomp is None
         else {"k": decomp.k, "exponents": list(decomp.exponents)},
     }
-    tag = family_membership(link)
-    if tag.kind is FamilyKind.MINUS1_MINUS1_2M:
-        cert = gabai_not_fibered(tag.index, tag.p, tag.q)
-        doc["fiberedness"] = {"verdict": cert.verdict, **cert.fields()}
     lines = [
         f"{link}: {doc['polynomial']}",
         f"  all coefficients +-1: {doc['pm1_coefficients']}",
@@ -148,8 +139,6 @@ def _cmd_obstruct(args) -> int:
         f"  L-space coefficient form: "
         + ("absent" if decomp is None else f"k={decomp.k}, exponents={list(decomp.exponents)}"),
     ]
-    if "fiberedness" in doc:
-        lines.append(f"  fiberedness: {doc['fiberedness']['verdict']}")
     _emit(doc, args.json, lines)
     return 0
 

@@ -1,6 +1,6 @@
 """Surgery obstruction predicates.
 
-Four independent obstructions to cyclic or finite Dehn surgeries:
+Three independent obstructions to cyclic or finite Dehn surgeries:
 
 * the alternating +-1 coefficient form that the Alexander polynomial of
   any knot with an L-space surgery must take (Ozsvath-Szabo), decided by
@@ -8,9 +8,6 @@ Four independent obstructions to cyclic or finite Dehn surgeries:
 * the weaker all-coefficients-+-1 test and the monic leading-coefficient
   test (a fibered knot has monic Alexander polynomial, and knots with
   L-space surgeries are fibered, by Ni);
-* a sutured-surface fiberedness certificate for the (-1,-1,2m,p,q)
-  pretzel family, following Gabai's classification of fibered pretzel
-  links;
 * arithmetic verification of the Heegaard Floer rank-formula implication
   that integral L-space slopes follow from non-integral ones.  The
   Floer-theoretic inputs (the invariant nu and the total reduced rank Y)
@@ -23,7 +20,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .laurent import LaurentPoly
-from .pretzel import PretzelLink
 
 
 class ObstructionError(ValueError):
@@ -113,75 +109,11 @@ def pm1_coefficients(delta: LaurentPoly) -> bool:
 
 
 def monic_check(delta: LaurentPoly) -> bool:
-    """True iff the leading coefficient of ``delta`` is +-1 (a necessary
-    condition for fiberedness).  Rejects the zero polynomial."""
+    """True iff the leading coefficient of ``delta`` is +-1 (a fibered
+    knot's is).  Rejects the zero polynomial."""
     if delta.is_zero:
         raise ObstructionError("zero polynomial has no leading coefficient")
     return abs(delta.s_coefficient(delta.maxdeg)) == 1
-
-
-# ----------------------------------------------------------------------
-# fiberedness certificate for the (-1,-1,2m,p,q) family
-
-@dataclass(frozen=True)
-class GabaiCaseTrace:
-    """Audit record of the fiberedness decision for P(-1,-1,2m,p,q).
-
-    The decision walks the case analysis for pretzel surfaces of type II:
-    the spanning surface has band data (m_1, m_11, m_2, m_3, m_4) =
-    (-1, 2m, p, q, -1), whose sign sum vanishes, so fiberedness is
-    equivalent to that of the associated link L' = P(2m,-2,-2); for m > 1
-    that link matches none of the fibered patterns, hence not fibered.
-    """
-
-    input: PretzelLink
-    surface_type: str
-    band_data: tuple[int, ...]
-    case_path: tuple[str, ...]
-    associated_link: PretzelLink
-    verdict: str  # "fibered" or "not-fibered"
-
-    def fields(self) -> dict:
-        """The surface type, band data, case path and associated link as
-        JSON values, as ``obstruct`` and the classify report print them."""
-        return {
-            "surface_type": self.surface_type,
-            "band_data": list(self.band_data),
-            "case_path": list(self.case_path),
-            "associated_link": str(self.associated_link),
-        }
-
-
-def gabai_not_fibered(m: int, p: int, q: int) -> GabaiCaseTrace:
-    """Fiberedness certificate for the pretzel knot P(-1,-1,2m,p,q).
-
-    Requires m >= 2 and odd 3 <= p <= q; the case chain below is only
-    valid as instantiated (at m = 1 the associated link degenerates to a
-    fibered pattern and the argument breaks).
-    """
-    if m < 2:
-        raise ObstructionError(
-            "certificate requires m >= 2: P(2m,-2,-2) with m=1 matches the "
-            "fibered pattern +-(2,-2,...,n)"
-        )
-    if p % 2 == 0 or q % 2 == 0 or not 3 <= p <= q:
-        raise ObstructionError("certificate requires odd 3 <= p <= q")
-    link = PretzelLink((-1, -1, 2 * m, p, q))
-    band_data = (-1, 2 * m, p, q, -1)
-    # type II surface: one doubled band (2m) among signed bands whose
-    # sign sum is -1 + 1 + 1 - 1 = 0
-    sign_sum = sum(b // abs(b) for b in (-1, 2 * m, p, -1))
-    if sign_sum != 0:
-        raise ObstructionError("band sign sum must vanish for this chain")
-    associated = PretzelLink((2 * m, -2, -2))
-    return GabaiCaseTrace(
-        input=link,
-        surface_type="TYPE-II",
-        band_data=band_data,
-        case_path=("CASE 2", "CASE 2B", "CASE 1"),
-        associated_link=associated,
-        verdict="not-fibered",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -265,11 +197,9 @@ __all__ = [
     "OSFormDecomposition",
     "SurgerySlope",
     "HFRankParams",
-    "GabaiCaseTrace",
     "CheckResult",
     "os_form_check",
     "pm1_coefficients",
     "monic_check",
-    "gabai_not_fibered",
     "claim2_implication",
 ]

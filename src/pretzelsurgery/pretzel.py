@@ -181,7 +181,27 @@ class Reading:
 
 def read(knot: PretzelLink | MontesinosDescription) -> Reading:
     """Read a parsed input once as its tangles, D and family tag; raises
-    PretzelError for a link, whose D is even (``is_knot``)."""
+    PretzelError for a link, whose D is even (``is_knot``).
+
+    The tag places the knot in the candidate surgery families.  It is None
+    when some tangle is not +-1 mod its denominator, or for a one-tangle
+    description (a two-bridge knot).  The lookup runs on a normal form that
+    depends only on the knot's tangles mod 1 and the sum e of their integer
+    parts (Boileau-Zieschang).  A proper tangle beta/alpha = k + s/alpha,
+    with s = +-1 and s = +1 at alpha = 2, is the region s*alpha and adds k
+    to e; an integer tangle, such as a +-1 region, adds to e.  What remains
+    is the multiset of essential regions, so order and integer tangles never
+    matter.  A member has the regions (2k, p, q) with odd 3 <= p <= q and
+
+    * e = 0 and 2k <= -4: MINUS_2L with l = -k;
+    * e = -1: MINUS1_2N with n = k (so P(-2,p,q) = P(-1,2,p,q) has n = 1);
+    * e = -2 and 2k = 2: MINUS1_2N with n = -1, as P(-1,-1,2,p,q) =
+      P(-1,-2,p,q);
+    * e = -2 and 2k >= 4: MINUS1_MINUS1_2M with m = k.
+
+    A knot whose mirror image (every tangle negated) is a member gets the
+    member's tag with ``mirror`` set; no knot is both.
+    """
     pairs = tangles(knot)
     det = determinant(pairs)
     if det % 2 == 0:
@@ -193,32 +213,6 @@ def read(knot: PretzelLink | MontesinosDescription) -> Reading:
         if mirror.kind is not FamilyKind.OTHER:
             tag = replace(mirror, mirror=True)
     return Reading(knot, pairs, det, tuple(t for t in pairs if t[1] >= 2), tag)
-
-
-def family_membership(knot: PretzelLink | MontesinosDescription) -> FamilyTag | None:
-    """Classify a knot into the candidate surgery families: ``read(knot).tag``.
-    None when some tangle is not +-1 mod its denominator, or for a
-    one-tangle description (a two-bridge knot); raises PretzelError for a
-    link, as ``read`` does.
-
-    The lookup runs on a normal form that depends only on the knot's
-    tangles mod 1 and the sum e of their integer parts (Boileau-Zieschang).
-    A proper tangle beta/alpha = k + s/alpha, with s = +-1 and s = +1 at
-    alpha = 2, is the region s*alpha and adds k to e; an integer tangle,
-    such as a +-1 region, adds to e.  What remains is the multiset of
-    essential regions, so order and integer tangles never matter.  A member
-    has the regions (2k, p, q) with odd 3 <= p <= q and
-
-    * e = 0 and 2k <= -4: MINUS_2L with l = -k;
-    * e = -1: MINUS1_2N with n = k (so P(-2,p,q) = P(-1,2,p,q) has n = 1);
-    * e = -2 and 2k = 2: MINUS1_2N with n = -1, as P(-1,-1,2,p,q) =
-      P(-1,-2,p,q);
-    * e = -2 and 2k >= 4: MINUS1_MINUS1_2M with m = k.
-
-    A knot whose mirror image (every tangle negated) is a member gets the
-    member's tag with ``mirror`` set; no knot is both.
-    """
-    return read(knot).tag
 
 
 def _family_tag(pairs) -> FamilyTag | None:

@@ -6,8 +6,7 @@ regions of the sign of k, which flypes move freely.  Of the splits, the one
 with the least |k| is taken, so a tangle that is literally +-1/a stays the
 single region +-a, and the integer tangle 0 becomes the cancelling pair
 (1, -1).  The pretzel has sum(|k|) + n regions, so this is only for small
-tangles; it shares no code with ``pretzel.tangles`` or
-``pretzel.family_membership``.
+tangles; it shares no code with ``pretzel.tangles`` or ``pretzel.read``.
 """
 
 from fractions import Fraction

@@ -10,7 +10,6 @@ import time
 from pretzelsurgery import grids
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.laurent import LaurentPoly
-from pretzelsurgery.obstruction import gabai_not_fibered, monic_check
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink
 
@@ -94,19 +93,27 @@ def test_criterion_6_rank_formula_grid(capfd):
     _timed(capfd, "criterion 6: rank-formula implication grid", 5, body)
 
 
-def test_criterion_7_fiberedness_coherence(capfd):
+def test_criterion_7_constant_coefficient(capfd):
+    # the normalized [t^0] of P(+-(-1,-1,2m,p,q)) is 2m - 1, outside the
+    # {0, +-1} that an L-space surgery allows: Fox on the small members and
+    # the skein on both chiralities of a larger box
     def body():
-        cells = 0
+        fox = skein = 0
         for m in range(2, 6):
             for p, q in grids.pq_pairs(3, 9, 9):
-                cert = gabai_not_fibered(m, p, q)
-                assert cert.verdict == "not-fibered", (m, p, q)
                 delta = alexander_fox(PretzelLink((-1, -1, 2 * m, p, q)))
-                assert not monic_check(delta), (m, p, q)
-                cells += 1
-        return f"{cells} cells"
+                assert delta.normalize().coefficient(0) == 2 * m - 1, (m, p, q)
+                fox += 1
+        for m in range(2, 9):
+            for p, q in grids.pq_pairs(3, 25, 25):
+                for sign in (1, -1):
+                    link = PretzelLink(tuple(sign * a for a in (-1, -1, 2 * m, p, q)))
+                    assert alexander_skein(link).normalize().coefficient(0) == 2 * m - 1, link
+                    skein += 1
+        assert skein == 1092
+        return f"{fox} Fox cells, {skein} skein knots"
 
-    _timed(capfd, "criterion 7: not-fibered and non-monic agree", 60, body)
+    _timed(capfd, "criterion 7: constant coefficient 2m - 1", 60, body)
 
 
 def test_criterion_8_polynomial_properties(capfd):

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -21,6 +22,7 @@ from pretzelsurgery.classify import (
     mattman_gate,
 )
 from pretzelsurgery.alexander import alexander_skein
+from pretzelsurgery.cli import run
 from pretzelsurgery.grids import minus2_3_q
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery import pretzel
@@ -28,11 +30,11 @@ from pretzelsurgery.pretzel import (
     MontesinosDescription,
     PretzelError,
     PretzelLink,
-    family_membership,
     is_knot,
     parallel_regions,
     parse,
     parse_montesinos,
+    read,
 )
 from invariants import at_minus_one
 from reference_closed_form import torus
@@ -136,7 +138,7 @@ class TestTwoBridgeArbiters:
         for text in texts:
             desc = parse_montesinos(text)
             try:
-                if family_membership(desc) is not None:
+                if read(desc).tag is not None:
                     continue
             except PretzelError:
                 continue  # a link
@@ -151,58 +153,83 @@ class TestTwoBridgeArbiters:
 
 class TestGates:
     def test_delman_other_excluded(self):
-        stage = delman_gate(family_membership(PretzelLink((3, 5, 7))))
+        stage = delman_gate(read(PretzelLink((3, 5, 7))).tag)
         assert stage.verdict == "excluded"
         assert stage.evidence == {"family": "OTHER"}
 
     def test_delman_pass(self):
-        stage = delman_gate(family_membership(PretzelLink((-4, 5, 7))))
+        stage = delman_gate(read(PretzelLink((-4, 5, 7))).tag)
         assert stage.verdict == "pass"
         assert stage.evidence == {"family": "MINUS_2L(l=2,p=5,q=7)"}
-        stage = delman_gate(family_membership(PretzelLink((-1, -1, 4, 3, 3))))
+        stage = delman_gate(read(PretzelLink((-1, -1, 4, 3, 3))).tag)
         assert stage.verdict == "pass"
         assert stage.evidence == {"family": "MINUS1_MINUS1_2M(m=2,p=3,q=3)"}
 
     def test_mattman_l_greater_one(self):
-        stage = mattman_gate(family_membership(PretzelLink((-6, 5, 7))))
+        stage = mattman_gate(read(PretzelLink((-6, 5, 7))).tag)
         assert stage.verdict == "excluded"
 
     def test_mattman_table(self):
-        stage = mattman_gate(family_membership(PretzelLink((-2, 3, 7))))
+        stage = mattman_gate(read(PretzelLink((-2, 3, 7))).tag)
         assert stage.verdict == "slopes"
         assert stage.evidence["cyclic_slopes"] == [18, 19]
         assert stage.evidence["finite_slopes"] == [17]
-        stage = mattman_gate(family_membership(PretzelLink((-2, 3, 9))))
+        stage = mattman_gate(read(PretzelLink((-2, 3, 9))).tag)
         assert stage.evidence["finite_slopes"] == [22, 23]
-        stage = mattman_gate(family_membership(PretzelLink((-2, 3, 11))))
+        stage = mattman_gate(read(PretzelLink((-2, 3, 11))).tag)
         assert stage.verdict == "excluded"
 
     def test_mattman_pass_through(self):
-        stage = mattman_gate(family_membership(PretzelLink((-2, 5, 7))))
+        stage = mattman_gate(read(PretzelLink((-2, 5, 7))).tag)
         assert stage.verdict == "pass"
 
     def test_alexander_gate_coefficients(self):
-        stage = alexander_gate(family_membership(PretzelLink((-2, 5, 7))))
+        stage = alexander_gate(read(PretzelLink((-2, 5, 7))).tag)
         assert stage.evidence["coefficient_exponent"] == 4
         assert stage.evidence["coefficient"] == -2
-        stage = alexander_gate(family_membership(PretzelLink((-1, 6, 3, 5))))
+        stage = alexander_gate(read(PretzelLink((-1, 6, 3, 5))).tag)
         assert stage.evidence["coefficient_exponent"] == 3
         assert stage.evidence["coefficient"] == 2
-        stage = alexander_gate(family_membership(PretzelLink((-1, -2, 3, 3))))
+        stage = alexander_gate(read(PretzelLink((-1, -2, 3, 3))).tag)
         assert stage.evidence["coefficient_exponent"] == 1
         assert stage.evidence["coefficient"] == -4
 
-    def test_alexander_gate_fiberedness(self):
-        stage = alexander_gate(family_membership(PretzelLink((-1, -1, 4, 3, 3))))
-        assert stage.verdict == "excluded"
-        assert stage.evidence["fibered"] is False
-        assert stage.evidence["monic"] is False
+    def test_alexander_gate_constant_coefficient(self):
+        # [t^0] = 2m - 1 for P(-1,-1,2m,p,q) and for its mirror image
+        for params in ((-1, -1, 4, 3, 3), (1, 1, -4, -3, -3)):
+            stage = alexander_gate(read(PretzelLink(params)).tag)
+            assert stage.verdict == "excluded"
+            assert stage.evidence["coefficient_exponent"] == 0
+            assert stage.evidence["coefficient"] == 3
+
+    def test_alexander_gate_failure(self, monkeypatch, capsys):
+        # a Delta with every coefficient +-1, or +-1 only at the exponent the
+        # family reads: the gate raises, and the CLI reports that on one line
+        # with exit code 1
+        def skein_returning(coefficients):
+            delta = LaurentPoly({2 * e: c for e, c in enumerate(coefficients)})
+            # the package's classify function shadows its module's name
+            monkeypatch.setattr(sys.modules["pretzelsurgery.classify"], "alexander_skein", lambda link: delta)
+
+        pm1 = [(-1) ** e for e in range(9)]
+        for params, exp in (((-1, -1, 4, 3, 3), 0), ((-1, -2, 3, 3), 1), ((-1, 6, 3, 5), 3), ((-2, 5, 7), 4)):
+            tag = read(PretzelLink(params)).tag
+            for coefficients in (pm1, [1 if e == exp else 2 for e in range(9)]):
+                skein_returning(coefficients)
+                with pytest.raises(ClassifyError, match="expected a coefficient violating"):
+                    alexander_gate(tag)
+        skein_returning(pm1)
+        assert run(["classify", "-1,-1,4,3,3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_alexander_gate_rejects_consumed_tags(self):
         with pytest.raises(ClassifyError):
-            alexander_gate(family_membership(PretzelLink((-2, 3, 7))))
+            alexander_gate(read(PretzelLink((-2, 3, 7))).tag)
         with pytest.raises(ClassifyError):
-            alexander_gate(family_membership(PretzelLink((-6, 5, 7))))
+            alexander_gate(read(PretzelLink((-6, 5, 7))).tag)
 
 
 class TestPipeline:
@@ -281,10 +308,10 @@ class TestPipeline:
             for params in product(range(-3, 4), repeat=n)
             if not is_knot(PretzelLink(params))
         ]
-        entry_points = [classify, family_membership, parallel_regions, alexander_skein]
+        entry_points = [classify, read, parallel_regions, alexander_skein]
         cases = [(f, link) for link in links for f in entry_points]
         for text in ("2/5;1/2;1/2", "4/3", "0/1"):
-            cases += [(classify, text), (classify, parse_montesinos(text)), (family_membership, parse_montesinos(text))]
+            cases += [(classify, text), (classify, parse_montesinos(text)), (read, parse_montesinos(text))]
         for f, knot in cases:
             with pytest.raises(PretzelError, match="is not a knot"):
                 f(knot)
@@ -294,6 +321,18 @@ class TestPipeline:
         for text in ("-2,3,7", "-1,-1,4,3,3", "3", "2/5;1/3;1/2"):
             report = classify(text)
             assert ClassificationReport.from_json(report.to_json()) == report
+
+    def test_reads_schema_version_1(self):
+        # version 2 changed report contents, not their structure
+        data = classify("-1,-1,4,3,3").to_dict()
+        assert data["schema_version"] == 2
+        for version in (1, 2):
+            data["schema_version"] = version
+            assert ClassificationReport.from_dict(data).to_dict() == data
+        for version in (0, 3, None):
+            data["schema_version"] = version
+            with pytest.raises(ClassifyError, match="schema version"):
+                ClassificationReport.from_dict(data)
 
     @pytest.mark.parametrize(
         "text",
@@ -327,7 +366,7 @@ class TestPipeline:
     def test_montesinos_pretzel_like_out_of_scope(self):
         # 2/3 = 1 - 1/3, so the input is P(-3,1,3,-2) = P(-3,3,2): no family
         report = classify("2/3;1/3;-1/2")
-        assert report.input_kind == "pretzel"
+        assert report.input_kind == "montesinos"
         assert report.input_text == "2/3;1/3;-1/2"
         assert report.final.verdicts == [NO_CYCLIC_OR_FINITE]
         assert report.stages[-1].evidence == {"family": "OTHER"}
@@ -335,11 +374,12 @@ class TestPipeline:
     def test_reports_match_reference_pretzel(self):
         # every three-tangle knot of the reference box whose tangles are all
         # +-1 mod alpha reports what the pretzel it draws reports, except
-        # that input_text echoes the tangle list
+        # that input_text echoes the tangle list and input_kind names it
         checked = 0
         for text, link in box_knots():
             report, expected = classify(text).to_dict(), classify(link).to_dict()
             assert report.pop("input_text") == text
+            assert (report.pop("input_kind"), expected.pop("input_kind")) == ("montesinos", "pretzel")
             expected.pop("input_text")
             assert report == expected, text
             checked += 1
@@ -374,13 +414,13 @@ class TestPipeline:
         "text,kind",
         [("3,5,7", "pretzel"), ("-2,3,7", "pretzel"), ("4,3,5,-1", "pretzel"),
          ("6,-1,3,-1,5", "pretzel"), ("1/3;2/5;2/7", "montesinos"),
-         ("3/1", "montesinos"), ("3", "pretzel")],
+         ("1/2;4/3;-13/7", "montesinos"), ("3/1", "montesinos"), ("3", "pretzel")],
     )
     def test_input_read_once(self, monkeypatch, text, kind):
         # one tangle read and one D, shared by the knot test, the family tag
         # and the two-bridge reason; the Alexander gate reads its own family
-        # link, which these reorder.  A one-tangle description has no tag,
-        # so its kind stays "montesinos"
+        # link, which these reorder.  The kind is that of the input: a
+        # tangle list is "montesinos" and a parameter list "pretzel"
         reads, dets = [], []
         tangles, determinant = pretzel.tangles, pretzel.determinant
         monkeypatch.setattr(pretzel, "tangles", lambda knot: reads.append(str(knot)) or tangles(knot))

@@ -163,11 +163,13 @@ class TestObstruct:
         assert doc["pm1_coefficients"] is True
         assert doc["os_form"]["exponents"] == [1, 2, 4, 5]
 
-    def test_fiberedness_block(self, capsys):
+    def test_not_monic(self, capsys):
         code, out, _ = run_cli(capsys, "obstruct", "-1,-1,4,3,3", "--json")
         doc = json.loads(out)
+        assert code == 0
         assert doc["monic"] is False
-        assert doc["fiberedness"]["verdict"] == "not-fibered"
+        # the predicates only: no family-specific block
+        assert sorted(doc) == ["engine", "input", "monic", "os_form", "pm1_coefficients", "polynomial"]
 
     def test_fault_exits_1(self, capsys, monkeypatch):
         # a fault in the form check is an error, never "form: absent"
@@ -202,6 +204,7 @@ class TestClassify:
         _, expected, _ = run_cli(capsys, "classify", "-2,3,5", "--json")
         expected = json.loads(expected)
         assert doc.pop("input_text") == "-1/2;1/3;1/5"
+        assert (doc.pop("input_kind"), expected.pop("input_kind")) == ("montesinos", "pretzel")
         expected.pop("input_text")
         assert doc == expected
         assert doc["final"]["verdicts"] == ["NON_HYPERBOLIC_SEE_MOSER"]

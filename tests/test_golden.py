@@ -41,7 +41,7 @@ INPUTS = (
 
 # the two knots with exceptional surgeries, a torus knot, a reduced diagram of
 # a torus knot, a Montesinos knot outside the form, a (-1,-1,2m,p,q) knot with
-# its fiberedness block, and a two-bridge knot outside the form
+# a non-monic Delta, and a two-bridge knot outside the form
 OBSTRUCT_INPUTS = ("-2,3,7", "-2,3,9", "5", "3,0", "-1,-4,5,21", "-1,-1,4,3,3", "2,1,1")
 OBSTRUCT_GOLDEN = GOLDEN / "obstruct.jsonl"
 

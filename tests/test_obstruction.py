@@ -15,7 +15,6 @@ from pretzelsurgery.obstruction import (
     OSFormDecomposition,
     SurgerySlope,
     claim2_implication,
-    gabai_not_fibered,
     monic_check,
     os_form_check,
     pm1_coefficients,
@@ -230,30 +229,9 @@ class TestScalarChecks:
             monic_check(LaurentPoly())
 
 
-class TestGabai:
-    def test_certificate(self):
-        cert = gabai_not_fibered(2, 3, 3)
-        assert cert.verdict == "not-fibered"
-        assert cert.surface_type == "TYPE-II"
-        assert cert.band_data == (-1, 4, 3, 3, -1)
-        assert cert.case_path == ("CASE 2", "CASE 2B", "CASE 1")
-        assert cert.associated_link == PretzelLink((4, -2, -2))
-        assert cert.input == PretzelLink((-1, -1, 4, 3, 3))
-
-    def test_m1_rejected(self):
-        with pytest.raises(ObstructionError):
-            gabai_not_fibered(1, 3, 3)
-
-    def test_bad_pq_rejected(self):
-        with pytest.raises(ObstructionError):
-            gabai_not_fibered(2, 4, 5)
-        with pytest.raises(ObstructionError):
-            gabai_not_fibered(2, 5, 3)
-
-    def test_agrees_with_monic_failure(self):
+class TestMinus1Minus1Family:
+    def test_fox_not_monic(self):
         for m, p, q in ((2, 3, 3), (3, 3, 5), (2, 5, 7)):
-            cert = gabai_not_fibered(m, p, q)
-            assert cert.verdict == "not-fibered"
             delta = alexander_fox(PretzelLink((-1, -1, 2 * m, p, q)))
             assert not monic_check(delta), (m, p, q)
 

@@ -11,12 +11,12 @@ from pretzelsurgery.pretzel import (
     PretzelError,
     determinant,
     family_link,
-    family_membership,
     is_knot,
     parallel_regions,
     parse,
     parse_montesinos,
     parse_pretzel,
+    read,
     tangles,
 )
 from invariants import at_minus_one
@@ -167,52 +167,52 @@ class TestWalkArbiter:
 
 class TestFamilyMembership:
     def test_minus_2l(self):
-        tag = family_membership(PretzelLink((-4, 5, 7)))
+        tag = read(PretzelLink((-4, 5, 7))).tag
         assert tag.kind is FamilyKind.MINUS_2L
         assert (tag.index, tag.p, tag.q) == (2, 5, 7)
 
     def test_minus2_pq_maps_to_n1(self):
-        tag = family_membership(PretzelLink((-2, 3, 7)))
+        tag = read(PretzelLink((-2, 3, 7))).tag
         assert tag.kind is FamilyKind.MINUS1_2N
         assert (tag.index, tag.p, tag.q) == (1, 3, 7)
 
     def test_minus1_2n(self):
-        tag = family_membership(PretzelLink((-1, 6, 3, 5)))
+        tag = read(PretzelLink((-1, 6, 3, 5))).tag
         assert tag.kind is FamilyKind.MINUS1_2N
         assert (tag.index, tag.p, tag.q) == (3, 3, 5)
 
     def test_minus1_2n_negative(self):
-        tag = family_membership(PretzelLink((-1, -2, 3, 3)))
+        tag = read(PretzelLink((-1, -2, 3, 3))).tag
         assert tag.kind is FamilyKind.MINUS1_2N
         assert (tag.index, tag.p, tag.q) == (-1, 3, 3)
 
     def test_minus1_minus1_2m(self):
-        tag = family_membership(PretzelLink((-1, -1, 4, 3, 3)))
+        tag = read(PretzelLink((-1, -1, 4, 3, 3))).tag
         assert tag.kind is FamilyKind.MINUS1_MINUS1_2M
         assert (tag.index, tag.p, tag.q) == (2, 3, 3)
 
     def test_other(self):
-        assert family_membership(PretzelLink((3, 5, 7))).kind is FamilyKind.OTHER
+        assert read(PretzelLink((3, 5, 7))).tag.kind is FamilyKind.OTHER
 
     def test_membership_unordered(self):
-        a = family_membership(PretzelLink((-1, 6, 3, 5)))
-        b = family_membership(PretzelLink((3, -1, 5, 6)))
+        a = read(PretzelLink((-1, 6, 3, 5))).tag
+        b = read(PretzelLink((3, -1, 5, 6))).tag
         assert a == b
 
     def test_family_link_round_trip(self):
         for params in ((-4, 5, 7), (-1, 6, 3, 5), (-1, -1, 4, 3, 3)):
-            tag = family_membership(PretzelLink(params))
-            assert family_membership(family_link(tag)) == tag
+            tag = read(PretzelLink(params)).tag
+            assert read(family_link(tag)).tag == tag
 
     def test_mirror_membership(self):
         for params in ((-4, 5, 7), (-2, 3, 7), (-1, 6, 3, 5), (-1, -1, 4, 3, 3)):
-            tag = family_membership(PretzelLink(params))
-            mirror = family_membership(PretzelLink(tuple(-a for a in params)))
+            tag = read(PretzelLink(params)).tag
+            mirror = read(PretzelLink(tuple(-a for a in params))).tag
             assert not tag.mirror and mirror.mirror
             assert (mirror.kind, mirror.index, mirror.p, mirror.q) == (
                 tag.kind, tag.index, tag.p, tag.q
             )
-            assert family_membership(family_link(mirror)) == mirror
+            assert read(family_link(mirror)).tag == mirror
             assert str(mirror) == f"MIRROR({tag})"
 
     def test_normal_form_box(self):
@@ -223,11 +223,11 @@ class TestFamilyMembership:
         for n, bound in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 5)):
             for params in product(range(-bound, bound + 1), repeat=n):
                 try:
-                    tag = family_membership(PretzelLink(params))
+                    tag = read(PretzelLink(params)).tag
                 except PretzelError:
                     continue  # a link
                 knots += 1
-                assert family_membership(PretzelLink(params + (1, -1))) == tag, params
+                assert read(PretzelLink(params + (1, -1))).tag == tag, params
                 if tag.kind is FamilyKind.OTHER:
                     continue
                 members += 1
@@ -251,14 +251,14 @@ class TestMontesinos:
     def test_as_pretzel_literal(self):
         desc = parse_montesinos("1/3;1/3;-1/2")
         assert as_pretzel(desc) == PretzelLink((3, 3, -2))
-        assert family_membership(desc) == family_membership(PretzelLink((3, 3, -2)))
+        assert read(desc).tag == read(PretzelLink((3, 3, -2))).tag
 
     def test_as_pretzel_rational_fails(self):
         assert as_pretzel(parse_montesinos("2/5;1/3;1/3")) is None
-        assert family_membership(parse_montesinos("2/5;1/3;1/2")) is None
+        assert read(parse_montesinos("2/5;1/3;1/2")).tag is None
         # one tangle: M(1/7) is two-bridge (the unknot), while P(7) is T(2,7)
         assert as_pretzel(parse_montesinos("1/7")) is None
-        assert family_membership(parse_montesinos("1/7")) is None
+        assert read(parse_montesinos("1/7")).tag is None
 
     def test_as_pretzel_pm1_mod_alpha(self):
         # 4/3 = 1 + 1/3, -13/7 = -2 + 1/7, 3/2 = 1 + 1/2, 0 = 1 - 1
@@ -273,10 +273,10 @@ class TestMontesinos:
             assert as_pretzel(desc) == link, text
             assert is_knot(desc) == is_knot(link), text
             if is_knot(link):
-                assert family_membership(desc) == family_membership(link), text
-        assert family_membership(parse_montesinos("1/2;4/3;-13/7")) == family_membership(
+                assert read(desc).tag == read(link).tag, text
+        assert read(parse_montesinos("1/2;4/3;-13/7")).tag == read(
             PretzelLink((-2, 3, 7))
-        )
+        ).tag
 
     def test_as_pretzel_determinant(self):
         # three-tangle Montesinos knots: |Delta(-1)| of the reference
@@ -289,7 +289,7 @@ class TestMontesinos:
             delta = alexander_skein(link).normalize()
             assert abs(at_minus_one(delta)) == abs(det), text
             assert is_knot(desc)
-            assert family_membership(desc) == family_membership(link), text
+            assert read(desc).tag == read(link).tag, text
             checked += 1
         assert checked == 8432
 
