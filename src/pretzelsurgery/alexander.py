@@ -59,15 +59,15 @@ an operand of at most two terms (a test in ``tests/test_alexander.py``
 guards this), and it skips every product known to be 0 (a leaf of value
 0, a Horner step on an empty sum).  The maps do not grow with the twists:
 the only work linear in the largest twist is the division's layout of its
-dividend and its quotient.
+quotient, and of its dividend where the division sums every t-step.
 ``_divide_by_one_plus_t``, a synthetic division by k running sums, takes
 the numerator's map and returns the quotient already in ``LaurentPoly``'s
 dense layout, its lowest exponent and one slot per s-exponent, which
 ``laurent._from_slots`` wraps as it is: no map of the quotient is built.
 Across the long run of zero t-steps between the numerator's low and high
 blocks the quotient is one constant up to sign, whenever the sums below
-the top one are 0 at its start; the division then sums only the t-steps
-on either side and lays the run out as a repeated pattern.
+the top one are 0 at its start; the division then lays out and sums only
+the t-steps on either side and lays the run out as a repeated pattern.
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
     ends by t-step n - k: the top k t-steps, whose sums decide
     divisibility, are always summed.  The longest such run is taken when
     it covers more than half of the quotient's n - k t-steps; a run that
-    long holds the middle one, (n - k) // 2, so the loop that lays c out
-    needs only the terms next to that t-step to find it.  The run is
+    long holds the middle one, (n - k) // 2, so one pass over c's
+    exponents finds it from the terms next to that t-step, before anything
+    is laid out.  The run is
     taken only if the k passes over the head (the t-steps before it) end
     with the k - 1 lower sums at 0, which holds exactly when
     (1 + t)**(k - 1) divides the head.  Across the run each sum then adds
@@ -169,10 +170,11 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
     takes from the start as the repeated slots [v, 0, -v, 0].  The passes
     run over the tail from the sums at the run's end (the tail starts at
     an even t-step inside the run, so its slots take the head's signs),
-    and the head's and the tail's sums overwrite their slots.  The sums
-    are those of the full passes, so the test of the top k and the
-    quotient are the same.  Any other dividend is summed over every
-    t-step.
+    and the head's and the tail's sums overwrite their slots: only the
+    head and the tail are laid out from c's terms, so the run's t-steps
+    take no slot but the quotient's own.  The sums are those of the full
+    passes, so the test of the top k and the quotient are the same.  Any
+    other dividend is laid out and summed over every t-step.
     """
     if k < 0:
         raise LaurentError(f"cannot divide by (1 + t)^{k}: the power must be at least 0")
@@ -186,28 +188,35 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
         return lo, slots
     n = (hi - lo) // 2 + 1
     count = n - k  # the quotient's terms
-    sums = [0] * n
     # the terms next to the quotient's middle t-step, which bound the only
     # run of zero t-steps that can cover more than half of it
     mid = count // 2
-    below, above = -1, n
-    for e, v in c.items():
-        j = e - lo
-        if j & 1:
+    m = lo + 2 * mid  # its s-exponent
+    below, above = lo - 2, hi + 2  # one t-step outside c when there is none
+    for e in c:
+        if (e - lo) & 1:
             raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
-        j >>= 1
-        sums[j] = -v if j & 1 else v
-        if j < mid:
-            if j > below:
-                below = j
-        elif mid < j < above:
-            above = j
+        if e < m:
+            if e > below:
+                below = e
+        elif m < e < above:
+            above = e
     if count <= 0:
         raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
-    start, end = below + 1, min(above, count)
-    skip_run = not sums[mid] and 2 * (end - start) > count
+    start, end = (below - lo) // 2 + 1, min((above - lo) // 2, count)
+    at_mid = m in c
+    skip_run = not at_mid and 2 * (end - start) > count
     if skip_run:
-        head = sums[:start]
+        # the tail starts at an even t-step inside the run, so its slots take
+        # the head's signs; no term lies between the head and the tail
+        end -= end % 2
+        head, tail = [0] * start, [0] * (n - end)
+        for e, v in c.items():
+            j = (e - lo) >> 1
+            if j < start:
+                head[j] = -v if j & 1 else v
+            else:
+                tail[j - end] = -v if j & 1 else v
         last = []  # each pass's sum at t-step start - 1
         for _ in range(k):
             head = list(accumulate(head))
@@ -215,11 +224,8 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
         v = last.pop()
         skip_run = not any(last)
     if skip_run:
-        # across the run the lower sums stay 0 and the top one stays v; the
-        # tail starts at an even t-step inside the run, so its slots take
-        # the head's signs
-        end -= end % 2
-        sums = sums[end:]
+        # across the run the lower sums stay 0 and the top one stays v
+        sums = tail
         for _ in range(k - 1):
             sums = accumulate(sums)
         sums = list(accumulate(sums, initial=v))[1:]
@@ -230,6 +236,10 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
         out[2 * end::4] = sums[:count - end:2]
         out[2 * end + 2::4] = map(neg, sums[1:count - end:2])
     else:
+        sums = [0] * n
+        for e, v in c.items():
+            j = (e - lo) >> 1
+            sums[j] = -v if j & 1 else v
         for _ in range(k):  # lazy passes, run at C speed by the list() below
             sums = accumulate(sums)
         sums = list(sums)

@@ -1,27 +1,29 @@
 """Ground-truth Alexander polynomials via Fox calculus.
 
-One pass over the strand walk of the standard pretzel diagram gives the
-Wirtinger presentation: a tuple (over, under_in, under_out, sign) of arc
-labels per crossing, signed x(over) * y(under) by the directions of travel.
-Every meridian is abelianized to t, and the minor of the Alexander matrix
-that drops the last relation and arc has sparse {arc: value} rows of the
-integer values of its entries at t = X = 2**(8*nbytes).  Every Wirtinger
-row holds an entry +-1 (the outgoing under-arc at a positive crossing, the
-incoming one at a negative crossing), and a Schur complement on a unit
-pivot changes the determinant only by a sign, so a work queue eliminates
-unit pivots while any are left.  Fraction-free (Bareiss) elimination takes the few
-rows that remain, and one ``kronecker_unpack`` reads the coefficients back
-from a slot sized by the diagram's Kauffman state count.  The decoder is
-the oracle's own: the skein engine's exact division runs on the
+One walk of the standard pretzel diagram, from crossing to crossing by
+integer arithmetic on the corner numbers, labels the arcs as it goes and
+gives the Wirtinger presentation: a tuple (over, under_in, under_out, sign)
+of arc labels per crossing, signed x(over) * y(under) by the directions of
+travel.  Every meridian is abelianized to t, and the minor of the
+Alexander matrix that drops the last relation and arc has sparse
+{arc: value} rows, each built from its tuple, of the integer values of its
+entries at t = X = 2**(8*nbytes).  Every Wirtinger row holds an entry +-1
+(the outgoing under-arc at a positive crossing, the incoming one at a
+negative crossing), and a Schur complement on a unit pivot changes the
+determinant only by a sign, so a work queue eliminates unit pivots while
+any are left.  Fraction-free (Bareiss) elimination takes the few rows that
+remain, and one ``kronecker_unpack`` reads the coefficients back from a
+slot sized by the diagram's Kauffman state count; the digits of Delta's
+span go to the public ``LaurentPoly`` constructor as one map.  The decoder
+is the oracle's own: the skein engine's exact division runs on the
 coefficient lists and never packs.  Nothing here shares a convention with
 the skein engine beyond the diagram template itself, not even the knot
 test (the strand walk rejects a link on its own), which is the point: it
-is the independent check.
+is the independent check.  ``tests/reference_walk.py`` walks the diagram
+by table lookups and labels in a second pass, as the arbiter of the walk.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .laurent import LaurentPoly
 from .pretzel import _MAX_TWIST, PretzelLink
@@ -31,13 +33,13 @@ class OracleError(ValueError):
     pass
 
 
-# crossing corners
+# crossing corners: bit 1 is the bottom row and bit 0 the right column, so a
+# strand entering at a corner leaves at the opposite one, 3 - corner; the
+# corner above or below one is corner ^ 2; and a closure arc from a
+# region's corner steps one region right if it is a right corner (corner & 1),
+# else left, and enters the next region at the other corner of its row,
+# corner ^ 1
 _TL, _TR, _BL, _BR = 0, 1, 2, 3
-_DIAG_EXIT = {_TL: _BR, _TR: _BL, _BL: _TR, _BR: _TL}
-_VERTICAL = {_TL: _BL, _BL: _TL, _TR: _BR, _BR: _TR}
-# a closure arc from a region's corner: the step to the next region and
-# the corner it enters there
-_ACROSS = {_TR: (1, _TL), _BR: (1, _BL), _TL: (-1, _TR), _BL: (-1, _BR)}
 # the direction of travel through a crossing entered at each corner
 _DIRECTION = {_TL: (1, -1), _TR: (-1, -1), _BL: (1, 1), _BR: (-1, 1)}
 
@@ -48,91 +50,89 @@ def _regions(link: PretzelLink) -> tuple[int, ...]:
     return link.params if link.n_regions > 1 else link.params + (0,)
 
 
-def _walk(link: PretzelLink):
-    """Traverse the knot from the top-left corner of crossing 0, returning
-    the passage list [(crossing, corner in)].  Raises OracleError for a
-    link: no crossing, a return to the start before 2c passages, or a
-    closure arc missed (two adjacent zero regions bound a circle with no
-    crossing)."""
-    params = _regions(link)
-    n = len(params)
-    arcs = 0  # closure arcs walked
-    region_crossings = []
-    region_of = []  # the region of each crossing id
-    for i, a in enumerate(params):
-        region_crossings.append(range(len(region_of), len(region_of) + abs(a)))
-        region_of.extend([i] * abs(a))
+def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
+    """Wirtinger relations (over, under_in, under_out, sign) over the arcs
+    0..c-1 of a knot with no region of more than ``_MAX_TWIST`` crossings.
 
-    def arc_partner(cid: int, corner: int):
-        nonlocal arcs
-        region = region_of[cid]
-        ids = region_crossings[region]
-        if corner in (_BL, _BR) and cid + 1 < ids.stop:
-            return cid + 1, _VERTICAL[corner]
-        if corner in (_TL, _TR) and cid > ids.start:
-            return cid - 1, _VERTICAL[corner]
-        # region boundary: follow closure arcs, passing through zero regions
-        i, port = region, corner  # region-level port has the same corner role
-        while True:
-            arcs += 1
-            step, port = _ACROSS[port]
-            i = (i + step) % n
-            if params[i] != 0:
-                ids = region_crossings[i]
-                return (ids[0] if port in (_TL, _TR) else ids[-1]), port
-            # zero region: vertical pass-through
-            port = _VERTICAL[port]
-
+    One walk traverses the knot from the top-left corner of crossing 0 and
+    labels each passage as it goes.  Crossing ids run region by region.
+    Raises OracleError for a link: no crossing, a return to the start
+    before 2c passages, or a closure arc missed (two adjacent zero regions
+    bound a circle with no crossing).
+    """
+    if max(map(abs, link.params)) > _MAX_TWIST:
+        raise OracleError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
     c = link.crossing_count
     if c == 0:
         raise OracleError(f"{link} is not a knot: the diagram has no crossings")
-    passages = []
-    start = state = (0, _TL)
-    for _ in range(2 * c):
-        passages.append(state)
-        state = arc_partner(state[0], _DIAG_EXIT[state[1]])
-        if state == start:
-            break
-    if len(passages) < 2 * c:
-        raise OracleError(f"{link} is not a knot: the strand walk closes after {len(passages)} of {2 * c} passages")
-    if state != start:
-        raise OracleError(f"{link}: strand walk did not close up after {2 * c} passages")
-    if arcs < 2 * n:
-        raise OracleError(f"{link} is not a knot: the strand walk misses a circle with no crossing")
-    return passages
+    params = _regions(link)
+    n = len(params)
+    first, last = [], []  # each region's first and last crossing id
+    stop = 0
+    for a in params:
+        first.append(stop)
+        stop += abs(a)
+        last.append(stop - 1)
 
-
-def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
-    """Wirtinger relations (over, under_in, under_out, sign) over the arcs
-    0..c-1 of a knot with no region of more than ``_MAX_TWIST`` crossings."""
-    if max(map(abs, link.params)) > _MAX_TWIST:
-        raise OracleError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
-    passages = _walk(link)
-    c = link.crossing_count
-    # the over-strand runs TL-BR at the crossings of a positive region
-    positive = [a > 0 for a in link.params for _ in range(abs(a))]
-
-    # arc labels: increment after each under-passage; label c wraps to 0.
-    # The sign is that of ox*uy - oy*ux for the over and under directions.
-    # In a positive region the over-strand runs TL-BR (oy = -ox) and the
-    # under-strand TR-BL (ux = uy); in a negative one the diagonals swap
-    # (oy = ox, ux = -uy).  Either way the product is 2*ox*uy.
+    # Arc labels: increment after each under-passage; label c wraps to 0.
+    # The sign is that of ox*uy - oy*ux for the over and under directions
+    # (``_DIRECTION``).  In a positive region the over-strand runs TL-BR,
+    # corners 0 and 3 (oy = -ox), and the under-strand TR-BL (ux = uy); in a
+    # negative one the diagonals swap (oy = ox, ux = -uy).  Either way the
+    # product is 2*ox*uy, and ox = -1 at a right corner, uy = -1 at a top
+    # one.
     over = [0] * c
     under_in = [0] * c
+    under_out = [0] * c
     sign = [1] * c
-    label = 0
-    for cid, corner in passages:
-        x, y = _DIRECTION[corner]
-        if (corner == _TL or corner == _BR) == positive[cid]:
+    region = next(i for i, a in enumerate(params) if a)
+    positive = params[region] > 0
+    cid = corner = label = arcs = 0  # crossing 0 entered at TL
+    for passages in range(1, 2 * c + 1):
+        if (corner == 0 or corner == 3) == positive:
             over[cid] = label % c
-            sign[cid] *= x
+            if corner & 1:
+                sign[cid] = -sign[cid]
         else:
             under_in[cid] = label
-            sign[cid] *= y
             label += 1
+            under_out[cid] = label % c
+            if corner < 2:
+                sign[cid] = -sign[cid]
+        corner = 3 - corner
+        # the next crossing of the region, entered at a corner that is never
+        # the start's: down into a top corner from crossing cid >= 0, or up
+        # into a bottom one
+        if corner & 2:
+            if cid < last[region]:
+                cid += 1
+                corner ^= 2
+                continue
+        elif cid > first[region]:
+            cid -= 1
+            corner ^= 2
+            continue
+        # region boundary: follow closure arcs, passing through zero regions
+        while True:
+            arcs += 1
+            region = (region + 1 if corner & 1 else region - 1) % n
+            corner ^= 1
+            if params[region]:
+                break
+            corner ^= 2  # zero region: vertical pass-through
+        positive = params[region] > 0
+        cid = first[region] if corner < 2 else last[region]
+        if cid == 0 and corner == 0:
+            break
+    else:
+        raise OracleError(f"{link}: strand walk did not close up after {2 * c} passages")
+    if passages < 2 * c:
+        raise OracleError(f"{link} is not a knot: the strand walk closes after {passages} of {2 * c} passages")
+    if arcs < 2 * n:
+        raise OracleError(f"{link} is not a knot: the strand walk misses a circle with no crossing")
     if label != c:
         raise OracleError("under-passage count does not match crossing count")
-    return [(o, i, (i + 1) % c, s) for o, i, s in zip(over, under_in, sign)]
+    return list(zip(over, under_in, under_out, sign))
 
 
 # ----------------------------------------------------------------------
@@ -140,20 +140,25 @@ def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
 
 def _minor_rows(relations: list[tuple[int, int, int, int]], x: int) -> list[dict[int, int]]:
     """The rows of the minor that drops the last relation and the last arc,
-    as {arc: Fox derivative at t = x}.
+    as {arc: Fox derivative at t = x}, each in the order over, under_in,
+    under_out.
 
     The derivatives by (over, under_in, under_out) are 1 - t, t, -1 at a
     positive crossing and t - 1, 1, -t at a negative one, and an arc in
-    several roles sums them.
+    several roles sums them; under_in and under_out are two arcs.
     """
     last = len(relations) - 1
-    entries = {1: (1 - x, x, -1), -1: (x - 1, 1, -x)}
     rows = []
     for o, i, u, sign in relations[:last]:
-        row: dict[int, int] = {}
-        for arc, v in zip((o, i, u), entries[sign]):
-            if arc != last:
-                row[arc] = row.get(arc, 0) + v
+        vo, vi, vu = (1 - x, x, -1) if sign > 0 else (x - 1, 1, -x)
+        if o == i:
+            row = {o: vo + vi, u: vu}
+        elif o == u:
+            row = {o: vo + vu, i: vi}
+        else:
+            row = {o: vo, i: vi, u: vu}
+        if last in row:
+            del row[last]
         rows.append(row)
     return rows
 
@@ -166,17 +171,17 @@ def _unit_pivot_core(rows: list[dict[int, int]]) -> list[list[int]]:
     Each step is an integer row operation on an integer pivot +-1, exact
     whatever polynomials the entries encode.  Rows are taken from a work
     queue: every row at first, and a row again whenever an update writes
-    +-1 into it.  ``holders`` may keep rows that no longer hold the arc;
-    those are skipped.  ``rows`` is consumed.
+    +-1 into it.  ``holders`` may keep rows that no longer hold the arc,
+    and list a row twice whose entry cancelled and came back; those are
+    skipped.  ``rows`` is consumed.
     """
-    holders: list[set[int]] = [set() for _ in rows]
+    holders: list[list[int]] = [[] for _ in rows]
     for r, row in enumerate(rows):
         for arc in row:
-            holders[arc].add(r)
-    eliminated = set()
-    queue = deque(range(len(rows)))
-    while queue:
-        r = queue.popleft()
+            holders[arc].append(r)
+    eliminated = [False] * len(rows)
+    queue = list(range(len(rows)))
+    for r in queue:  # a for loop over a list also reads what is appended
         row = rows[r]
         if row is None:
             continue
@@ -187,22 +192,26 @@ def _unit_pivot_core(rows: list[dict[int, int]]) -> list[list[int]]:
             continue
         del row[col]
         rows[r] = None
-        eliminated.add(col)
+        eliminated[col] = True
         for i in holders[col]:
             other = rows[i]
             if other is None or col not in other:
                 continue
             f = other.pop(col) * p  # other -= (other[col] / p) * row, 1/p == p
             for arc, v in row.items():
-                w = other.get(arc, 0) - f * v
-                if w:
-                    other[arc] = w
-                    holders[arc].add(i)
-                    if w == 1 or w == -1:
-                        queue.append(i)
+                w = other.get(arc)
+                if w is None:
+                    w = -f * v
+                    holders[arc].append(i)
                 else:
-                    del other[arc]
-    cols = [arc for arc in range(len(rows)) if arc not in eliminated]
+                    w -= f * v
+                    if not w:
+                        del other[arc]
+                        continue
+                other[arc] = w
+                if w == 1 or w == -1:
+                    queue.append(i)
+    cols = [arc for arc, gone in enumerate(eliminated) if not gone]
     return [[row.get(arc, 0) for arc in cols] for row in rows if row is not None]
 
 
@@ -281,10 +290,14 @@ def alexander_fox(link: PretzelLink) -> LaurentPoly:
         digits = kronecker_unpack(value, nbytes, len(relations) + 1)
     except OverflowError:
         raise OracleError("determinant decoding overflow: digit bound violated") from None
-    nonzero = [t_exp for t_exp, d in enumerate(digits) if d]
-    if not nonzero:
+    if not value:
         raise OracleError(f"vanishing Alexander minor for {link}: diagram bug")
-    delta = digits[nonzero[0]:nonzero[-1] + 1]  # Delta up to a power of t
+    lo, hi = 0, len(digits)
+    while not digits[lo]:
+        lo += 1
+    while not digits[hi - 1]:
+        hi -= 1
+    delta = digits[lo:hi]  # Delta up to a power of t
     if sum(delta) not in (1, -1) or delta != delta[::-1]:
         raise OracleError(f"{link}: the decoded determinant is not a knot polynomial: digit bound violated")
-    return LaurentPoly({2 * t_exp: d for t_exp, d in enumerate(delta) if d}).normalize()
+    return LaurentPoly(dict(zip(range(0, 2 * len(delta), 2), delta))).normalize()

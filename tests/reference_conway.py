@@ -12,10 +12,11 @@ the engine's state sum runs.
 from functools import lru_cache
 
 from pretzelsurgery.laurent import LaurentPoly
-from pretzelsurgery.oracle import _walk, build_diagram
+from pretzelsurgery.oracle import build_diagram
 from pretzelsurgery.pretzel import PretzelLink
 
 from reference_laurent import SKEIN_FACTOR, add, multiply, scale
+from reference_walk import walk
 
 # a diagram is a tuple of components; each component is a tuple of
 # passages (crossing_id, is_over, sign)
@@ -23,7 +24,7 @@ from reference_laurent import SKEIN_FACTOR, add, multiply, scale
 
 def gauss_from_pretzel(link: PretzelLink):
     relations = build_diagram(link)
-    passages = _walk(link)
+    passages = walk(link)
     # crossing ids run region by region
     region_of = [i for i, a in enumerate(link.params) for _ in range(abs(a))]
     comp = []

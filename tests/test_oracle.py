@@ -1,6 +1,8 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -14,7 +16,6 @@ from pretzelsurgery.oracle import (
     OracleError,
     _bareiss,
     _unit_pivot_core,
-    _walk,
     alexander_fox,
     build_diagram,
     kronecker_unpack,
@@ -24,6 +25,7 @@ from pretzelsurgery.pretzel import PretzelLink
 from invariants import at_minus_one, at_one, conj
 from reference_fox import alexander_fox_dense
 from reference_laurent import parse
+from reference_walk import build_diagram as reference_diagram, walk
 
 
 class TestWirtinger:
@@ -56,7 +58,7 @@ class TestWirtinger:
         # ox*uy - oy*ux of the over and under directions of travel
         knots = 0
         for link in knot_box(4, 5):
-            passages = _walk(link)
+            passages = walk(link)
             positive = [a > 0 for a in link.params for _ in range(abs(a))]
             over, under = {}, {}
             for cid, corner in passages:
@@ -68,6 +70,39 @@ class TestWirtinger:
                 assert sign == (1 if ox * uy - oy * ux > 0 else -1), (link, cid)
             knots += 1
         assert knots == 5142
+
+
+def _relations_or_error(build, link):
+    try:
+        return build(link)
+    except OracleError as exc:
+        return str(exc)
+
+
+class TestWalkReference:
+    """The oracle's walk, by corner arithmetic and labelling as it goes,
+    against ``reference_walk``, which walks crossing by crossing by table
+    lookups and labels the passage list in a second pass: the same relation
+    tuples, or the same OracleError text."""
+
+    def test_walk_box(self):
+        # the 32,911 tuples of test_pretzel.py's walk box: 1-4 regions in
+        # -5..5 and 5 in -3..3, every rejection of the walk among them
+        rejections = ("no crossings", "closes after", "misses a circle")
+        outcomes = Counter()
+        for n, bound in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3)):
+            for params in product(range(-bound, bound + 1), repeat=n):
+                link = PretzelLink(params)
+                got = _relations_or_error(build_diagram, link)
+                assert got == _relations_or_error(reference_diagram, link), link
+                outcomes[next(r for r in rejections if r in got) if isinstance(got, str) else "knot"] += 1
+        assert outcomes == {"knot": 10006, "closes after": 22294, "misses a circle": 606, "no crossings": 5}
+
+    @pytest.mark.parametrize("q", [101, 2001])
+    def test_large_q(self, q):
+        for params in ((-2, 3, q), (-1, 4, 3, q), (2, 3, q), (-1, 4, 3, -q)):
+            link = PretzelLink(params)
+            assert build_diagram(link) == reference_diagram(link), link
 
 
 class TestLoneRegion:

@@ -4,7 +4,7 @@ from itertools import accumulate, product
 import pytest
 
 from pretzelsurgery.alexander import alexander_skein
-from pretzelsurgery.oracle import _DIRECTION, OracleError, _walk
+from pretzelsurgery.oracle import _DIRECTION, OracleError
 from pretzelsurgery.pretzel import (
     FamilyKind,
     PretzelLink,
@@ -21,6 +21,7 @@ from pretzelsurgery.pretzel import (
 )
 from invariants import at_minus_one
 from reference_pretzel import as_pretzel, box_knots
+from reference_walk import walk
 
 
 class TestParsing:
@@ -112,16 +113,17 @@ class TestOrientationFlags:
 
 @functools.cache
 def _walk_box() -> tuple:
-    """The Wirtinger oracle's strand walk on every tuple with 1-4 regions in
-    -5..5 and 5 in -3..3: (link, None) when the walk rejects the link, else
-    (link, the vertical directions of the two passages through the first
-    crossing of each nonzero region)."""
+    """The reference strand walk (``reference_walk``, the arbiter of the Fox
+    oracle's walk) on every tuple with 1-4 regions in -5..5 and 5 in -3..3:
+    (link, None) when the walk rejects the link, else (link, the vertical
+    directions of the two passages through the first crossing of each
+    nonzero region)."""
     readings = []
     for n, bound in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3)):
         for params in product(range(-bound, bound + 1), repeat=n):
             link = PretzelLink(params)
             try:
-                passages = _walk(link)
+                passages = walk(link)
             except OracleError:
                 readings.append((link, None))
                 continue
@@ -137,9 +139,11 @@ def _walk_box() -> tuple:
 
 
 class TestWalkArbiter:
-    """The parity rules against the Fox oracle's strand walk, which follows
-    the diagram crossing by crossing and shares no code with them.  Budget
-    3 s for the 32,911 tuples; about 1 s on 2 CPUs with Python 3.11."""
+    """The parity rules against the reference strand walk, which follows
+    the diagram crossing by crossing and shares no code with them; it
+    labels the same relations as the Fox oracle's walk
+    (``test_oracle.py::TestWalkReference``).  Budget 3 s for the 32,911
+    tuples; about 1 s on 2 CPUs with Python 3.11."""
 
     def test_knot_test(self):
         # the walk returns to its start after exactly 2c passages, having

@@ -4,7 +4,8 @@ which yields a float on integers.  Exact results come from ``//``,
 ``divmod`` and ``fractions.Fraction``.  And the Fox oracle and the
 reference engines and arbiters share no code with the engines they check:
 they take nothing from ``laurent`` but the ``LaurentPoly`` type, so no
-arithmetic, and the oracle's arbiter takes no decoder from the oracle.
+arithmetic, and the oracle's arbiter takes no decoder from the oracle,
+and the arbiter of its walk takes nothing from it but ``OracleError``.
 And every name a module lists in ``__all__`` exists, and the package root
 imports from such a module only names it lists.  And every module-level
 function and class of the package is used by the package itself, and every
@@ -25,6 +26,7 @@ PACKAGE = ROOT / "src" / "pretzelsurgery"
 INDEPENDENT = (
     PACKAGE / "oracle.py",
     ROOT / "tests" / "reference_fox.py",
+    ROOT / "tests" / "reference_walk.py",
     ROOT / "tests" / "reference_conway.py",
     ROOT / "tests" / "reference_closed_form.py",
     ROOT / "tests" / "reference_os_form.py",
@@ -32,9 +34,11 @@ INDEPENDENT = (
 )
 # what an independent file may take from the modules it shares, where the
 # guard above is not enough: the oracle's arbiter reads the presentation,
-# and decodes its determinant on its own
+# and decodes its determinant on its own; the arbiter of the oracle's walk
+# walks and labels on its own
 ALLOWED_NAMES = {
     "reference_fox.py": {"pretzelsurgery.oracle": {"build_diagram", "OracleError"}},
+    "reference_walk.py": {"pretzelsurgery.oracle": {"OracleError"}},
 }
 # the parts of the one reading of an input, which only pretzel.py calls
 READING = {"parse_pretzel", "parse_montesinos", "tangles", "determinant"}
