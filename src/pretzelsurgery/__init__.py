@@ -15,12 +15,8 @@ from .alexander import alexander_skein, alexander_with_trace
 from .oracle import alexander_fox, build_diagram
 
 from .obstruction import (
-    CheckResult,
-    HFRankParams,
     ObstructionError,
     OSFormDecomposition,
-    SurgerySlope,
-    claim2_implication,
     monic_check,
     os_form_check,
     pm1_coefficients,

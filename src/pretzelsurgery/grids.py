@@ -7,7 +7,8 @@ record whose ``ok`` field says whether the paper's claim holds there.  The
 the same grids at its own bounds.
 
 The expected values are the paper's constants, written here and not read
-from the pipeline, so that the grids stay a check on it.
+from the pipeline, so that the grids stay a check on it.  A cell is a plain
+value: a tuple of integers, a ``PretzelLink`` or an odd q.
 
 A grid whose bounds would enumerate more than ``MAX_CELLS`` cells, or no
 cell at all, raises ValueError, decided from the bounds before any cell is
@@ -28,7 +29,6 @@ from .classify import (
     NON_HYPERBOLIC_SEE_MOSER,
     classify,
 )
-from .obstruction import CheckResult, HFRankParams, SurgerySlope, claim2_implication
 from .oracle import alexander_fox
 from .pretzel import PretzelLink, is_knot
 
@@ -170,28 +170,33 @@ def oracle(nmax: int = 5, qmax: int = 5) -> Grid:
     return Grid(list(knot_box(nmax, max(2, qmax))), _check_oracle)
 
 
-def _check_claim2(res: CheckResult) -> dict:
-    params = res.params
-    return {"suite": "claim2", "nu": params.nu, "alpha": params.slope.alpha,
-            "beta": params.slope.beta, "Y": params.Y,
-            "x_beta": res.x_beta, "x_one": res.x_one,
-            "a_holds": res.a_holds, "b_holds": res.b_holds,
-            "ok": res.a_holds and res.b_holds}
+def _x(nu: int, alpha: int, beta: int) -> int:
+    """X(nu, alpha, beta) = max(0, (2 nu - 1) beta - |alpha|) for beta >= 1."""
+    return max(0, (2 * nu - 1) * beta - abs(alpha))
+
+
+def _check_claim2(cell) -> dict:
+    nu, alpha, beta, y = cell
+    x_one = _x(nu, alpha, 1)
+    a_holds, b_holds = y <= 0, 2 * x_one + y <= 0
+    return {"suite": "claim2", "nu": nu, "alpha": alpha, "beta": beta, "Y": y,
+            "x_beta": _x(nu, alpha, beta), "x_one": x_one,
+            "a_holds": a_holds, "b_holds": b_holds, "ok": a_holds and b_holds}
 
 
 def claim2() -> Grid:
-    """The rank-formula step at every nu in -3..5, slope alpha/beta with
-    beta in 2..5 and alpha in -30..30, and Y in -10..0 where its hypothesis
-    (the alpha/beta surgery is an L-space) holds; the cells are the
-    implication's results there."""
-    cells = []
+    """Claim 2's rank-formula step: an L-space alpha/beta surgery, beta >= 2,
+    makes the alpha surgery an L-space.  By Ozsvath-Szabo's rational surgery
+    formula the alpha/beta surgery has hat rank |alpha| + 2X + beta Y, with
+    X = _x(nu, alpha, beta) and Y = sum_s (rk H(A_s) - 1), nu and Y symbolic
+    integers; so it is an L-space iff 2X + beta Y = 0.  The cells are the
+    (nu, alpha, beta, Y) that meet this, nu in -3..5, beta in 2..5, alpha in
+    -30..30 prime to beta and Y in -10..0; each must have Y <= 0 (a) and
+    2 X(nu, alpha, 1) + Y <= 0 (b).  Both hold: Y = -2X/beta <= 0, and as
+    |alpha| >= |alpha|/beta, X(nu, alpha, 1) <= X/beta, so (b) follows."""
     ranges = (range(-3, 6), range(2, 6), range(-30, 31), range(-10, 1))
-    for nu, beta, alpha, y in product(*ranges):
-        if gcd(alpha, beta) != 1:
-            continue
-        res = claim2_implication(HFRankParams(nu=nu, Y=y, slope=SurgerySlope(alpha, beta)))
-        if res.hypothesis:
-            cells.append(res)
+    cells = [(nu, alpha, beta, y) for nu, beta, alpha, y in product(*ranges)
+             if gcd(alpha, beta) == 1 and 2 * _x(nu, alpha, beta) + beta * y == 0]
     return Grid(cells, _check_claim2)
 
 

@@ -1,23 +1,18 @@
 """Surgery obstruction predicates.
 
-Three independent obstructions to cyclic or finite Dehn surgeries:
+Two obstructions to cyclic or finite Dehn surgeries:
 
 * the alternating +-1 coefficient form that the Alexander polynomial of
   any knot with an L-space surgery must take (Ozsvath-Szabo), decided by
   one scan over the sorted terms that builds no polynomial;
 * the weaker all-coefficients-+-1 test and the monic leading-coefficient
   test (a fibered knot has monic Alexander polynomial, and knots with
-  L-space surgeries are fibered, by Ni);
-* arithmetic verification of the Heegaard Floer rank-formula implication
-  that integral L-space slopes follow from non-integral ones.  The
-  Floer-theoretic inputs (the invariant nu and the total reduced rank Y)
-  are symbolic; nothing here computes Floer homology.
+  L-space surgeries are fibered, by Ni).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .laurent import LaurentPoly
 
@@ -116,90 +111,10 @@ def monic_check(delta: LaurentPoly) -> bool:
     return abs(delta.s_coefficient(delta.maxdeg)) == 1
 
 
-# ----------------------------------------------------------------------
-# Heegaard Floer rank-formula arithmetic
-
-@dataclass(frozen=True)
-class SurgerySlope:
-    """A surgery slope alpha/beta in lowest terms, beta >= 1."""
-
-    alpha: int
-    beta: int
-
-    def __post_init__(self):
-        if self.beta < 1:
-            raise ObstructionError("slope denominator must be positive")
-        if gcd(self.alpha, self.beta) != 1:
-            raise ObstructionError("slope must be in lowest terms")
-
-    def __str__(self) -> str:
-        return f"{self.alpha}/{self.beta}" if self.beta != 1 else str(self.alpha)
-
-
-@dataclass(frozen=True)
-class HFRankParams:
-    """Symbolic inputs to the rank formula: the invariant nu, the total
-    reduced rank Y = sum_s (rk H(A_s) - 1), and the surgery slope."""
-
-    nu: int
-    Y: int
-    slope: SurgerySlope
-
-
-def _x(nu: int, alpha: int, beta: int) -> int:
-    """X(nu, alpha, beta) = max(0, (2 nu - 1)|beta| - |alpha|): the surgered
-    manifold's hat Floer rank is |alpha| + 2 X + |beta| Y."""
-    return max(0, (2 * nu - 1) * abs(beta) - abs(alpha))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of the integral-slope L-space implication check.
-
-    ``hypothesis`` records whether 2 X(nu, alpha, beta) + |beta| Y = 0
-    (the alpha/beta surgery is an L-space); ``a_holds`` is Y <= 0 and
-    ``b_holds`` is 2 X(nu, alpha, 1) + Y <= 0, which together force the
-    integral alpha surgery to be an L-space as well.
-    """
-
-    params: HFRankParams
-    x_beta: int
-    x_one: int
-    hypothesis: bool
-    a_holds: bool
-    b_holds: bool
-
-
-def claim2_implication(params: HFRankParams) -> CheckResult:
-    """Arithmetic skeleton of the non-integral-to-integral L-space step.
-
-    Requires beta >= 2 (the non-integral hypothesis).  Evaluates both
-    proof inequalities at the given symbolic (nu, Y, alpha/beta).
-    """
-    a, b = params.slope.alpha, params.slope.beta
-    if b < 2:
-        raise ObstructionError("implication applies to non-integral slopes only")
-    x_beta = _x(params.nu, a, b)
-    x_one = _x(params.nu, a, 1)
-    hypothesis = 2 * x_beta + abs(b) * params.Y == 0
-    return CheckResult(
-        params=params,
-        x_beta=x_beta,
-        x_one=x_one,
-        hypothesis=hypothesis,
-        a_holds=params.Y <= 0,
-        b_holds=2 * x_one + params.Y <= 0,
-    )
-
-
 __all__ = [
     "ObstructionError",
     "OSFormDecomposition",
-    "SurgerySlope",
-    "HFRankParams",
-    "CheckResult",
     "os_form_check",
     "pm1_coefficients",
     "monic_check",
-    "claim2_implication",
 ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -153,6 +154,15 @@ class TestOracleCompare:
         assert code == 0
         doc = json.loads(out)
         assert doc["comparable"] is True and doc["match"] is True
+
+    def test_mismatch_exits_2(self, capsys, monkeypatch):
+        # a Fox value that differs from the skein's is a verification failure
+        monkeypatch.setattr(cli, "alexander_fox", lambda link: parse("1 - t + t^2"))
+        code, out, _ = run_cli(capsys, "oracle-compare", "-2,3,7")
+        assert (code, out) == (2, "P(-2,3,7): MISMATCH\n")
+        code, out, _ = run_cli(capsys, "oracle-compare", "-2,3,7", "--json")
+        assert code == 2
+        assert json.loads(out)["match"] is False
 
 
 class TestObstruct:
@@ -312,6 +322,36 @@ class TestGrids:
             for bound in range(2, 5):
                 assert grids._box_count(nmax, bound) == sum((2 * bound + 1) ** n for n in range(1, nmax + 1))
         assert grids._box_count(10**20, 2) > grids.MAX_CELLS
+
+    def test_failing_cell_exits_2(self, capsys, monkeypatch):
+        # one cell whose claim fails makes the suite a verification failure
+        record = {"suite": "claim5", "p": 5, "q": 5, "coefficient": 0, "expected": -2, "ok": False}
+        monkeypatch.setitem(grids.SUITES, "claim5", lambda: grids.Grid([record], dict))
+        code, out, _ = run_cli(capsys, "verify-claims", "--suite", "claim5")
+        assert (code, out) == (2, "claim5: 1 cells, 1 failures\n")
+        code, out, _ = run_cli(capsys, "verify-claims", "--suite", "claim5", "--json")
+        assert code == 2
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert lines == [record, {"suite": "claim5", "cells": 1, "failures": 1, "ok": False}]
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (("claim2",), "19ea1e6789961949366b8a6891b29237aada13d8e9b5371a5abb6e3199eaabf5"),
+            (("claim3",), "d57cc73d3e78365530f9e6f19bf7738b9406a147fc8517cd41a216c5b0099855"),
+            (("claim4",), "a057dbc202debf42f77712d2132e554b19ff2b9697b94a4800257687d55af8f4"),
+            (("claim5",), "28028afa21830759d146d251ccd60a12b4deb58e03b8c3fa2ca5945a9d5a8302"),
+            (("classify-sweep",), "dae43d8be7d2f5018f1482cd48a1c7ee5c8d6e17bea80aecbf03c3a6b6addf20"),
+            (("oracle", "--nmax", "3", "--qmax", "3"),
+             "b33cea6e148866918f456b2acf4012d59c5a68fd28e7bca3902ad6ea56ce4d7a"),
+        ],
+    )
+    def test_suite_output_pinned(self, capsys, argv, digest):
+        # every record of every suite, byte for byte: a change to a grid's
+        # cells, their order or a record's fields shows here
+        code, out, _ = run_cli(capsys, "verify-claims", "--suite", *argv, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_claim2_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify-claims", "--suite", "claim2")

@@ -1,20 +1,16 @@
 import random
 import time
 from itertools import product
-from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pretzelsurgery.alexander import alexander_skein
-from pretzelsurgery.grids import knot_box
+from pretzelsurgery.grids import claim2, knot_box
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.obstruction import (
-    HFRankParams,
     ObstructionError,
     OSFormDecomposition,
-    SurgerySlope,
-    claim2_implication,
     monic_check,
     os_form_check,
     pm1_coefficients,
@@ -236,39 +232,13 @@ class TestMinus1Minus1Family:
             assert not monic_check(delta), (m, p, q)
 
 
-class TestSlopes:
-    def test_validation(self):
-        with pytest.raises(ObstructionError):
-            SurgerySlope(4, 2)
-        with pytest.raises(ObstructionError):
-            SurgerySlope(3, 0)
-        assert str(SurgerySlope(18, 1)) == "18"
-        assert str(SurgerySlope(7, 2)) == "7/2"
-
-
 class TestRankFormula:
     def test_trivial_example(self):
-        # X = max(0, (2*1-1)*2 - 17) = 0, Y = 0: rank is |alpha|
-        params = HFRankParams(nu=1, Y=0, slope=SurgerySlope(17, 2))
-        res = claim2_implication(params)
-        assert res.x_beta == 0
-        assert res.hypothesis and res.a_holds and res.b_holds
-
-    def test_integral_slope_rejected(self):
-        with pytest.raises(ObstructionError):
-            claim2_implication(HFRankParams(nu=0, Y=0, slope=SurgerySlope(5, 1)))
-
-    def test_grid_implication(self):
-        # every hypothesis-satisfying tuple satisfies both inequalities
-        for nu in range(-3, 6):
-            for beta in range(2, 6):
-                for alpha in range(-30, 31):
-                    if gcd(alpha, beta) != 1:
-                        continue
-                    for y in range(-10, 1):
-                        params = HFRankParams(
-                            nu=nu, Y=y, slope=SurgerySlope(alpha, beta)
-                        )
-                        res = claim2_implication(params)
-                        if res.hypothesis:
-                            assert res.a_holds and res.b_holds, (nu, alpha, beta, y)
+        # X = max(0, (2*1-1)*2 - 17) = 0, Y = 0: rank is |alpha|, so the
+        # 17/2 surgery is an L-space and the cell is in the grid
+        grid = claim2()
+        cell = (1, 17, 2, 0)
+        assert cell in grid.cells
+        record = grid.check(cell)
+        assert record["x_beta"] == 0
+        assert record["ok"] is True
