@@ -57,7 +57,8 @@ the product of the term counts, and ``_sum``.  Each returns a new map and
 leaves its operands as they were.  Every product the state sum makes has
 an operand of at most two terms (a test in ``tests/test_alexander.py``
 guards this), and it skips every product known to be 0 (a leaf of value
-0, a Horner step on an empty sum).  The maps do not grow with the twists:
+0, a Horner step on an empty sum, a branch of the last region whose only
+leaf has total 0).  The maps do not grow with the twists:
 the only work linear in the largest twist is the division's layout of its
 quotient, and of its dividend where the division sums every t-step.
 ``_divide_by_one_plus_t``, a synthetic division by k running sums, takes
@@ -346,6 +347,8 @@ def _state_sum(params, parallel, has_even: bool) -> tuple[dict[int, int], int]:
         merged: dict = {}
         for mult, outcome in choices:
             for (total, kept), weight in states.items():
+                if not rest and outcome != 0 and total + (outcome or 0) == 0:
+                    continue  # its only leaf is the split (2, 0) link, of value 0
                 w = weight if mult is _ONE else (mult if weight is _ONE else product(mult, weight))
                 if outcome == 0:
                     cut = add(cut, w)

@@ -16,8 +16,9 @@ nonzero, and a sign +-1 that multiplies every slot.  The zero polynomial
 is the empty list at ``lo`` = 0.  Memory is proportional to the span from
 the lowest to the highest exponent, zero slots included.  Single
 coefficients and the degree are index arithmetic, ``items()`` is one pass
-over the slots, and ``normalize`` sets ``lo`` to 0 and picks the sign from
-the first slot, in O(1), sharing the slot list it reads.
+over the slots, ``s_coefficients()`` a copy of them with the sign
+applied, and ``normalize`` sets ``lo`` to 0 and picks the sign from the
+first slot, in O(1), sharing the slot list it reads.
 
 The results of ``normalize`` and of the skein engine are built by
 ``_from_slots``, which wraps a slot list already in this layout without
@@ -91,6 +92,12 @@ class LaurentPoly:
     def coefficient(self, t_exp: int) -> int:
         """Coefficient of t**t_exp (zero if absent)."""
         return self.s_coefficient(2 * t_exp)
+
+    def s_coefficients(self) -> list[int]:
+        """The coefficients of every s-exponent from the lowest to the
+        highest, zeros included, as a new list ([] for 0)."""
+        slots = self._slots
+        return slots.copy() if self._sign > 0 else list(map(neg, slots))
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(s-exponent, coefficient) pairs in ascending exponent order."""

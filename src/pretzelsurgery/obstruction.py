@@ -4,7 +4,7 @@ Two obstructions to cyclic or finite Dehn surgeries:
 
 * the alternating +-1 coefficient form that the Alexander polynomial of
   any knot with an L-space surgery must take (Ozsvath-Szabo), decided by
-  one scan over the sorted terms that builds no polynomial;
+  list comparisons on the dense coefficients that build no polynomial;
 * the weaker all-coefficients-+-1 test and the monic leading-coefficient
   test (a fibered knot has monic Alexander polynomial, and knots with
   L-space surgeries are fibered, by Ni).
@@ -13,6 +13,7 @@ Two obstructions to cyclic or finite Dehn surgeries:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .laurent import LaurentPoly
 
@@ -53,54 +54,53 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     ObstructionError: the zero polynomial, extreme exponents of odd sum,
     or a term that differs from its mirror partner.
 
-    One scan over the n sorted terms, with lo and hi the extreme
-    s-exponents and mid = (lo + hi)/2, decides this without building a
-    polynomial.  The symmetry scan pairs the i-th term with the (n-1-i)-th
-    and runs to completion first, so asymmetric input raises even when its
-    top coefficient already breaks the form.  The form scan then reads the
-    upper half from the top down and returns None at the first break.
+    List comparisons on the dense coefficients c (one per s-exponent from
+    the lowest, ``LaurentPoly.s_coefficients``) decide this without
+    building a polynomial; the middle slot m = (len(c) - 1)/2 is the
+    exponent mid = (lo + hi)/2 of the extreme s-exponents lo and hi.  The
+    symmetry test, c equal to its reverse, comes first, so asymmetric input
+    raises even when its top coefficient already breaks the form.  The
+    form is then read from the upper half, c[m:].
 
     Why this decides the form: a unit +-s^a with 2a != -(lo + hi) leaves
     the extreme exponents unbalanced, so the shift by -mid is the only
-    candidate, and the shifted polynomial equals its conjugate iff every
-    pair has exponent sum lo + hi and equal coefficients.  The form's
-    support is {0, +-n_j}, and its coefficient is (-1)^(k-j) at +-n_j and
-    (-1)^k at 0, so its sorted coefficients are the alternating sequence
-    +1, -1, ... of odd length 2k + 1, read from the top.  Conversely every
-    symmetric sequence of that kind is the form whose n_j are its positive
-    powers of t.  So with sigma the sign of the top coefficient (the sign
-    of the unit), the symmetric ``delta`` is a unit times the
-    form iff n is odd (the constant term is present), every e - mid is
-    even (every power of t is an integer) and its coefficients from the
-    top are sigma, -sigma, sigma, ...; then k = n // 2 and the n_j are
-    (e - mid)/2 over the terms above the middle.
+    candidate, and the shifted polynomial equals its conjugate iff c is a
+    palindrome.  The form's support is {0, +-n_j}, and its coefficient is
+    (-1)^(k-j) at +-n_j and (-1)^k at 0, so its sorted coefficients are
+    the alternating sequence +1, -1, ... of odd length 2k + 1, read from
+    the top.  Conversely every symmetric sequence of that kind is the form
+    whose n_j are its positive powers of t.  So with sigma the sign of the
+    top coefficient (the sign of the unit), the palindrome c is a unit
+    times the form iff its count of nonzero terms is odd (c[m], the
+    constant term, is nonzero), every nonzero slot lies an even distance
+    from the middle (every power of t is an integer) and the nonzero
+    values of c[m::2] from the top are sigma, -sigma, sigma, ...; then the
+    n_j are the distances j/2 of the nonzero slots c[m + j] above the
+    middle, and k is their count.
     """
     if delta.is_zero:
         raise ObstructionError("zero polynomial cannot be symmetrized")
-    terms = list(delta.items())
-    n = len(terms)
-    total = terms[0][0] + terms[-1][0]
-    if total % 2 != 0:
+    c = delta.s_coefficients()
+    if len(c) % 2 == 0:
         raise ObstructionError("polynomial has no symmetric centering")
-    # the middle term of an odd count pairs with itself
-    for (e, c), (f, d) in zip(terms[: (n + 1) // 2], reversed(terms)):
-        if e + f != total or c != d:
-            raise ObstructionError("polynomial is not symmetric up to units")
-    if n % 2 == 0:
-        return None  # no constant term
-    mid = total // 2
-    upper = terms[n // 2 :]
-    want = 1 if upper[-1][1] > 0 else -1
-    for e, c in reversed(upper):
-        if c != want or (e - mid) % 2 != 0:
-            return None  # off the alternation, or a half-integer power of t
-        want = -want
-    return OSFormDecomposition(n // 2, tuple((e - mid) // 2 for e, _ in upper[1:]))
+    if c != c[::-1]:
+        raise ObstructionError("polynomial is not symmetric up to units")
+    m = len(c) // 2
+    if not c[m]:
+        return None  # an even count of terms: no constant term
+    top = c[-1]
+    if top not in (1, -1) or any(c[m + 1 :: 2]):
+        return None  # off the alternation, or a half-integer power of t
+    values = list(filter(None, c[m::2]))[::-1]  # from the top down to the middle
+    k = len(values) - 1
+    if values != ([top, -top] * (k // 2 + 1))[: k + 1]:
+        return None
+    return OSFormDecomposition(k, tuple(compress(range(1, m // 2 + 1), c[m + 2 :: 2])))
 
 
 def pm1_coefficients(delta: LaurentPoly) -> bool:
     """True iff every non-zero coefficient of ``delta`` is +1 or -1."""
-    return all(c in (1, -1) for _, c in delta.items())
+    return {-1, 0, 1}.issuperset(delta.s_coefficients())
 
 
 def monic_check(delta: LaurentPoly) -> bool:

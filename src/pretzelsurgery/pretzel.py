@@ -116,14 +116,22 @@ def parallel_regions(link: PretzelLink) -> tuple[bool, ...]:
     even one is parallel iff n is even; with none (n odd) all n regions
     agree, and only antiparallel closes.  A lone odd region closes with
     side arcs TL-BL and TR-BR, which give y = x: it is parallel.
+
+    The knot test counts the same parities, by the rule ``is_knot``
+    states: a lone region must be odd; of two or more, exactly one must be
+    even, or none and n odd.
     """
-    if not is_knot(link):
-        raise PretzelError(f"{link} is not a knot")
     params = link.params
-    if len(params) == 1:
+    n = len(params)
+    odd = [a & 1 for a in params]
+    evens = n - sum(odd)
+    if evens > 1 or (evens == 1 and n == 1) or (evens == 0 and n % 2 == 0):
+        raise PretzelError(f"{link} is not a knot")
+    if n == 1:
         return (True,)
-    has_even = any(a % 2 == 0 for a in params)
-    return tuple(has_even and (a % 2 == 1 or len(params) % 2 == 0) for a in params)
+    if not evens:
+        return (False,) * n
+    return (True,) * n if n % 2 == 0 else tuple(map(bool, odd))
 
 
 # ----------------------------------------------------------------------

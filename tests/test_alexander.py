@@ -312,12 +312,14 @@ class TestProductOperands:
 
     @pytest.mark.parametrize(
         "params,products",
-        [((-1, -4, 5, 7), 6), ((-2, 5, 7), 4), ((-1, -1, 4, 5, 7), 6), ((3, 5, 7, 9, 11), 14),
+        [((-1, -4, 5, 7), 5), ((-2, 5, 7), 4), ((-1, -1, 4, 5, 7), 5), ((3, 5, 7, 9, 11), 14),
          ((-1, 4, 3, 99999), 7)],
     )
     def test_product_count(self, params, products, monkeypatch):
         # the state sum makes no product known to be 0: no Horner step on an
-        # empty sum and no leaf of value 0
+        # empty sum, no leaf of value 0, and no branch of the last region
+        # whose only leaf is the split (2, 0) link, as in (-1, -4, 5, 7) and
+        # (-1, -1, 4, 5, 7)
         calls = []
         product = alexander._product
 

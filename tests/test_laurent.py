@@ -526,6 +526,9 @@ class TestUnits:
             assert pu.s_coefficient(e) == pr.s_coefficient(e)
         for e in range(lo // 2 - 1, hi // 2 + 2):
             assert pu.coefficient(e) == pr.coefficient(e)
+        dense = [pr.s_coefficient(e) for e in range(lo, hi + 1)] if pr else []
+        assert pu.s_coefficients() == pr.s_coefficients() == dense
+        assert pu.s_coefficients() is not pu._slots
         assert render(pu) == render(pr) and str(pu) == str(pr) and repr(pu) == repr(pr)
         assert parse(render(pu)) == pr
         # the skein's division takes maps, returns slots and commutes with

@@ -93,6 +93,10 @@ class TestOSForm:
 
     def test_half_integer_powers_not_in_form(self):
         assert os_form_check(parse("t^(-1/2) - 1 + t^(1/2)")) is None
+        # the integer powers alone would alternate: only the half powers
+        # break the form
+        assert os_form_check(parse("t^(-1/2) + 1 + t^(1/2)")) is None
+        assert os_form_check(parse("t^-1 + t^(-1/2) - 1 + t^(1/2) + t")) is None
 
     def test_monomial_units(self):
         for unit in (LaurentPoly({5: 1}), LaurentPoly({-3: -1})):
@@ -211,6 +215,16 @@ class TestOSFormArbiter:
     def test_random(self):
         tally = self.agree(arbiter_random())
         assert all(tally.values()), tally
+
+    def test_long_slices(self):
+        # thousands of slots per comparison: P(-1,-4,5,2001) and
+        # P(-1,4,3,2001) are out of form, P(-2,3,2001) is in form with
+        # k = 1001
+        families = ((-1, -4, 5), (-1, 4, 3), (-2, 3))
+        deltas = [alexander_skein(PretzelLink(family + (2001,))) for family in families]
+        tally = self.agree(unit_multiple for delta in deltas for unit_multiple in with_units(delta))
+        assert tally == {"form": 4, "none": 8, "raises": 0}, tally
+        assert scan(deltas[2])[0] == 1001
 
 
 class TestScalarChecks:

@@ -147,12 +147,20 @@ class TestWalkArbiter:
 
     def test_knot_test(self):
         # the walk returns to its start after exactly 2c passages, having
-        # walked every closure arc, iff the link is a knot
-        knots = 0
+        # walked every closure arc, iff the link is a knot; both is_knot and
+        # the parity count in parallel_regions must agree with it
+        knots = refused = 0
         for link, ys in _walk_box():
             assert is_knot(link) == (ys is not None), link
             knots += ys is not None
-        assert knots == 10006
+            try:
+                flags = parallel_regions(link)
+            except PretzelError as exc:
+                assert ys is None and str(exc) == f"{link} is not a knot", link
+                refused += 1
+            else:
+                assert ys is not None and len(flags) == link.n_regions, link
+        assert (knots, refused) == (10006, 22905)
 
     def test_flow_rule(self):
         # a region is parallel iff both passages through its first
