@@ -11,7 +11,7 @@ from .pretzel import (
     parse_montesinos,
     parse_pretzel,
 )
-from .alexander import alexander_skein, alexander_with_trace
+from .alexander import alexander_skein, alexander_with_trace, low_coefficients
 from .oracle import alexander_fox, build_diagram
 
 from .obstruction import (

@@ -69,13 +69,21 @@ Across the long run of zero t-steps between the numerator's low and high
 blocks the quotient is one constant up to sign, whenever the sums below
 the top one are 0 at its start; the division then lays out and sums only
 the t-steps on either side and lays the run out as a repeated pattern.
+
+A caller that needs only the lowest few coefficients of the normalized
+Delta, as the Alexander gate of ``classify`` and the claim grids do, reads
+them with ``low_coefficients``: the same numerator and power, the first
+running sums over the numerator's lowest terms, and an exact divisibility
+test on its terms (``_low_coefficients``).  Nothing there is linear in the
+twists, so it has no twist bound; ``alexander_skein``, which lays out all
+of Delta, refuses a region of more than ``_MAX_TWIST`` crossings.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import accumulate
-from operator import neg
+from operator import mul, neg
 
 from .laurent import LaurentError, LaurentPoly, _from_slots
 from .pretzel import _MAX_TWIST, PretzelError, PretzelLink, parallel_regions
@@ -132,6 +140,11 @@ def _sum(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         else:
             del c[e]
     return c
+
+
+# the division's errors, which ``_low_coefficients`` raises too
+_MIXED_PARITY = "the division by (1 + t)^k takes s-exponents of one parity only"
+_NOT_DIVISIBLE = "(1 + t)^{} does not divide the polynomial"
 
 
 def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
@@ -196,14 +209,14 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
     below, above = lo - 2, hi + 2  # one t-step outside c when there is none
     for e in c:
         if (e - lo) & 1:
-            raise LaurentError("the division by (1 + t)^k takes s-exponents of one parity only")
+            raise LaurentError(_MIXED_PARITY)
         if e < m:
             if e > below:
                 below = e
         elif m < e < above:
             above = e
     if count <= 0:
-        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
+        raise LaurentError(_NOT_DIVISIBLE.format(k))
     start, end = (below - lo) // 2 + 1, min((above - lo) // 2, count)
     at_mid = m in c
     skip_run = not at_mid and 2 * (end - start) > count
@@ -248,8 +261,60 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
         out[::4] = sums[:count:2]
         out[2::4] = map(neg, sums[1:count:2])
     if any(sums[-k:]):  # the top k t-steps
-        raise LaurentError(f"(1 + t)^{k} does not divide the polynomial")
+        raise LaurentError(_NOT_DIVISIBLE.format(k))
     return lo, out
+
+
+def _low_coefficients(c: dict[int, int], k: int, w: int) -> list[int]:
+    """The coefficients of t^0, ..., t^(w-1) in the normalized quotient
+    c / (1 + t)**k, for k >= 0, with no quotient laid out: those of
+    ``_from_slots(*_divide_by_one_plus_t(c, k)).normalize()``, 0 past its
+    top.  Raises LaurentError as the division does, for a c whose
+    s-exponents mix both parities or that (1 + t)**k does not divide, and
+    as ``normalize`` does for 0.
+
+    Write c = sum_i n_i t**i over its t-steps i from its lowest exponent
+    lo.  The division's running sums are (-1)**j q_j, with
+    q_j = sum_{i <= j} n_i (-1)**(j - i) C(j - i + k - 1, k - 1) the
+    quotient's coefficients, and their first w take only c's terms below
+    t-step w: k running sums over those give the window.  The quotient's
+    lowest coefficient is n_0, whose sign ``normalize`` takes out.
+
+    (1 + t)**k divides c exactly when t = -1 is a root of order k, that is
+    when sum_i (-1)**i n_i C(i, m) = 0 for every m < k; for each m the
+    C(i, m) and the powers e_i**m of the s-exponents e_i = lo + 2i are
+    combinations of one another with nonzero leading coefficients, so the
+    test reads the power sums sum_i (-1)**i n_i e_i**m: O(|c| k) products
+    on c's terms, at any span.
+    """
+    if not c:
+        raise LaurentError("cannot normalize the zero polynomial")
+    lo = min(c)
+    head = [0] * w
+    end = 2 * w  # t-step w, in s-steps from lo
+    signed = []  # the (-1)**i n_i, in c's order
+    for e, v in c.items():
+        d = e - lo
+        if d & 1:
+            raise LaurentError(_MIXED_PARITY)
+        if d & 2:
+            v = -v
+        signed.append(v)
+        if d < end:
+            head[d >> 1] = v
+    exponents = list(c)
+    for m in range(k):
+        if m:
+            signed = list(map(mul, signed, exponents))
+        if sum(signed):
+            raise LaurentError(_NOT_DIVISIBLE.format(k))
+    for _ in range(k):
+        head = accumulate(head)
+    head = list(head)
+    # (-1)**j q_j times the sign of n_0: negate the odd or the even t-steps
+    flip = 1 if c[lo] > 0 else 0
+    head[flip::2] = map(neg, head[flip::2])
+    return head
 
 
 @functools.lru_cache(maxsize=256)
@@ -383,21 +448,35 @@ def _state_sum(params, parallel, has_even: bool) -> tuple[dict[int, int], int]:
     return numerator, top
 
 
+def _numerator_and_power(link: PretzelLink) -> tuple[dict[int, int], int]:
+    """The numerator N and the power k with Delta = N / (1 + t)^k of a
+    pretzel knot: the state sum, or the closed form of one or two regions.
+    Raises PretzelError for a link."""
+    params = link.params
+    parallel = parallel_regions(link)
+    has_even = any(a % 2 == 0 for a in params)
+    if len(params) <= 2:
+        return _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
+    return _state_sum(params, parallel, has_even)
+
+
 def alexander_skein(link: PretzelLink) -> LaurentPoly:
     """Delta of a pretzel knot, up to units (Conway-consistent
     representative; apply LaurentPoly.normalize for the paper's form).
     Raises PretzelError when the link has more than one component or a
     region of more than ``_MAX_TWIST`` crossings."""
-    params = link.params
-    if max(map(abs, params)) > _MAX_TWIST:
+    if max(map(abs, link.params)) > _MAX_TWIST:
         raise PretzelError(f"{link}: twist regions of more than {_MAX_TWIST} crossings are not supported")
-    parallel = parallel_regions(link)
-    has_even = any(a % 2 == 0 for a in params)
-    if len(params) <= 2:
-        numerator, k = _leaf_value(sum(params), all(abs(a) == 1 for a in params), has_even)
-    else:
-        numerator, k = _state_sum(params, parallel, has_even)
-    return _from_slots(*_divide_by_one_plus_t(numerator, k))
+    return _from_slots(*_divide_by_one_plus_t(*_numerator_and_power(link)))
+
+
+def low_coefficients(link: PretzelLink, w: int) -> list[int]:
+    """The coefficients of t^0, ..., t^(w-1) in the normalized Delta of a
+    pretzel knot, those of ``alexander_skein(link).normalize()``, read from
+    the state sum's numerator by ``_low_coefficients`` with no quotient laid
+    out.  Its work does not grow with the twists, so no twist bound
+    applies.  Raises PretzelError for a link."""
+    return _low_coefficients(*_numerator_and_power(link), w)
 
 
 def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
@@ -423,4 +502,5 @@ def alexander_with_trace(link: PretzelLink) -> tuple[LaurentPoly, list[tuple]]:
 __all__ = [
     "alexander_skein",
     "alexander_with_trace",
+    "low_coefficients",
 ]

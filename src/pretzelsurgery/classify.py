@@ -30,7 +30,9 @@ decisive one, and emits an auditable report:
    knot with an L-space surgery, and so with a cyclic or finite one, is
    0 or +-1 (Ozsvath-Szabo); the remaining families each have one
    coefficient of the normalized Delta outside {0, +-1}: [t^0] = 2m - 1
-   for (-1,-1,2m,p,q), and [t^1], [t^4] or [t^3] for (-1, 2n, p, q).
+   for (-1,-1,2m,p,q), and [t^1], [t^4] or [t^3] for (-1, 2n, p, q).  The
+   gate reads it from ``alexander.low_coefficients``, a window of Delta
+   that does not grow with q, so it answers at any q.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .alexander import alexander_skein
+from .alexander import low_coefficients
 from .pretzel import (
     FamilyKind,
     FamilyTag,
@@ -90,6 +92,11 @@ MATTMAN_TABLE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
     7: ((18, 19), (17,)),  # (cyclic slopes, additional finite slopes)
     9: ((), (22, 23)),
 }
+
+
+# the encoder of every one-line report: ``json.dumps``'s output with sorted
+# keys, built once; a report is a tree, so no cycle check is needed
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 @dataclass
@@ -150,6 +157,8 @@ class ClassificationReport:
         }
 
     def to_json(self, *, indent: int | None = None) -> str:
+        if indent is None:
+            return _ENCODER.encode(self.to_dict())
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod
@@ -174,12 +183,16 @@ class ClassificationReport:
 # ----------------------------------------------------------------------
 # stage 1: hyperbolicity
 
-# the (-2,3,3)/(-2,3,5) pretzels and their mirror images are torus knots
-_TORUS_TAGS = {
-    FamilyTag(FamilyKind.MINUS1_2N, 1, 3, q, mirror): reason
-    for q, reason in ((3, "(3,4)-torus knot"), (5, "(3,5)-torus knot"))
-    for mirror in (False, True)
-}
+# the (-2,3,3)/(-2,3,5) pretzels and their mirror images are torus knots:
+# the q of (-2,3,q) -> the reason
+_TORUS_REASONS = {3: "(3,4)-torus knot", 5: "(3,5)-torus knot"}
+
+
+def _minus2_3_q(tag: FamilyTag) -> bool:
+    """Whether the tag is P(-2,3,q) = P(-1,2,3,q) or its mirror image, read
+    from its fields: a hash of the tag would run the dataclass's and the
+    Enum's Python-level hashes."""
+    return tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3
 
 
 def _two_bridge_knot(reading: Reading) -> str | None:
@@ -220,7 +233,8 @@ def _hyperbolicity_stage(reading: Reading) -> StageResult:
     elif reading.two_bridge:
         reason = _two_bridge_knot(reading)
     else:
-        reason = _TORUS_TAGS.get(reading.tag)
+        tag = reading.tag
+        reason = _TORUS_REASONS.get(tag.q) if tag is not None and _minus2_3_q(tag) else None
     if reason is None:
         citation = CITE_MENASCO if reading.two_bridge else CITE_REMARK
         return StageResult("hyperbolicity", "pass", citation, {"status": "hyperbolic"})
@@ -256,7 +270,7 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
             citation=CITE_MATTMAN,
             evidence={"family": str(tag), "reason": "(-2l,p,q) with l > 1"},
         )
-    if tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3:
+    if _minus2_3_q(tag):
         sign = -1 if tag.mirror else 1
         knot = f"({-2 * sign},{3 * sign},{tag.q * sign})"
         entry = MATTMAN_TABLE.get(tag.q)
@@ -310,12 +324,13 @@ def alexander_gate(tag: FamilyTag) -> StageResult:
     coefficient of its Delta is 0 or +-1 (Ozsvath-Szabo).  The gate reads
     one coefficient of the normalized Delta, [t^0] (which is 2m - 1) for
     (-1,-1,2m,p,q), and for (-1,2n,p,q) [t^1] at n < 0, [t^4] at n = 1
-    and [t^3] at n >= 2; a mirror image has the same normalized Delta."""
+    and [t^3] at n >= 2; a mirror image has the same normalized Delta.
+    The coefficient comes from ``low_coefficients``, with no twist bound."""
     exp = _GATE_EXPONENTS.get((tag.kind, max(-1, min(tag.index or 0, 2))))
-    if exp is None or (tag.kind is FamilyKind.MINUS1_2N and tag.index == 1 and tag.p == 3):
+    if exp is None or _minus2_3_q(tag):
         raise ClassifyError(f"tag {tag} should have been consumed by earlier stages")
     link = family_link(tag)
-    value = alexander_skein(link).normalize().coefficient(exp)
+    value = low_coefficients(link, exp + 1)[exp]
     if value in (-1, 0, 1):
         raise ClassifyError(f"{link}: expected a coefficient violating +-1")
     evidence = {"family": str(tag), "coefficient_exponent": exp, "coefficient": value}

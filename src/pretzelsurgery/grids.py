@@ -8,7 +8,10 @@ the same grids at its own bounds.
 
 The expected values are the paper's constants, written here and not read
 from the pipeline, so that the grids stay a check on it.  A cell is a plain
-value: a tuple of integers, a ``PretzelLink`` or an odd q.
+value: a tuple of integers, a ``PretzelLink`` or an odd q.  The coefficient
+grids (claims 3-5) read their coefficient as the Alexander gate of
+``classify`` does, from ``alexander.low_coefficients``; the oracle grid
+compares all of Delta.
 
 A grid whose bounds would enumerate more than ``MAX_CELLS`` cells, or no
 cell at all, raises ValueError, decided from the bounds before any cell is
@@ -21,7 +24,7 @@ from itertools import product
 from math import gcd
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .alexander import alexander_skein
+from .alexander import alexander_skein, low_coefficients
 from .classify import (
     CYCLIC_SLOPES,
     FINITE_SLOPES,
@@ -110,7 +113,8 @@ def minus2_3_q(q: int) -> tuple[list[str], list[int], list[int]]:
 
 
 def _coefficient(params: tuple[int, ...], exponent: int) -> int:
-    return alexander_skein(PretzelLink(params)).normalize().coefficient(exponent)
+    """The coefficient of t^exponent in the normalized Delta of P(params)."""
+    return low_coefficients(PretzelLink(params), exponent + 1)[exponent]
 
 
 def _check_claim3(cell) -> dict:

@@ -23,7 +23,8 @@ first slot, in O(1), sharing the slot list it reads.
 The results of ``normalize`` and of the skein engine are built by
 ``_from_slots``, which wraps a slot list already in this layout without
 copying or checking it; ``LaurentPoly(mapping)`` is the public constructor,
-keeps its checks and lays the map out once.
+keeps its checks and lays the map out once.  ``_units_or_zero`` tests the
+slots in place for the obstructions.
 """
 
 from __future__ import annotations
@@ -161,6 +162,16 @@ def _from_slots(lo: int, slots: list[int], sign: int = 1) -> LaurentPoly:
     _set_slots(p, slots)
     _set_sign(p, sign)
     return p
+
+
+_UNITS_OR_ZERO = frozenset((-1, 0, 1))
+
+
+def _units_or_zero(p: LaurentPoly) -> bool:
+    """Whether every coefficient of p is 0, 1 or -1, read from its slots as
+    they are: the sign cannot change the answer, nothing is copied, and the
+    scan stops at the first slot off the set."""
+    return _UNITS_OR_ZERO.issuperset(p._slots)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _units_or_zero
 
 
 class ObstructionError(ValueError):
@@ -95,12 +95,24 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     k = len(values) - 1
     if values != ([top, -top] * (k // 2 + 1))[: k + 1]:
         return None
-    return OSFormDecomposition(k, tuple(compress(range(1, m // 2 + 1), c[m + 2 :: 2])))
+    return _decomposition(k, tuple(compress(range(1, m // 2 + 1), c[m + 2 :: 2])))
+
+
+def _decomposition(k: int, exponents: tuple[int, ...]) -> OSFormDecomposition:
+    """An OSFormDecomposition built without ``__post_init__``'s checks, for
+    ``os_form_check``, whose slot comparisons already guarantee them: k + 1
+    alternating values, so k exponents, each a positive distance above the
+    middle, read in increasing order."""
+    decomposition = object.__new__(OSFormDecomposition)
+    object.__setattr__(decomposition, "k", k)
+    object.__setattr__(decomposition, "exponents", exponents)
+    return decomposition
 
 
 def pm1_coefficients(delta: LaurentPoly) -> bool:
-    """True iff every non-zero coefficient of ``delta`` is +1 or -1."""
-    return {-1, 0, 1}.issuperset(delta.s_coefficients())
+    """True iff every non-zero coefficient of ``delta`` is +1 or -1; the
+    test stops at the first coefficient that is not."""
+    return _units_or_zero(delta)
 
 
 def monic_check(delta: LaurentPoly) -> bool:

@@ -15,7 +15,7 @@ and the family tag read parities and a normal form of the tangles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import index
@@ -162,13 +162,12 @@ class FamilyTag:
     def __str__(self) -> str:
         if self.kind is FamilyKind.OTHER:
             return "OTHER"
-        letter = {
-            FamilyKind.MINUS_2L: "l",
-            FamilyKind.MINUS1_2N: "n",
-            FamilyKind.MINUS1_MINUS1_2M: "m",
-        }[self.kind]
-        text = f"{self.kind.value}({letter}={self.index},p={self.p},q={self.q})"
+        text = f"{self.kind.value}({_INDEX_LETTERS[self.kind]}={self.index},p={self.p},q={self.q})"
         return f"MIRROR({text})" if self.mirror else text
+
+
+# the letter of each family's index in its text form
+_INDEX_LETTERS = {FamilyKind.MINUS_2L: "l", FamilyKind.MINUS1_2N: "n", FamilyKind.MINUS1_MINUS1_2M: "m"}
 
 
 @dataclass(frozen=True)
@@ -208,23 +207,33 @@ def read(knot: PretzelLink | MontesinosDescription) -> Reading:
     * e = -2 and 2k >= 4: MINUS1_MINUS1_2M with m = k.
 
     A knot whose mirror image (every tangle negated) is a member gets the
-    member's tag with ``mirror`` set; no knot is both.
+    member's tag with ``mirror`` set; no knot is both.  The mirror image's
+    normal form comes from the knot's: k + s/alpha mirrors to -k - s/alpha,
+    so a region r with |r| >= 3 becomes -r, the regions 0 and 2 stay (the
+    tangle 1/2 = 0 + 1/2 mirrors to -1 + 1/2) and e becomes -e minus the
+    number of 2 regions.
     """
     pairs = tangles(knot)
     det = determinant(pairs)
     if det % 2 == 0:
         raise PretzelError(f"{knot} is not a knot")
     lone = isinstance(knot, MontesinosDescription) and len(pairs) == 1  # two-bridge: no family
-    tag = None if lone else _family_tag(pairs)
-    if tag is not None and tag.kind is FamilyKind.OTHER:
-        mirror = _family_tag([(-beta, alpha) for beta, alpha in pairs])
-        if mirror.kind is not FamilyKind.OTHER:
-            tag = replace(mirror, mirror=True)
+    form = None if lone else _normal_form(pairs)
+    tag = None
+    if form is not None:
+        e, regions = form
+        tag = _family_tag(e, regions, False)
+        if tag.kind is FamilyKind.OTHER:
+            mirror = _family_tag(-e - regions.count(2), [r if -3 < r < 3 else -r for r in regions], True)
+            if mirror.kind is not FamilyKind.OTHER:
+                tag = mirror
     return Reading(knot, pairs, det, tuple(t for t in pairs if t[1] >= 2), tag)
 
 
-def _family_tag(pairs) -> FamilyTag | None:
-    """Family of one tangle list, mirror images not included."""
+def _normal_form(pairs) -> tuple[int, list[int]] | None:
+    """The sum e of the integer parts and the essential regions of a tangle
+    list (see ``read``), or None when some tangle is not +-1 mod its
+    denominator."""
     e, regions = 0, []
     for beta, alpha in pairs:
         # the zero region 1/0 reads as the region 0, which no family has
@@ -237,19 +246,24 @@ def _family_tag(pairs) -> FamilyTag | None:
             e += k if r == 1 else k + 1
         else:
             return None
+    return e, regions
+
+
+def _family_tag(e: int, regions: list[int], mirror: bool) -> FamilyTag:
+    """The family of a normal form (e, regions), its tag marked ``mirror``."""
     evens = [a for a in regions if a % 2 == 0]
     pq = sorted(a for a in regions if a % 2 == 1)  # odd 3 <= p <= q
     if len(evens) != 1 or evens[0] == 0 or len(pq) != 2 or pq[0] < 3:
         return FamilyTag(FamilyKind.OTHER)
     k = evens[0] // 2
     if e == 0 and k <= -2:
-        return FamilyTag(FamilyKind.MINUS_2L, -k, *pq)
+        return FamilyTag(FamilyKind.MINUS_2L, -k, *pq, mirror)
     if e == -1:
-        return FamilyTag(FamilyKind.MINUS1_2N, k, *pq)
+        return FamilyTag(FamilyKind.MINUS1_2N, k, *pq, mirror)
     if e == -2 and k == 1:
-        return FamilyTag(FamilyKind.MINUS1_2N, -1, *pq)
+        return FamilyTag(FamilyKind.MINUS1_2N, -1, *pq, mirror)
     if e == -2 and k >= 2:
-        return FamilyTag(FamilyKind.MINUS1_MINUS1_2M, k, *pq)
+        return FamilyTag(FamilyKind.MINUS1_MINUS1_2M, k, *pq, mirror)
     return FamilyTag(FamilyKind.OTHER)
 
 
@@ -269,10 +283,10 @@ def family_link(tag: FamilyTag) -> PretzelLink:
 # ----------------------------------------------------------------------
 # Montesinos descriptions
 
-# the largest |a| the skein engine and the Wirtinger diagram take.  The state
-# sum is size-free; only its final quotient is an |a|-term map.  In a fresh
-# Python 3.11 process on 2 CPUs, `classify -1,4,3,99999` takes 0.2 s and 30 MB
-# peak RSS (`--help` alone: 0.2 s, 17 MB)
+# the largest |a| the paths that lay out all of Delta take: the skein engine
+# (`alexander`, `obstruct`) and the Wirtinger diagram (Fox).  The state sum
+# is size-free; only its final quotient has about 2|a| slots.  `classify`
+# reads a window of Delta and takes any |a|.
 _MAX_TWIST = 100_000
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ import tracemalloc
 import pytest
 
 from pretzelsurgery import alexander
-from pretzelsurgery.alexander import alexander_skein, alexander_with_trace
+from pretzelsurgery import grids
+from pretzelsurgery.alexander import alexander_skein, alexander_with_trace, low_coefficients
 from pretzelsurgery.grids import knot_box
-from pretzelsurgery.laurent import LaurentPoly, _from_slots
+from pretzelsurgery.laurent import LaurentError, LaurentPoly, _from_slots
 from pretzelsurgery.oracle import alexander_fox
-from pretzelsurgery.pretzel import PretzelLink, is_knot, parallel_regions
+from pretzelsurgery.pretzel import PretzelError, PretzelLink, is_knot, parallel_regions
 
 from invariants import at_minus_one, at_one, conj, lowest_exponent
 from reference_closed_form import claim_formula, torus
@@ -399,6 +400,97 @@ class TestClosedForms:
                 assert claim_formula(n, p, q).equal_up_to_units(
                     alexander_skein(link)
                 ), (n, p, q)
+
+
+class TestLowCoefficients:
+    """The window of the normalized Delta that ``low_coefficients`` reads
+    from the state sum's numerator, against the full division, Fox and the
+    closed form; its values are read off each arbiter's normalized
+    polynomial, never from the window's running sums."""
+
+    @staticmethod
+    def window(delta, w=6):
+        normal = delta.normalize()
+        return [normal.coefficient(j) for j in range(w)]
+
+    def test_matches_division_on_box(self):
+        # every knot with 1-4 regions in -7..7 and 5 regions in -4..4,
+        # 23,736 knots in about 4 s (the whole 5-region box in -5..5 takes
+        # 8 s, too long for this suite); w runs 0..6 with the knot
+        links = list(knot_box(4, 7)) + [l for l in knot_box(5, 4) if l.n_regions == 5]
+        assert len(links) == 23_736
+        for i, link in enumerate(links):
+            w = i % 7
+            assert low_coefficients(link, w) == self.window(alexander_skein(link), w), link
+
+    @pytest.mark.parametrize("q", [1001, 2001])
+    def test_matches_fox_on_families(self, q):
+        # each candidate family far beyond the boxes: (-2l,p,q), the four
+        # cases of (-1,2n,p,q) the Alexander gate reads and (-1,-1,2m,p,q)
+        for params in ((-4, 3, q), (-2, 5, q), (-1, -2, 3, q), (-1, -4, 5, q), (-1, 4, 3, q),
+                       (-1, 6, 5, q), (-1, -1, 4, 3, q), (-1, -1, 6, 5, q)):
+            link = PretzelLink(params)
+            assert low_coefficients(link, 6) == self.window(alexander_fox(link)), params
+
+    def test_matches_closed_form_on_grids(self):
+        # the cells of the claim 3, 4 and 5 grids at their default bounds,
+        # all of the family (-1,2n,p,q)
+        cells = [(-n, p, q) for n, p, q in grids.claim3().cells]
+        cells += grids.claim4().cells + [(1, p, q) for p, q in grids.claim5().cells]
+        assert len(cells) == 145
+        for n, p, q in cells:
+            link = PretzelLink((-1, 2 * n, p, q))
+            assert low_coefficients(link, 6) == self.window(claim_formula(n, p, q)), (n, p, q)
+
+    def test_any_twist(self):
+        # no twist bound: the gate's three coefficients at q past it
+        for q in (100_001, 10**20 + 1):
+            assert low_coefficients(PretzelLink((-1, 4, 3, q)), 4)[3] == 2
+            assert low_coefficients(PretzelLink((-1, -4, 5, q)), 2)[1] == -3
+            assert low_coefficients(PretzelLink((-1, -1, 4, 3, q)), 1)[0] == 3
+        with pytest.raises(PretzelError, match="is not a knot"):
+            low_coefficients(PretzelLink((2, 4, 10**20 + 1)), 1)
+
+    def test_division_errors(self):
+        # a numerator off by one term is not divisible, and one with a term of
+        # the other parity is refused: the window raises what the division
+        # raises, with the same message
+        def both_raise(c, k):
+            messages = []
+            for divide in (lambda: alexander._divide_by_one_plus_t(c, k),
+                           lambda: alexander._low_coefficients(c, k, 6)):
+                with pytest.raises(LaurentError) as caught:
+                    divide()
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1], messages
+            return messages[0]
+
+        def plus(c, term):
+            out = dict(c)
+            for e, v in term.items():
+                out[e] = out.get(e, 0) + v
+            return {e: v for e, v in out.items() if v}
+
+        checked = 0
+        for params in ((-2, 3, 7), (-1, 4, 3, 5), (-1, -1, 4, 3, 11), (3, 5, 7), (-1, 4, 3, 99999)):
+            numerator, k = alexander._numerator_and_power(PretzelLink(params))
+            assert k >= 1, params
+            lo, hi = min(numerator), max(numerator)
+            for e in sorted(numerator) + [lo - 2, hi + 2]:
+                # one term off, and (1 + t)^m times that term for each m < k,
+                # which only the m-th moment of the test sees
+                for m in range(k):
+                    term = dict(multiply(LaurentPoly({e: 1}), *[LaurentPoly({0: 1, 2: 1})] * m).items())
+                    message = both_raise(plus(numerator, term), k)
+                    assert message == f"(1 + t)^{k} does not divide the polynomial", (params, e, m)
+                    checked += 1
+            for e in (lo + 1, hi - 1, hi + 1):
+                mixed = dict(numerator)
+                mixed[e] = 1
+                assert "one parity only" in both_raise(mixed, k), (params, e)
+        assert checked >= 80
+        with pytest.raises(LaurentError, match="zero polynomial"):
+            alexander._low_coefficients({}, 1, 1)
 
 
 class TestSupports:

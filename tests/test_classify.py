@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -203,27 +205,48 @@ class TestGates:
             assert stage.evidence["coefficient"] == 3
 
     def test_alexander_gate_failure(self, monkeypatch, capsys):
-        # a Delta with every coefficient +-1, or +-1 only at the exponent the
-        # family reads: the gate raises, and the CLI reports that on one line
-        # with exit code 1
-        def skein_returning(coefficients):
-            delta = LaurentPoly({2 * e: c for e, c in enumerate(coefficients)})
+        # a window of Delta with every coefficient +-1, or +-1 only at the
+        # exponent the family reads: the gate raises, and the CLI reports that
+        # on one line with exit code 1
+        def window_returning(coefficients):
             # the package's classify function shadows its module's name
-            monkeypatch.setattr(sys.modules["pretzelsurgery.classify"], "alexander_skein", lambda link: delta)
+            monkeypatch.setattr(sys.modules["pretzelsurgery.classify"], "low_coefficients", lambda link, w: coefficients[:w])
 
         pm1 = [(-1) ** e for e in range(9)]
         for params, exp in (((-1, -1, 4, 3, 3), 0), ((-1, -2, 3, 3), 1), ((-1, 6, 3, 5), 3), ((-2, 5, 7), 4)):
             tag = read(PretzelLink(params)).tag
             for coefficients in (pm1, [1 if e == exp else 2 for e in range(9)]):
-                skein_returning(coefficients)
+                window_returning(coefficients)
                 with pytest.raises(ClassifyError, match="expected a coefficient violating"):
                     alexander_gate(tag)
-        skein_returning(pm1)
+        window_returning(pm1)
         assert run(["classify", "-1,-1,4,3,3"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("q", [100_001, 10**20 + 1])
+    def test_alexander_gate_at_any_q(self, q):
+        # past the twist bound the gate still reads its coefficient, from a
+        # window of Delta: a few kilobytes and well under a millisecond
+        # where the whole Delta would have about 2q terms
+        for params, exp, value in (((-1, 4, 3, q), 3, 2), ((-1, -4, 5, q), 1, -3), ((-1, -1, 4, 3, q), 0, 3)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                started = time.perf_counter()
+                report = classify(PretzelLink(params))
+                elapsed = time.perf_counter() - started
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.final.verdicts == [NO_CYCLIC_OR_FINITE], params
+            stage = report.stages[-1]
+            assert (stage.stage, stage.verdict) == ("alexander", "excluded"), params
+            assert stage.evidence["coefficient_exponent"] == exp and stage.evidence["coefficient"] == value, params
+            assert peak < 2**20, (params, peak)
+            assert elapsed < 0.05, (params, elapsed)
 
     def test_alexander_gate_rejects_consumed_tags(self):
         with pytest.raises(ClassifyError):

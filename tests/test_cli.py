@@ -442,7 +442,7 @@ FUZZ_INPUTS = (
     "", " ", "0", "0,0", "0,0,0", "0/1", "0;0", "2", "2,2", "4/3", "1/2;1/2",
     "2/5;1/2;1/2",
     # 20-digit parameters, numerators and denominators
-    f"2,3,{HUGE}", f"-1,4,3,{HUGE}", f"-2,3,{HUGE}", HUGE, f"-{HUGE},3,5",
+    f"2,3,{HUGE}", f"-1,4,3,{HUGE}", f"-1,-4,5,{HUGE}", f"-1,-1,4,3,{HUGE}", f"-2,3,{HUGE}", HUGE, f"-{HUGE},3,5",
     f"-1,-1,{HUGE[:-1]}8,3,5", f"{HUGE}/7;1/3;1/5", f"{HUGE[:-1]}5/7;1/3;1/5",
     f"{HUGE}/3;1/3;1/5", "30004/3;1/3;1/5", "30007/3;1/3;1/5",
     f"1/{HUGE}", f"1/{HUGE};1/3;1/5",
@@ -482,9 +482,11 @@ class TestFuzz:
             assert len(lines) <= (code != 0), (argv, err)
             assert all("error:" in l for l in lines), (argv, err)
             codes[tuple(argv)] = code
-        # Mattman's gate decides P(-2,3,q) without Delta, at any size
+        # Mattman's gate decides P(-2,3,q) without Delta, and the Alexander
+        # gate reads its coefficient from a window of Delta, at any size
         assert codes[("classify", f"-2,3,{HUGE}")] == 0
-        assert codes[("classify", f"-1,4,3,{HUGE}")] == 1
+        for params in (f"-1,4,3,{HUGE}", f"-1,-4,5,{HUGE}", f"-1,-1,4,3,{HUGE}"):
+            assert codes[("classify", params)] == 0, params
         # the claim-2 grid runs only as a verify-claims suite
         assert {code for argv, code in codes.items() if argv[0] == "verify-claim2"} == {1}
         # a tangle's integer part only adds to e, at any size

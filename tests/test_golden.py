@@ -1,7 +1,8 @@
 """Byte-for-byte golden reports for fixed lists of inputs.
 
 Each ``*.json`` file in ``tests/golden/`` holds
-``classify(text).to_json(indent=2)`` for one input, and
+``classify(text).to_json(indent=2)`` for one input (and pins the one-line
+``to_json()`` through ``json.dumps``), and
 ``tests/golden/obstruct.jsonl`` holds the standard output of
 ``obstruct <params> --json`` for each of ``OBSTRUCT_INPUTS`` in turn, and
 ``tests/golden/alexander_trace.jsonl`` that of ``alexander <params> --trace``
@@ -11,6 +12,7 @@ After a change that is meant to alter reports, rewrite the files with
 """
 
 import io
+import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -88,6 +90,14 @@ def render_trace() -> bytes:
 @pytest.mark.parametrize("text", INPUTS)
 def test_report_matches_golden(text):
     assert render(text) == (GOLDEN / golden_name(text)).read_bytes()
+
+
+def test_one_line_reports_match_golden():
+    # the one-line report is the golden report as json.dumps writes it with
+    # sorted keys and its default separators, byte for byte
+    for text in INPUTS:
+        golden = json.loads((GOLDEN / golden_name(text)).read_bytes())
+        assert classify(text).to_json() == json.dumps(golden, sort_keys=True), text
 
 
 def test_golden_files_are_the_inputs():

@@ -50,8 +50,9 @@ API_MODULES = ("laurent", "pretzel", "alexander", "oracle", "obstruction", "clas
 
 # (input, exit status of alexander, obstruct and oracle-compare, exit status
 # of classify): 0 for a knot, 1 for a link, a parse error or a twist over the
-# bound.  classify decides P(-2,3,q) and a tangle list before the skein, so
-# it answers at any q and reads "1;2" as the tangles 1 and 2.
+# bound.  classify decides P(-2,3,q) and a tangle list before the skein and
+# reads the other families' coefficient from a window of Delta, so it answers
+# at any q, and it reads "1;2" as the tangles 1 and 2.
 PRETZEL_INPUTS = (
     ("-2,3,7", 0, 0), ("-2,3,9", 0, 0), ("2,-3,-7", 0, 0), ("-2,3,5", 0, 0), ("P(-1,-2,3,3)", 0, 0),
     ("3", 0, 0), ("-5", 0, 0), ("-1,4,3,5", 0, 0), ("-1,-4,5,7", 0, 0), ("-1,6,3,5", 0, 0),
@@ -60,7 +61,7 @@ PRETZEL_INPUTS = (
     ("1,-1,3", 0, 0), ("-2,1,1,3", 0, 0), ("-3,-3,2", 0, 0), ("0,3", 0, 0), ("0,3,5", 0, 0),
     ("2,2", 1, 1), ("3,3", 1, 1), ("4", 1, 1), ("2,4,3", 1, 1), ("2,-2,3", 1, 1), ("0", 1, 1),
     ("a,b", 1, 1), ("", 1, 1), ("1,,2", 1, 1), ("1;2", 1, 0),
-    ("-2,3,100001", 1, 0), ("-1,4,3,100001", 1, 1),
+    ("-2,3,100001", 1, 0), ("-1,4,3,100001", 1, 0),
 )
 # large twists: skein subcommands only, since Fox takes seconds here
 LARGE_INPUTS = (("-2,3,2001", 0, 0), ("-1,-4,5,999", 0, 0), ("-1,-1,4,3,301", 0, 0))
