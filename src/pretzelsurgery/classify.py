@@ -54,8 +54,9 @@ from .pretzel import (
 
 
 class ClassifyError(ValueError):
-    """A report of another schema version, or a gate check that failed; a
-    link or an input that does not parse raises PretzelError."""
+    """A saved report of another schema version or shape, or a gate check
+    that failed; a link or an input that does not parse raises
+    PretzelError."""
 
 
 SCHEMA_VERSION = 2
@@ -94,9 +95,18 @@ MATTMAN_TABLE: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-# the encoder of every one-line report: ``json.dumps``'s output with sorted
-# keys, built once; a report is a tree, so no cycle check is needed
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+def _report_fields(obj) -> dict:
+    """The fields of a report's own dataclasses, as they are; anything else
+    gets json's own TypeError."""
+    if type(obj) in (ClassificationReport, StageResult, FinalVerdict):
+        return obj.__dict__
+    return json.JSONEncoder.default(_ENCODER, obj)
+
+
+# the encoder of every report: ``json.dumps``'s output with sorted keys,
+# built once, which writes the dataclasses' fields without a copy; a report
+# is a tree, so no cycle check is needed
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False, default=_report_fields)
 
 
 @dataclass
@@ -128,52 +138,27 @@ class ClassificationReport:
     stages: list[StageResult]
     final: FinalVerdict
 
-    def to_dict(self) -> dict:
-        """The report as plain JSON types, sharing no mutable value with it."""
-        return {
-            "schema_version": self.schema_version,
-            "input_text": self.input_text,
-            "input_kind": self.input_kind,
-            "hyperbolic": self.hyperbolic,
-            "hyperbolic_reason": self.hyperbolic_reason,
-            "stages": [
-                {
-                    "stage": s.stage,
-                    "verdict": s.verdict,
-                    "citation": s.citation,
-                    # evidence values are scalars or flat lists
-                    "evidence": {
-                        k: list(v) if isinstance(v, list) else v
-                        for k, v in s.evidence.items()
-                    },
-                }
-                for s in self.stages
-            ],
-            "final": {
-                "verdicts": list(self.final.verdicts),
-                "cyclic_slopes": list(self.final.cyclic_slopes),
-                "finite_slopes": list(self.final.finite_slopes),
-            },
-        }
-
-    def to_json(self, *, indent: int | None = None) -> str:
-        if indent is None:
-            return _ENCODER.encode(self.to_dict())
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """The report on one line, as ``json.dumps`` writes
+        ``dataclasses.asdict(self)`` with sorted keys."""
+        return _ENCODER.encode(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClassificationReport":
+        """The report whose ``dataclasses.asdict`` is ``data``; another
+        schema version, an unknown key or a missing required field at any
+        level raises ClassifyError."""
+        if not isinstance(data, dict):
+            raise ClassifyError("a report is a JSON object")
         if data.get("schema_version") not in _READABLE_VERSIONS:
             raise ClassifyError("unsupported report schema version")
-        return cls(
-            schema_version=data["schema_version"],
-            input_text=data["input_text"],
-            input_kind=data["input_kind"],
-            hyperbolic=data["hyperbolic"],
-            hyperbolic_reason=data["hyperbolic_reason"],
-            stages=[StageResult(**s) for s in data["stages"]],
-            final=FinalVerdict(**data["final"]),
-        )
+        try:
+            report = cls(**data)
+            report.stages = [StageResult(**s) for s in report.stages]
+            report.final = FinalVerdict(**report.final)
+        except TypeError as exc:
+            raise ClassifyError(f"malformed report: {exc}") from None
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "ClassificationReport":

@@ -173,16 +173,12 @@ def _cmd_verify_claims(args) -> int:
             raise ValueError(f"--suite {args.suite} does not read --{name}")
     bounds = {name: getattr(args, name) for name in reads if getattr(args, name) is not None}
     results = make_grid(**bounds).records()
-    results.sort(key=lambda r: json.dumps(r, sort_keys=True))
-    failures = 0
-    for r in results:
-        if not r["ok"]:
-            failures += 1
-        if args.json:
-            print(json.dumps(r, sort_keys=True))
+    failures = sum(not r["ok"] for r in results)
     summary = {"suite": args.suite, "cells": len(results),
                "failures": failures, "ok": failures == 0}
     if args.json:
+        for line in sorted(json.dumps(r, sort_keys=True) for r in results):
+            print(line)
         print(json.dumps(summary, sort_keys=True))
     else:
         print(f"{args.suite}: {len(results)} cells, {failures} failures")

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import sys
 import time
 import tracemalloc
@@ -347,30 +348,41 @@ class TestPipeline:
 
     def test_reads_schema_version_1(self):
         # version 2 changed report contents, not their structure
-        data = classify("-1,-1,4,3,3").to_dict()
+        data = dataclasses.asdict(classify("-1,-1,4,3,3"))
         assert data["schema_version"] == 2
         for version in (1, 2):
             data["schema_version"] = version
-            assert ClassificationReport.from_dict(data).to_dict() == data
+            assert dataclasses.asdict(ClassificationReport.from_dict(data)) == data
         for version in (0, 3, None):
             data["schema_version"] = version
             with pytest.raises(ClassifyError, match="schema version"):
                 ClassificationReport.from_dict(data)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["-2,3,7", "-2,3,11", "-4,3,5", "-1,4,3,5", "-1,-1,4,3,3", "3,5,7", "3", "2/5;1/3;1/2"],
-    )
-    def test_to_dict_is_asdict(self, text):
-        report = classify(text)
-        data = report.to_dict()
-        assert data == dataclasses.asdict(report)
-        for stage in data["stages"]:
-            for value in stage["evidence"].values():
-                if isinstance(value, list):
-                    value.append(None)
-        data["final"]["verdicts"].append(None)
-        assert report.to_dict() == dataclasses.asdict(report)
+    def test_malformed_report_refused(self):
+        # a saved report that is not a report raises ClassifyError with a
+        # one-line message, and an unknown key is refused at every level
+        good = dataclasses.asdict(classify("-2,3,7"))
+        cases = [
+            [], None, "report", {"schema_version": 2},
+            {**good, "extra": 1},
+            {**good, "stages": 5},
+            {**good, "stages": ["x"]},
+            {**good, "stages": [{**good["stages"][0], "extra": 1}]},
+            {**good, "final": "x"},
+            {**good, "final": {**good["final"], "extra": []}},
+        ]
+        for data in cases:
+            with pytest.raises(ClassifyError) as info:
+                ClassificationReport.from_json(json.dumps(data))
+            assert "\n" not in str(info.value), data
+
+    def test_stray_evidence_not_encoded(self):
+        # the encoder writes only the report's own dataclasses: a FamilyTag
+        # left in evidence raises json's own TypeError
+        report = classify("-1,4,3,5")
+        report.stages[-1].evidence["family"] = read(parse("-1,4,3,5")).tag
+        with pytest.raises(TypeError, match="Object of type FamilyTag is not JSON serializable"):
+            report.to_json()
 
     def test_montesinos_literal_pretzel(self):
         report = classify("1/3;1/3;-1/2")
@@ -400,7 +412,8 @@ class TestPipeline:
         # that input_text echoes the tangle list and input_kind names it
         checked = 0
         for text, link in box_knots():
-            report, expected = classify(text).to_dict(), classify(link).to_dict()
+            report = dataclasses.asdict(classify(text))
+            expected = dataclasses.asdict(classify(link))
             assert report.pop("input_text") == text
             assert (report.pop("input_kind"), expected.pop("input_kind")) == ("montesinos", "pretzel")
             expected.pop("input_text")

@@ -1,8 +1,9 @@
 """Byte-for-byte golden reports for fixed lists of inputs.
 
-Each ``*.json`` file in ``tests/golden/`` holds
-``classify(text).to_json(indent=2)`` for one input (and pins the one-line
-``to_json()`` through ``json.dumps``), and
+Each ``*.json`` file in ``tests/golden/`` holds the report
+``classify(text)`` for one input, as ``json.dumps`` writes its
+``dataclasses.asdict`` with ``indent=2`` and sorted keys (and pins the
+one-line ``to_json()`` through ``json.dumps``), and
 ``tests/golden/obstruct.jsonl`` holds the standard output of
 ``obstruct <params> --json`` for each of ``OBSTRUCT_INPUTS`` in turn, and
 ``tests/golden/alexander_trace.jsonl`` that of ``alexander <params> --trace``
@@ -11,6 +12,7 @@ After a change that is meant to alter reports, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stdout
@@ -41,6 +43,14 @@ INPUTS = (
 )
 
 
+# one input of each classify-mix kind: a knot in no family, (-2l,p,q),
+# (-2,3,q), a torus knot, a twist knot, tangle lists that are rational, +-1
+# mod alpha and pretzels, (-1,2n,p,q), (-2,p,q) and (-1,-1,2m,p,q)
+MIX_INPUTS = (
+    "3,5,7,9,11", "-6,5,7", "-2,3,9", "-5", "6,1,1", "2/5;3/7;-2/9",
+    "4/5;1/7;6/7", "1/5;1/7;-1/9", "-1,-4,5,7", "-2,5,7", "-1,-1,4,3,5",
+)
+
 # the two knots with exceptional surgeries, a torus knot, a reduced diagram of
 # a torus knot, a Montesinos knot outside the form, a (-1,-1,2m,p,q) knot with
 # a non-monic Delta, and a two-bridge knot outside the form
@@ -62,7 +72,8 @@ def golden_name(text: str) -> str:
 
 
 def render(text: str) -> bytes:
-    return (classify(text).to_json(indent=2) + "\n").encode()
+    report = dataclasses.asdict(classify(text))
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
 
 def render_cli(commands: list[list[str]]) -> bytes:
@@ -98,6 +109,14 @@ def test_one_line_reports_match_golden():
     for text in INPUTS:
         golden = json.loads((GOLDEN / golden_name(text)).read_bytes())
         assert classify(text).to_json() == json.dumps(golden, sort_keys=True), text
+
+
+@pytest.mark.parametrize("text", INPUTS + MIX_INPUTS)
+def test_one_line_report_is_asdict(text):
+    # the encoder writes the dataclasses as they are: the same bytes as
+    # json.dumps of their copy as plain dicts and lists
+    report = classify(text)
+    assert report.to_json() == json.dumps(dataclasses.asdict(report), sort_keys=True)
 
 
 def test_golden_files_are_the_inputs():
