@@ -146,14 +146,16 @@ class ClassificationReport:
     @classmethod
     def from_dict(cls, data: dict) -> "ClassificationReport":
         """The report whose ``dataclasses.asdict`` is ``data``; another
-        schema version, an unknown key or a missing required field at any
-        level raises ClassifyError."""
+        schema version, an unknown key, a missing required field at any
+        level or ``stages`` that is not a list raises ClassifyError."""
         if not isinstance(data, dict):
             raise ClassifyError("a report is a JSON object")
         if data.get("schema_version") not in _READABLE_VERSIONS:
             raise ClassifyError("unsupported report schema version")
         try:
             report = cls(**data)
+            if not isinstance(report.stages, list):
+                raise ClassifyError("malformed report: stages is not a list")
             report.stages = [StageResult(**s) for s in report.stages]
             report.final = FinalVerdict(**report.final)
         except TypeError as exc:
@@ -162,7 +164,12 @@ class ClassificationReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassificationReport":
-        return cls.from_dict(json.loads(text))
+        """The report ``to_json`` wrote; text that is not JSON raises
+        ClassifyError."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise ClassifyError(f"malformed report: {exc}") from None
 
 
 # ----------------------------------------------------------------------

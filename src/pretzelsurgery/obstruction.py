@@ -4,7 +4,8 @@ Two obstructions to cyclic or finite Dehn surgeries:
 
 * the alternating +-1 coefficient form that the Alexander polynomial of
   any knot with an L-space surgery must take (Ozsvath-Szabo), decided by
-  list comparisons on the dense coefficients that build no polynomial;
+  list comparisons on the dense coefficients that build no polynomial and
+  read the form's ``OSFormDecomposition``;
 * the weaker all-coefficients-+-1 test and the monic leading-coefficient
   test (a fibered knot has monic Alexander polynomial, and knots with
   L-space surgeries are fibered, by Ni).
@@ -19,7 +20,8 @@ from .laurent import LaurentPoly, _units_or_zero
 
 
 class ObstructionError(ValueError):
-    """Invalid input to an obstruction predicate."""
+    """Invalid input to an obstruction predicate: the zero polynomial, or
+    one that no unit makes symmetric."""
 
 
 # ----------------------------------------------------------------------
@@ -31,18 +33,13 @@ class OSFormDecomposition:
 
         (-1)^k + sum_{j=1..k} (-1)^(k-j) (t^(n_j) + t^(-n_j))
 
-    for a strictly increasing sequence 0 < n_1 < ... < n_k."""
+    for a strictly increasing sequence 0 < n_1 < ... < n_k.  ``os_form_check``
+    is the only builder: its slot comparisons find k + 1 alternating values,
+    so k exponents, each a positive distance above the middle, read in
+    increasing order."""
 
     k: int
     exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 0 or len(self.exponents) != self.k:
-            raise ObstructionError("exponent count must equal k")
-        if any(e <= 0 for e in self.exponents):
-            raise ObstructionError("exponents must be positive")
-        if any(a >= b for a, b in zip(self.exponents, self.exponents[1:])):
-            raise ObstructionError("exponents must be strictly increasing")
 
 
 def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
@@ -95,18 +92,7 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     k = len(values) - 1
     if values != ([top, -top] * (k // 2 + 1))[: k + 1]:
         return None
-    return _decomposition(k, tuple(compress(range(1, m // 2 + 1), c[m + 2 :: 2])))
-
-
-def _decomposition(k: int, exponents: tuple[int, ...]) -> OSFormDecomposition:
-    """An OSFormDecomposition built without ``__post_init__``'s checks, for
-    ``os_form_check``, whose slot comparisons already guarantee them: k + 1
-    alternating values, so k exponents, each a positive distance above the
-    middle, read in increasing order."""
-    decomposition = object.__new__(OSFormDecomposition)
-    object.__setattr__(decomposition, "k", k)
-    object.__setattr__(decomposition, "exponents", exponents)
-    return decomposition
+    return OSFormDecomposition(k, tuple(compress(range(1, m // 2 + 1), c[m + 2 :: 2])))
 
 
 def pm1_coefficients(delta: LaurentPoly) -> bool:

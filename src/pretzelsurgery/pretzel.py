@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from operator import index
 
 
@@ -160,6 +161,11 @@ class FamilyTag:
     mirror: bool = False
 
     def __str__(self) -> str:
+        return self._text
+
+    # formatted once per tag: every gate of a candidate family reports it
+    @cached_property
+    def _text(self) -> str:
         if self.kind is FamilyKind.OTHER:
             return "OTHER"
         text = f"{self.kind.value}({_INDEX_LETTERS[self.kind]}={self.index},p={self.p},q={self.q})"

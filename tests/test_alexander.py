@@ -287,6 +287,14 @@ class TestConwayRepresentative:
             tracemalloc.stop()
 
 
+def _one_even_region(n: int) -> tuple[int, ...]:
+    """A knot of n regions seeded by n: one even region, every |a| >= 3."""
+    rng = random.Random(n)
+    params = [rng.choice((-1, 1)) * rng.randrange(3, 12, 2) for _ in range(n - 1)]
+    params.insert(rng.randrange(n), rng.choice((-1, 1)) * rng.randrange(4, 12, 2))
+    return tuple(params)
+
+
 class TestProductOperands:
     def test_every_product_has_a_short_operand(self, monkeypatch):
         # products run the quadratic double loop, which is linear only while
@@ -314,13 +322,18 @@ class TestProductOperands:
     @pytest.mark.parametrize(
         "params,products",
         [((-1, -4, 5, 7), 5), ((-2, 5, 7), 4), ((-1, -1, 4, 5, 7), 5), ((3, 5, 7, 9, 11), 14),
-         ((-1, 4, 3, 99999), 7)],
+         ((-1, 4, 3, 99999), 7)]
+        + [((3,) * n, (n - 1) * (n + 2) // 2) for n in (11, 21, 41, 81)]
+        + [(_one_even_region(n), range(3 * n - 6, 3 * n - 1)) for n in (10, 20, 40, 80)],
     )
     def test_product_count(self, params, products, monkeypatch):
         # the state sum makes no product known to be 0: no Horner step on an
         # empty sum, no leaf of value 0, and no branch of the last region
         # whose only leaf is the split (2, 0) link, as in (-1, -4, 5, 7) and
-        # (-1, -1, 4, 5, 7)
+        # (-1, -1, 4, 5, 7); and the count is a deterministic complexity
+        # guard: (n - 1)(n + 2)/2 products for n regions of 3, between 3n - 6
+        # and 3n - 2 with one even region and every |a| >= 3 (under 0.2 s
+        # for all eight on 2 CPUs with Python 3.11)
         calls = []
         product = alexander._product
 
@@ -330,7 +343,7 @@ class TestProductOperands:
 
         monkeypatch.setattr(alexander, "_product", counting)
         alexander_skein(PretzelLink(params))
-        assert len(calls) == products
+        assert (len(calls) in products) if isinstance(products, range) else (len(calls) == products)
 
     @pytest.mark.parametrize(
         "params,parallel",

@@ -359,22 +359,24 @@ class TestPipeline:
                 ClassificationReport.from_dict(data)
 
     def test_malformed_report_refused(self):
-        # a saved report that is not a report raises ClassifyError with a
-        # one-line message, and an unknown key is refused at every level
+        # a saved report that is not a report, or text that is not JSON,
+        # raises ClassifyError with a one-line message, and an unknown key
+        # is refused at every level
         good = dataclasses.asdict(classify("-2,3,7"))
         cases = [
             [], None, "report", {"schema_version": 2},
             {**good, "extra": 1},
             {**good, "stages": 5},
+            {**good, "stages": {}},
             {**good, "stages": ["x"]},
             {**good, "stages": [{**good["stages"][0], "extra": 1}]},
             {**good, "final": "x"},
             {**good, "final": {**good["final"], "extra": []}},
         ]
-        for data in cases:
+        for text in [json.dumps(data) for data in cases] + ["{", "[", "nan"]:
             with pytest.raises(ClassifyError) as info:
-                ClassificationReport.from_json(json.dumps(data))
-            assert "\n" not in str(info.value), data
+                ClassificationReport.from_json(text)
+            assert "\n" not in str(info.value), text
 
     def test_stray_evidence_not_encoded(self):
         # the encoder writes only the report's own dataclasses: a FamilyTag

@@ -75,14 +75,6 @@ class TestOSForm:
             if os_form_check(delta) is not None:
                 assert pm1_coefficients(delta), params
 
-    def test_decomposition_validation(self):
-        with pytest.raises(ObstructionError):
-            OSFormDecomposition(2, (3, 3))
-        with pytest.raises(ObstructionError):
-            OSFormDecomposition(1, (-2,))
-        with pytest.raises(ObstructionError):
-            OSFormDecomposition(2, (1,))
-
     def test_asymmetric_top_breaking_form_raises(self):
         # the top coefficient 2 already breaks the form; asymmetry still wins
         with pytest.raises(ObstructionError, match="not symmetric"):

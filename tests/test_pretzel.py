@@ -227,6 +227,16 @@ class TestFamilyMembership:
             assert read(family_link(mirror)).tag == mirror
             assert str(mirror) == f"MIRROR({tag})"
 
+    def test_text_formatted_once(self):
+        # each gate of a candidate family reports str(tag): a second str
+        # reuses the first text, and the kept text changes no comparison
+        tag = read(PretzelLink((2, 1, -3, -7))).tag
+        text = str(tag)
+        assert text == "MIRROR(MINUS1_2N(n=-1,p=3,q=7))"
+        assert str(tag) is text
+        fresh = read(PretzelLink((2, 1, -3, -7))).tag
+        assert fresh == tag and hash(fresh) == hash(tag) and repr(fresh) == repr(tag)
+
     def test_normal_form_box(self):
         # every pretzel knot with 1-4 regions in -7..7 or 5 regions in -5..5:
         # a cancelling (1, -1) pair never changes the tag, and a member's
