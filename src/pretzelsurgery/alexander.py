@@ -408,20 +408,21 @@ def _state_sum(params, parallel, has_even: bool) -> tuple[dict[int, int], int]:
             cut = product(cut, factor) if factor else _ZERO
         if not states:
             continue
-        rest = params[t + 1:]
+        left = len(params) - 1 - t  # the regions still unresolved after this one
         merged: dict = {}
         for mult, outcome in choices:
             for (total, kept), weight in states.items():
-                if not rest and outcome != 0 and total + (outcome or 0) == 0:
+                if not left and outcome != 0 and total + (outcome or 0) == 0:
                     continue  # its only leaf is the split (2, 0) link, of value 0
                 w = weight if mult is _ONE else (mult if weight is _ONE else product(mult, weight))
                 if outcome == 0:
                     cut = add(cut, w)
                     continue
                 if outcome is None:
-                    if kept + len(rest) == 2:
+                    if kept + left == 2:
+                        # at most two regions are left: the removal's leaf reads them
                         value, leaf_up = _leaf_value(
-                            total + sum(rest), all(abs(b) == 1 for b in rest), has_even
+                            total + sum(params[t + 1:]), all(abs(b) == 1 for b in params[t + 1:]), has_even
                         )
                         if value:
                             collect(power + leaf_up, product(w, value))

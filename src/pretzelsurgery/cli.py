@@ -15,8 +15,9 @@ bounds a suite reads, and a bound flag that the suite does not read is a
 usage error.
 
 Exit codes: 0 success, 1 usage/input error, 2 verification failure.
-All output is deterministic; grid output is JSON-lines sorted by
-parameters.
+All output is deterministic.  A grid's ``--json`` output is one JSON line
+per cell, its keys sorted, the lines sorted as text (so by the first key's
+value, as characters: "p": 11 before "p": 5), then the summary line.
 """
 
 from __future__ import annotations

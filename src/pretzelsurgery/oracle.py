@@ -33,17 +33,6 @@ class OracleError(ValueError):
     pass
 
 
-# crossing corners: bit 1 is the bottom row and bit 0 the right column, so a
-# strand entering at a corner leaves at the opposite one, 3 - corner; the
-# corner above or below one is corner ^ 2; and a closure arc from a
-# region's corner steps one region right if it is a right corner (corner & 1),
-# else left, and enters the next region at the other corner of its row,
-# corner ^ 1
-_TL, _TR, _BL, _BR = 0, 1, 2, 3
-# the direction of travel through a crossing entered at each corner
-_DIRECTION = {_TL: (1, -1), _TR: (-1, -1), _BL: (1, 1), _BR: (-1, 1)}
-
-
 def _regions(link: PretzelLink) -> tuple[int, ...]:
     """The twist regions of the diagram drawn: P(a) is drawn as P(a, 0),
     whose zero region's vertical strands are the side arcs."""
@@ -74,13 +63,20 @@ def build_diagram(link: PretzelLink) -> list[tuple[int, int, int, int]]:
         stop += abs(a)
         last.append(stop - 1)
 
+    # Crossing corners TL, TR, BL, BR are 0, 1, 2, 3: bit 1 is the bottom
+    # row and bit 0 the right column, so a strand entering at a corner
+    # leaves at the opposite one, 3 - corner; the corner above or below one
+    # is corner ^ 2; and a closure arc from a region's corner steps one
+    # region right if it is a right corner (corner & 1), else left, and
+    # enters the next region at the other corner of its row, corner ^ 1.
     # Arc labels: increment after each under-passage; label c wraps to 0.
     # The sign is that of ox*uy - oy*ux for the over and under directions
-    # (``_DIRECTION``).  In a positive region the over-strand runs TL-BR,
-    # corners 0 and 3 (oy = -ox), and the under-strand TR-BL (ux = uy); in a
-    # negative one the diagonals swap (oy = ox, ux = -uy).  Either way the
-    # product is 2*ox*uy, and ox = -1 at a right corner, uy = -1 at a top
-    # one.
+    # of travel (x, y), y pointing up, away from the corner entered: x = -1
+    # from a right corner, else 1, and y = -1 from a top one, else 1.  In a
+    # positive region the over-strand runs TL-BR, corners 0 and 3
+    # (oy = -ox), and the under-strand TR-BL (ux = uy); in a negative one
+    # the diagonals swap (oy = ox, ux = -uy).  Either way the product is
+    # 2*ox*uy, and ox = -1 at a right corner, uy = -1 at a top one.
     over = [0] * c
     under_in = [0] * c
     under_out = [0] * c

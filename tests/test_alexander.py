@@ -213,6 +213,37 @@ class TestManyRegions:
         assert abs(at_minus_one(delta)) == abs(determinant(params))
         assert abs(at_one(delta)) == 1
 
+    @pytest.mark.parametrize(
+        "params", [(1,) * 1001, (1, -1) * 500 + (3,), (3,) * 21], ids=["1^1001", "(1,-1)^500,3", "3^21"]
+    )
+    def test_state_sum_copies_no_regions(self, params):
+        # the state sum knows the regions left after each one by their
+        # number, and copies them only in a removal's leaf, where at most
+        # two are left: it copies a number of regions linear in n, not the
+        # n(n - 1)/2 = 500,500 of a copy of the rest at each of 1001 regions
+        class CountingSlices(tuple):
+            def __getitem__(self, index):
+                item = super().__getitem__(index)
+                if isinstance(index, slice):
+                    self.copied += len(item)
+                return item
+
+        counted = CountingSlices(params)
+        counted.copied = 0
+        link = PretzelLink(params)
+        numerator, k = alexander._state_sum(counted, parallel_regions(link), any(a % 2 == 0 for a in params))
+        assert counted.copied <= len(params)
+        assert _from_slots(*alexander._divide_by_one_plus_t(numerator, k)) == alexander_skein(link)
+
+    def test_many_unit_regions(self):
+        # 40,001 regions: P(1^n) is the (2, n)-torus knot, and
+        # P((1,-1)^m, 3) has Delta = 1; about 0.05 s each on 2 CPUs with
+        # Python 3.11, 2-4 s when every region copied the rest
+        start = time.perf_counter()
+        assert alexander_skein(PretzelLink((1,) * 40001)).equal_up_to_units(torus(40001))
+        assert alexander_skein(PretzelLink((1, -1) * 20000 + (3,))).normalize() == LaurentPoly({0: 1})
+        assert time.perf_counter() - start < 1.0
+
 
 class TestLargeQ:
     @pytest.mark.parametrize("q", [2001, 5001, 10001])
@@ -324,7 +355,7 @@ class TestProductOperands:
         [((-1, -4, 5, 7), 5), ((-2, 5, 7), 4), ((-1, -1, 4, 5, 7), 5), ((3, 5, 7, 9, 11), 14),
          ((-1, 4, 3, 99999), 7)]
         + [((3,) * n, (n - 1) * (n + 2) // 2) for n in (11, 21, 41, 81)]
-        + [(_one_even_region(n), range(3 * n - 6, 3 * n - 1)) for n in (10, 20, 40, 80)],
+        + [(_one_even_region(n), range(3 * n - 6, 3 * n - 1)) for n in (10, 20, 40, 80, 160)],
     )
     def test_product_count(self, params, products, monkeypatch):
         # the state sum makes no product known to be 0: no Horner step on an
@@ -333,7 +364,7 @@ class TestProductOperands:
         # (-1, -1, 4, 5, 7); and the count is a deterministic complexity
         # guard: (n - 1)(n + 2)/2 products for n regions of 3, between 3n - 6
         # and 3n - 2 with one even region and every |a| >= 3 (under 0.2 s
-        # for all eight on 2 CPUs with Python 3.11)
+        # for all nine on 2 CPUs with Python 3.11)
         calls = []
         product = alexander._product
 

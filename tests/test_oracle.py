@@ -12,7 +12,6 @@ from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.grids import knot_box
 from pretzelsurgery.laurent import LaurentPoly
 from pretzelsurgery.oracle import (
-    _DIRECTION,
     OracleError,
     _bareiss,
     _unit_pivot_core,
@@ -25,7 +24,7 @@ from pretzelsurgery.pretzel import PretzelLink
 from invariants import at_minus_one, at_one, conj
 from reference_fox import alexander_fox_dense
 from reference_laurent import parse
-from reference_walk import build_diagram as reference_diagram, walk
+from reference_walk import DIRECTION, build_diagram as reference_diagram, walk
 
 
 class TestWirtinger:
@@ -63,7 +62,7 @@ class TestWirtinger:
             over, under = {}, {}
             for cid, corner in passages:
                 is_over = (corner in (0, 3)) == positive[cid]  # TL=0, BR=3
-                (over if is_over else under)[cid] = _DIRECTION[corner]
+                (over if is_over else under)[cid] = DIRECTION[corner]
             signs = [r[3] for r in build_diagram(link)]
             for cid, sign in enumerate(signs):
                 (ox, oy), (ux, uy) = over[cid], under[cid]

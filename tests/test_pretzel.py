@@ -4,7 +4,7 @@ from itertools import accumulate, product
 import pytest
 
 from pretzelsurgery.alexander import alexander_skein
-from pretzelsurgery.oracle import _DIRECTION, OracleError
+from pretzelsurgery.oracle import OracleError
 from pretzelsurgery.pretzel import (
     FamilyKind,
     PretzelLink,
@@ -21,7 +21,7 @@ from pretzelsurgery.pretzel import (
 )
 from invariants import at_minus_one
 from reference_pretzel import as_pretzel, box_knots
-from reference_walk import walk
+from reference_walk import DIRECTION, walk
 
 
 class TestParsing:
@@ -133,7 +133,7 @@ def _walk_box() -> tuple:
             ys: dict[int, list[int]] = {}
             for cid, corner in passages:
                 if cid in first:
-                    ys.setdefault(first[cid], []).append(_DIRECTION[corner][1])
+                    ys.setdefault(first[cid], []).append(DIRECTION[corner][1])
             readings.append((link, ys))
     return tuple(readings)
 

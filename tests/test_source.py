@@ -8,11 +8,12 @@ arithmetic, and the oracle's arbiter takes no decoder from the oracle,
 and the arbiter of its walk takes nothing from it but ``OracleError``.
 And every name a module lists in ``__all__`` exists, and the package root
 imports from such a module only names it lists.  And every module-level
-function and class of the package is used by the package itself, and every
-method and property of its classes by the package or the benchmark, so code
-that only tests read lives in ``tests/``.  And only ``pretzel.py`` reads an
-input: no other module of the package parses text, reads tangles, forms the
-determinant or tests a string for the "/" or ";" of a tangle list."""
+function, class and assigned name (``__all__`` aside) of the package is
+used by the package itself, and every method and property of its classes
+by the package or the benchmark, so code and tables that only tests read
+live in ``tests/``.  And only ``pretzel.py`` reads an input: no other
+module of the package parses text, reads tangles, forms the determinant or
+tests a string for the "/" or ";" of a tangle list."""
 
 import ast
 import importlib
@@ -206,19 +207,28 @@ def test_all_lists_existing_names():
 
 
 def _unused_definitions(trees: dict):
-    """``module.name`` of each module-level function or class in ``trees``
-    (module name -> ast) whose name no other top-level statement of any of
-    the modules reads, as a name or an attribute."""
+    """``module.name`` of each module-level function, class or assigned name
+    (``__all__`` aside) in ``trees`` (module name -> ast) whose name no
+    other top-level statement of any of the modules reads, as a name or an
+    attribute."""
     defs, used = [], set()
     for module, tree in trees.items():
         for node in tree.body:
-            own = None
+            own = []
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = node.name
-                defs.append((module, own))
+                own = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = [
+                    sub.id
+                    for target in targets
+                    for sub in ast.walk(target)
+                    if isinstance(sub, ast.Name) and sub.id != "__all__"
+                ]
+            defs += [(module, name) for name in own]
             for sub in ast.walk(node):
                 name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
-                if name is not None and name != own:
+                if name is not None and name not in own:
                     used.add(name)
     return [f"{module}.{name}" for module, name in defs if name not in used]
 
@@ -237,8 +247,9 @@ def test_guard_sees_unused_definitions():
     trees = {
         "a": ast.parse("def f(): return g()\ndef g(): return 1\ndef h(n): return h(n - 1)\nclass C: pass\n"),
         "b": ast.parse("import a\nx = a.f\n"),
+        "c": ast.parse("_L, _R = 0, 1\n_TABLE = {_L: 1}\nN: int = 2\n__all__ = ['M']\nM = a.g() + b.x\n"),
     }
-    assert _unused_definitions(trees) == ["a.h", "a.C"]
+    assert _unused_definitions(trees) == ["a.h", "a.C", "c._R", "c._TABLE", "c.N", "c.M"]
 
 
 def _attribute_reads(node: ast.AST) -> Counter:
