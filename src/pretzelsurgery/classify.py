@@ -146,11 +146,13 @@ class ClassificationReport:
     @classmethod
     def from_dict(cls, data: dict) -> "ClassificationReport":
         """The report whose ``dataclasses.asdict`` is ``data``; another
-        schema version, an unknown key, a missing required field at any
-        level or ``stages`` that is not a list raises ClassifyError."""
+        schema version (a bool or a float too, which to_json would write
+        back), an unknown key, a missing required field at any level or
+        ``stages`` that is not a list raises ClassifyError."""
         if not isinstance(data, dict):
             raise ClassifyError("a report is a JSON object")
-        if data.get("schema_version") not in _READABLE_VERSIONS:
+        version = data.get("schema_version")
+        if type(version) is not int or version not in _READABLE_VERSIONS:
             raise ClassifyError("unsupported report schema version")
         try:
             report = cls(**data)
@@ -256,43 +258,22 @@ def mattman_gate(tag: FamilyTag) -> StageResult:
     finite surgery; among (-2,3,q) only q = 7, 9 do, with known slopes.
     The mirror image of a knot has the negated slopes."""
     if tag.kind is FamilyKind.MINUS_2L:
-        return StageResult(
-            stage="mattman",
-            verdict="excluded",
-            citation=CITE_MATTMAN,
-            evidence={"family": str(tag), "reason": "(-2l,p,q) with l > 1"},
-        )
-    if _minus2_3_q(tag):
+        verdict, evidence = "excluded", {"family": str(tag), "reason": "(-2l,p,q) with l > 1"}
+    elif _minus2_3_q(tag):
         sign = -1 if tag.mirror else 1
-        knot = f"({-2 * sign},{3 * sign},{tag.q * sign})"
+        evidence = {"knot": f"({-2 * sign},{3 * sign},{tag.q * sign})"}
         entry = MATTMAN_TABLE.get(tag.q)
-        if entry is not None:
+        if entry is None:
+            verdict = "excluded"
+            evidence["reason"] = "only q = 7, 9 admit cyclic or finite surgeries"
+        else:
             cyclic, finite = entry
-            return StageResult(
-                stage="mattman",
-                verdict="slopes",
-                citation=CITE_MATTMAN,
-                evidence={
-                    "knot": knot,
-                    "cyclic_slopes": [sign * r for r in cyclic],
-                    "finite_slopes": [sign * r for r in finite],
-                },
-            )
-        return StageResult(
-            stage="mattman",
-            verdict="excluded",
-            citation=CITE_MATTMAN,
-            evidence={
-                "knot": knot,
-                "reason": "only q = 7, 9 admit cyclic or finite surgeries",
-            },
-        )
-    return StageResult(
-        stage="mattman",
-        verdict="pass",
-        citation=CITE_MATTMAN,
-        evidence={"family": str(tag)},
-    )
+            verdict = "slopes"
+            evidence["cyclic_slopes"] = [sign * r for r in cyclic]
+            evidence["finite_slopes"] = [sign * r for r in finite]
+    else:
+        verdict, evidence = "pass", {"family": str(tag)}
+    return StageResult("mattman", verdict, CITE_MATTMAN, evidence)
 
 
 # ----------------------------------------------------------------------

@@ -213,11 +213,13 @@ def read(knot: PretzelLink | MontesinosDescription) -> Reading:
     * e = -2 and 2k >= 4: MINUS1_MINUS1_2M with m = k.
 
     A knot whose mirror image (every tangle negated) is a member gets the
-    member's tag with ``mirror`` set; no knot is both.  The mirror image's
-    normal form comes from the knot's: k + s/alpha mirrors to -k - s/alpha,
-    so a region r with |r| >= 3 becomes -r, the regions 0 and 2 stay (the
-    tangle 1/2 = 0 + 1/2 mirrors to -1 + 1/2) and e becomes -e minus the
-    number of 2 regions.
+    member's tag with ``mirror`` set.  A member's odd regions are >= 3 and
+    its mirror image's <= -3, so no knot is both, and the family is looked
+    up once: on the mirror image's normal form exactly when an odd region
+    is negative.  That form comes from the knot's: k + s/alpha mirrors to
+    -k - s/alpha, so a region r with |r| >= 3 becomes -r, the regions 0 and
+    2 stay (the tangle 1/2 = 0 + 1/2 mirrors to -1 + 1/2) and e becomes -e
+    minus the number of 2 regions.
     """
     pairs = tangles(knot)
     det = determinant(pairs)
@@ -228,11 +230,10 @@ def read(knot: PretzelLink | MontesinosDescription) -> Reading:
     tag = None
     if form is not None:
         e, regions = form
-        tag = _family_tag(e, regions, False)
-        if tag.kind is FamilyKind.OTHER:
-            mirror = _family_tag(-e - regions.count(2), [r if -3 < r < 3 else -r for r in regions], True)
-            if mirror.kind is not FamilyKind.OTHER:
-                tag = mirror
+        mirror = any(r < 0 for r in regions if r & 1)
+        if mirror:
+            e, regions = -e - regions.count(2), [r if -3 < r < 3 else -r for r in regions]
+        tag = _family_tag(e, regions, mirror)
     return Reading(knot, pairs, det, tuple(t for t in pairs if t[1] >= 2), tag)
 
 

@@ -372,6 +372,10 @@ class TestPipeline:
             {**good, "stages": [{**good["stages"][0], "extra": 1}]},
             {**good, "final": "x"},
             {**good, "final": {**good["final"], "extra": []}},
+            # equal to 1 or 2, but not the int to_json writes
+            {**good, "schema_version": True},
+            {**good, "schema_version": 1.0},
+            {**good, "schema_version": 2.0},
         ]
         for text in [json.dumps(data) for data in cases] + ["{", "[", "nan"]:
             with pytest.raises(ClassifyError) as info:

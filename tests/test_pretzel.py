@@ -3,6 +3,7 @@ from itertools import accumulate, product
 
 import pytest
 
+from pretzelsurgery import pretzel
 from pretzelsurgery.alexander import alexander_skein
 from pretzelsurgery.oracle import OracleError
 from pretzelsurgery.pretzel import (
@@ -236,6 +237,27 @@ class TestFamilyMembership:
         assert str(tag) is text
         fresh = read(PretzelLink((2, 1, -3, -7))).tag
         assert fresh == tag and hash(fresh) == hash(tag) and repr(fresh) == repr(tag)
+
+    @pytest.mark.parametrize(
+        "texts",
+        [{"-4,5,7": "member", "-2,3,7": "member", "3,-1,5,6": "member", "-1,-1,4,3,3": "member"},
+         {"4,-5,-7": "mirror", "2,-3,-7": "mirror", "-3,1,-5,-6": "mirror", "1,1,-4,-3,-3": "mirror"},
+         {"3,5,7": "other", "-3,-5,-7": "other", "2,1,1": "other", "3,-5,7": "other", "-4,5,7,9": "other"},
+         {"1/2;4/3;-13/7": "member", "-1/2;-4/3;13/7": "mirror", "1/3;1/3;1/3": "other",
+          "2/3;1/3;-1/2": "other"}],
+        ids=["members", "mirror-members", "others", "montesinos"],
+    )
+    def test_one_family_lookup(self, monkeypatch, texts):
+        # the sign of an odd region chooses the knot or its mirror image
+        # before the lookup, so a member, a mirror member and a knot of
+        # neither are each looked up once
+        lookup, calls = pretzel._family_tag, []
+        monkeypatch.setattr(pretzel, "_family_tag", lambda *args: calls.append(args) or lookup(*args))
+        for text, kind in texts.items():
+            calls.clear()
+            tag = read(parse(text)).tag
+            read_as = "other" if tag.kind is FamilyKind.OTHER else "mirror" if tag.mirror else "member"
+            assert (len(calls), read_as) == (1, kind), text
 
     def test_normal_form_box(self):
         # every pretzel knot with 1-4 regions in -7..7 or 5 regions in -5..5:
