@@ -345,14 +345,18 @@ def _twist_value(m: int, parallel: bool) -> tuple[dict[int, int], int]:
 
 def _leaf_value(total: int, units: bool, has_even: bool) -> tuple[dict[int, int], int]:
     """Conway value of a necklace that closes into one (2, total) twist:
-    a necklace of +-1 regions (units), or one or two regions, in a knot
-    with an even region or not (see the module docstring); over its power
-    of 1 + t as in ``_twist_value``.
+    a necklace of +-1 regions (units), or one or two regions (a knot's
+    own, or the P(a, b) a removal leaves), in a knot with an even region
+    or not; over its power of 1 + t as in ``_twist_value``.
 
-    A necklace of single crossings is a closed (2, m) braid whose strands
-    run horizontally; each crossing joins TL to BR, so they run parallel
-    iff they run antiparallel down the regions.  With one or two regions
-    the total is odd, and an odd twist's value does not depend on flows.
+    By the module docstring's rule a P(a, b) leaf runs parallel exactly
+    when the knot has an even region, and so do the +-1 regions down a
+    necklace.  A necklace of single crossings is a closed (2, m) braid
+    whose strands run horizontally; each crossing joins TL to BR, so they
+    run parallel iff they run antiparallel down the regions: exactly when
+    the knot has no even region.  The total of a removal leaf can be even
+    (P(-3,-3,-3) removes its first region and leaves P(-3,-3), of total
+    -6), so the flows decide its value.
     """
     if units:
         return _twist_value(-total, not has_even)

@@ -169,9 +169,11 @@ def _check_oracle(link: PretzelLink) -> dict:
 
 
 def oracle(nmax: int = 5, qmax: int = 5) -> Grid:
-    """Skein equals Fox up to units on knot_box(nmax, max(2, qmax))."""
-    _capped(_box_count(nmax, max(2, qmax)))
-    return Grid(list(knot_box(nmax, max(2, qmax))), _check_oracle)
+    """Skein equals Fox up to units on knot_box(nmax, qmax), every knot
+    with 1..nmax regions in -qmax..qmax.  Below qmax = 1 the box holds no
+    knot, so the grid has no cells."""
+    _capped(_box_count(nmax, qmax) if qmax >= 1 else 0)
+    return Grid(list(knot_box(nmax, qmax)), _check_oracle)
 
 
 def _x(nu: int, alpha: int, beta: int) -> int:

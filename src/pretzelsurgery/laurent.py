@@ -5,26 +5,25 @@ like t**(1/2) are first-class values.  Exponents are stored in s-units:
 the s-exponent 2k represents t**k, an odd s-exponent an honest
 half-integer power of t.  Coefficients are arbitrary-precision Python ints.
 
-The program only reads a polynomial: its coefficients, its degree, its
-unit-normal form, equality and its text form.  It never adds, multiplies
-or parses one, so ``LaurentPoly`` has no operators; the tests and their
-arbiters bring their own arithmetic (``tests/reference_laurent.py``).
+The program only reads a polynomial: its coefficients, its unit-normal
+form, equality and its text form.  It never adds, multiplies or parses
+one, so ``LaurentPoly`` has no operators; the tests and their arbiters
+bring their own arithmetic (``tests/reference_laurent.py``).
 
 A polynomial is stored densely: its lowest s-exponent ``lo``, a list with
 one slot per s-exponent from ``lo`` whose first and last slots are
 nonzero, and a sign +-1 that multiplies every slot.  The zero polynomial
 is the empty list at ``lo`` = 0.  Memory is proportional to the span from
 the lowest to the highest exponent, zero slots included.  Single
-coefficients and the degree are index arithmetic, ``items()`` is one pass
-over the slots, ``s_coefficients()`` a copy of them with the sign
-applied, and ``normalize`` sets ``lo`` to 0 and picks the sign from the
+coefficients are index arithmetic, ``items()`` is one pass over the
+slots, and ``normalize`` sets ``lo`` to 0 and picks the sign from the
 first slot, in O(1), sharing the slot list it reads.
 
 The results of ``normalize`` and of the skein engine are built by
 ``_from_slots``, which wraps a slot list already in this layout without
 copying or checking it; ``LaurentPoly(mapping)`` is the public constructor,
-keeps its checks and lays the map out once.  ``_units_or_zero`` tests the
-slots in place for the obstructions.
+keeps its checks and lays the map out once.  The obstructions read the
+slots as they are stored: none of their answers changes with the sign.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class LaurentPoly:
     with ``_lo`` = lo and ``_sign`` = sign.  The first and last slots are
     nonzero; the zero polynomial is the empty list at lo = 0.  Entries of
     the public constructor's map are read with ``operator.index``, so
-    anything but an integer raises TypeError.  ``normalize``, ``maxdeg``,
-    ``coefficient`` and ``s_coefficient`` are O(1).
+    anything but an integer raises TypeError.  ``normalize`` and
+    ``coefficient`` are O(1).
     """
 
     __slots__ = ("_lo", "_slots", "_sign")
@@ -80,25 +79,10 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._slots
 
-    @property
-    def maxdeg(self) -> int:
-        if not self._slots:
-            raise LaurentError("zero polynomial has no maxdeg")
-        return self._lo + len(self._slots) - 1
-
-    def s_coefficient(self, s_exp: int) -> int:
-        i = s_exp - self._lo
-        return self._sign * self._slots[i] if 0 <= i < len(self._slots) else 0
-
     def coefficient(self, t_exp: int) -> int:
         """Coefficient of t**t_exp (zero if absent)."""
-        return self.s_coefficient(2 * t_exp)
-
-    def s_coefficients(self) -> list[int]:
-        """The coefficients of every s-exponent from the lowest to the
-        highest, zeros included, as a new list ([] for 0)."""
-        slots = self._slots
-        return slots.copy() if self._sign > 0 else list(map(neg, slots))
+        i = 2 * t_exp - self._lo
+        return self._sign * self._slots[i] if 0 <= i < len(self._slots) else 0
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(s-exponent, coefficient) pairs in ascending exponent order."""
@@ -162,16 +146,6 @@ def _from_slots(lo: int, slots: list[int], sign: int = 1) -> LaurentPoly:
     _set_slots(p, slots)
     _set_sign(p, sign)
     return p
-
-
-_UNITS_OR_ZERO = frozenset((-1, 0, 1))
-
-
-def _units_or_zero(p: LaurentPoly) -> bool:
-    """Whether every coefficient of p is 0, 1 or -1, read from its slots as
-    they are: the sign cannot change the answer, nothing is copied, and the
-    scan stops at the first slot off the set."""
-    return _UNITS_OR_ZERO.issuperset(p._slots)
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,12 @@ Two obstructions to cyclic or finite Dehn surgeries:
 * the weaker all-coefficients-+-1 test and the monic leading-coefficient
   test (a fibered knot has monic Alexander polynomial, and knots with
   L-space surgeries are fibered, by Ni).
+
+Each predicate reads Delta's slot list ``delta._slots`` as it is stored
+(the skein engine and ``normalize`` build it with ``laurent._from_slots``):
+one coefficient per s-exponent from the lowest, all times the sign +-1
+held beside them.  None of the answers changes when Delta is multiplied
+by -1, so the sign is never applied and nothing is copied.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .laurent import LaurentPoly, _units_or_zero
+from .laurent import LaurentPoly
 
 
 class ObstructionError(ValueError):
@@ -51,8 +57,8 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     ObstructionError: the zero polynomial, extreme exponents of odd sum,
     or a term that differs from its mirror partner.
 
-    List comparisons on the dense coefficients c (one per s-exponent from
-    the lowest, ``LaurentPoly.s_coefficients``) decide this without
+    List comparisons on the stored slots c (one per s-exponent from the
+    lowest; c is delta or -delta, and -1 is a unit) decide this without
     building a polynomial; the middle slot m = (len(c) - 1)/2 is the
     exponent mid = (lo + hi)/2 of the extreme s-exponents lo and hi.  The
     symmetry test, c equal to its reverse, comes first, so asymmetric input
@@ -77,7 +83,7 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     """
     if delta.is_zero:
         raise ObstructionError("zero polynomial cannot be symmetrized")
-    c = delta.s_coefficients()
+    c = delta._slots
     if len(c) % 2 == 0:
         raise ObstructionError("polynomial has no symmetric centering")
     if c != c[::-1]:
@@ -95,10 +101,13 @@ def os_form_check(delta: LaurentPoly) -> OSFormDecomposition | None:
     return OSFormDecomposition(k, tuple(compress(range(1, m // 2 + 1), c[m + 2 :: 2])))
 
 
+_UNITS_OR_ZERO = frozenset((-1, 0, 1))
+
+
 def pm1_coefficients(delta: LaurentPoly) -> bool:
     """True iff every non-zero coefficient of ``delta`` is +1 or -1; the
     test stops at the first coefficient that is not."""
-    return _units_or_zero(delta)
+    return _UNITS_OR_ZERO.issuperset(delta._slots)
 
 
 def monic_check(delta: LaurentPoly) -> bool:
@@ -106,7 +115,7 @@ def monic_check(delta: LaurentPoly) -> bool:
     knot's is).  Rejects the zero polynomial."""
     if delta.is_zero:
         raise ObstructionError("zero polynomial has no leading coefficient")
-    return abs(delta.s_coefficient(delta.maxdeg)) == 1
+    return abs(delta._slots[-1]) == 1
 
 
 __all__ = [

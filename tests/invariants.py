@@ -27,6 +27,11 @@ def lowest_exponent(p: LaurentPoly) -> int:
     return next(p.items())[0]
 
 
+def highest_exponent(p: LaurentPoly) -> int:
+    """The highest s-exponent of a nonzero polynomial."""
+    return max(e for e, _ in p.items())
+
+
 def under_unit(p: LaurentPoly, k: int, sign: int) -> LaurentPoly:
     """p's value, stored as the slots of p / (sign * s**k) under the unit
     sign * s**k: the slots of that quotient from the public constructor,

@@ -274,6 +274,11 @@ class TestGrids:
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["ok"] is True
 
+    def test_oracle_suite_reads_qmax(self, capsys):
+        # the box is -qmax..qmax as given: knot_box(5, 1) has 170 knots
+        code, out, _ = run_cli(capsys, "verify-claims", "--suite", "oracle", "--nmax", "5", "--qmax", "1")
+        assert (code, out) == (0, "oracle: 170 cells, 0 failures\n")
+
     @pytest.mark.parametrize(
         "suite,flag",
         [("claim3", "--pmax"), ("claim4", "--nmax"), ("claim5", "--qmax"),
@@ -289,7 +294,7 @@ class TestGrids:
     @pytest.mark.parametrize(
         "suite,flag,value",
         [("claim3", "--nmax", "0"), ("claim4", "--nmax", "1"), ("claim5", "--pmax", "3"),
-         ("classify-sweep", "--qmax", "2"), ("oracle", "--nmax", "0")],
+         ("classify-sweep", "--qmax", "2"), ("oracle", "--nmax", "0"), ("oracle", "--qmax", "0")],
     )
     @pytest.mark.parametrize("json_flag", [(), ("--json",)])
     def test_empty_grid_rejected(self, capsys, suite, flag, value, json_flag):

@@ -18,7 +18,7 @@ from pretzelsurgery.obstruction import (
 from pretzelsurgery.oracle import alexander_fox
 from pretzelsurgery.pretzel import PretzelLink, is_knot
 
-from invariants import conj, lowest_exponent, under_unit
+from invariants import conj, highest_exponent, lowest_exponent, under_unit
 from reference_laurent import add, multiply, parse, scale
 from reference_os_form import NotSymmetric, os_form_polynomial, parent_os_form, symmetrize
 
@@ -145,7 +145,7 @@ def arbiter_knots():
 
 def flipped(poly, s_exp):
     """``poly`` with the sign of its s^s_exp coefficient changed."""
-    return add(poly, LaurentPoly({s_exp: -2 * poly.s_coefficient(s_exp)}))
+    return add(poly, LaurentPoly({s_exp: -2 * dict(poly.items()).get(s_exp, 0)}))
 
 
 def arbiter_forms():
@@ -156,7 +156,7 @@ def arbiter_forms():
         exponents = tuple(n for n in range(1, 10) if mask >> (n - 1) & 1)
         form = os_form_polynomial(exponents)
         yield form
-        yield flipped(form, form.maxdeg)
+        yield flipped(form, highest_exponent(form))
         yield flipped(form, 0)
         yield flipped(form, lowest_exponent(form))
         if exponents:
@@ -229,6 +229,26 @@ class TestScalarChecks:
         assert not monic_check(parse("3 - 10t + 13t^2 - 10t^3 + 3t^4"))
         with pytest.raises(ObstructionError):
             monic_check(LaurentPoly())
+
+    def test_against_items(self):
+        # both predicates read the stored slots without their sign; a
+        # reference read from items(), which applies it, agrees on every
+        # arbiter knot under units (the sign slot -1 included) and on every
+        # arbiter form, inside a time budget
+        start = time.perf_counter()
+        deltas = [unit_multiple for link in arbiter_knots()
+                  for unit_multiple in with_units(alexander_skein(link))]
+        tally = set()
+        for delta in deltas + list(arbiter_forms()):
+            values = [v for _, v in delta.items()]
+            pm1 = pm1_coefficients(delta)
+            monic = monic_check(delta)
+            assert pm1 == all(v in (-1, 0, 1) for v in values), delta
+            assert monic == (abs(values[-1]) == 1), delta
+            tally.add((delta._sign, pm1, monic))
+        assert tally == {(sign, pm1, monic) for sign in (1, -1)
+                         for pm1, monic in ((True, True), (False, True), (False, False))}
+        assert time.perf_counter() - start < 3.0
 
 
 class TestMinus1Minus1Family:
