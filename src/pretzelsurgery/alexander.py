@@ -153,8 +153,10 @@ def _divide_by_one_plus_t(c: dict[int, int], k: int) -> tuple[int, list[int]]:
     s-exponent from there, the first and last nonzero ((0, []) for 0).
 
     Raises LaurentError for a negative k, when (1 + t)**k does not divide
-    c, and when c's s-exponents mix both parities: a knot's dividend
-    Delta * (1 + t)**k has one parity class, and only that case is divided.
+    c, and, for k >= 1, when c's s-exponents mix both parities: a knot's
+    dividend Delta * (1 + t)**k has one parity class, and only that case is
+    divided.  At k = 0 nothing is divided, and c is laid out as it is, of
+    either parity: {0: 1, 1: 1} gives (0, [1, 1]).
 
     Write c = sum_j a_j t**j over its n t-steps from its lowest exponent.
     The power series c / (1 + t) has the coefficients
@@ -269,9 +271,10 @@ def _low_coefficients(c: dict[int, int], k: int, w: int) -> list[int]:
     """The coefficients of t^0, ..., t^(w-1) in the normalized quotient
     c / (1 + t)**k, for k >= 0, with no quotient laid out: those of
     ``_from_slots(*_divide_by_one_plus_t(c, k)).normalize()``, 0 past its
-    top.  Raises LaurentError as the division does, for a c whose
-    s-exponents mix both parities or that (1 + t)**k does not divide, and
-    as ``normalize`` does for 0.
+    top.  Raises LaurentError for a c whose s-exponents mix both parities,
+    at every k: at k = 0 too, where the division lays such a c out as it
+    is.  Raises it as the division does for a c that (1 + t)**k does not
+    divide, and as ``normalize`` does for 0.
 
     Write c = sum_i n_i t**i over its t-steps i from its lowest exponent
     lo.  The division's running sums are (-1)**j q_j, with

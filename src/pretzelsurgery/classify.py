@@ -54,14 +54,12 @@ from .pretzel import (
 
 
 class ClassifyError(ValueError):
-    """A saved report of another schema version or shape, or a gate check
-    that failed; a link or an input that does not parse raises
-    PretzelError."""
+    """An Alexander gate consistency check that failed: a tag that an
+    earlier stage should have decided, or a coefficient in {0, +-1}; a link
+    or an input that does not parse raises PretzelError."""
 
 
 SCHEMA_VERSION = 2
-# version 1 reports have the same structure; only their contents differ
-_READABLE_VERSIONS = (1, SCHEMA_VERSION)
 
 # verdict names
 NO_CYCLIC_OR_FINITE = "NO_CYCLIC_OR_FINITE"
@@ -142,36 +140,6 @@ class ClassificationReport:
         """The report on one line, as ``json.dumps`` writes
         ``dataclasses.asdict(self)`` with sorted keys."""
         return _ENCODER.encode(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClassificationReport":
-        """The report whose ``dataclasses.asdict`` is ``data``; another
-        schema version (a bool or a float too, which to_json would write
-        back), an unknown key, a missing required field at any level or
-        ``stages`` that is not a list raises ClassifyError."""
-        if not isinstance(data, dict):
-            raise ClassifyError("a report is a JSON object")
-        version = data.get("schema_version")
-        if type(version) is not int or version not in _READABLE_VERSIONS:
-            raise ClassifyError("unsupported report schema version")
-        try:
-            report = cls(**data)
-            if not isinstance(report.stages, list):
-                raise ClassifyError("malformed report: stages is not a list")
-            report.stages = [StageResult(**s) for s in report.stages]
-            report.final = FinalVerdict(**report.final)
-        except TypeError as exc:
-            raise ClassifyError(f"malformed report: {exc}") from None
-        return report
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassificationReport":
-        """The report ``to_json`` wrote; text that is not JSON raises
-        ClassifyError."""
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ClassifyError(f"malformed report: {exc}") from None
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import sys
 import time
 import tracemalloc
@@ -12,7 +11,6 @@ import pytest
 
 from pretzelsurgery.classify import (
     CITE_REMARK,
-    ClassificationReport,
     ClassifyError,
     FINITE_SLOPES,
     CYCLIC_SLOPES,
@@ -340,47 +338,6 @@ class TestPipeline:
             with pytest.raises(PretzelError, match="is not a knot"):
                 f(knot)
         assert len(links) == 163
-
-    def test_json_round_trip(self):
-        for text in ("-2,3,7", "-1,-1,4,3,3", "3", "2/5;1/3;1/2"):
-            report = classify(text)
-            assert ClassificationReport.from_json(report.to_json()) == report
-
-    def test_reads_schema_version_1(self):
-        # version 2 changed report contents, not their structure
-        data = dataclasses.asdict(classify("-1,-1,4,3,3"))
-        assert data["schema_version"] == 2
-        for version in (1, 2):
-            data["schema_version"] = version
-            assert dataclasses.asdict(ClassificationReport.from_dict(data)) == data
-        for version in (0, 3, None):
-            data["schema_version"] = version
-            with pytest.raises(ClassifyError, match="schema version"):
-                ClassificationReport.from_dict(data)
-
-    def test_malformed_report_refused(self):
-        # a saved report that is not a report, or text that is not JSON,
-        # raises ClassifyError with a one-line message, and an unknown key
-        # is refused at every level
-        good = dataclasses.asdict(classify("-2,3,7"))
-        cases = [
-            [], None, "report", {"schema_version": 2},
-            {**good, "extra": 1},
-            {**good, "stages": 5},
-            {**good, "stages": {}},
-            {**good, "stages": ["x"]},
-            {**good, "stages": [{**good["stages"][0], "extra": 1}]},
-            {**good, "final": "x"},
-            {**good, "final": {**good["final"], "extra": []}},
-            # equal to 1 or 2, but not the int to_json writes
-            {**good, "schema_version": True},
-            {**good, "schema_version": 1.0},
-            {**good, "schema_version": 2.0},
-        ]
-        for text in [json.dumps(data) for data in cases] + ["{", "[", "nan"]:
-            with pytest.raises(ClassifyError) as info:
-                ClassificationReport.from_json(text)
-            assert "\n" not in str(info.value), text
 
     def test_stray_evidence_not_encoded(self):
         # the encoder writes only the report's own dataclasses: a FamilyTag

